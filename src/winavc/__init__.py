@@ -21,8 +21,6 @@ from .codec import (
     ThreePhaseCodec,
     build_list_code,
     build_three_phase_codec,
-    decode_three_phase,
-    encode_three_phase,
     hamming_budget,
     interleave_allocation,
     list_decode,
@@ -43,7 +41,6 @@ from .core import (
     block_channel_sample,
     empirical_type,
     entropy,
-    member,
     mutual_information,
 )
 from .harness import (

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    LOG_FLOOR,
     Channel,
     ConstraintSet,
     Distribution,
@@ -27,8 +28,6 @@ from .core import (
     _mi_from_induced,
 )
 from .symmetrize import ecn_symmetrizable, gamma_prime, scan_nonsymmetrizable
-
-LOG_FLOOR = 1e-300
 
 VERDICT_THM1 = "equals_Clist_thm1"
 VERDICT_THM2 = "equals_Clist_thm2"
@@ -48,7 +47,7 @@ class CapacityResult:
 @dataclass(frozen=True)
 class WindowedCapacityVerdict:
     status: str
-    c_list: float
+    capacity: CapacityResult  # list_capacity of the spec's (gamma, lam, channel)
     hypothesis_evidence: str
     regime_warnings: tuple[str, ...] = ()
 
@@ -304,8 +303,7 @@ def windowed_capacity_verdict(
     lengths outside (c ln n, n/c) get advisory regime warnings since the
     equalities are asymptotic statements about mid-scale windows.
     """
-    c_list = list_capacity(spec.gamma, spec.lam, spec.channel,
-                           grid_resolution=grid_resolution).value
+    cap = list_capacity(spec.gamma, spec.lam, spec.channel, grid_resolution=grid_resolution)
 
     warnings = []
     low = regime_constant * math.log(spec.n)
@@ -320,7 +318,7 @@ def windowed_capacity_verdict(
     if direct:
         return WindowedCapacityVerdict(
             status=VERDICT_THM1,
-            c_list=c_list,
+            capacity=cap,
             hypothesis_evidence=(
                 f"found {len(direct)} non-symmetrizable input law(s) in the "
                 f"admissible set, e.g. {np.round(direct[0].probs, 6).tolist()}"
@@ -335,7 +333,7 @@ def windowed_capacity_verdict(
         if widened:
             return WindowedCapacityVerdict(
                 status=VERDICT_THM2,
-                c_list=c_list,
+                capacity=cap,
                 hypothesis_evidence=(
                     f"admissible set all-symmetrizable (grid evidence); ratio-"
                     f"enlarged set at alpha={alpha:g} contains non-symmetrizable "
@@ -354,7 +352,7 @@ def windowed_capacity_verdict(
         )
     return WindowedCapacityVerdict(
         status=VERDICT_UNKNOWN,
-        c_list=c_list,
+        capacity=cap,
         hypothesis_evidence=evidence,
         regime_warnings=tuple(warnings),
     )

@@ -2,12 +2,14 @@
 
 Subcommands: capacity, symmetrize, check-windows, simulate, sweep, selftest.
 Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime/solver error.
-The AVC_LOG environment variable sets log verbosity (DEBUG/INFO/WARNING).
+The AVC_LOG environment variable sets log verbosity (DEBUG/INFO/WARNING); the
+only record logged so far is the traceback of an unexpected failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -26,8 +28,10 @@ from .codec import CodeConstructionError, HashParams, poly_hash
 from .core import Channel, ConstraintSet, Distribution
 from .harness import (
     ConfigError,
+    _parse_constraints,
+    _parse_spec,
+    config_from_dict,
     format_csv,
-    load_config,
     run_trials,
     sweep,
 )
@@ -88,34 +92,12 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _spec_from_doc(doc: dict):
-    from .core import Alphabet, WindowedAvcSpec
-
-    sizes = doc["alphabets"]
-    nx, ns, ny = int(sizes["x"]), int(sizes["s"]), int(sizes["y"])
-    channel = Channel(np.asarray(doc["channel"], dtype=float).reshape(nx, ns, ny))
-    gamma = ConstraintSet(nx, [(e["coeffs"], e["bound"]) for e in doc["gamma"]])
-    lam = ConstraintSet(ns, [(e["coeffs"], e["bound"]) for e in doc["lambda"]])
-    wins = doc.get("windows", {"w_x": doc.get("n", 64), "w_s": doc.get("n", 64)})
-    n = int(doc.get("n", max(int(wins["w_x"]), int(wins["w_s"]))))
-    return WindowedAvcSpec(
-        x_alphabet=Alphabet(nx), s_alphabet=Alphabet(ns), y_alphabet=Alphabet(ny),
-        channel=channel, gamma=gamma, lam=lam,
-        w_x=int(wins["w_x"]), w_s=int(wins["w_s"]), n=n,
-    )
-
-
 def _cmd_capacity(args) -> int:
-    doc = _load_json(args.config)
-    try:
-        spec = _spec_from_doc(doc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad channel description: {exc}") from exc
-    res = list_capacity(spec.gamma, spec.lam, spec.channel)
+    spec = _parse_spec(_load_json(args.config))
     verdict = windowed_capacity_verdict(spec)
+    res = verdict.capacity
     row = {
         "c_list": res.value,
-        "c_ran": res.value,  # equal by the hash-embedding equivalence
         "gap_estimate": res.duality_gap_estimate,
         "argmax_px": list(np.round(res.argmax_px.probs, 9)),
         "argmin_qs": list(np.round(res.argmin_qs.probs, 9)),
@@ -131,11 +113,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
-    doc = _load_json(args.config)
-    try:
-        spec = _spec_from_doc(doc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad channel description: {exc}") from exc
+    spec = _parse_spec(_load_json(args.config))
     if args.scan:
         found = scan_nonsymmetrizable(spec.gamma, spec.channel, spec.lam, args.resolution)
         payload = {
@@ -173,7 +151,7 @@ def _cmd_check_windows(args) -> int:
         seq = doc["sequence"]
         w = int(doc["window"])
         dim = int(doc.get("dim", max(seq) + 1 if seq else 2))
-        cset = ConstraintSet(dim, [(e["coeffs"], e["bound"]) for e in doc["constraints"]])
+        cset = _parse_constraints(doc["constraints"], dim)
         mode = doc.get("mode", "inclusive-range")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad window-check config: {exc}") from exc
@@ -194,13 +172,9 @@ def _cmd_check_windows(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
+    config = config_from_dict(_load_json(args.config))
     if args.seed is not None:
-        config = type(config)(
-            spec=config.spec, code=config.code, jammer=config.jammer,
-            trials=config.trials, master_seed=args.seed,
-            error_criterion=config.error_criterion,
-        )
+        config = dataclasses.replace(config, master_seed=args.seed)
     stats = run_trials(config, keep_records=False, threads=args.threads)
     row = {
         "trials": stats.trials,
@@ -295,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("capacity", help="list-decoding capacity and equality verdict")
@@ -318,10 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo decoding-error simulation")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweep with CSV output")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")

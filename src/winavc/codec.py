@@ -23,6 +23,7 @@ from .core import (
     ConstraintSet,
     Distribution,
     induced_channel,
+    sample_iid,
 )
 from .symmetrize import ecn_symmetrizable, gamma_prime
 from .windows import (
@@ -205,14 +206,6 @@ def delta_interior(p: Distribution, cset: ConstraintSet, delta: float) -> bool:
     return True
 
 
-def sample_iid_codewords(
-    count: int, n: int, p_x: Distribution, rng: np.random.Generator
-) -> np.ndarray:
-    u = rng.random((count, n))
-    cdf = np.cumsum(p_x.probs)
-    return np.searchsorted(cdf, u, side="right").astype(np.int8)
-
-
 def build_list_code(
     n: int,
     rate: float,
@@ -241,9 +234,9 @@ def build_list_code(
     if message_count > max_messages:
         raise ValueError(
             f"{message_count} codewords exceed the desk-scale cap {max_messages}; "
-            "pass message_count explicitly to clamp"
+            "lower the rate or the message count"
         )
-    raw = sample_iid_codewords(message_count, n, p_x, rng)
+    raw = sample_iid(p_x, (message_count, n), rng)
     kept, stats = expurgate(raw, w_x, gamma, suffix_context=suffix_context)
     if kept.shape[0] == 0:
         raise CodeConstructionError("expurgation removed every codeword")
@@ -369,10 +362,6 @@ class PhasePlan:
     @property
     def total_length(self) -> int:
         return self.n1 + self.phase2_len + self.phase3_len
-
-    @property
-    def phase2_start(self) -> int:
-        return self.n1
 
     @property
     def phase3_start(self) -> int:
@@ -555,7 +544,7 @@ def phase3_key_code(
     q = 1 << field_bits
     if q * q > max_keys:
         raise ValueError(f"{q * q} key pairs exceed the desk-scale cap {max_keys}")
-    raw = sample_iid_codewords(q * q, code_len, t, rng)
+    raw = sample_iid(t, (q * q, code_len), rng)
     check = embed_fn(raw) if embed_fn is not None else raw
     _, stats = expurgate(check, w_x, gamma, prefix_context=prefix_context)
     if stats.kept_indices.size == 0:
@@ -735,11 +724,6 @@ def build_three_phase_codec(
     hp = HashParams.for_message_bits(params.message_bits, params.field_bits)
     q = hp.field_order
     n_msg = 1 << params.message_bits
-    if n_msg * q > params.max_messages * 4:
-        raise ValueError(
-            f"{n_msg * q} phase-1 codewords exceed the desk-scale cap "
-            f"{params.max_messages * 4}"
-        )
 
     key_type = params.key_type if params.key_type is not None else params.p_x
 
@@ -801,23 +785,25 @@ def build_three_phase_codec(
         budget1 = likelihood_budget(params.p_x, channel, lam)
         budget3 = likelihood_budget(key_t, channel, lam)
 
-    # Phase 1: one codeword per (message, hash value) pair.
-    if not delta_interior(params.p_x, gamma, params.delta):
-        raise ValueError("input law is not in the delta-interior of the input set")
-    raw = sample_iid_codewords(n_msg * q, plan.n1, params.p_x, rng)
+    # Phase 1: one codeword per (message, hash value) pair; messages whose
+    # hash fiber lost a codeword to expurgation are dropped.
     suffix = phase2_seq[: params.w_x - 1] if params.w_x > 1 else phase2_seq[:0]
-    _, p1_stats = expurgate(raw, params.w_x, gamma, suffix_context=suffix)
+    raw_code, p1_stats = build_list_code(
+        plan.n1, math.log2(n_msg * q) / plan.n1, params.p_x, gamma, params.w_x,
+        l_max=params.l_max, rng=rng, delta=params.delta,
+        message_count=n_msg * q, max_messages=params.max_messages * 4,
+        suffix_context=suffix,
+    )
     fiber_ok = np.zeros(n_msg * q, dtype=bool)
     fiber_ok[p1_stats.kept_indices] = True
-    fibers = fiber_ok.reshape(n_msg, q)
-    msg_keep = fibers.all(axis=1)
+    msg_keep = fiber_ok.reshape(n_msg, q).all(axis=1)
     message_ids = np.flatnonzero(msg_keep)
     if message_ids.size == 0:
         raise CodeConstructionError(
             "no message kept a complete hash fiber after expurgation"
         )
     phase1 = ListCode(
-        codewords=raw[np.repeat(msg_keep, q)],
+        codewords=raw_code.codewords[np.repeat(msg_keep, q)[p1_stats.kept_indices]],
         rate=math.log2(message_ids.size * q) / plan.n1,
         l_max=params.l_max,
         budget=budget1,
@@ -889,12 +875,3 @@ def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet, plan:
                 f"at least lam_frac*alpha = {dev:g} (TV) inside the input set"
             )
 
-
-def encode_three_phase(
-    message_pos: int, r1: int, r2: int, codec: ThreePhaseCodec, **kw
-) -> np.ndarray:
-    return codec.encode(message_pos, r1, r2, **kw)
-
-
-def decode_three_phase(y_seq, codec: ThreePhaseCodec) -> DecodeResult:
-    return codec.decode(y_seq)

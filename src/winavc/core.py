@@ -220,10 +220,6 @@ class ConstraintSet:
         raise AttributeError("ConstraintSet is immutable")
 
     @classmethod
-    def full_simplex(cls, dim: int) -> "ConstraintSet":
-        return cls(dim)
-
-    @classmethod
     def weight_cap(cls, cap: float, dim: int = 2) -> "ConstraintSet":
         """All P with P(1) + ... + P(dim-1) <= cap (Hamming-weight budget)."""
         c = np.ones(dim)
@@ -445,7 +441,7 @@ def block_channel_sample(x_seq, s_seq, channel: Channel, rng: np.random.Generato
     return (rows.cumsum(axis=1) < u[:, None]).sum(axis=1).astype(np.int8)
 
 
-def member(p: Distribution, c: ConstraintSet, tol: float = TOLERANCE) -> tuple[bool, float]:
-    """Membership with signed margin; the boundary counts as inside."""
-    s = c.slack(p)
-    return s >= -tol, s
+def sample_iid(p: Distribution, shape, rng: np.random.Generator) -> np.ndarray:
+    """int8 array of the given shape with i.i.d. p entries, one uniform per entry."""
+    cdf = np.cumsum(p.probs)
+    return np.searchsorted(cdf, rng.random(shape), side="right").astype(np.int8)

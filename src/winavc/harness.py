@@ -17,8 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jammers
-from .capacity import list_capacity, windowed_capacity_verdict
-from .codec import CodecParams, ThreePhaseCodec, build_three_phase_codec
+from .capacity import windowed_capacity_verdict
+from .codec import (
+    CodecParams,
+    ThreePhaseCodec,
+    build_three_phase_codec,
+    make_phase_plan_thm1,
+    make_phase_plan_thm2,
+)
 from .core import (
     Alphabet,
     Channel,
@@ -401,9 +407,9 @@ def _sweep_cell(
             gamma=ConstraintSet.weight_cap(w), lam=ConstraintSet.weight_cap(p),
             w_x=w_x, w_s=w_s, n=n,
         )
-        cres = list_capacity(spec.gamma, spec.lam, spec.channel)
-        row["c_list"] = cres.value
-        row["verdict"] = windowed_capacity_verdict(spec).status
+        verdict = windowed_capacity_verdict(spec)
+        row["c_list"] = verdict.capacity.value
+        row["verdict"] = verdict.status
         if trials > 0:
             px = p_x_weight if p_x_weight is not None else round(w / 3, 3)
             code = CodecParams(
@@ -449,6 +455,7 @@ def format_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
 
 
 def _parse_constraints(entries, dim: int) -> ConstraintSet:
+    """Half-spaces from a list of {coeffs, bound} entries."""
     return ConstraintSet(dim, [(e["coeffs"], e["bound"]) for e in entries])
 
 
@@ -458,20 +465,41 @@ def _parse_distribution(value) -> Distribution:
     return Distribution(value)
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from the JSON document layout.
+def _parse_spec(doc: dict, planned_n: int | None = None) -> WindowedAvcSpec:
+    """The windowed channel of a JSON document.
 
-    Top-level keys: alphabets {x, s, y}, channel (row-major |X|*|S| rows of
-    |Y| probabilities), gamma, lambda (lists of {coeffs, bound}), windows
-    {w_x, w_s}, code {...}, jammer {...}, trials, seed, criterion.
+    Keys: alphabets {x, s, y}, channel (row-major |X|*|S| rows of |Y|
+    probabilities), gamma, lambda (lists of {coeffs, bound}), windows
+    {w_x, w_s} and n.  Without windows both lengths default to n, or 64
+    without n either; without n the blocklength is planned_n, or else the
+    longer window.  Malformed documents raise ConfigError.
     """
     try:
         sizes = doc["alphabets"]
         nx, ns, ny = int(sizes["x"]), int(sizes["s"]), int(sizes["y"])
-        table = np.asarray(doc["channel"], dtype=float).reshape(nx, ns, ny)
-        channel = Channel(table)
+        channel = Channel(np.asarray(doc["channel"], dtype=float).reshape(nx, ns, ny))
         gamma = _parse_constraints(doc["gamma"], nx)
         lam = _parse_constraints(doc["lambda"], ns)
+        wins = doc.get("windows", {"w_x": doc.get("n", 64), "w_s": doc.get("n", 64)})
+        w_x, w_s = int(wins["w_x"]), int(wins["w_s"])
+        n = doc.get("n")
+        if n is None:
+            n = planned_n if planned_n is not None else max(w_x, w_s)
+        return WindowedAvcSpec(
+            x_alphabet=Alphabet(nx), s_alphabet=Alphabet(ns), y_alphabet=Alphabet(ny),
+            channel=channel, gamma=gamma, lam=lam, w_x=w_x, w_s=w_s, n=int(n),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad channel description: {exc}") from exc
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from the JSON document layout.
+
+    The channel keys are those of _parse_spec, with windows required; the
+    rest are code {...}, jammer {...}, trials, seed, criterion.
+    """
+    try:
         wins = doc["windows"]
         code_doc = dict(doc["code"])
         layout = code_doc.pop("layout", "thm1")
@@ -488,32 +516,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         seed = int(doc.get("seed", 0))
         criterion = doc.get("criterion", "average")
 
-        # Total blocklength is known only after planning; build a provisional
-        # plan to size the windowed-channel instance.
-        probe = code
-        n_total = doc.get("n")
-        if n_total is None:
-            from .codec import make_phase_plan_thm1, make_phase_plan_thm2
-
+        # Total blocklength is known only after planning; without an explicit
+        # n, plan the code to size the windowed-channel instance.
+        planned_n = None
+        if doc.get("n") is None:
+            key_len = code.key_len if code.key_len is not None else 2 * code.w_x
             if layout == "thm1":
-                plan = make_phase_plan_thm1(
-                    probe.n1, probe.w_x,
-                    probe.key_len if probe.key_len is not None else 2 * probe.w_x,
-                )
+                plan = make_phase_plan_thm1(code.n1, code.w_x, key_len)
             else:
                 plan = make_phase_plan_thm2(
-                    probe.n1, probe.w_x, probe.alpha, probe.lam_frac,
-                    probe.key_len if probe.key_len is not None else 2 * probe.w_x,
+                    code.n1, code.w_x, code.alpha, code.lam_frac, key_len
                 )
-            n_total = plan.total_length
-        spec = WindowedAvcSpec(
-            x_alphabet=Alphabet(nx), s_alphabet=Alphabet(ns), y_alphabet=Alphabet(ny),
-            channel=channel, gamma=gamma, lam=lam,
-            w_x=int(wins["w_x"]), w_s=int(wins["w_s"]), n=int(n_total),
-        )
+            planned_n = plan.total_length
         return ExperimentConfig(
-            spec=spec, code=code, jammer=jammer, trials=trials,
-            master_seed=seed, error_criterion=criterion,
+            spec=_parse_spec(doc, planned_n), code=code, jammer=jammer,
+            trials=trials, master_seed=seed, error_criterion=criterion,
         )
     except ConfigError:
         raise

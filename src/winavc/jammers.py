@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSet, Distribution
+from .core import ConstraintSet, Distribution, sample_iid
 from .windows import guard_word, verify_windows, windows_valid, windows_valid_rows
 
 DEFAULT_REJECTION_CAP = 10_000
@@ -34,11 +34,6 @@ class JamResult:
         self.states.setflags(write=False)
 
 
-def _draw_iid(p_s: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(p_s.probs)
-    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int8)
-
-
 def iid_jammer(
     p_s: Distribution,
     n: int,
@@ -53,12 +48,11 @@ def iid_jammer(
     law; the rejection count is returned so converse experiments can bound
     how much conditioning occurred.
     """
-    cdf = np.cumsum(p_s.probs)
     batch = 64
     drawn = 0
     while drawn < rejection_cap:
         count = min(batch, rejection_cap - drawn)
-        cands = np.searchsorted(cdf, rng.random((count, n)), side="right").astype(np.int8)
+        cands = sample_iid(p_s, (count, n), rng)
         ok = windows_valid_rows(cands, w_s, lam)
         hits = np.flatnonzero(ok)
         if hits.size:
@@ -82,12 +76,11 @@ def estimate_rejection_rate(
     draws: int = 1000,
 ) -> tuple[float, int]:
     """Fraction of fresh i.i.d. draws that violate some state window."""
-    cdf = np.cumsum(p_s.probs)
     bad = 0
     done = 0
     while done < draws:
         count = min(256, draws - done)
-        cands = np.searchsorted(cdf, rng.random((count, n)), side="right").astype(np.int8)
+        cands = sample_iid(p_s, (count, n), rng)
         bad += int(np.count_nonzero(~windows_valid_rows(cands, w_s, lam)))
         done += count
     return bad / draws, bad

@@ -13,6 +13,10 @@ from .core import TOLERANCE, ConstraintSet, Distribution
 OPEN_RANGE = "open-range"
 INCLUSIVE_RANGE = "inclusive-range"
 
+# expurgate checks codebooks in row blocks to bound the rows x windows x
+# inequalities working array.
+_CHUNK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class WindowReport:
@@ -33,15 +37,12 @@ def verify_windows(
     mode: str = INCLUSIVE_RANGE,
     *,
     tol: float = TOLERANCE,
-    max_violations: int | None = None,
 ) -> WindowReport:
     """Check the type of every length-w window of seq against c.
 
     Start indices are 0-based.  Inclusive-range mode checks all n-w+1
     windows; open-range mode stops one start short (indices 0..n-w-1),
-    matching the literal index set in the windowed-channel definition.  The
-    per-window type is updated incrementally, one symbol in and one out per
-    slide.
+    matching the literal index set in the windowed-channel definition.
     """
     arr = np.asarray(seq, dtype=int)
     n = arr.size
@@ -55,26 +56,15 @@ def verify_windows(
     n_starts = n - w + 1 if mode == INCLUSIVE_RANGE else n - w
     if n_starts <= 0:
         return WindowReport(True, (), 0)
-
-    counts = np.bincount(arr[:w], minlength=c.dim).astype(float)
-    # Running values of <c_j, counts>; membership compares against w * bound.
-    dots = c.coeffs @ counts if c.num_inequalities else np.zeros(0)
-    limit = c.bounds * w + tol * w
-
-    violations: list[tuple[int, Distribution]] = []
-    for start in range(n_starts):
-        if c.num_inequalities and np.any(dots > limit):
-            violations.append((start, Distribution(counts / w)))
-            if max_violations is not None and len(violations) >= max_violations:
-                break
-        if start + 1 < n_starts:
-            out_sym = arr[start]
-            in_sym = arr[start + w]
-            counts[out_sym] -= 1
-            counts[in_sym] += 1
-            if c.num_inequalities:
-                dots += c.coeffs[:, in_sym] - c.coeffs[:, out_sym]
-    return WindowReport(not violations, tuple(violations), n_starts)
+    starts = np.flatnonzero(_window_violations(arr[None, :], w, c, tol)[0, :n_starts])
+    # Symbol counts of the violating windows from running per-symbol totals.
+    onehot = arr[:, None] == np.arange(c.dim)
+    csum = np.vstack([np.zeros((1, c.dim), dtype=int), onehot.cumsum(axis=0)])
+    counts = csum[starts + w] - csum[starts]
+    violations = tuple(
+        (int(t), Distribution(row / w)) for t, row in zip(starts, counts)
+    )
+    return WindowReport(not violations, violations, n_starts)
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,6 @@ def expurgate(
     prefix_context=None,
     *,
     tol: float = TOLERANCE,
-    chunk_rows: int = 2048,
 ) -> tuple[np.ndarray, ExpurgationStats]:
     """Drop codewords with any violating window, including boundary straddles.
 
@@ -196,8 +185,8 @@ def expurgate(
         raise ValueError(f"window length {w_x} exceeds extended sequence length {ext_len}")
 
     keep = np.ones(m, dtype=bool)
-    for lo in range(0, m, chunk_rows):
-        hi = min(lo + chunk_rows, m)
+    for lo in range(0, m, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, m)
         chunk = mat[lo:hi]
         parts = []
         if pre is not None:
@@ -206,8 +195,7 @@ def expurgate(
         if suf is not None:
             parts.append(np.broadcast_to(suf, (hi - lo, suf.size)))
         ext = np.concatenate(parts, axis=1)
-        bad = _any_window_violation(ext, w_x, gamma, tol)
-        keep[lo:hi] = ~bad
+        keep[lo:hi] = ~_window_violations(ext, w_x, gamma, tol).any(axis=1)
 
     kept_idx = np.flatnonzero(keep)
     stats = ExpurgationStats(total=m, removed=int(m - kept_idx.size), kept_indices=kept_idx)
@@ -219,23 +207,24 @@ def windows_valid(seq, w: int, c: ConstraintSet, *, tol: float = TOLERANCE) -> b
     arr = np.asarray(seq, dtype=np.int8)
     if not 1 <= w <= arr.size:
         raise ValueError(f"window length must satisfy 1 <= w <= {arr.size}, got {w}")
-    return not bool(_any_window_violation(arr[None, :], w, c, tol)[0])
+    return not _window_violations(arr[None, :], w, c, tol).any()
 
 
 def windows_valid_rows(mat, w: int, c: ConstraintSet, *, tol: float = TOLERANCE) -> np.ndarray:
     """Per-row window validity for a matrix of sequences."""
     arr = np.atleast_2d(np.asarray(mat, dtype=np.int8))
-    return ~_any_window_violation(arr, w, c, tol)
+    return ~_window_violations(arr, w, c, tol).any(axis=1)
 
 
-def _any_window_violation(mat: np.ndarray, w: int, gamma: ConstraintSet, tol: float) -> np.ndarray:
-    """Per-row flag: does any length-w window violate gamma (inclusive range)?"""
-    if gamma.num_inequalities == 0:
-        return np.zeros(mat.shape[0], dtype=bool)
+def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet, tol: float) -> np.ndarray:
+    """Flags (rows, n-w+1): does window t of row r violate gamma (inclusive range)?"""
     rows, n = mat.shape
     n_win = n - w + 1
-    # dots[r, t, j] = <c_j, counts of window t of row r>, built per symbol.
-    dots = np.zeros((rows, n_win, gamma.num_inequalities))
+    if gamma.num_inequalities == 0:
+        return np.zeros((rows, n_win), dtype=bool)
+    # dots[j, r, t] = <c_j, counts of window t of row r>, built per symbol.
+    # Inequalities lead so that the "any" over them is an elementwise OR.
+    dots = np.zeros((gamma.num_inequalities, rows, n_win))
     for sym in range(gamma.dim):
         col = gamma.coeffs[:, sym]
         if np.all(col == 0.0):
@@ -245,7 +234,6 @@ def _any_window_violation(mat: np.ndarray, w: int, gamma: ConstraintSet, tol: fl
             [np.zeros((rows, 1), dtype=np.int32), ind.cumsum(axis=1)], axis=1
         )
         win_counts = csum[:, w:] - csum[:, :-w]  # (rows, n_win)
-        dots += win_counts[:, :, None] * col[None, None, :]
+        dots += col[:, None, None] * win_counts[None, :, :]
     limit = gamma.bounds * w + tol * w
-    bad = np.any(dots > limit[None, None, :], axis=(1, 2))
-    return bad
+    return np.any(dots > limit[:, None, None], axis=0)

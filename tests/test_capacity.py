@@ -180,7 +180,7 @@ class TestVerdict:
         spec = bitflip_spec(0.2, 0.1, 512, 64, 64)
         v = windowed_capacity_verdict(spec)
         assert v.status == VERDICT_THM1
-        assert v.c_list == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-3)
+        assert v.capacity.value == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-3)
 
     def test_thm2_case(self):
         # all of gamma symmetrizable, but the ratio-enlarged set is not

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,19 +48,47 @@ def test_capacity_prints_value(bitflip_config, capsys):
     assert cli_main(["capacity", "--config", bitflip_config]) == EXIT_OK
     out = capsys.readouterr().out
     assert "0.357751" in out
-    assert "c_ran" in out
 
 
 def test_capacity_json_format(bitflip_config, capsys):
     assert cli_main(["capacity", "--config", bitflip_config, "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["c_list"] == pytest.approx(0.3578, abs=1e-3)
-    assert doc["c_ran"] == doc["c_list"]
     assert doc["verdict"] == "equals_Clist_thm1"
 
 
-def test_missing_config_exits_2():
-    assert cli_main(["capacity", "--config", "/nonexistent.json"]) == EXIT_CONFIG
+@pytest.mark.parametrize("doc", [None, {"alphabets": 3}, [1, 2]],
+                         ids=["missing", "int-alphabets", "list"])
+@pytest.mark.parametrize("command", ["capacity", "symmetrize", "simulate"])
+def test_missing_config_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "cfg.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    assert cli_main([command, "--config", str(path)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_capacity_channel_only_document(bitflip_config, tmp_path, capsys):
+    # no windows, n or code section: the parser's defaults apply
+    full = json.loads(Path(bitflip_config).read_text())
+    doc = {k: full[k] for k in ("alphabets", "channel", "gamma", "lambda")}
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["capacity", "--config", str(path), "--format", "json"]) == EXIT_OK
+    bare = json.loads(capsys.readouterr().out)
+    assert cli_main(["capacity", "--config", bitflip_config, "--format", "json"]) == EXIT_OK
+    assert bare["c_list"] == json.loads(capsys.readouterr().out)["c_list"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--seed", "1"],
+    ["symmetrize", "--threads", "2"],
+    ["check-windows", "--seed", "1"],
+    ["sweep", "--threads", "2"],
+])
+def test_seed_and_threads_only_where_read(bitflip_config, argv, capsys):
+    assert cli_main(argv + ["--config", bitflip_config]) == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_bad_usage_exits_1(capsys):

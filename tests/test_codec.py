@@ -15,9 +15,7 @@ from winavc.codec import (
     build_list_code,
     build_three_phase_codec,
     chunk_message,
-    decode_three_phase,
     delta_interior,
-    encode_three_phase,
     hamming_budget,
     interleave_allocation,
     list_decode,
@@ -351,7 +349,7 @@ class TestThreePhase:
             s = np.zeros_like(x)
             flips = rng.choice(codec.plan.n1, size=budget // 2, replace=False)
             s[flips] = 1
-            res = decode_three_phase(x ^ s, codec)
+            res = codec.decode(x ^ s)
             assert res.status == "unique"
             assert res.message_id == int(codec.message_ids[pos])
 
@@ -362,7 +360,7 @@ class TestThreePhase:
         for _ in range(100):
             pos = codec.draw_message(rng)
             r1, r2 = codec.draw_keys(rng)
-            x = encode_three_phase(pos, r1, r2, codec)
+            x = codec.encode(pos, r1, r2)
             assert verify_windows(x, 32, g).valid
 
     def test_hash_filter_contract(self):

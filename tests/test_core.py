@@ -16,7 +16,6 @@ from winavc.core import (
     block_channel_sample,
     empirical_type,
     entropy,
-    member,
     mutual_information,
 )
 
@@ -218,12 +217,11 @@ class TestBlockChannel:
 class TestConstraintSet:
     def test_membership_examples(self):
         lam = ConstraintSet.weight_cap(0.2)
-        inside, slack = member(Distribution.bernoulli(0.1), lam)
-        assert inside and slack == pytest.approx(0.1)
-        outside, _ = member(Distribution.bernoulli(0.3), lam)
-        assert not outside
-        boundary, slack = member(Distribution.bernoulli(0.2), lam)
-        assert boundary and abs(slack) <= 1e-9
+        inside = Distribution.bernoulli(0.1)
+        assert lam.contains(inside) and lam.slack(inside) == pytest.approx(0.1)
+        assert not lam.contains(Distribution.bernoulli(0.3))
+        boundary = Distribution.bernoulli(0.2)
+        assert lam.contains(boundary) and abs(lam.slack(boundary)) <= 1e-9
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleSetError):

@@ -38,7 +38,7 @@ class TestEcnSymmetrizable:
     def test_full_simplex_always_feasible_for_xor(self):
         # U(s|x) = 1{s = x} symmetrizes the additive channel; with an
         # unconstrained state set every input law is symmetrizable.
-        lam = ConstraintSet.full_simplex(2)
+        lam = ConstraintSet(2)
         for wt in (0.05, 0.3, 0.5):
             res = ecn_symmetrizable(Distribution.bernoulli(wt), XOR, lam)
             assert res.feasible

@@ -82,6 +82,8 @@ class TestVerifyWindows:
             want_viol, want_count = brute_force_report(seq, w, cset, mode)
             assert rep.windows_checked == want_count
             assert [s for s, _ in rep.violations] == want_viol
+            for s, d in rep.violations:
+                assert d == empirical_type(seq[s : s + w], Alphabet(dim)).distribution
             if mode == INCLUSIVE_RANGE:
                 assert windows_valid(seq, w, cset) == rep.valid
 
