@@ -1,18 +1,18 @@
 """Max-min mutual information solvers and capacity predicates.
 
 The saddle problem max_{P in gamma} min_{Q in lam} I(x;y) is concave in P
-(for each Q) and convex in Q (for each P).  The inner minimization uses a
-golden-section search on binary state alphabets and Frank-Wolfe with the
-polytope's vertex set as LP oracle otherwise; the outer maximization is a
-lattice sweep over gamma followed by golden-section refinement along
-segments toward the polytope vertices (valid because the inner value is
-concave in P).
+(for each Q) and convex in Q (for each P).  The inner minimization is
+Frank-Wolfe with the polytope's vertex set as LP oracle, for every state
+alphabet; the outer maximization is a lattice sweep over gamma followed by
+golden-section refinement along segments toward the polytope vertices
+(valid because the inner value is concave in P).  `list_capacity` and
+`oblivious_capacity` share that outer loop (`_max_min`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .symmetrize import ecn_symmetrizable, gamma_prime, scan_nonsymmetrizable
 VERDICT_THM1 = "equals_Clist_thm1"
 VERDICT_THM2 = "equals_Clist_thm2"
 VERDICT_UNKNOWN = "unknown"
+
+_INNER_MAX_ITER = 400  # Frank-Wolfe steps per inner solve
+_REFINE_PASSES = 3  # outer refinement sweeps over gamma's vertices
+_REGIME_CONSTANT = 4.0  # c in the advisory window regime (c ln n, n/c)
 
 
 @dataclass(frozen=True)
@@ -101,28 +105,25 @@ def worst_case_mi(
     channel: Channel,
     *,
     tol: float = 1e-7,
-    max_iter: int = 400,
 ) -> tuple[float, Distribution, int]:
-    """min_{Q in lam} I(p_x; y): convex in Q.  Returns (value, argmin, evals)."""
+    """min_{Q in lam} I(p_x; y) by Frank-Wolfe.  Returns (value, argmin, evals).
+
+    I is convex in Q.  Each step moves from the current law toward the vertex
+    of lam that minimizes the linearized objective, with an exact golden line
+    search along that segment; it stops once the Frank-Wolfe gap is <= tol or
+    after _INNER_MAX_ITER steps.  On a binary state alphabet lam is a segment,
+    so the first line search already reaches the minimum.
+    """
     px = p_x.probs
 
     def value_at(q: np.ndarray) -> float:
         return _mi_from_induced(px, np.einsum("s,xsy->xy", q, channel.table))
 
-    if lam.dim == 2:
-        weight = np.array([0.0, 1.0])
-        hi, _ = lam.max_linear(weight)
-        lo, _ = lam.min_linear(weight)
-        b, neg_val, evals = _golden_max(
-            lambda t: -value_at(np.array([1.0 - t, t])), lo, hi, tol=1e-10
-        )
-        return -neg_val, Distribution.bernoulli(min(max(b, 0.0), 1.0)), evals
-
     verts = [v.probs for v in lam.vertices()]
     q = lam.feasible_point().probs.copy()
     best_val = value_at(q)
     evals = 1
-    for _ in range(max_iter):
+    for _ in range(_INNER_MAX_ITER):
         grad = _mi_grad_q(px, q, channel)
         v = min(verts, key=lambda u: float(grad @ u))
         gap = float(grad @ (q - v))
@@ -142,35 +143,32 @@ def best_response_mi(
     gamma: ConstraintSet,
     channel: Channel,
     *,
-    refine_passes: int = 3,
     grid_resolution: int = 17,
 ) -> tuple[float, Distribution, int]:
     """max_{P in gamma} I(x;y) at fixed state law: concave maximization."""
     v = induced_channel(q_s, channel)
     return _maximize_concave(
-        lambda px: _mi_from_induced(px, v),
-        gamma,
-        refine_passes=refine_passes,
-        grid_resolution=grid_resolution,
+        lambda px: _mi_from_induced(px, v), gamma, gamma.grid_points(grid_resolution)
     )
 
 
-def _maximize_concave(objective, gamma: ConstraintSet, *, refine_passes: int,
-                      grid_resolution: int, candidates=None):
-    """Lattice sweep plus golden refinement toward vertices; returns (val, arg, evals)."""
-    pts = candidates if candidates is not None else gamma.grid_points(grid_resolution)
-    if not pts:
+def _maximize_concave(objective, gamma: ConstraintSet, candidates):
+    """Best candidate, then golden refinement toward gamma's vertices.
+
+    Returns (value, argmax, evals).
+    """
+    if not candidates:
         raise ValueError("no candidate points inside the constraint set")
     evals = 0
     best_p, best_val = None, -np.inf
-    for p in pts:
+    for p in candidates:
         val = objective(p.probs)
         evals += 1
         if val > best_val:
             best_val, best_p = val, p
     verts = gamma.vertices()
     cur = best_p.probs.copy()
-    for _ in range(refine_passes):
+    for _ in range(_REFINE_PASSES):
         improved = False
         for vtx in verts:
             direction = vtx.probs - cur
@@ -189,14 +187,46 @@ def _maximize_concave(objective, gamma: ConstraintSet, *, refine_passes: int,
     return best_val, Distribution(np.clip(cur, 0, None), atol=1e-6), evals
 
 
+def _max_min(gamma, lam, channel, grid_resolution, admissible=None) -> CapacityResult | None:
+    """max_P min_{Q in lam} I(x;y) over the P in gamma that `admissible` accepts.
+
+    The lattice sweep and the refinement both skip rejected laws.  The gap
+    estimate is left NaN.  Returns None when `admissible` rejects every
+    lattice point of gamma.
+    """
+    candidates = gamma.grid_points(grid_resolution)
+    if admissible is not None:
+        candidates = [p for p in candidates if admissible(p)]
+        if not candidates:
+            return None
+    total_evals = 0
+
+    def g(px_arr: np.ndarray) -> float:
+        nonlocal total_evals
+        p = Distribution(np.clip(px_arr, 0, None), atol=1e-6)
+        if admissible is not None and not admissible(p):
+            return -np.inf
+        val, _, e = worst_case_mi(p, lam, channel)
+        total_evals += e
+        return val
+
+    value, p_star, evals = _maximize_concave(g, gamma, candidates)
+    _, q_star, e = worst_case_mi(p_star, lam, channel)
+    return CapacityResult(
+        value=max(value, 0.0),
+        argmax_px=p_star,
+        argmin_qs=q_star,
+        solver_iterations=total_evals + evals + e,
+        duality_gap_estimate=float("nan"),
+    )
+
+
 def list_capacity(
     gamma: ConstraintSet,
     lam: ConstraintSet,
     channel: Channel,
     *,
     grid_resolution: int = 21,
-    refine_passes: int = 3,
-    inner_tol: float = 1e-7,
 ) -> CapacityResult:
     """max_{P in gamma} min_{Q in lam} I(x;y) in bits per use.
 
@@ -204,31 +234,12 @@ def list_capacity(
     law; the gap estimate is max_P I(P, Q*) - value at the returned argmin
     state law, a one-sided saddle check.
     """
-    total_evals = 0
-
-    def g(px_arr: np.ndarray) -> float:
-        nonlocal total_evals
-        val, _, e = worst_case_mi(
-            Distribution(np.clip(px_arr, 0, None), atol=1e-6), lam, channel, tol=inner_tol
-        )
-        total_evals += e
-        return val
-
-    value, p_star, evals = _maximize_concave(
-        g, gamma, refine_passes=refine_passes, grid_resolution=grid_resolution
-    )
-    total_evals += evals
-    _, q_star, e = worst_case_mi(p_star, lam, channel, tol=inner_tol)
-    total_evals += e
-    upper, _, e = best_response_mi(q_star, gamma, channel, grid_resolution=grid_resolution)
-    total_evals += e
-    gap = max(upper - value, 0.0)
-    return CapacityResult(
-        value=max(value, 0.0),
-        argmax_px=p_star,
-        argmin_qs=q_star,
-        solver_iterations=total_evals,
-        duality_gap_estimate=gap,
+    res = _max_min(gamma, lam, channel, grid_resolution)
+    upper, _, e = best_response_mi(res.argmin_qs, gamma, channel, grid_resolution=grid_resolution)
+    return replace(
+        res,
+        solver_iterations=res.solver_iterations + e,
+        duality_gap_estimate=max(upper - res.value, 0.0),
     )
 
 
@@ -238,8 +249,6 @@ def oblivious_capacity(
     channel: Channel,
     *,
     grid_resolution: int = 21,
-    refine_passes: int = 2,
-    inner_tol: float = 1e-7,
 ) -> CapacityResult:
     """Same max-min restricted to non-symmetrizable admissible input laws.
 
@@ -248,12 +257,11 @@ def oblivious_capacity(
     is not claimed.  When every scanned point is symmetrizable the value is
     0 and `all_symmetrizable_evidence` is set.
     """
-    candidates = [
-        p
-        for p in gamma.grid_points(grid_resolution)
-        if not ecn_symmetrizable(p, channel, lam).feasible
-    ]
-    if not candidates:
+    res = _max_min(
+        gamma, lam, channel, grid_resolution,
+        admissible=lambda p: not ecn_symmetrizable(p, channel, lam).feasible,
+    )
+    if res is None:
         return CapacityResult(
             value=0.0,
             argmax_px=None,
@@ -262,52 +270,27 @@ def oblivious_capacity(
             duality_gap_estimate=0.0,
             all_symmetrizable_evidence=True,
         )
-    total_evals = 0
-
-    def g(px_arr: np.ndarray) -> float:
-        nonlocal total_evals
-        p = Distribution(np.clip(px_arr, 0, None), atol=1e-6)
-        if ecn_symmetrizable(p, channel, lam).feasible:
-            return -np.inf
-        val, _, e = worst_case_mi(p, lam, channel, tol=inner_tol)
-        total_evals += e
-        return val
-
-    value, p_star, evals = _maximize_concave(
-        g, gamma, refine_passes=refine_passes, grid_resolution=grid_resolution,
-        candidates=candidates,
-    )
-    total_evals += evals
-    _, q_star, e = worst_case_mi(p_star, lam, channel, tol=inner_tol)
-    total_evals += e
-    return CapacityResult(
-        value=max(value, 0.0),
-        argmax_px=p_star,
-        argmin_qs=q_star,
-        solver_iterations=total_evals,
-        duality_gap_estimate=float("nan"),
-    )
+    return res
 
 
 def windowed_capacity_verdict(
     spec: WindowedAvcSpec,
     *,
     grid_resolution: int = 21,
-    regime_constant: float = 4.0,
 ) -> WindowedCapacityVerdict:
     """Decide which equality hypothesis certifies the windowed capacity.
 
     Checks for a non-symmetrizable admissible input law directly, then (when
     w_s <= w_x) on the ratio-enlarged input set.  `unknown` is a legal
     verdict; the underlying scans are grid evidence, not proofs.  Window
-    lengths outside (c ln n, n/c) get advisory regime warnings since the
-    equalities are asymptotic statements about mid-scale windows.
+    lengths outside (c ln n, n/c), c = 4, get advisory regime warnings since
+    the equalities are asymptotic statements about mid-scale windows.
     """
     cap = list_capacity(spec.gamma, spec.lam, spec.channel, grid_resolution=grid_resolution)
 
     warnings = []
-    low = regime_constant * math.log(spec.n)
-    high = spec.n / regime_constant
+    low = _REGIME_CONSTANT * math.log(spec.n)
+    high = spec.n / _REGIME_CONSTANT
     for name, w in (("w_x", spec.w_x), ("w_s", spec.w_s)):
         if not low < w < high:
             warnings.append(

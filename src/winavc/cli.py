@@ -27,6 +27,7 @@ from .capacity import (
 from .codec import CodeConstructionError, HashParams, poly_hash
 from .core import Channel, ConstraintSet, Distribution
 from .harness import (
+    SWEEP_COLUMNS,
     ConfigError,
     _parse_constraints,
     _parse_spec,
@@ -197,7 +198,7 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         grid["seed"] = args.seed
     rows = sweep(grid)
-    _emit(rows, args)
+    _emit(rows, args, columns=SWEEP_COLUMNS)
     return EXIT_OK
 
 

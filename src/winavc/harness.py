@@ -356,13 +356,15 @@ def sweep(grid: dict) -> list[dict]:
     Grid keys: w, p (lists of weights), alpha (list, w_s = alpha*w_x), n
     (phase-1 lengths), w_x, message_bits, field_bits, p_x_weight (optional,
     defaults to w/3 rounded), jammer (list of kinds), trials (0 means
-    capacity-only), seed.  Cell seeds derive from (seed, cell index).
+    capacity-only), seed.  Cell seeds derive from (seed, cell index).  An
+    axis that is not a list raises ConfigError; a failing cell keeps its
+    exception type and message in the status column.
     """
-    ws = list(grid.get("w", [0.2]))
-    ps = list(grid.get("p", [0.1]))
-    alphas = list(grid.get("alpha", [1.0]))
-    ns = list(grid.get("n", [256]))
-    jam_kinds = list(grid.get("jammer", ["iid"]))
+    ws = _sweep_axis(grid, "w", [0.2])
+    ps = _sweep_axis(grid, "p", [0.1])
+    alphas = _sweep_axis(grid, "alpha", [1.0])
+    ns = _sweep_axis(grid, "n", [256])
+    jam_kinds = _sweep_axis(grid, "jammer", ["iid"])
     trials = int(grid.get("trials", 0))
     seed = int(grid.get("seed", 0))
     w_x = int(grid.get("w_x", 64))
@@ -385,6 +387,13 @@ def sweep(grid: dict) -> list[dict]:
                         )
                         cell_index += 1
     return rows
+
+
+def _sweep_axis(grid: dict, key: str, default: list) -> list:
+    values = grid.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"sweep axis {key!r} must be a list, got {values!r}")
+    return list(values)
 
 
 def _sweep_cell(
@@ -433,7 +442,7 @@ def _sweep_cell(
             row["ci_lo"] = stats.wilson_lo
             row["ci_hi"] = stats.wilson_hi
     except Exception as exc:  # per-cell failures land in the status column
-        row["status"] = f"error: {exc}"
+        row["status"] = f"error: {type(exc).__name__}: {exc}"
     return row
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winavc.capacity import (
     VERDICT_THM1,
@@ -128,7 +130,7 @@ class TestWorstCaseMi:
         assert q.probs[1] == pytest.approx(0.1, abs=1e-6)
         assert val == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-6)
 
-    def test_frank_wolfe_path_matches_golden(self):
+    def test_ternary_embedding_matches_closed_form(self):
         # ternary state embedding of the binary problem: symbols 1 and 2 act
         # identically, so the minimum must match the binary closed form
         table = np.zeros((2, 3, 2))
@@ -139,6 +141,32 @@ class TestWorstCaseMi:
         lam3 = ConstraintSet(3, [([0.0, 1.0, 1.0], 0.1)])
         val, _, _ = worst_case_mi(Distribution.bernoulli(0.2), lam3, ch, tol=1e-9)
         assert val == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-5)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_binary_state_matches_dense_scan(self, data):
+        # lam is the segment Q(1) <= cap; minimizers in its interior are
+        # reached by Frank-Wolfe's line search alone
+        nx = data.draw(st.integers(2, 3), label="nx")
+        ny = data.draw(st.integers(2, 3), label="ny")
+        weights = st.floats(0.01, 1.0)
+        table = np.array(data.draw(
+            st.lists(weights, min_size=nx * 2 * ny, max_size=nx * 2 * ny), label="table"
+        )).reshape(nx, 2, ny)
+        ch = Channel(table / table.sum(axis=2, keepdims=True))
+        px = np.array(data.draw(st.lists(weights, min_size=nx, max_size=nx), label="px"))
+        p_x = Distribution(px / px.sum())
+        cap = data.draw(st.floats(0.05, 0.95), label="cap")
+        lam = ConstraintSet.weight_cap(cap)
+
+        val, q, _ = worst_case_mi(p_x, lam, ch)
+        scan = min(
+            mutual_information(p_x, Distribution.bernoulli(t), ch)
+            for t in np.linspace(0.0, cap, 2001)
+        )
+        assert lam.contains(q, tol=1e-9)
+        assert abs(val - scan) <= 1e-6
+        assert val <= scan + 1e-9
 
 
 class TestObliviousCapacity:

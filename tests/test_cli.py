@@ -158,6 +158,24 @@ def test_sweep_to_file(tmp_path):
     assert "0.357751" in text
 
 
+def test_sweep_empty_axis_prints_header_only(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"w": [], "p": [0.1]}))
+    assert cli_main(["sweep", "--config", str(cfg)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == "w,p,alpha,n,R,c_list,verdict,err_avg,err_max_est,ci_lo,ci_hi,status\n"
+
+
+@pytest.mark.parametrize("axis", [0.3, "abc"], ids=["scalar", "string"])
+def test_sweep_non_list_axis_exits_2(tmp_path, capsys, axis):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"w": axis}))
+    assert cli_main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_selftest_passes(capsys):
     assert cli_main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out

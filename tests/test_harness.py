@@ -217,7 +217,7 @@ class TestSweep:
 
     def test_cell_error_lands_in_status(self):
         rows = sweep({"w": [0.2], "p": [0.1], "alpha": [0.3], "trials": 0, "w_x": 64})
-        assert rows[0]["status"].startswith("error:")
+        assert rows[0]["status"].startswith("error: ConfigError: alpha=0.3")
 
     def test_simulation_cells(self):
         rows = sweep({
