@@ -195,6 +195,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = _load_json(args.config)
+    if not isinstance(grid, dict):
+        raise ConfigError(f"sweep grid must be a JSON object, got {type(grid).__name__}")
     if args.seed is not None:
         grid["seed"] = args.seed
     rows = sweep(grid)

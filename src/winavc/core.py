@@ -183,7 +183,7 @@ class ConstraintSet:
     Non-emptiness is verified at construction by LP feasibility.
     """
 
-    __slots__ = ("dim", "coeffs", "bounds", "_feasible")
+    __slots__ = ("dim", "coeffs", "bounds", "_feasible", "_vertices")
 
     def __init__(self, dim: int, inequalities=(), *, tol: float = TOLERANCE):
         if dim < 1:
@@ -215,6 +215,7 @@ class ConstraintSet:
                     "constraint set has no feasible point on the simplex"
                 )
         object.__setattr__(self, "_feasible", Distribution(np.clip(pt, 0, None), atol=1e-6))
+        object.__setattr__(self, "_vertices", None)  # enumerated on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstraintSet is immutable")
@@ -263,8 +264,14 @@ class ConstraintSet:
         value, arg = self.max_linear(-np.asarray(direction, dtype=float))
         return -value, arg
 
-    def vertices(self, tol: float = 1e-7) -> list[Distribution]:
+    def vertices(self) -> list[Distribution]:
         """Vertices of the polytope (set inequalities plus simplex facets)."""
+        if self._vertices is None:
+            object.__setattr__(self, "_vertices", self._enumerate_vertices())
+        return list(self._vertices)
+
+    def _enumerate_vertices(self) -> tuple[Distribution, ...]:
+        tol = 1e-7
         d = self.dim
         rows = [self.coeffs[i] for i in range(self.num_inequalities)]
         rhs = [self.bounds[i] for i in range(self.num_inequalities)]
@@ -289,7 +296,7 @@ class ConstraintSet:
                 continue
             if not any(np.abs(x - v).max() <= 1e-8 for v in found):
                 found.append(x)
-        return [Distribution(v, atol=1e-6) for v in found]
+        return tuple(Distribution(v, atol=1e-6) for v in found)
 
     def grid_points(self, resolution: int = 21) -> list[Distribution]:
         """Lattice points of the set at denominator resolution-1, plus vertices."""
@@ -442,6 +449,14 @@ def block_channel_sample(x_seq, s_seq, channel: Channel, rng: np.random.Generato
 
 
 def sample_iid(p: Distribution, shape, rng: np.random.Generator) -> np.ndarray:
-    """int8 array of the given shape with i.i.d. p entries, one uniform per entry."""
-    cdf = np.cumsum(p.probs)
-    return np.searchsorted(cdf, rng.random(shape), side="right").astype(np.int8)
+    """int8 array of the given shape with i.i.d. p entries, one uniform per entry.
+
+    Symbol = number of cdf entries <= u, i.e. searchsorted(cdf, u, "right").
+    """
+    u = rng.random(shape)
+    out = np.zeros(u.shape, dtype=np.int8)
+    for c in np.cumsum(p.probs):
+        if c >= 1.0:  # the cdf is non-decreasing and u < 1: no later entry counts
+            break
+        out += u >= c
+    return out

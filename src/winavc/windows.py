@@ -219,21 +219,20 @@ def windows_valid_rows(mat, w: int, c: ConstraintSet, *, tol: float = TOLERANCE)
 def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet, tol: float) -> np.ndarray:
     """Flags (rows, n-w+1): does window t of row r violate gamma (inclusive range)?"""
     rows, n = mat.shape
-    n_win = n - w + 1
-    if gamma.num_inequalities == 0:
-        return np.zeros((rows, n_win), dtype=bool)
-    # dots[j, r, t] = <c_j, counts of window t of row r>, built per symbol.
-    # Inequalities lead so that the "any" over them is an elementwise OR.
-    dots = np.zeros((gamma.num_inequalities, rows, n_win))
-    for sym in range(gamma.dim):
-        col = gamma.coeffs[:, sym]
-        if np.all(col == 0.0):
-            continue
-        ind = (mat == sym).astype(np.int32)
-        csum = np.concatenate(
-            [np.zeros((rows, 1), dtype=np.int32), ind.cumsum(axis=1)], axis=1
-        )
-        win_counts = csum[:, w:] - csum[:, :-w]  # (rows, n_win)
-        dots += col[:, None, None] * win_counts[None, :, :]
-    limit = gamma.bounds * w + tol * w
-    return np.any(dots > limit[:, None, None], axis=0)
+    flags = np.zeros((rows, n - w + 1), dtype=bool)
+    # Window counts of every symbol that some inequality weighs, from running totals.
+    win_counts = {}
+    for sym in np.flatnonzero(np.any(gamma.coeffs != 0.0, axis=0)):
+        csum = np.cumsum(mat == sym, axis=1, dtype=np.int32)
+        counts = csum[:, w - 1:].copy()
+        counts[:, 1:] -= csum[:, : n - w]
+        win_counts[sym] = counts
+    for c, bound in zip(gamma.coeffs, gamma.bounds):
+        # <c, window counts> summed over symbols in order; a zero term would
+        # not change the sum, so it is skipped.
+        terms = (c[sym] * counts for sym, counts in win_counts.items() if c[sym] != 0.0)
+        dots = next(terms, 0.0)
+        for term in terms:
+            dots += term
+        flags |= dots > bound * w + tol * w
+    return flags

@@ -142,7 +142,7 @@ class TestWorstCaseMi:
         val, _, _ = worst_case_mi(Distribution.bernoulli(0.2), lam3, ch, tol=1e-9)
         assert val == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-5)
 
-    @settings(derandomize=True, deadline=None, max_examples=25)
+    @settings(max_examples=25)
     @given(data=st.data())
     def test_binary_state_matches_dense_scan(self, data):
         # lam is the segment Q(1) <= cap; minimizers in its interior are

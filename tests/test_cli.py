@@ -176,6 +176,16 @@ def test_sweep_non_list_axis_exits_2(tmp_path, capsys, axis):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "5"]], ids=["no-seed", "seed"])
+def test_sweep_non_object_grid_exits_2(tmp_path, capsys, seed_args):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps([1, 2]))
+    assert cli_main(["sweep", "--config", str(cfg), *seed_args]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_selftest_passes(capsys):
     assert cli_main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out

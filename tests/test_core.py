@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from winavc import core
 from winavc.core import (
@@ -17,6 +20,7 @@ from winavc.core import (
     empirical_type,
     entropy,
     mutual_information,
+    sample_iid,
 )
 
 
@@ -214,6 +218,27 @@ class TestBlockChannel:
         assert tv < 0.01
 
 
+class TestSampleIid:
+    @given(
+        weights=st.lists(st.integers(0, 7), min_size=1, max_size=6).filter(any),
+        shape=array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # (1, 6, 3, 3)/13 has a cdf that ends at 1 - 2e-16
+    @example(weights=[1, 6, 3, 3], shape=(64, 64), seed=0)
+    @example(weights=[0, 0, 1, 6, 3, 3], shape=(0, 5), seed=1)
+    def test_matches_searchsorted_stream(self, weights, shape, seed):
+        # the (seed, trial, stream) contract: one uniform per entry, mapped
+        # by searchsorted(cdf, u, side="right")
+        w = np.asarray(weights, dtype=float)
+        p = Distribution(w / w.sum())
+        got = sample_iid(p, shape, np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random(shape)
+        want = np.searchsorted(np.cumsum(p.probs), u, side="right").astype(np.int8)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 class TestConstraintSet:
     def test_membership_examples(self):
         lam = ConstraintSet.weight_cap(0.2)
@@ -231,6 +256,12 @@ class TestConstraintSet:
         g = ConstraintSet.weight_cap(0.2)
         verts = sorted(v.probs[1] for v in g.vertices())
         assert verts == pytest.approx([0.0, 0.2])
+
+    def test_vertices_unaffected_by_caller_mutation(self):
+        g = ConstraintSet.weight_cap(0.2)
+        first = g.vertices()
+        first.clear()
+        assert sorted(v.probs[1] for v in g.vertices()) == pytest.approx([0.0, 0.2])
 
     def test_grid_points_inside(self):
         g = ConstraintSet.weight_cap(0.3, dim=3)

@@ -1,7 +1,10 @@
 """Trial driver: reproducibility, estimator exactness, sweeps, config."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +16,10 @@ from winavc.harness import (
     ConfigError,
     ExperimentConfig,
     JammerParams,
+    build_codec_from_config,
     config_from_dict,
     format_csv,
+    load_config,
     run_trials,
     sweep,
     wilson_interval,
@@ -195,6 +200,45 @@ class TestRunTrials:
         )
         with pytest.raises(JammerGenerationError):
             run_trials(strict)
+
+
+EXPERIMENT_JSON = Path(__file__).resolve().parents[1] / "examples_configs" / "experiment.json"
+
+
+def _digest(arr: np.ndarray) -> str:
+    arr = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Seeded outputs on examples_configs/experiment.json, pinned bit for bit.
+
+    The figures were recorded before the sampler and window-kernel rewrites
+    and must not move under any later speed-up of those kernels.
+    """
+
+    def test_codec_build(self):
+        codec, _ = build_codec_from_config(load_config(str(EXPERIMENT_JSON)))
+        assert _digest(codec.message_ids) == (
+            "ea242f3fba1dff7e8ab93308e763f04326d6a2f6301bed4024ded7b2eaccd9d2"
+        )
+        assert _digest(codec.phase1_flat.codewords) == (
+            "652da3658a4f71eaddfa09009149d79266744ea20e2457a9c6d18f330ff983eb"
+        )
+        assert _digest(codec.key_code.codewords) == (
+            "5b32844a843a625d04283185f2e835e985281c96780f5757301cc671d60f619f"
+        )
+
+    def test_trial_outcomes(self):
+        config = dataclasses.replace(load_config(str(EXPERIMENT_JSON)), trials=20)
+        stats = run_trials(config, keep_records=False)
+        assert stats.outcome_counts == {
+            "correct": 20, "list-failure": 0, "disambiguation-failure": 0,
+            "ambiguity": 0, "wrong-message": 0,
+        }
+        assert stats.jam_rejections_total == 5785
 
 
 class TestSweep:

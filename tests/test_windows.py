@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from winavc.core import Alphabet, ConstraintSet, Distribution, empirical_type
+from winavc.core import (
+    TOLERANCE,
+    Alphabet,
+    ConstraintSet,
+    Distribution,
+    InfeasibleSetError,
+    empirical_type,
+)
 from winavc.windows import (
     INCLUSIVE_RANGE,
     OPEN_RANGE,
@@ -203,6 +212,84 @@ class TestExpurgate:
             ok_rows = windows_valid_rows(words, w, g)
             for row, ok in zip(words, ok_rows):
                 assert verify_windows(row, w, g).valid == ok
+
+
+def _violates(window, cset, tol=TOLERANCE):
+    """Per-window check in plain Python: c @ counts > bound*w + tol*w."""
+    w = len(window)
+    counts = [sum(1 for s in window if s == k) for k in range(cset.dim)]
+    return any(
+        sum(float(c[k]) * counts[k] for k in range(cset.dim)) > b * w + tol * w
+        for c, b in cset.inequalities
+    )
+
+
+@st.composite
+def quarter_sets(draw):
+    """A feasible set over 2-4 symbols with 1-3 inequalities in quarters.
+
+    Coefficients and bounds are multiples of 1/4, so window sums are exact
+    and windows can sit exactly on a bound.
+    """
+    dim = draw(st.integers(2, 4), label="dim")
+    quarters = st.integers(-4, 4).map(lambda k: k / 4)
+    ineqs = draw(st.lists(
+        st.tuples(st.lists(quarters, min_size=dim, max_size=dim), quarters),
+        min_size=1, max_size=3,
+    ), label="inequalities")
+    try:
+        return ConstraintSet(dim, ineqs)
+    except InfeasibleSetError:
+        assume(False)
+
+
+class TestWindowKernelBruteForce:
+    @given(data=st.data())
+    def test_windows_valid_rows(self, data):
+        cset = data.draw(quarter_sets(), label="cset")
+        rows = data.draw(st.integers(1, 6), label="rows")
+        n = data.draw(st.integers(1, 12), label="n")
+        w = data.draw(st.integers(1, n), label="w")
+        mat = np.array(data.draw(st.lists(
+            st.integers(0, cset.dim - 1), min_size=rows * n, max_size=rows * n,
+        ), label="symbols"), dtype=np.int8).reshape(rows, n)
+        want = [
+            not any(_violates(row[t:t + w], cset) for t in range(n - w + 1))
+            for row in mat.tolist()
+        ]
+        assert windows_valid_rows(mat, w, cset).tolist() == want
+
+    @given(data=st.data())
+    def test_expurgate_with_both_contexts(self, data):
+        cset = data.draw(quarter_sets(), label="cset")
+        symbols = st.integers(0, cset.dim - 1)
+        rows = data.draw(st.integers(1, 6), label="rows")
+        n = data.draw(st.integers(1, 10), label="n")
+        w = data.draw(st.integers(1, n), label="w")
+        pre = data.draw(st.lists(symbols, min_size=1, max_size=8), label="prefix")
+        suf = data.draw(st.lists(symbols, min_size=1, max_size=8), label="suffix")
+        mat = np.array(data.draw(st.lists(
+            symbols, min_size=rows * n, max_size=rows * n,
+        ), label="symbols"), dtype=np.int8).reshape(rows, n)
+        # a codeword is dropped iff some window of prefix+codeword+suffix
+        # that overlaps the codeword violates
+        want = []
+        for r, row in enumerate(mat.tolist()):
+            ext = pre + row + suf
+            lo, hi = len(pre), len(pre) + n
+            bad = any(
+                _violates(ext[t:t + w], cset)
+                for t in range(len(ext) - w + 1) if t < hi and t + w > lo
+            )
+            if not bad:
+                want.append(r)
+        kept, stats = expurgate(
+            mat, w, cset,
+            suffix_context=np.array(suf, dtype=np.int8),
+            prefix_context=np.array(pre, dtype=np.int8),
+        )
+        assert stats.kept_indices.tolist() == want
+        assert np.array_equal(kept, mat[want])
 
 
 class TestConvexityGlue:
