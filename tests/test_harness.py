@@ -213,10 +213,12 @@ def _digest(arr: np.ndarray) -> str:
 
 
 class TestPinnedOutputs:
-    """Seeded outputs on examples_configs/experiment.json, pinned bit for bit.
+    """Seeded codec builds and trial outcomes, pinned bit for bit.
 
-    The figures were recorded before the sampler and window-kernel rewrites
-    and must not move under any later speed-up of those kernels.
+    The experiment.json figures were recorded before the sampler and
+    window-kernel rewrites, the thm2 figures before the two buffer layouts
+    shared one key-segment path; none may move under a later refactor or
+    speed-up.
     """
 
     def test_codec_build(self):
@@ -230,6 +232,38 @@ class TestPinnedOutputs:
         assert _digest(codec.key_code.codewords) == (
             "5b32844a843a625d04283185f2e835e985281c96780f5757301cc671d60f619f"
         )
+
+    def test_thm2_codec_build(self):
+        # the interleaved-layout build of tests/test_codec.py, pinned segment by segment
+        params = CodecParams(
+            layout="thm2", n1=256, w_x=80, message_bits=4, field_bits=4,
+            p_x=Distribution.bernoulli(0.08), alpha=0.5, lam_frac=0.1,
+            t1=Distribution.bernoulli(0.3), t2=Distribution.bernoulli(0.1),
+            key_len=40,
+        )
+        codec, _ = build_three_phase_codec(
+            params, ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05),
+            Channel.xor(), 40, np.random.default_rng(13),
+        )
+        r1, r2 = codec.draw_keys(np.random.default_rng(0))
+        digests = {
+            "message_ids": _digest(codec.message_ids),
+            "phase1": _digest(codec.phase1_flat.codewords),
+            "key_codewords": _digest(codec.key_code.codewords),
+            "key_ids": _digest(codec.key_code.key_ids),
+            "phase2": _digest(codec.phase2_seq),
+            "phase3_skeleton": _digest(codec.phase3_skeleton),
+            "encode": _digest(codec.encode(0, r1, r2)),
+        }
+        assert digests == {
+            "message_ids": "3275b8328bbe87edabce5d86b3d477076887fe3fdec4fbb812f40c0489753439",
+            "phase1": "e8c1632c3ff9b9acd6c1c13a3643c0efa718bf5594ff37764d6fe90192daaf48",
+            "key_codewords": "b92ef846e051ce9861c0d45b8ef8c71e73652f6f095a616327cb08f259c6e72b",
+            "key_ids": "5d600afa923e5283590a7abee5604ade97d0c9526cbfc12b5629f061946be7bd",
+            "phase2": "a601151925a76921836e4b338ab015cd676b48eaa932533fabaae1b5f8ac2569",
+            "phase3_skeleton": "002a186bc0d71ee6fa56f71cf7b0e10ebdb02b0c7cd671442491e6844af876dc",
+            "encode": "3bee16a35d2c2a19642e0cf69ed8df5d4dba03a7fc1a6fffaed498df6c6b2581",
+        }
 
     def test_trial_outcomes(self):
         config = dataclasses.replace(load_config(str(EXPERIMENT_JSON)), trials=20)
