@@ -176,7 +176,6 @@ class ListCode:
     codewords: np.ndarray  # (M, n) int8, all windows feasible
     rate: float
     l_max: int
-    budget: JamBudget | None = None
 
     def __post_init__(self):
         self.codewords.setflags(write=False)
@@ -219,7 +218,6 @@ def build_list_code(
     message_count: int | None = None,
     max_messages: int = 1 << 14,
     suffix_context=None,
-    budget: JamBudget | None = None,
 ) -> tuple[ListCode, ExpurgationStats]:
     """Sample ceil(2^(rate*n)) i.i.d. p_x codewords and expurgate violators.
 
@@ -240,12 +238,7 @@ def build_list_code(
     kept, stats = expurgate(raw, w_x, gamma, suffix_context=suffix_context)
     if kept.shape[0] == 0:
         raise CodeConstructionError("expurgation removed every codeword")
-    code = ListCode(
-        codewords=kept,
-        rate=math.log2(kept.shape[0]) / n,
-        l_max=l_max,
-        budget=budget,
-    )
+    code = ListCode(codewords=kept, rate=math.log2(kept.shape[0]) / n, l_max=l_max)
     return code, stats
 
 
@@ -260,15 +253,12 @@ def _budget_scores(codewords: np.ndarray, y: np.ndarray, budget: JamBudget):
     raise ValueError(f"unknown budget kind {budget.kind!r}")
 
 
-def list_decode(y_seq, code: ListCode, budget: JamBudget | None = None) -> ListDecodeResult:
+def list_decode(y_seq, code: ListCode, budget: JamBudget) -> ListDecodeResult:
     """All messages within the jamming budget, best score first.
 
     Ties break deterministically by message index; the list is truncated to
     l_max with the overflow flagged.
     """
-    budget = budget if budget is not None else code.budget
-    if budget is None:
-        raise ValueError("no decoding budget supplied")
     y = np.asarray(y_seq, dtype=np.int8)
     if y.size != code.blocklength:
         raise ValueError(f"output length {y.size} != blocklength {code.blocklength}")
@@ -355,7 +345,6 @@ class PhasePlan:
     phase3_len: int
     alpha: float | None = None
     lam_frac: float | None = None
-    l: int | None = None
     phase2_window_count: int | None = None
     phase3_window_count: int | None = None
 
@@ -367,30 +356,12 @@ class PhasePlan:
     def phase3_start(self) -> int:
         return self.n1 + self.phase2_len
 
-    def phase3_s1_local(self) -> np.ndarray:
-        """Type-1 positions inside the key segment (thm2 layout only)."""
-        if self.layout != LAYOUT_THM2:
-            raise ValueError("type-1 positions only exist in the interleaved layout")
-        s1, _ = interleave_allocation(self.w_x, self.alpha, self.lam_frac, 0, "III")
-        return np.concatenate(
-            [s1 + i * self.w_x for i in range(self.phase3_window_count)]
-        )
-
-
-def make_phase_plan_thm1(n1: int, w_x: int, key_len: int) -> PhasePlan:
-    if key_len < 1:
-        raise ValueError("key code length must be >= 1")
-    return PhasePlan(
-        layout=LAYOUT_THM1, n1=n1, w_x=w_x, phase2_len=w_x, phase3_len=key_len
-    )
-
 
 def make_phase_plan_thm2(
     n1: int, w_x: int, alpha: float, lam_frac: float, min_key_len: int
 ) -> PhasePlan:
     s1, _ = interleave_allocation(w_x, alpha, lam_frac, 0, "III")
     a_wx = s1.size
-    l = round(lam_frac * a_wx)
     n2_windows = 1 + math.ceil(1.0 / lam_frac)
     n3_windows = max(1, math.ceil(min_key_len / a_wx))
     return PhasePlan(
@@ -401,7 +372,6 @@ def make_phase_plan_thm2(
         phase3_len=n3_windows * w_x,
         alpha=alpha,
         lam_frac=lam_frac,
-        l=l,
         phase2_window_count=n2_windows,
         phase3_window_count=n3_windows,
     )
@@ -470,10 +440,9 @@ def type1_window_fractions(plan: PhasePlan) -> np.ndarray:
 class KeyCode:
     """Small random code carrying the two hash keys (r1, r2)."""
 
-    codewords: np.ndarray  # (K, code_len) int8
+    codewords: np.ndarray  # (K, key slot count) int8
     key_ids: np.ndarray  # surviving r1 * q + r2
     field_bits: int
-    budget: JamBudget | None = None
 
     def __post_init__(self):
         self.codewords.setflags(write=False)
@@ -496,9 +465,8 @@ class KeyCode:
         kid = int(self.key_ids[rng.integers(self.key_ids.size)])
         return kid // self.q, kid % self.q
 
-    def decode(self, y_seq, budget: JamBudget | None = None) -> tuple[int, int, bool]:
+    def decode(self, y_seq, budget: JamBudget) -> tuple[int, int, bool]:
         """Best key under the budget scoring; returns (r1, r2, within_budget)."""
-        budget = budget if budget is not None else self.budget
         y = np.asarray(y_seq, dtype=np.int8)
         scores, ok = _budget_scores(self.codewords, y, budget)
         best = int(np.lexsort((self.key_ids, scores))[0])
@@ -509,7 +477,7 @@ class KeyCode:
 def phase3_key_code(
     field_bits: int,
     t: Distribution,
-    code_len: int,
+    skeleton: np.ndarray,
     gamma: ConstraintSet,
     w_x: int,
     channel: Channel,
@@ -519,20 +487,19 @@ def phase3_key_code(
     delta: float = 0.02,
     allow_symmetrizable: bool = False,
     prefix_context=None,
-    embed_fn=None,
-    budget: JamBudget | None = None,
     max_keys: int = 1 << 16,
     interior_set: ConstraintSet | None = None,
 ) -> tuple[KeyCode, ExpurgationStats]:
     """Random i.i.d.(t) code over all (r1, r2) key pairs, window-expurgated.
 
+    The key segment is the skeleton with each key codeword written, in
+    order, into its -1 entries (the key slots); the code length is the slot
+    count.  Each filled segment is window-checked after prefix_context.
     The key-carrying law t must be non-symmetrizable for (channel, lam),
     since the keys are what rescue unique decoding; pass
-    allow_symmetrizable=True only to demonstrate the failure mode.
-    embed_fn, when given, maps the raw codeword matrix to the full segment
-    laid out around it (interleaved layout) before window checking; in that
-    layout t is interior to the ratio-enlarged set, so interior_set
-    overrides which set the margin check runs against.
+    allow_symmetrizable=True only to demonstrate the failure mode.  In the
+    interleaved layout t is interior to the ratio-enlarged set, so
+    interior_set overrides which set the margin check runs against.
     """
     if not delta_interior(t, interior_set if interior_set is not None else gamma, delta):
         raise ValueError("key-carrying law is not in the delta-interior of the input set")
@@ -544,16 +511,17 @@ def phase3_key_code(
     q = 1 << field_bits
     if q * q > max_keys:
         raise ValueError(f"{q * q} key pairs exceed the desk-scale cap {max_keys}")
-    raw = sample_iid(t, (q * q, code_len), rng)
-    check = embed_fn(raw) if embed_fn is not None else raw
-    _, stats = expurgate(check, w_x, gamma, prefix_context=prefix_context)
+    slots = np.flatnonzero(skeleton < 0)
+    raw = sample_iid(t, (q * q, slots.size), rng)
+    segments = np.tile(skeleton, (q * q, 1))
+    segments[:, slots] = raw
+    _, stats = expurgate(segments, w_x, gamma, prefix_context=prefix_context)
     if stats.kept_indices.size == 0:
         raise CodeConstructionError("expurgation removed every key codeword")
     code = KeyCode(
         codewords=raw[stats.kept_indices],
         key_ids=stats.kept_indices.astype(np.int64),
         field_bits=field_bits,
-        budget=budget,
     )
     return code, stats
 
@@ -575,7 +543,7 @@ class CodecParams:
     l_max: int = 32
     delta: float = 0.02
     key_type: Distribution | None = None  # defaults to p_x
-    key_len: int | None = None  # thm1 default 2*w_x; thm2 rounded to windows
+    key_len: int | None = None  # default 2*w_x; thm2 rounds up to whole windows
     guard_type: Distribution | None = None  # thm1; default p_x rounded to rationals
     guard_denominator: int = 8
     alpha: float | None = None  # thm2
@@ -585,6 +553,29 @@ class CodecParams:
     allow_symmetrizable_key_type: bool = False
     budget_extra: int = 0
     max_messages: int = 1 << 14
+
+
+def make_phase_plan(params: CodecParams) -> PhasePlan:
+    """Segment lengths for params.layout; the key length defaults to 2*w_x."""
+    key_len = params.key_len if params.key_len is not None else 2 * params.w_x
+    if params.layout == LAYOUT_THM1:
+        if key_len < 1:
+            raise ValueError("key code length must be >= 1")
+        return PhasePlan(
+            layout=LAYOUT_THM1, n1=params.n1, w_x=params.w_x,
+            phase2_len=params.w_x, phase3_len=key_len,
+        )
+    if params.layout != LAYOUT_THM2:
+        raise ValueError(
+            f"unknown layout {params.layout!r}; expected {LAYOUT_THM1!r} or {LAYOUT_THM2!r}"
+        )
+    missing = [k for k in ("alpha", "t1", "t2") if getattr(params, k) is None]
+    if missing:
+        raise ValueError(
+            f"interleaved layout {LAYOUT_THM2!r} requires alpha, t1 and t2; "
+            f"missing {', '.join(missing)}"
+        )
+    return make_phase_plan_thm2(params.n1, params.w_x, params.alpha, params.lam_frac, key_len)
 
 
 @dataclass(frozen=True)
@@ -610,16 +601,15 @@ class ThreePhaseCodec:
     message_ids: np.ndarray  # surviving original message ids
     phase1_flat: ListCode  # (M_surv * q, n1), message-major
     phase2_seq: np.ndarray
-    phase3_skeleton: np.ndarray | None  # thm2 only
+    phase3_skeleton: np.ndarray  # key segment with its key slots left as -1
     key_code: KeyCode
-    budget1: JamBudget
-    budget3: JamBudget
+    budget1: JamBudget  # phase-1 list decoding
+    budget3: JamBudget  # key decoding
 
     def __post_init__(self):
         self.message_ids.setflags(write=False)
         self.phase2_seq.setflags(write=False)
-        if self.phase3_skeleton is not None:
-            self.phase3_skeleton.setflags(write=False)
+        self.phase3_skeleton.setflags(write=False)
 
     @property
     def message_count(self) -> int:
@@ -643,19 +633,19 @@ class ThreePhaseCodec:
     def draw_keys(self, rng: np.random.Generator) -> tuple[int, int]:
         return self.key_code.draw_keys(rng)
 
+    @property
+    def key_slots(self) -> np.ndarray:
+        """Positions of the key codeword in the transmission."""
+        return self.plan.phase3_start + np.flatnonzero(self.phase3_skeleton < 0)
+
     def encode(self, message_pos: int, r1: int, r2: int, *, check_windows: bool = True) -> np.ndarray:
         """Assemble the full codeword for the message at position message_pos."""
         if not 0 <= message_pos < self.message_count:
             raise ValueError(f"message position {message_pos} out of range")
         h = self.hash_of(int(self.message_ids[message_pos]), r1, r2)
         x1 = self.phase1_flat.codewords[message_pos * self.q + h]
-        key_word = self.key_code.encode(r1, r2)
-        if self.plan.layout == LAYOUT_THM1:
-            x3 = key_word
-        else:
-            x3 = self.phase3_skeleton.copy()
-            x3[self.plan.phase3_s1_local()] = key_word
-        full = np.concatenate([x1, self.phase2_seq, x3])
+        full = np.concatenate([x1, self.phase2_seq, self.phase3_skeleton])
+        full[self.key_slots] = self.key_code.encode(r1, r2)
         if check_windows and not windows_valid(full, self.plan.w_x, self.gamma):
             report = verify_windows(full, self.plan.w_x, self.gamma)
             raise CodeConstructionError(
@@ -672,10 +662,7 @@ class ThreePhaseCodec:
                 f"output length {y.size} != transmission length {self.plan.total_length}"
             )
         listing = list_decode(y[: self.plan.n1], self.phase1_flat, self.budget1)
-        y3 = y[self.plan.phase3_start :]
-        if self.plan.layout == LAYOUT_THM2:
-            y3 = y3[self.plan.phase3_s1_local()]
-        r1, r2, key_ok = self.key_code.decode(y3, self.budget3)
+        r1, r2, key_ok = self.key_code.decode(y[self.key_slots], self.budget3)
 
         if not listing.messages:
             return DecodeResult(None, "empty-list", 0, listing.pre_truncation_size,
@@ -725,74 +712,32 @@ def build_three_phase_codec(
     q = hp.field_order
     n_msg = 1 << params.message_bits
 
-    key_type = params.key_type if params.key_type is not None else params.p_x
-
-    if params.layout == LAYOUT_THM1:
-        guard_target = params.guard_type
-        if guard_target is None:
-            guard_target = _round_to_denominator(
-                params.p_x, min(params.guard_denominator, params.w_x)
-            )
-        guard = guard_word(guard_target, params.w_x)
-        if not delta_interior(guard.target_type, gamma, params.delta):
-            raise ValueError("guard type is not in the delta-interior of the input set")
-        key_len = params.key_len if params.key_len is not None else 2 * params.w_x
-        plan = make_phase_plan_thm1(params.n1, params.w_x, key_len)
-        phase2_seq = guard.symbols
-        phase3_skeleton = None
-        embed_fn = None
-        key_sample_len = key_len
-        key_t = key_type
-        key_interior_set = None
-    elif params.layout == LAYOUT_THM2:
-        if params.alpha is None or params.t1 is None or params.t2 is None:
-            raise ValueError("interleaved layout requires alpha, t1 and t2")
-        min_key_len = params.key_len if params.key_len is not None else 2 * params.w_x
-        plan = make_phase_plan_thm2(
-            params.n1, params.w_x, params.alpha, params.lam_frac, min_key_len
-        )
-        _validate_interleaved_types(params, gamma, plan)
-        phase2_seq, phase3_skeleton = build_interleaved_region(plan, params.t1, params.t2)
-        s1_local = plan.phase3_s1_local()
-        tail = phase2_seq[-(params.w_x - 1):] if params.w_x > 1 else phase2_seq[:0]
-
-        def embed_fn(raw: np.ndarray) -> np.ndarray:
-            region = np.broadcast_to(phase3_skeleton, (raw.shape[0], phase3_skeleton.size)).copy()
-            region[:, s1_local] = raw
-            return np.concatenate(
-                [np.broadcast_to(tail, (raw.shape[0], tail.size)), region], axis=1
-            )
-
-        key_sample_len = s1_local.size
-        key_t = params.t1
-        key_interior_set = gamma_prime(gamma, params.alpha)
-    else:
-        raise ValueError(f"unknown layout {params.layout!r}")
-
+    plan = make_phase_plan(params)
+    phase2_seq, phase3_skeleton, key_t, key_interior_set = _buffer_region(params, plan, gamma)
     # The buffer region must be feasible on its own before anything random
     # is attached to it.
-    if plan.phase2_len >= params.w_x:
+    if plan.phase2_len >= params.w_x and not windows_valid(phase2_seq, params.w_x, gamma):
         rep = verify_windows(phase2_seq, params.w_x, gamma)
-        if not rep.valid:
-            raise CodeConstructionError(
-                f"deterministic buffer violates an input window at start "
-                f"{rep.first_violation()}"
-            )
+        raise CodeConstructionError(
+            f"deterministic buffer violates an input window at start "
+            f"{rep.first_violation()}"
+        )
 
-    budget1 = hamming_budget(plan.n1, w_s, lam, extra=params.budget_extra)
-    budget3 = hamming_budget(plan.phase3_len, w_s, lam, extra=params.budget_extra)
-    if not channel.is_binary_additive():
+    if channel.is_binary_additive():
+        budget1 = hamming_budget(plan.n1, w_s, lam, extra=params.budget_extra)
+        budget3 = hamming_budget(plan.phase3_len, w_s, lam, extra=params.budget_extra)
+    else:
         budget1 = likelihood_budget(params.p_x, channel, lam)
         budget3 = likelihood_budget(key_t, channel, lam)
 
     # Phase 1: one codeword per (message, hash value) pair; messages whose
-    # hash fiber lost a codeword to expurgation are dropped.
-    suffix = phase2_seq[: params.w_x - 1] if params.w_x > 1 else phase2_seq[:0]
+    # hash fiber lost a codeword to expurgation are dropped.  Expurgation
+    # trims the phase-2 context to the w_x - 1 symbols a window can reach.
     raw_code, p1_stats = build_list_code(
         plan.n1, math.log2(n_msg * q) / plan.n1, params.p_x, gamma, params.w_x,
         l_max=params.l_max, rng=rng, delta=params.delta,
         message_count=n_msg * q, max_messages=params.max_messages * 4,
-        suffix_context=suffix,
+        suffix_context=phase2_seq,
     )
     fiber_ok = np.zeros(n_msg * q, dtype=bool)
     fiber_ok[p1_stats.kept_indices] = True
@@ -806,14 +751,12 @@ def build_three_phase_codec(
         codewords=raw_code.codewords[np.repeat(msg_keep, q)[p1_stats.kept_indices]],
         rate=math.log2(message_ids.size * q) / plan.n1,
         l_max=params.l_max,
-        budget=budget1,
     )
 
-    prefix = phase2_seq[-(params.w_x - 1):] if params.w_x > 1 else phase2_seq[:0]
     key_code, key_stats = phase3_key_code(
         params.field_bits,
         key_t,
-        key_sample_len,
+        phase3_skeleton,
         gamma,
         params.w_x,
         channel,
@@ -821,9 +764,7 @@ def build_three_phase_codec(
         rng,
         delta=params.delta,
         allow_symmetrizable=params.allow_symmetrizable_key_type,
-        prefix_context=None if params.layout == LAYOUT_THM2 else prefix,
-        embed_fn=embed_fn,
-        budget=budget3,
+        prefix_context=phase2_seq,
         interior_set=key_interior_set,
     )
 
@@ -836,7 +777,7 @@ def build_three_phase_codec(
         w_s=w_s,
         message_ids=message_ids,
         phase1_flat=phase1,
-        phase2_seq=np.asarray(phase2_seq, dtype=np.int8),
+        phase2_seq=phase2_seq,
         phase3_skeleton=phase3_skeleton,
         key_code=key_code,
         budget1=budget1,
@@ -854,6 +795,26 @@ def build_three_phase_codec(
         "key_removed_fraction": key_stats.removed_fraction,
     }
     return codec, build_stats
+
+
+def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
+    """The layout's buffer: (phase-2 sequence, phase-3 skeleton with key
+    slots as -1, key-carrying law, set the key law's margin is checked in)."""
+    if plan.layout == LAYOUT_THM1:
+        guard_target = params.guard_type
+        if guard_target is None:
+            guard_target = _round_to_denominator(
+                params.p_x, min(params.guard_denominator, params.w_x)
+            )
+        guard = guard_word(guard_target, params.w_x)
+        if not delta_interior(guard.target_type, gamma, params.delta):
+            raise ValueError("guard type is not in the delta-interior of the input set")
+        key_type = params.key_type if params.key_type is not None else params.p_x
+        skeleton = np.full(plan.phase3_len, -1, dtype=np.int8)
+        return guard.symbols, skeleton, key_type, gamma
+    _validate_interleaved_types(params, gamma, plan)
+    phase2_seq, skeleton = build_interleaved_region(plan, params.t1, params.t2)
+    return phase2_seq, skeleton, params.t1, gamma_prime(gamma, params.alpha)
 
 
 def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet, plan: PhasePlan):

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import jammers
 from .capacity import windowed_capacity_verdict
-from .codec import (
-    CodecParams,
-    ThreePhaseCodec,
-    build_three_phase_codec,
-    make_phase_plan_thm1,
-    make_phase_plan_thm2,
-)
+from .codec import CodecParams, ThreePhaseCodec, build_three_phase_codec, make_phase_plan
 from .core import (
     Alphabet,
     Channel,
@@ -511,12 +505,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     try:
         wins = doc["windows"]
         code_doc = dict(doc["code"])
-        layout = code_doc.pop("layout", "thm1")
+        code_doc.setdefault("layout", "thm1")
         code_doc.pop("w_x", None)
         for key in ("p_x", "key_type", "guard_type", "t1", "t2"):
             if key in code_doc and code_doc[key] is not None:
                 code_doc[key] = _parse_distribution(code_doc[key])
-        code = CodecParams(layout=layout, w_x=int(wins["w_x"]), **code_doc)
+        code = CodecParams(w_x=int(wins["w_x"]), **code_doc)
         jam_doc = dict(doc.get("jammer", {"kind": "none"}))
         if jam_doc.get("p_s") is not None:
             jam_doc["p_s"] = _parse_distribution(jam_doc["p_s"])
@@ -525,20 +519,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         seed = int(doc.get("seed", 0))
         criterion = doc.get("criterion", "average")
 
-        # Total blocklength is known only after planning; without an explicit
-        # n, plan the code to size the windowed-channel instance.
-        planned_n = None
-        if doc.get("n") is None:
-            key_len = code.key_len if code.key_len is not None else 2 * code.w_x
-            if layout == "thm1":
-                plan = make_phase_plan_thm1(code.n1, code.w_x, key_len)
-            else:
-                plan = make_phase_plan_thm2(
-                    code.n1, code.w_x, code.alpha, code.lam_frac, key_len
-                )
-            planned_n = plan.total_length
+        # Planning rejects an unknown or incomplete layout here rather than at
+        # build time; without an explicit n it also sizes the instance.
         return ExperimentConfig(
-            spec=_parse_spec(doc, planned_n), code=code, jammer=jammer,
+            spec=_parse_spec(doc, make_phase_plan(code).total_length),
+            code=code, jammer=jammer,
             trials=trials, master_seed=seed, error_criterion=criterion,
         )
     except ConfigError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConstraintSet, Distribution, sample_iid
-from .windows import guard_word, verify_windows, windows_valid, windows_valid_rows
+from .windows import guard_word, windows_valid, windows_valid_rows
 
 DEFAULT_REJECTION_CAP = 10_000
 
@@ -155,7 +155,7 @@ def fallback_state_sequence(
     word = guard_word(target, w_s, max_denominator=w_s)
     reps = -(-n // word.symbols.size)
     seq = np.tile(word.symbols, reps)[:n]
-    if not verify_windows(seq, w_s, lam).valid:
+    if not windows_valid(seq, w_s, lam):
         raise JammerGenerationError(
             "no deterministic admissible fallback state sequence found"
         )

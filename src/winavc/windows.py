@@ -35,8 +35,6 @@ def verify_windows(
     w: int,
     c: ConstraintSet,
     mode: str = INCLUSIVE_RANGE,
-    *,
-    tol: float = TOLERANCE,
 ) -> WindowReport:
     """Check the type of every length-w window of seq against c.
 
@@ -56,7 +54,7 @@ def verify_windows(
     n_starts = n - w + 1 if mode == INCLUSIVE_RANGE else n - w
     if n_starts <= 0:
         return WindowReport(True, (), 0)
-    starts = np.flatnonzero(_window_violations(arr[None, :], w, c, tol)[0, :n_starts])
+    starts = np.flatnonzero(_window_violations(arr[None, :], w, c)[0, :n_starts])
     # Symbol counts of the violating windows from running per-symbol totals.
     onehot = arr[:, None] == np.arange(c.dim)
     csum = np.vstack([np.zeros((1, c.dim), dtype=int), onehot.cumsum(axis=0)])
@@ -156,8 +154,6 @@ def expurgate(
     gamma: ConstraintSet,
     suffix_context=None,
     prefix_context=None,
-    *,
-    tol: float = TOLERANCE,
 ) -> tuple[np.ndarray, ExpurgationStats]:
     """Drop codewords with any violating window, including boundary straddles.
 
@@ -195,28 +191,28 @@ def expurgate(
         if suf is not None:
             parts.append(np.broadcast_to(suf, (hi - lo, suf.size)))
         ext = np.concatenate(parts, axis=1)
-        keep[lo:hi] = ~_window_violations(ext, w_x, gamma, tol).any(axis=1)
+        keep[lo:hi] = ~_window_violations(ext, w_x, gamma).any(axis=1)
 
     kept_idx = np.flatnonzero(keep)
     stats = ExpurgationStats(total=m, removed=int(m - kept_idx.size), kept_indices=kept_idx)
     return mat[keep], stats
 
 
-def windows_valid(seq, w: int, c: ConstraintSet, *, tol: float = TOLERANCE) -> bool:
+def windows_valid(seq, w: int, c: ConstraintSet) -> bool:
     """Fast vectorized equivalent of verify_windows(...).valid (inclusive range)."""
     arr = np.asarray(seq, dtype=np.int8)
     if not 1 <= w <= arr.size:
         raise ValueError(f"window length must satisfy 1 <= w <= {arr.size}, got {w}")
-    return not _window_violations(arr[None, :], w, c, tol).any()
+    return not _window_violations(arr[None, :], w, c).any()
 
 
-def windows_valid_rows(mat, w: int, c: ConstraintSet, *, tol: float = TOLERANCE) -> np.ndarray:
+def windows_valid_rows(mat, w: int, c: ConstraintSet) -> np.ndarray:
     """Per-row window validity for a matrix of sequences."""
     arr = np.atleast_2d(np.asarray(mat, dtype=np.int8))
-    return ~_window_violations(arr, w, c, tol).any(axis=1)
+    return ~_window_violations(arr, w, c).any(axis=1)
 
 
-def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet, tol: float) -> np.ndarray:
+def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet) -> np.ndarray:
     """Flags (rows, n-w+1): does window t of row r violate gamma (inclusive range)?"""
     rows, n = mat.shape
     flags = np.zeros((rows, n - w + 1), dtype=bool)
@@ -234,5 +230,5 @@ def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet, tol: float
         dots = next(terms, 0.0)
         for term in terms:
             dots += term
-        flags |= dots > bound * w + tol * w
+        flags |= dots > bound * w + TOLERANCE * w
     return flags

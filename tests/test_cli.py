@@ -147,6 +147,21 @@ def test_simulate_seed_override(experiment_config, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("code_edit, named", [
+    ({"layout": "thm3"}, "thm3"),
+    ({"layout": "thm2", "t1": {"weight": 0.3}, "t2": {"weight": 0.1}}, "missing alpha"),
+], ids=["unknown-layout", "thm2-no-alpha"])
+def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
+    doc = json.loads(Path(experiment_config).read_text())
+    doc["code"].update(code_edit)
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert named in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_to_file(tmp_path):
     grid = {"w": [0.2], "p": [0.1], "trials": 0}
     cfg = tmp_path / "grid.json"

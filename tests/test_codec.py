@@ -30,6 +30,11 @@ from winavc.windows import verify_windows
 XOR = Channel.xor()
 
 
+def free_skeleton(length):
+    """A key segment of key slots only."""
+    return np.full(length, -1, dtype=np.int8)
+
+
 def thm1_params(**kw):
     base = dict(
         layout="thm1", n1=256, w_x=32, message_bits=4, field_bits=4,
@@ -256,22 +261,23 @@ class TestKeyCode:
         rng = np.random.default_rng(8)
         lam = ConstraintSet.weight_cap(0.05)
         code, stats = phase3_key_code(
-            4, Distribution.bernoulli(0.12), 128, ConstraintSet.weight_cap(0.3),
-            64, XOR, lam, rng, budget=hamming_budget(128, 64, lam),
+            4, Distribution.bernoulli(0.12), free_skeleton(128),
+            ConstraintSet.weight_cap(0.3), 64, XOR, lam, rng,
         )
         assert stats.total == 256
         r1, r2 = code.draw_keys(np.random.default_rng(1))
         word = code.encode(r1, r2)
-        got = code.decode(word)
+        got = code.decode(word, hamming_budget(128, 64, lam))
         assert got[:2] == (r1, r2) and got[2]
 
     def test_decode_under_max_jamming(self):
         rng = np.random.default_rng(9)
         lam = ConstraintSet.weight_cap(0.05)
         code, _ = phase3_key_code(
-            4, Distribution.bernoulli(0.12), 128, ConstraintSet.weight_cap(0.3),
-            64, XOR, lam, rng, budget=hamming_budget(128, 64, lam),
+            4, Distribution.bernoulli(0.12), free_skeleton(128),
+            ConstraintSet.weight_cap(0.3), 64, XOR, lam, rng,
         )
+        budget = hamming_budget(128, 64, lam)
         hits = 0
         trials = 200
         draw = np.random.default_rng(10)
@@ -280,7 +286,7 @@ class TestKeyCode:
             word = code.encode(r1, r2).copy()
             flips = draw.choice(128, size=6, replace=False)  # budget is 6
             word[flips] ^= 1
-            got = code.decode(word)
+            got = code.decode(word, budget)
             hits += got[:2] == (r1, r2)
         assert hits / trials >= 0.99
 
@@ -292,9 +298,10 @@ class TestKeyCode:
         rng = np.random.default_rng(77)
         lam = ConstraintSet.weight_cap(0.05)
         code, _ = phase3_key_code(
-            8, Distribution.bernoulli(0.12), 128, ConstraintSet.weight_cap(0.3),
-            64, XOR, lam, rng, budget=hamming_budget(128, 64, lam),
+            8, Distribution.bernoulli(0.12), free_skeleton(128),
+            ConstraintSet.weight_cap(0.3), 64, XOR, lam, rng,
         )
+        budget = hamming_budget(128, 64, lam)
         assert code.key_ids.size > 60000
         draw = np.random.default_rng(78)
         hits = 0
@@ -303,7 +310,7 @@ class TestKeyCode:
             r1, r2 = code.draw_keys(draw)
             word = code.encode(r1, r2)
             jam = iid_jammer(Distribution.bernoulli(0.04), 128, 64, lam, draw)
-            got = code.decode(word ^ jam.states)
+            got = code.decode(word ^ jam.states, budget)
             hits += got[:2] == (r1, r2)
         assert hits / trials >= 0.99
 
@@ -311,15 +318,16 @@ class TestKeyCode:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
             phase3_key_code(
-                3, Distribution.bernoulli(0.05), 64, ConstraintSet.weight_cap(0.3),
-                32, XOR, ConstraintSet.weight_cap(0.1), rng,
+                3, Distribution.bernoulli(0.05), free_skeleton(64),
+                ConstraintSet.weight_cap(0.3), 32, XOR, ConstraintSet.weight_cap(0.1), rng,
             )
 
     def test_symmetrizable_override(self):
         rng = np.random.default_rng(12)
         code, _ = phase3_key_code(
-            3, Distribution.bernoulli(0.05), 64, ConstraintSet.weight_cap(0.3),
-            32, XOR, ConstraintSet.weight_cap(0.1), rng, allow_symmetrizable=True,
+            3, Distribution.bernoulli(0.05), free_skeleton(64),
+            ConstraintSet.weight_cap(0.3), 32, XOR, ConstraintSet.weight_cap(0.1), rng,
+            allow_symmetrizable=True,
         )
         assert code.codewords.shape[1] == 64
 

@@ -339,6 +339,40 @@ class TestConfigParsing:
         stats = run_trials(config)
         assert sum(stats.outcome_counts.values()) == 25
 
+    def thm2_doc(self):
+        # the interleaved-layout code of tests/test_codec.py as a JSON document
+        doc = self.doc()
+        doc.update(windows={"w_x": 80, "w_s": 40}, jammer={"kind": "none"}, trials=10)
+        doc["code"] = {
+            "layout": "thm2", "n1": 256, "message_bits": 4, "field_bits": 4,
+            "p_x": {"weight": 0.08}, "alpha": 0.5, "lam_frac": 0.1,
+            "t1": {"weight": 0.3}, "t2": {"weight": 0.1}, "key_len": 40,
+        }
+        return doc
+
+    def test_thm2_roundtrip(self):
+        config = config_from_dict(self.thm2_doc())
+        codec, _ = build_codec_from_config(config)
+        assert config.spec.n == codec.plan.total_length == 1216
+        stats = run_trials(config)
+        assert stats.outcome_counts["correct"] == 10
+
+    @pytest.mark.parametrize("layout, drop, n, named", [
+        ("thm3", (), None, "'thm3'"),
+        ("thm3", (), 1216, "'thm3'"),
+        ("thm2", ("alpha",), None, "missing alpha"),
+        ("thm2", ("t1", "t2"), 1216, "missing t1, t2"),
+    ], ids=["unknown", "unknown-with-n", "thm2-no-alpha", "thm2-no-types-with-n"])
+    def test_bad_layout_rejected_at_load(self, layout, drop, n, named):
+        doc = self.thm2_doc()
+        doc["code"]["layout"] = layout
+        for key in drop:
+            del doc["code"][key]
+        if n is not None:
+            doc["n"] = n
+        with pytest.raises(ConfigError, match=named):
+            config_from_dict(doc)
+
     def test_missing_key_is_config_error(self):
         doc = self.doc()
         del doc["channel"]
