@@ -217,7 +217,8 @@ class TestPinnedOutputs:
 
     The experiment.json figures were recorded before the sampler and
     window-kernel rewrites, the thm2 figures before the two buffer layouts
-    shared one key-segment path; none may move under a later refactor or
+    shared one key-segment path, the trial records before Hamming scoring
+    moved to bit-packed codewords; none may move under a later refactor or
     speed-up.
     """
 
@@ -273,6 +274,19 @@ class TestPinnedOutputs:
             "ambiguity": 0, "wrong-message": 0,
         }
         assert stats.jam_rejections_total == 5785
+
+    def test_trial_records(self):
+        # every field a decoding change could move, not only the outcome counts
+        config = dataclasses.replace(load_config(str(EXPERIMENT_JSON)), trials=20)
+        records = [
+            [r.index, r.message_id, list(r.keys), r.jam_rejections,
+             r.jam_forfeited, r.list_size, r.outcome]
+            for r in run_trials(config).records
+        ]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == (
+            "05eaf341b9b2d3df725e878d92fc3936c737ad119072c0401897791514190798"
+        )
 
 
 class TestSweep:
