@@ -9,8 +9,8 @@ informative.
 
 import numpy as np
 
-from winavc import interleave_allocation
-from winavc.codec import make_phase_plan_thm2, type1_window_fractions
+from winavc import Distribution, interleave_allocation
+from winavc.codec import CodecParams, make_phase_plan, type1_window_fractions
 
 w_x, alpha, lam_frac = 16, 0.5, 0.25
 
@@ -25,7 +25,13 @@ s1, _ = interleave_allocation(w_x, alpha, lam_frac, 0, "III")
 row = ["1" if j in set(s1.tolist()) else "." for j in range(w_x)]
 print(f"  key phase: {''.join(row)}  (block rule)")
 
-plan = make_phase_plan_thm2(64, w_x, alpha, lam_frac, round(alpha * w_x))
+# only the layout fields shape the plan; the laws here are placeholders
+plan = make_phase_plan(CodecParams(
+    layout="thm2", n1=64, w_x=w_x, message_bits=4,
+    p_x=Distribution.bernoulli(0.1), alpha=alpha, lam_frac=lam_frac,
+    t1=Distribution.bernoulli(0.25), t2=Distribution.bernoulli(0.125),
+    key_len=round(alpha * w_x),
+))
 fr = type1_window_fractions(plan)
 print(f"\nsliding type-1 fraction over the whole buffer+key region:")
 print(f"  min {fr.min():.4f}  max {fr.max():.4f}  "

@@ -176,7 +176,7 @@ def _cmd_simulate(args) -> int:
     config = config_from_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    stats = run_trials(config, keep_records=False, threads=args.threads)
+    stats = run_trials(config, keep_records=False)
     row = {
         "trials": stats.trials,
         "err_avg": stats.err_avg,
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo decoding-error simulation")
     common(p)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter sweep with CSV output")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -180,6 +181,11 @@ class ListCode:
     def __post_init__(self):
         self.codewords.setflags(write=False)
 
+    @cached_property
+    def _packed_codewords(self) -> np.ndarray:
+        """(words, codewords) _pack_bits array, packed on first Hamming scoring."""
+        return np.ascontiguousarray(_pack_bits(self.codewords).T)
+
     @property
     def num_messages(self) -> int:
         return self.codewords.shape[0]
@@ -242,13 +248,30 @@ def build_list_code(
     return code, stats
 
 
-def _budget_scores(codewords: np.ndarray, y: np.ndarray, budget: JamBudget):
-    """Returns (scores, admissible mask); lower score is better."""
+def _pack_bits(rows: np.ndarray) -> np.ndarray:
+    """Binary rows packed along the last axis into uint64 words.
+
+    The packed bytes are zero-padded to a whole number of words, so two
+    arrays packed alike differ in exactly the bits where their symbols do.
+    """
+    if rows.size and (rows.min() < 0 or rows.max() > 1):
+        raise ValueError("Hamming scoring needs binary symbols; got one outside {0, 1}")
+    packed = np.packbits(rows, axis=-1)
+    width = -(-packed.shape[-1] // 8) * 8  # bytes, rounded up to whole words
+    words = np.zeros(packed.shape[:-1] + (width,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view(np.uint64)
+
+
+def _budget_scores(code: ListCode | KeyCode, y: np.ndarray, budget: JamBudget):
+    """Returns (scores, admissible mask) of code's codewords; lower is better."""
     if budget.kind == "hamming":
-        scores = np.count_nonzero(codewords != y[None, :], axis=1)
+        # word-major, so the sum runs over a few long rows
+        diff = code._packed_codewords ^ _pack_bits(y)[:, None]
+        scores = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
         return scores, scores <= budget.radius
     if budget.kind == "likelihood":
-        ll = budget.ll_table[codewords, y[None, :]].mean(axis=1)
+        ll = budget.ll_table[code.codewords, y[None, :]].mean(axis=1)
         return -ll, ll >= budget.ll_floor
     raise ValueError(f"unknown budget kind {budget.kind!r}")
 
@@ -262,7 +285,7 @@ def list_decode(y_seq, code: ListCode, budget: JamBudget) -> ListDecodeResult:
     y = np.asarray(y_seq, dtype=np.int8)
     if y.size != code.blocklength:
         raise ValueError(f"output length {y.size} != blocklength {code.blocklength}")
-    scores, ok = _budget_scores(code.codewords, y, budget)
+    scores, ok = _budget_scores(code, y, budget)
     idx = np.flatnonzero(ok)
     order = np.lexsort((idx, scores[idx]))
     ranked = idx[order]
@@ -357,26 +380,6 @@ class PhasePlan:
         return self.n1 + self.phase2_len
 
 
-def make_phase_plan_thm2(
-    n1: int, w_x: int, alpha: float, lam_frac: float, min_key_len: int
-) -> PhasePlan:
-    s1, _ = interleave_allocation(w_x, alpha, lam_frac, 0, "III")
-    a_wx = s1.size
-    n2_windows = 1 + math.ceil(1.0 / lam_frac)
-    n3_windows = max(1, math.ceil(min_key_len / a_wx))
-    return PhasePlan(
-        layout=LAYOUT_THM2,
-        n1=n1,
-        w_x=w_x,
-        phase2_len=n2_windows * w_x,
-        phase3_len=n3_windows * w_x,
-        alpha=alpha,
-        lam_frac=lam_frac,
-        phase2_window_count=n2_windows,
-        phase3_window_count=n3_windows,
-    )
-
-
 def _per_window_counts(t: Distribution, slots: int, what: str) -> np.ndarray:
     counts = t.probs * slots
     rounded = np.round(counts).astype(int)
@@ -448,6 +451,11 @@ class KeyCode:
         self.codewords.setflags(write=False)
         self.key_ids.setflags(write=False)
 
+    @cached_property
+    def _packed_codewords(self) -> np.ndarray:
+        """(words, codewords) _pack_bits array, packed on first Hamming scoring."""
+        return np.ascontiguousarray(_pack_bits(self.codewords).T)
+
     @property
     def q(self) -> int:
         return 1 << self.field_bits
@@ -466,10 +474,17 @@ class KeyCode:
         return kid // self.q, kid % self.q
 
     def decode(self, y_seq, budget: JamBudget) -> tuple[int, int, bool]:
-        """Best key under the budget scoring; returns (r1, r2, within_budget)."""
+        """Best key under the budget scoring; returns (r1, r2, within_budget).
+
+        Ties go to the smallest key id: key_ids is increasing, so that is
+        the first best score.
+        """
         y = np.asarray(y_seq, dtype=np.int8)
-        scores, ok = _budget_scores(self.codewords, y, budget)
-        best = int(np.lexsort((self.key_ids, scores))[0])
+        n = self.codewords.shape[1]
+        if y.size != n:
+            raise ValueError(f"output length {y.size} != key code length {n}")
+        scores, ok = _budget_scores(self, y, budget)
+        best = int(np.argmin(scores))
         kid = int(self.key_ids[best])
         return kid // self.q, kid % self.q, bool(ok[best])
 
@@ -556,11 +571,15 @@ class CodecParams:
 
 
 def make_phase_plan(params: CodecParams) -> PhasePlan:
-    """Segment lengths for params.layout; the key length defaults to 2*w_x."""
+    """Segment lengths for params.layout; the key length defaults to 2*w_x.
+
+    The interleaved layout rounds the key length up to whole windows of
+    alpha*w_x key slots each.
+    """
     key_len = params.key_len if params.key_len is not None else 2 * params.w_x
+    if key_len < 1:
+        raise ValueError("key code length must be >= 1")
     if params.layout == LAYOUT_THM1:
-        if key_len < 1:
-            raise ValueError("key code length must be >= 1")
         return PhasePlan(
             layout=LAYOUT_THM1, n1=params.n1, w_x=params.w_x,
             phase2_len=params.w_x, phase3_len=key_len,
@@ -575,7 +594,15 @@ def make_phase_plan(params: CodecParams) -> PhasePlan:
             f"interleaved layout {LAYOUT_THM2!r} requires alpha, t1 and t2; "
             f"missing {', '.join(missing)}"
         )
-    return make_phase_plan_thm2(params.n1, params.w_x, params.alpha, params.lam_frac, key_len)
+    s1, _ = interleave_allocation(params.w_x, params.alpha, params.lam_frac, 0, "III")
+    n2_windows = 1 + math.ceil(1.0 / params.lam_frac)
+    n3_windows = math.ceil(key_len / s1.size)
+    return PhasePlan(
+        layout=LAYOUT_THM2, n1=params.n1, w_x=params.w_x,
+        phase2_len=n2_windows * params.w_x, phase3_len=n3_windows * params.w_x,
+        alpha=params.alpha, lam_frac=params.lam_frac,
+        phase2_window_count=n2_windows, phase3_window_count=n3_windows,
+    )
 
 
 @dataclass(frozen=True)

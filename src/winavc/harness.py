@@ -1,17 +1,17 @@
 """Monte Carlo simulation driver: experiment configs, trial loops, sweeps.
 
 Per-trial randomness is derived counter-mode from (master_seed, trial index)
-so runs are bit-reproducible regardless of worker count.  The jammer only
-ever receives public objects; when a strategy proposes an inadmissible state
-sequence it forfeits the trial and a deterministic admissible fallback is
-played instead (an adversary cannot play outside the model).
+so each trial is bit-reproducible on its own, whatever trials run before it.
+The jammer only ever receives public objects; when a strategy proposes an
+inadmissible state sequence it forfeits the trial and a deterministic
+admissible fallback is played instead (an adversary cannot play outside the
+model).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,7 +195,6 @@ def run_trials(
     config: ExperimentConfig,
     *,
     keep_records: bool = True,
-    threads: int = 1,
     codec: ThreePhaseCodec | None = None,
     build_stats: dict | None = None,
 ) -> RunStats:
@@ -288,12 +287,7 @@ def run_trials(
             outcome=outcome,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, range(config.trials)))
-    else:
-        records = [one_trial(i) for i in range(config.trials)]
-    records.sort(key=lambda r: r.index)
+    records = [one_trial(i) for i in range(config.trials)]
 
     counts = {k: 0 for k in OUTCOMES}
     per_message: dict[int, list[int]] = {}

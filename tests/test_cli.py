@@ -85,6 +85,7 @@ def test_capacity_channel_only_document(bitflip_config, tmp_path, capsys):
     ["symmetrize", "--threads", "2"],
     ["check-windows", "--seed", "1"],
     ["sweep", "--threads", "2"],
+    ["simulate", "--threads", "2"],
 ])
 def test_seed_and_threads_only_where_read(bitflip_config, argv, capsys):
     assert cli_main(argv + ["--config", bitflip_config]) == EXIT_USAGE
@@ -150,7 +151,10 @@ def test_simulate_seed_override(experiment_config, capsys):
 @pytest.mark.parametrize("code_edit, named", [
     ({"layout": "thm3"}, "thm3"),
     ({"layout": "thm2", "t1": {"weight": 0.3}, "t2": {"weight": 0.1}}, "missing alpha"),
-], ids=["unknown-layout", "thm2-no-alpha"])
+    ({"key_len": -5}, "key code length"),
+    ({"layout": "thm2", "alpha": 0.5, "t1": {"weight": 0.3}, "t2": {"weight": 0.1},
+      "key_len": -5}, "key code length"),
+], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc["code"].update(code_edit)

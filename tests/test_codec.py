@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from winavc import gf2
 from winavc.codec import (
@@ -11,7 +14,9 @@ from winavc.codec import (
     CodeConstructionError,
     HashParams,
     JamBudget,
+    KeyCode,
     ListCode,
+    _budget_scores,
     build_list_code,
     build_three_phase_codec,
     chunk_message,
@@ -19,7 +24,7 @@ from winavc.codec import (
     hamming_budget,
     interleave_allocation,
     list_decode,
-    make_phase_plan_thm2,
+    make_phase_plan,
     phase3_key_code,
     poly_hash,
     type1_window_fractions,
@@ -28,6 +33,10 @@ from winavc.core import Channel, ConstraintSet, Distribution
 from winavc.windows import verify_windows
 
 XOR = Channel.xor()
+
+
+def binary_rows(rows, n):
+    return arrays(np.int8, (rows, n), elements=st.integers(0, 1))
 
 
 def free_skeleton(length):
@@ -209,6 +218,59 @@ class TestListDecode:
         assert res.messages and res.messages[0] == 1
 
 
+class TestHammingScoring:
+    @given(data=st.data())
+    def test_packed_scores_match_symbol_compare(self, data):
+        # lengths 1-200 cross the 8-bit byte and 64-bit word boundaries
+        rows = data.draw(st.integers(1, 40), label="rows")
+        n = data.draw(st.integers(1, 200), label="n")
+        words = data.draw(binary_rows(rows, n), label="codewords")
+        y = data.draw(binary_rows(1, n), label="y")[0]
+        radius = data.draw(st.integers(0, n), label="radius")
+        scores, ok = _budget_scores(
+            ListCode(codewords=words, rate=1.0, l_max=rows), y, JamBudget("hamming", radius)
+        )
+        want = np.count_nonzero(words != y[None, :], axis=1)
+        assert np.array_equal(scores, want)
+        assert np.array_equal(ok, want <= radius)
+
+    @given(data=st.data())
+    def test_key_decode_breaks_ties_by_key_id(self, data):
+        # rows drawn from a small pool of distinct words, so best scores tie
+        pool = data.draw(st.integers(1, 4), label="pool")
+        rows = data.draw(st.integers(1, 40), label="rows")
+        n = data.draw(st.integers(1, 100), label="n")
+        distinct = data.draw(binary_rows(pool, n), label="distinct")
+        pick = data.draw(st.lists(st.integers(0, pool - 1), min_size=rows, max_size=rows),
+                         label="pick")
+        key_ids = sorted(data.draw(
+            st.lists(st.integers(0, 63), min_size=rows, max_size=rows, unique=True),
+            label="key_ids",
+        ))
+        y = data.draw(binary_rows(1, n), label="y")[0]
+        budget = JamBudget("hamming", data.draw(st.integers(0, n), label="radius"))
+        code = KeyCode(codewords=distinct[pick], key_ids=np.array(key_ids, dtype=np.int64),
+                       field_bits=3)
+        scores = np.count_nonzero(code.codewords != y[None, :], axis=1)
+        best = np.lexsort((code.key_ids, scores))[0]
+        kid = int(code.key_ids[best])
+        assert code.decode(y, budget) == (kid // 8, kid % 8, bool(scores[best] <= budget.radius))
+
+    @pytest.mark.parametrize("bad_word, bad_y", [(2, 0), (-1, 0), (0, 2), (0, -1)],
+                             ids=["code-2", "code-minus-1", "y-2", "y-minus-1"])
+    def test_non_binary_symbols_refused(self, bad_word, bad_y):
+        words = np.zeros((3, 10), dtype=np.int8)
+        words[1, 4] = bad_word
+        y = np.zeros(10, dtype=np.int8)
+        y[7] = bad_y
+        budget = JamBudget("hamming", 10)
+        with pytest.raises(ValueError, match="binary"):
+            list_decode(y, ListCode(codewords=words, rate=0.1, l_max=3), budget)
+        key_code = KeyCode(codewords=words.copy(), key_ids=np.arange(3), field_bits=2)
+        with pytest.raises(ValueError, match="binary"):
+            key_code.decode(y, budget)
+
+
 class TestInterleaveAllocation:
     def test_worked_example_window1(self):
         s1, s2 = interleave_allocation(16, 0.5, 0.25, 1, "II")
@@ -250,7 +312,12 @@ class TestInterleaveAllocation:
     def test_sliding_fraction_bounds(self):
         for alpha, w_x in [(0.5, 16), (0.25, 40), (0.5, 80)]:
             lam_frac = 0.25 if w_x == 16 else 0.1
-            plan = make_phase_plan_thm2(32, w_x, alpha, lam_frac, round(alpha * w_x))
+            plan = make_phase_plan(CodecParams(
+                layout="thm2", n1=32, w_x=w_x, message_bits=4,
+                p_x=Distribution.bernoulli(0.1), alpha=alpha, lam_frac=lam_frac,
+                t1=Distribution.bernoulli(0.3), t2=Distribution.bernoulli(0.1),
+                key_len=round(alpha * w_x),
+            ))
             fr = type1_window_fractions(plan)
             assert fr.min() >= alpha - 1e-12
             assert fr.max() <= alpha * (1 + lam_frac) + 1e-12
@@ -473,6 +540,40 @@ class TestThreePhase:
         bound = hp.chunk_count / q
         se = np.sqrt(bound * (1 - bound) / total)
         assert hits / total <= bound + 3 * se
+
+
+class TestNoiselessRoundTrip:
+    @settings(max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        w_x=st.sampled_from([48, 64]),
+        n1=st.integers(192, 320),
+        message_bits=st.integers(1, 3),
+        field_bits=st.integers(3, 4),
+        weight=st.sampled_from([0.1, 0.12]),
+    )
+    def test_decode_inverts_encode(self, seed, w_x, n1, message_bits, field_bits, weight):
+        # at these sizes a wrong codeword inside the budget ball that also
+        # matches the hash is rare enough that every drawn code decodes
+        # uniquely; shorter, sparser codes with small hash fields need not
+        # (n1=128, w_x=40, p_x weight 0.08, 3-bit field: ambiguous)
+        params = thm1_params(n1=n1, w_x=w_x, message_bits=message_bits,
+                             field_bits=field_bits, p_x=Distribution.bernoulli(weight),
+                             key_len=None)
+        try:
+            codec, _ = build_three_phase_codec(
+                params, ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05),
+                XOR, w_x, np.random.default_rng(seed),
+            )
+        except CodeConstructionError:
+            assume(False)  # a draw whose expurgation emptied every hash fiber
+        draw = np.random.default_rng(seed + 1)
+        for pos in range(codec.message_count):
+            r1, r2 = codec.draw_keys(draw)
+            res = codec.decode(codec.encode(pos, r1, r2))
+            assert (res.status, res.message_id, res.keys) == (
+                "unique", int(codec.message_ids[pos]), (r1, r2)
+            )
 
 
 class TestDeltaInterior:
