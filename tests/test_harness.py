@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from winavc.codec import CodecParams, build_three_phase_codec
+from winavc import gf2
+from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash
 from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec
 from winavc.capacity import bitflip_list_capacity
 from winavc.harness import (
@@ -211,8 +212,9 @@ class TestPinnedOutputs:
     The experiment.json figures were recorded before the sampler and
     window-kernel rewrites, the thm2 figures before the two buffer layouts
     shared one key-segment path, the trial records before Hamming scoring
-    moved to bit-packed codewords; none may move under a later refactor or
-    speed-up.
+    moved to bit-packed codewords, the field products and hashes before the
+    field became one multiplication table; none may move under a later
+    refactor or speed-up.
     """
 
     def test_codec_build(self):
@@ -279,6 +281,31 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == (
             "05eaf341b9b2d3df725e878d92fc3936c737ad119072c0401897791514190798"
+        )
+
+    def test_field_products_and_hashes(self):
+        # every GF(2^k) product for k = 1..8, and the hash on seeded draws
+        products = hashlib.sha256()
+        for k in range(1, 9):
+            f = gf2.field(k)
+            q = 1 << k
+            table = np.array([[f.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+            products.update(table.tobytes())
+        rng = np.random.default_rng(2718)
+        hashes = []
+        for field_bits in (3, 6, 8):
+            q = 1 << field_bits
+            for chunk_count in (1, 3, 8):
+                hp = HashParams(field_bits=field_bits, chunk_count=chunk_count)
+                chunks = rng.integers(0, q, size=(200, chunk_count))
+                r1 = rng.integers(0, q, size=200)
+                r2 = rng.integers(0, q, size=200)
+                hashes += [poly_hash(list(c), int(a), int(b), hp) for c, a, b in zip(chunks, r1, r2)]
+        assert products.hexdigest() == (
+            "d32ed583cc7265f1934b08fd225b0c4d88341a5b3f7fead4db65c7c694e60506"
+        )
+        assert _digest(np.array(hashes, dtype=np.uint8)) == (
+            "b8a18b9dd5c8cdc3d82bf23faa1efbe7bd2243bbbebe1e9bb835df2c95899ed0"
         )
 
 
