@@ -243,7 +243,6 @@ def _cmd_selftest(args) -> int:
     check("window verifier vs brute force (200 random cases)", ok)
 
     hp = HashParams(field_bits=4, chunk_count=2)
-    f = hp.field()
     ok = True
     for d1 in range(1, 16):
         roots = sum(

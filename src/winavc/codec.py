@@ -54,11 +54,9 @@ class HashParams:
 
     field_bits: int
     chunk_count: int
-    reduction_poly: int | None = None
 
     def __post_init__(self):
-        if self.field_bits < 1:
-            raise ValueError("field_bits must be >= 1")
+        _check_field_bits(self.field_bits)
         if self.chunk_count < 1:
             raise ValueError("chunk_count must be >= 1")
 
@@ -71,39 +69,53 @@ class HashParams:
     def field_order(self) -> int:
         return 1 << self.field_bits
 
-    def field(self) -> gf2.GF2m:
-        return gf2.field(self.field_bits, self.reduction_poly)
+    @property
+    def collision_bound(self) -> float:
+        """Hash collision probability of two distinct messages over uniform r2: K/q."""
+        return self.chunk_count / self.field_order
 
 
-def chunk_message(message: int, params: HashParams) -> list[int]:
-    """Split a message id into chunk_count field elements, low bits first."""
-    if message < 0:
-        raise ValueError("message id must be non-negative")
+def _check_field_bits(field_bits: int) -> None:
+    if not 1 <= field_bits <= gf2.MAX_FIELD_BITS:
+        raise ValueError(f"field_bits must be in 1..{gf2.MAX_FIELD_BITS}, got {field_bits}")
+
+
+def chunk_message(message, params: HashParams) -> np.ndarray:
+    """Split message ids into chunk_count field elements, low bits first.
+
+    A scalar id gives a (chunk_count,) array, an array of ids one more
+    trailing axis of that length.
+    """
+    m = np.asarray(message, dtype=np.int64)
+    fb, k = params.field_bits, params.chunk_count
+    if (m >> (fb * k)).any():  # also nonzero for a negative id
+        raise ValueError(f"message ids must be non-negative and fit in {k} chunks of {fb} bits")
+    return (m[..., None] >> (fb * np.arange(k))) & (params.field_order - 1)
+
+
+def poly_hash(m_chunks, r1, r2, params: HashParams):
+    """Evaluate r1 + sum_{i=1..K} m_i r2^i in GF(2^field_bits).
+
+    The chunks lie on the last axis of m_chunks; its leading axes broadcast
+    against r1 and r2.  Returns an int when every input is a single
+    message and key pair, else an int64 array.
+    """
     q = params.field_order
-    chunks = [(message >> (params.field_bits * i)) & (q - 1) for i in range(params.chunk_count)]
-    if message >> (params.field_bits * params.chunk_count):
+    m, r1, r2 = (np.asarray(v) for v in (m_chunks, r1, r2))
+    if m.shape[-1:] != (params.chunk_count,):
         raise ValueError(
-            f"message {message} does not fit in {params.chunk_count} chunks "
-            f"of {params.field_bits} bits"
+            f"expected {params.chunk_count} chunks on the last axis, got shape {m.shape}"
         )
-    return chunks
-
-
-def poly_hash(m_chunks, r1: int, r2: int, params: HashParams) -> int:
-    """Evaluate r1 + sum_{i=1..K} m_i r2^i in GF(2^field_bits)."""
-    f = params.field()
-    f.validate(r1)
-    f.validate(r2)
-    if len(m_chunks) != params.chunk_count:
-        raise ValueError(
-            f"expected {params.chunk_count} chunks, got {len(m_chunks)}"
-        )
+    for name, v in (("chunk", m), ("r1", r1), ("r2", r2)):
+        if v.dtype.kind not in "iu" or (v >> params.field_bits).any():
+            raise ValueError(f"{name} values must be integers in [0, {q})")
+    mul = gf2.mul_table(params.field_bits)
     # Horner on sum m_i r2^i = ((m_K r2 + m_{K-1}) r2 + ...) r2
     acc = 0
-    for m_i in reversed(list(m_chunks)):
-        f.validate(m_i)
-        acc = f.mul(f.add(acc, m_i), r2)
-    return f.add(r1, acc)
+    for i in reversed(range(params.chunk_count)):
+        acc = mul[acc ^ m[..., i], r2]
+    h = r1 ^ acc
+    return int(h) if h.ndim == 0 else h.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +514,6 @@ def phase3_key_code(
     delta: float = 0.02,
     allow_symmetrizable: bool = False,
     prefix_context=None,
-    max_keys: int = 1 << 16,
     interior_set: ConstraintSet | None = None,
 ) -> tuple[KeyCode, ExpurgationStats]:
     """Random i.i.d.(t) code over all (r1, r2) key pairs, window-expurgated.
@@ -523,9 +534,8 @@ def phase3_key_code(
             "key-carrying law is symmetrizable for the state constraints; "
             "key transmission cannot be made reliable"
         )
+    _check_field_bits(field_bits)
     q = 1 << field_bits
-    if q * q > max_keys:
-        raise ValueError(f"{q * q} key pairs exceed the desk-scale cap {max_keys}")
     slots = np.flatnonzero(skeleton < 0)
     raw = sample_iid(t, (q * q, slots.size), rng)
     segments = np.tile(skeleton, (q * q, 1))
@@ -568,6 +578,9 @@ class CodecParams:
     allow_symmetrizable_key_type: bool = False
     budget_extra: int = 0
     max_messages: int = 1 << 14
+
+    def __post_init__(self):
+        _check_field_bits(self.field_bits)
 
 
 def make_phase_plan(params: CodecParams) -> PhasePlan:
@@ -646,12 +659,8 @@ class ThreePhaseCodec:
     def q(self) -> int:
         return self.hash_params.field_order
 
-    @property
-    def hash_collision_bound(self) -> float:
-        """Per-wrong-message hash survival probability over uniform r2: K/q."""
-        return self.hash_params.chunk_count / self.hash_params.field_order
-
-    def hash_of(self, message_id: int, r1: int, r2: int) -> int:
+    def hash_of(self, message_id, r1: int, r2: int):
+        """poly_hash of one message id (an int) or of an array of them."""
         return poly_hash(chunk_message(message_id, self.hash_params), r1, r2, self.hash_params)
 
     def draw_message(self, rng: np.random.Generator) -> int:
@@ -694,21 +703,17 @@ class ThreePhaseCodec:
         if not listing.messages:
             return DecodeResult(None, "empty-list", 0, listing.pre_truncation_size,
                                 listing.overflow, (r1, r2), key_ok, ())
-        survivors = []
-        for flat in listing.messages:
-            pos, h = divmod(flat, self.q)
-            if h == self.hash_of(int(self.message_ids[pos]), r1, r2):
-                survivors.append(pos)
-        if not survivors:
+        pos, h = np.divmod(np.array(listing.messages), self.q)
+        survivors = np.sort(pos[h == self.hash_of(self.message_ids[pos], r1, r2)])
+        if not survivors.size:
             return DecodeResult(None, "no-survivor", len(listing.messages),
                                 listing.pre_truncation_size, listing.overflow,
                                 (r1, r2), key_ok, ())
-        chosen = min(survivors)
-        status = "unique" if len(survivors) == 1 else "ambiguous"
-        return DecodeResult(int(self.message_ids[chosen]), status, len(listing.messages),
+        status = "unique" if survivors.size == 1 else "ambiguous"
+        return DecodeResult(int(self.message_ids[survivors[0]]), status, len(listing.messages),
                             listing.pre_truncation_size, listing.overflow,
                             (r1, r2), key_ok,
-                            tuple(int(self.message_ids[p]) for p in sorted(survivors)))
+                            tuple(int(m) for m in self.message_ids[survivors]))
 
 
 def _round_to_denominator(p: Distribution, b: int) -> Distribution:
@@ -811,7 +816,7 @@ def build_three_phase_codec(
         budget3=budget3,
     )
     build_stats = {
-        "hash_collision_bound": codec.hash_collision_bound,
+        "hash_collision_bound": hp.collision_bound,
         "phase1_total": int(p1_stats.total),
         "phase1_removed": int(p1_stats.removed),
         "phase1_removed_fraction": p1_stats.removed_fraction,
@@ -839,12 +844,12 @@ def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
         key_type = params.key_type if params.key_type is not None else params.p_x
         skeleton = np.full(plan.phase3_len, -1, dtype=np.int8)
         return guard.symbols, skeleton, key_type, gamma
-    _validate_interleaved_types(params, gamma, plan)
+    _validate_interleaved_types(params, gamma)
     phase2_seq, skeleton = build_interleaved_region(plan, params.t1, params.t2)
     return phase2_seq, skeleton, params.t1, gamma_prime(gamma, params.alpha)
 
 
-def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet, plan: PhasePlan):
+def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet):
     enlarged = gamma_prime(gamma, params.alpha)
     if not delta_interior(params.t1, enlarged, params.delta):
         raise ValueError(
@@ -853,13 +858,12 @@ def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet, plan:
     mix = Distribution(
         params.alpha * params.t1.probs + (1.0 - params.alpha) * params.t2.probs
     )
-    # Sliding windows deviate from the mix by at most lam_frac * alpha in TV.
+    # Sliding windows deviate from the mix by at most lam_frac * alpha in TV,
+    # an L1 radius of twice that.
     dev = params.lam_frac * params.alpha
-    for c, b in gamma.inequalities:
-        spread = float(np.max(c) - np.min(c))
-        if b - float(c @ mix.probs) < dev * spread - 1e-12:
-            raise ValueError(
-                "window-type margin too small: alpha*t1 + (1-alpha)*t2 must sit "
-                f"at least lam_frac*alpha = {dev:g} (TV) inside the input set"
-            )
+    if not delta_interior(mix, gamma, 2 * dev):
+        raise ValueError(
+            "window-type margin too small: alpha*t1 + (1-alpha)*t2 must sit "
+            f"at least lam_frac*alpha = {dev:g} (TV) inside the input set"
+        )
 

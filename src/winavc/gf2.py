@@ -1,17 +1,20 @@
-"""Carry-less GF(2^k) arithmetic for the polynomial hash.
+"""GF(2^k) multiplication tables for the polynomial hash, k = 1..8.
 
-Multiplication is shift-xor (carry-less) followed by reduction modulo a
-fixed irreducible polynomial per field size.  Fields up to 2^16 get log/exp
-tables; larger fields multiply directly.  Addition is xor.
+A product is the carry-less (shift-xor) product of the operands reduced
+modulo a fixed irreducible polynomial per field size, so the modulus fixes
+every product.  mul_table(k) holds all of them; addition is xor.
 """
 
 from __future__ import annotations
 
 import functools
 
+import numpy as np
+
+MAX_FIELD_BITS = 8
+
 # Low-weight irreducible polynomials, one per degree (bitmask includes the
-# leading term).  Each entry is verified irreducible by the test suite via
-# Rabin's criterion.
+# leading term).  The test suite checks that each table has no zero divisors.
 REDUCTION_POLY = {
     1: 0b10,            # x
     2: 0b111,           # x^2 + x + 1
@@ -21,126 +24,22 @@ REDUCTION_POLY = {
     6: 0b1000011,       # x^6 + x + 1
     7: 0b10000011,      # x^7 + x + 1
     8: 0x11B,           # x^8 + x^4 + x^3 + x + 1
-    9: 0b1000010001,    # x^9 + x^4 + 1
-    10: 0b10000001001,  # x^10 + x^3 + 1
-    11: 0b100000000101,  # x^11 + x^2 + 1
-    12: 0b1000001010011,  # x^12 + x^6 + x^4 + x + 1
-    13: 0b10000000011011,  # x^13 + x^4 + x^3 + x + 1
-    14: 0x402B,         # x^14 + x^5 + x^3 + x + 1
-    15: 0b1000000000000011,  # x^15 + x + 1
-    16: 0x1002D,        # x^16 + x^5 + x^3 + x^2 + 1
-    32: 0x10000008D,    # x^32 + x^7 + x^3 + x^2 + 1
 }
 
-_TABLE_MAX_BITS = 16
 
-
-def clmul(a: int, b: int) -> int:
-    """Carry-less product of two polynomials over GF(2)."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def clmod(a: int, mod: int) -> int:
-    """Reduce a polynomial modulo another over GF(2)."""
-    mod_len = mod.bit_length()
-    while a.bit_length() >= mod_len:
-        a ^= mod << (a.bit_length() - mod_len)
-    return a
-
-
-class GF2m:
-    """The field GF(2^k) with elements represented as integers in [0, 2^k)."""
-
-    def __init__(self, k: int, reduction_poly: int | None = None):
-        if k < 1:
-            raise ValueError("field degree must be >= 1")
-        if reduction_poly is None:
-            if k not in REDUCTION_POLY:
-                raise ValueError(f"no built-in reduction polynomial for degree {k}")
-            reduction_poly = REDUCTION_POLY[k]
-        if reduction_poly.bit_length() != k + 1:
-            raise ValueError(
-                f"reduction polynomial degree {reduction_poly.bit_length() - 1} "
-                f"does not match field degree {k}"
-            )
-        self.k = k
-        self.order = 1 << k
-        self.poly = reduction_poly
-        self._log = None
-        self._exp = None
-        if k <= _TABLE_MAX_BITS:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
-        n = self.order - 1
-        if self.k == 1:
-            self._exp = [1]
-            self._log = [0, 0]
-            return
-        for g in range(2, self.order):
-            exp = [1] * n
-            seen = {1}
-            v = 1
-            ok = True
-            for i in range(1, n):
-                v = clmod(clmul(v, g), self.poly)
-                if v in seen:
-                    ok = False
-                    break
-                exp[i] = v
-                seen.add(v)
-            if ok:
-                log = [0] * self.order
-                for i, e in enumerate(exp):
-                    log[e] = i
-                self._exp = exp
-                self._log = log
-                return
-        raise ValueError(f"reduction polynomial {self.poly:#x} is not primitive-friendly")
-
-    def validate(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"element {a} outside GF(2^{self.k})")
-        return a
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        self.validate(a)
-        self.validate(b)
-        if a == 0 or b == 0:
-            return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return clmod(clmul(a, b), self.poly)
-
-    def pow(self, a: int, e: int) -> int:
-        self.validate(a)
-        if e < 0:
-            raise ValueError("negative exponents not supported")
-        if a == 0:
-            return 0 if e else 1
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-
-@functools.lru_cache(maxsize=None)
-def field(k: int, reduction_poly: int | None = None) -> GF2m:
-    """Cached field instance per (degree, polynomial)."""
-    return GF2m(k, reduction_poly)
+@functools.cache
+def mul_table(k: int) -> np.ndarray:
+    """Read-only (2^k, 2^k) uint8 table of products: mul_table(k)[a, b] = a*b."""
+    if k not in REDUCTION_POLY:
+        raise ValueError(f"field degree must be in 1..{MAX_FIELD_BITS}, got {k}")
+    elems = np.arange(1 << k, dtype=np.int32)
+    a, b = elems[:, None], elems[None, :]
+    prod = np.zeros((elems.size, elems.size), dtype=np.int32)
+    for i in range(k):
+        prod ^= np.where((b >> i) & 1, a << i, 0)
+    # clear the degrees k..2k-2 from the top down
+    for d in range(2 * k - 2, k - 1, -1):
+        prod ^= np.where((prod >> d) & 1, REDUCTION_POLY[k] << (d - k), 0)
+    table = prod.astype(np.uint8)
+    table.setflags(write=False)
+    return table

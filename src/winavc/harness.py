@@ -25,6 +25,7 @@ from .core import (
     ConstraintSet,
     Distribution,
     WindowedAvcSpec,
+    bitflip_spec,
     block_channel_sample,
 )
 from .symmetrize import ecn_symmetrizable
@@ -398,12 +399,7 @@ def _sweep_cell(
         w_s = round(alpha * w_x)
         if abs(w_s - alpha * w_x) > 1e-9 or not 1 <= w_s <= w_x:
             raise ConfigError(f"alpha={alpha} does not give an integer w_s <= w_x")
-        spec = WindowedAvcSpec(
-            x_alphabet=Alphabet(2), s_alphabet=Alphabet(2), y_alphabet=Alphabet(2),
-            channel=Channel.xor(),
-            gamma=ConstraintSet.weight_cap(w), lam=ConstraintSet.weight_cap(p),
-            w_x=w_x, w_s=w_s, n=n,
-        )
+        spec = bitflip_spec(w, p, n, w_x, w_s)
         verdict = windowed_capacity_verdict(spec)
         row["c_list"] = verdict.capacity.value
         row["verdict"] = verdict.status
@@ -513,8 +509,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         seed = int(doc.get("seed", 0))
         criterion = doc.get("criterion", "average")
 
-        # Planning rejects an unknown or incomplete layout here rather than at
-        # build time; without an explicit n it also sizes the instance.
+        # CodecParams rejects a field size outside 1..8 and planning an unknown
+        # or incomplete layout here rather than at build time; without an
+        # explicit n planning also sizes the instance.
         return ExperimentConfig(
             spec=_parse_spec(doc, make_phase_plan(code).total_length),
             code=code, jammer=jammer,

@@ -42,7 +42,10 @@ def verify_windows(
     windows; open-range mode stops one start short (indices 0..n-w-1),
     matching the literal index set in the windowed-channel definition.
     """
-    arr = np.asarray(seq, dtype=int)
+    raw = np.asarray(seq)
+    arr = raw.astype(int)
+    if not np.array_equal(arr, raw):
+        raise ValueError("sequence symbols must be integers")
     n = arr.size
     if not 1 <= w <= n:
         raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w}")

@@ -132,6 +132,23 @@ def test_check_windows(tmp_path, capsys):
     assert out["violations"][0]["start"] == 0
 
 
+def test_check_windows_rejects_non_integer_symbols(tmp_path, capsys):
+    # truncating [0.6, 1.9] to [0, 1] would report a valid sequence
+    doc = {
+        "sequence": [0.6, 1.9, 0, 0],
+        "window": 2,
+        "dim": 2,
+        "constraints": [{"coeffs": [0, 1], "bound": 0.5}],
+    }
+    path = tmp_path / "win.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["check-windows", "--config", str(path), "--format", "json"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "integers" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_runs(experiment_config, capsys):
     assert cli_main(["simulate", "--config", experiment_config]) == EXIT_OK
     out = capsys.readouterr().out
@@ -154,7 +171,10 @@ def test_simulate_seed_override(experiment_config, capsys):
     ({"key_len": -5}, "key code length"),
     ({"layout": "thm2", "alpha": 0.5, "t1": {"weight": 0.3}, "t2": {"weight": 0.1},
       "key_len": -5}, "key code length"),
-], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len"])
+    ({"field_bits": 0}, "field_bits"),
+    ({"field_bits": 9}, "field_bits"),
+], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len",
+        "field-bits-0", "field-bits-9"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc["code"].update(code_edit)

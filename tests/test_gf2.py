@@ -1,27 +1,48 @@
-"""Field arithmetic: irreducibility of the moduli and algebraic laws."""
+"""Field arithmetic: the product tables against a carry-less reference."""
 
 import numpy as np
 import pytest
 
 from winavc import gf2
+from winavc.codec import HashParams, poly_hash
+
+FIELD_BITS = range(1, gf2.MAX_FIELD_BITS + 1)
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product of two polynomials over GF(2)."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def clmod(a: int, mod: int) -> int:
+    """Remainder of one polynomial modulo another over GF(2)."""
+    while a.bit_length() >= mod.bit_length():
+        a ^= mod << (a.bit_length() - mod.bit_length())
+    return a
 
 
 def poly_gcd(a: int, b: int) -> int:
     while b:
-        a, b = b, gf2.clmod(a, b)
+        a, b = b, clmod(a, b)
     return a
 
 
 def x_pow_2e(e: int, f: int) -> int:
     v = 0b10
     for _ in range(e):
-        v = gf2.clmod(gf2.clmul(v, v), f)
+        v = clmod(clmul(v, v), f)
     return v
 
 
 def is_irreducible(f: int, n: int) -> bool:
     """Rabin's criterion over GF(2)."""
-    if x_pow_2e(n, f) != gf2.clmod(0b10, f):
+    if x_pow_2e(n, f) != clmod(0b10, f):
         return False
     factors = set()
     m, d = n, 2
@@ -36,78 +57,62 @@ def is_irreducible(f: int, n: int) -> bool:
 
 
 def test_all_reduction_polys_irreducible():
+    assert sorted(gf2.REDUCTION_POLY) == list(FIELD_BITS)
     for k, f in gf2.REDUCTION_POLY.items():
+        assert f.bit_length() == k + 1
         if k == 1:
             continue  # degree-1 moduli are trivially irreducible
         assert is_irreducible(f, k), f"degree {k} modulus {f:#x}"
 
 
 def test_clmul_basics():
-    assert gf2.clmul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2 + 1 over GF(2)
-    assert gf2.clmul(0, 0b1011) == 0
-    assert gf2.clmod(0b100, 0b111) == 0b11  # x^2 mod (x^2+x+1) = x+1
+    assert clmul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2 + 1 over GF(2)
+    assert clmul(0, 0b1011) == 0
+    assert clmod(0b100, 0b111) == 0b11  # x^2 mod (x^2+x+1) = x+1
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("k", FIELD_BITS)
+def test_table_matches_carryless_reference(k):
+    q = 1 << k
+    mul = gf2.mul_table(k)
+    assert mul.shape == (q, q) and mul.dtype == np.uint8
+    expect = [[clmod(clmul(a, b), gf2.REDUCTION_POLY[k]) for b in range(q)] for a in range(q)]
+    assert np.array_equal(mul, expect)
+
+
+@pytest.mark.parametrize("k", FIELD_BITS)
 def test_field_axioms_exhaustive(k):
-    f = gf2.field(k)
-    q = f.order
-    elems = range(q)
+    mul = gf2.mul_table(k)
+    elems = np.arange(1 << k)
+    assert np.array_equal(mul[:, 1], elems)
+    assert not mul[:, 0].any()
+    assert np.array_equal(mul, mul.T)
+    sums = elems[:, None] ^ elems[None, :]  # b + c for every pair
     for a in elems:
-        assert f.mul(a, 1) == a
-        assert f.mul(a, 0) == 0
-        assert f.add(a, a) == 0
-    rng = np.random.default_rng(k)
-    for _ in range(200):
-        a, b, c = (int(x) for x in rng.integers(0, q, size=3))
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        row = mul[a]
+        assert np.array_equal(row[mul], mul[row])  # a(bc) = (ab)c
+        assert np.array_equal(row[sums], row[:, None] ^ row[None, :])  # a(b+c) = ab + ac
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 8])
+@pytest.mark.parametrize("k", FIELD_BITS)
 def test_every_nonzero_element_invertible(k):
-    f = gf2.field(k)
-    for a in range(1, f.order):
-        inverse_found = f.pow(a, f.order - 2)
-        assert f.mul(a, inverse_found) == 1
+    # no zero divisors: each nonzero row permutes 1..q-1, so it holds a 1
+    q = 1 << k
+    assert np.array_equal(np.sort(gf2.mul_table(k)[1:, 1:], axis=1),
+                          np.broadcast_to(np.arange(1, q), (q - 1, q - 1)))
 
 
-def test_pow_matches_repeated_mul():
-    f = gf2.field(8)
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        a = int(rng.integers(0, 256))
-        e = int(rng.integers(0, 20))
-        acc = 1
-        for _ in range(e):
-            acc = f.mul(acc, a)
-        assert f.pow(a, e) == acc
-
-
-def test_large_field_consistency():
-    # the table path (k <= 16) and the direct clmul path must agree
-    f16 = gf2.field(16)
-    direct = gf2.GF2m(16)
-    direct._log = direct._exp = None  # force the clmul route
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        a, b = (int(x) for x in rng.integers(0, 1 << 16, size=2))
-        assert f16.mul(a, b) == gf2.clmod(gf2.clmul(a, b), f16.poly)
-        assert direct.mul(a, b) == f16.mul(a, b)
-
-
-def test_gf32_smoke():
-    f = gf2.field(32)
-    a, b = 0xDEADBEEF, 0x12345678
-    assert f.mul(a, b) == f.mul(b, a)
-    assert f.mul(a, 1) == a
-    assert f.pow(a, 3) == f.mul(a, f.mul(a, a))
+def test_degrees_outside_one_to_eight_rejected():
+    for k in (0, 9, 16):
+        with pytest.raises(ValueError, match="field degree"):
+            gf2.mul_table(k)
+    with pytest.raises(ValueError):
+        gf2.mul_table(4)[0, 0] = 1  # the cached table is read-only
 
 
 def test_element_validation():
-    f = gf2.field(4)
-    with pytest.raises(ValueError):
-        f.mul(16, 1)
-    with pytest.raises(ValueError):
-        f.validate(-1)
+    hp = HashParams(field_bits=4, chunk_count=2)
+    for chunks, r1, r2 in (([16, 1], 0, 1), ([1, -1], 0, 1), ([1, 1], 16, 1),
+                           ([1, 1], 0, -1), ([1.5, 1], 0, 1)):
+        with pytest.raises(ValueError):
+            poly_hash(chunks, r1, r2, hp)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from winavc import lp
@@ -72,6 +75,34 @@ def test_random_lps_match_scipy():
             assert ours.value == pytest.approx(ref.fun, abs=1e-7)
             agreements += 1
     assert agreements > 100  # most random instances are feasible
+
+
+@st.composite
+def simplex_lps(draw):
+    """min c.x subject to a_ub x <= b_ub over the probability simplex."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 4))
+    coef = st.floats(-3.0, 3.0, allow_subnormal=False)
+    c = draw(arrays(float, n, elements=coef))
+    a_ub = draw(arrays(float, (m, n), elements=coef))
+    b_ub = draw(arrays(float, m, elements=st.floats(0.1, 2.0)))
+    return c, a_ub, b_ub
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_lps())
+def test_lps_match_scipy_property(problem):
+    c, a_ub, b_ub = problem
+    n = c.size
+    ours = lp.solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=np.ones((1, n)), b_eq=[1.0])
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                  A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None))
+    if ref.status == 2:
+        assert ours.status == lp.INFEASIBLE
+    else:
+        assert ref.status == 0
+        assert ours.is_optimal
+        assert ours.value == pytest.approx(ref.fun, abs=1e-7)
 
 
 def test_feasible_point():

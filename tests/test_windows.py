@@ -69,6 +69,13 @@ class TestVerifyWindows:
         assert verify_windows(seq2, 1, g, OPEN_RANGE).valid is True
         assert verify_windows(seq2, 1, g, INCLUSIVE_RANGE).valid is False
 
+    def test_non_integer_symbols_rejected(self):
+        # [0.6, 1.9] truncated to [0, 1] would pass the cap
+        g = ConstraintSet.weight_cap(0.5)
+        with pytest.raises(ValueError, match="integers"):
+            verify_windows([0.6, 1.9, 0, 0], 2, g)
+        assert verify_windows([0.0, 1.0, 0, 0], 2, g).valid
+
     def test_window_too_long(self):
         with pytest.raises(ValueError):
             verify_windows([0, 1], 3, ConstraintSet.weight_cap(0.5))
