@@ -86,11 +86,13 @@ def chunk_message(message, params: HashParams) -> np.ndarray:
     A scalar id gives a (chunk_count,) array, an array of ids one more
     trailing axis of that length.
     """
-    m = np.asarray(message, dtype=np.int64)
+    m = np.asarray(message)
     fb, k = params.field_bits, params.chunk_count
-    if (m >> (fb * k)).any():  # also nonzero for a negative id
-        raise ValueError(f"message ids must be non-negative and fit in {k} chunks of {fb} bits")
-    return (m[..., None] >> (fb * np.arange(k))) & (params.field_order - 1)
+    if m.dtype.kind not in "iu" or (m >> (fb * k)).any():  # a negative id shifts to -1
+        raise ValueError(
+            f"message ids must be non-negative integers that fit in {k} chunks of {fb} bits"
+        )
+    return (m.astype(np.int64)[..., None] >> (fb * np.arange(k))) & (params.field_order - 1)
 
 
 def poly_hash(m_chunks, r1, r2, params: HashParams):
@@ -100,15 +102,16 @@ def poly_hash(m_chunks, r1, r2, params: HashParams):
     against r1 and r2.  Returns an int when every input is a single
     message and key pair, else an int64 array.
     """
-    q = params.field_order
     m, r1, r2 = (np.asarray(v) for v in (m_chunks, r1, r2))
     if m.shape[-1:] != (params.chunk_count,):
         raise ValueError(
             f"expected {params.chunk_count} chunks on the last axis, got shape {m.shape}"
         )
-    for name, v in (("chunk", m), ("r1", r1), ("r2", r2)):
-        if v.dtype.kind not in "iu" or (v >> params.field_bits).any():
-            raise ValueError(f"{name} values must be integers in [0, {q})")
+    # a negative value, or one of q or more, has a bit at or above field_bits
+    if any(v.dtype.kind not in "iu" for v in (m, r1, r2)) or (
+        (m | r1[..., None] | r2[..., None]) >> params.field_bits
+    ).any():
+        raise ValueError(f"chunks, r1 and r2 must be integers in [0, {params.field_order})")
     mul = gf2.mul_table(params.field_bits)
     # Horner on sum m_i r2^i = ((m_K r2 + m_{K-1}) r2 + ...) r2
     acc = 0

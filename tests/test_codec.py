@@ -87,8 +87,9 @@ class TestPolyHash:
             assert rebuilt == m
         with pytest.raises(ValueError):
             chunk_message(1 << 12, hp)
-        with pytest.raises(ValueError):
-            chunk_message([5, -1], hp)
+        for bad in ([5, -1], 2.5, np.array([1.0, 2.0])):
+            with pytest.raises(ValueError):
+                chunk_message(bad, hp)
 
     def test_arrays_match_one_message_at_a_time(self):
         hp = HashParams(field_bits=5, chunk_count=3)
