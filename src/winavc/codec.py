@@ -62,6 +62,7 @@ class HashParams:
 
     @classmethod
     def for_message_bits(cls, message_bits: int, field_bits: int) -> "HashParams":
+        _check_field_bits(field_bits)  # before dividing by it
         k = max(1, math.ceil(message_bits / field_bits))
         return cls(field_bits=field_bits, chunk_count=k)
 

@@ -113,6 +113,8 @@ class TestPolyHash:
             with pytest.raises(ValueError, match="field_bits"):
                 HashParams(field_bits=fb, chunk_count=1)
             with pytest.raises(ValueError, match="field_bits"):
+                HashParams.for_message_bits(6, fb)
+            with pytest.raises(ValueError, match="field_bits"):
                 thm1_params(field_bits=fb)
         with pytest.raises(ValueError, match="chunks"):
             poly_hash([1, 2, 3], 0, 1, HashParams(field_bits=3, chunk_count=2))
