@@ -1,5 +1,6 @@
-"""Every narrative demo runs to completion against the current library."""
+"""Every narrative demo runs to completion and prints what it always printed."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# SHA-256 of each demo's stdout, recorded before the unused knobs became
+# constants; a refactor or speed-up may not move them.
+STDOUT_DIGESTS = {
+    "capacity_bitflip": "169212c94eeba15f8f587b15e9c964aea39d70754c650c7b439468ff8f450de7",
+    "guard_words_and_windows": "246675071b009e3b37852bbddf68709a92b2fe39c1b91c1df86fb0113fa4375e",
+    "interleaved_layout": "a4e1ef8a7f6707b5fe6bb81c8fbe7387f51f73967c0c1092523134be23af990a",
+    "spoofing_attack": "aaf316cd59ea7cb12e57dd007cf2e6eb43f9b9c2591ca6bf178132de968e6d6e",
+    "sweep_csv": "33da4f4c0beb2897a339b1619a03197740ba55507f815e0abc346a59807ab446",
+    "symmetrizability_map": "60a8a80cf2ef0f34812acb30321b17d2b8c7a1d7a49aa3a572ce83d5c6c9cdaa",
+    "three_phase_roundtrip": "6149ca5d427d5a86123cfbe218c108c4d15554b6fceccfc66dd664c8aae08c1f",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -22,3 +35,4 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_DIGESTS[demo.stem]

@@ -13,6 +13,7 @@ from winavc import gf2
 from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash
 from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec
 from winavc.capacity import bitflip_list_capacity
+from winavc.cli import EXIT_OK, cli_main
 from winavc.harness import (
     ConfigError,
     ExperimentConfig,
@@ -197,6 +198,7 @@ class TestRunTrials:
 
 
 EXPERIMENT_JSON = Path(__file__).resolve().parents[1] / "examples_configs" / "experiment.json"
+GRID_JSON = EXPERIMENT_JSON.with_name("grid.json")
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -213,8 +215,9 @@ class TestPinnedOutputs:
     window-kernel rewrites, the thm2 figures before the two buffer layouts
     shared one key-segment path, the trial records before Hamming scoring
     moved to bit-packed codewords, the field products and hashes before the
-    field became one multiplication table; none may move under a later
-    refactor or speed-up.
+    field became one multiplication table, the CLI stdout before the unused
+    knobs became constants; none may move under a later refactor or
+    speed-up.
     """
 
     def test_codec_build(self):
@@ -304,6 +307,16 @@ class TestPinnedOutputs:
         assert _digest(np.array(hashes, dtype=np.uint8)) == (
             "b8a18b9dd5c8cdc3d82bf23faa1efbe7bd2243bbbebe1e9bb835df2c95899ed0"
         )
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["simulate", "--config", str(EXPERIMENT_JSON), "--format", "json"],
+         "945c04090b3544f70edd3e93a1b461dbcc74bae653592c4bd87e64002112b60c"),
+        (["sweep", "--config", str(GRID_JSON)],
+         "3c462300f2009598c5310828188a4d2cb8e53da22239ced3369656abf418ec3b"),
+    ], ids=["simulate-experiment-json", "sweep-grid"])
+    def test_cli_stdout(self, argv, digest, capsys):
+        assert cli_main(argv) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestSweep:
