@@ -273,11 +273,7 @@ def oblivious_capacity(
     return res
 
 
-def windowed_capacity_verdict(
-    spec: WindowedAvcSpec,
-    *,
-    grid_resolution: int = 21,
-) -> WindowedCapacityVerdict:
+def windowed_capacity_verdict(spec: WindowedAvcSpec) -> WindowedCapacityVerdict:
     """Decide which equality hypothesis certifies the windowed capacity.
 
     Checks for a non-symmetrizable admissible input law directly, then (when
@@ -286,7 +282,7 @@ def windowed_capacity_verdict(
     lengths outside (c ln n, n/c), c = 4, get advisory regime warnings since
     the equalities are asymptotic statements about mid-scale windows.
     """
-    cap = list_capacity(spec.gamma, spec.lam, spec.channel, grid_resolution=grid_resolution)
+    cap = list_capacity(spec.gamma, spec.lam, spec.channel)
 
     warnings = []
     low = _REGIME_CONSTANT * math.log(spec.n)
@@ -297,7 +293,7 @@ def windowed_capacity_verdict(
                 f"{name}={w} outside ({low:.1f}, {high:.1f}) for n={spec.n}"
             )
 
-    direct = scan_nonsymmetrizable(spec.gamma, spec.channel, spec.lam, grid_resolution)
+    direct = scan_nonsymmetrizable(spec.gamma, spec.channel, spec.lam)
     if direct:
         return WindowedCapacityVerdict(
             status=VERDICT_THM1,
@@ -311,8 +307,9 @@ def windowed_capacity_verdict(
 
     alpha = spec.alpha
     if alpha <= 1.0:
+        # at alpha = 1 the enlarged set is gamma itself, scanned above
         enlarged = gamma_prime(spec.gamma, alpha)
-        widened = scan_nonsymmetrizable(enlarged, spec.channel, spec.lam, grid_resolution)
+        widened = [] if alpha == 1.0 else scan_nonsymmetrizable(enlarged, spec.channel, spec.lam)
         if widened:
             return WindowedCapacityVerdict(
                 status=VERDICT_THM2,

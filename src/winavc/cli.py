@@ -29,6 +29,7 @@ from .core import Channel, ConstraintSet, Distribution
 from .harness import (
     SWEEP_COLUMNS,
     ConfigError,
+    _json_int,
     _parse_constraints,
     _parse_spec,
     config_from_dict,
@@ -150,8 +151,8 @@ def _cmd_check_windows(args) -> int:
     doc = _load_json(args.config)
     try:
         seq = doc["sequence"]
-        w = int(doc["window"])
-        dim = int(doc.get("dim", max(seq) + 1 if seq else 2))
+        w = _json_int(doc["window"], "window")
+        dim = _json_int(doc["dim"], "dim") if "dim" in doc else int(max(seq) + 1 if seq else 2)
         cset = _parse_constraints(doc["constraints"], dim)
         mode = doc.get("mode", "inclusive-range")
     except (KeyError, TypeError, ValueError) as exc:

@@ -39,6 +39,11 @@ from .windows import (
 LAYOUT_THM1 = "thm1"
 LAYOUT_THM2 = "thm2"
 
+_DELTA = 0.02  # L1 margin every sampling law keeps inside its input set
+_L_MAX = 32  # decoded-list size cap
+_MAX_CODEWORDS = 1 << 16  # codewords one list-code build may sample
+_GUARD_DENOMINATOR = 8  # the default thm1 guard type is p_x rounded to this denominator
+
 
 class CodeConstructionError(RuntimeError):
     """Code building failed (empty expurgated code or invalid layout)."""
@@ -144,7 +149,7 @@ def max_window_corruption(w_s: int, lam: ConstraintSet) -> int:
     return int(math.floor(hi * w_s + 1e-9))
 
 
-def hamming_budget(seg_len: int, w_s: int, lam: ConstraintSet, *, extra: int = 0) -> JamBudget:
+def hamming_budget(seg_len: int, w_s: int, lam: ConstraintSet) -> JamBudget:
     """Max total corruption inside any seg_len stretch of an admissible state.
 
     Every disjoint state window carries at most k non-zero symbols, so a
@@ -152,7 +157,7 @@ def hamming_budget(seg_len: int, w_s: int, lam: ConstraintSet, *, extra: int = 0
     """
     k = max_window_corruption(w_s, lam)
     radius = (seg_len // w_s) * k + min(k, seg_len % w_s)
-    return JamBudget(kind="hamming", radius=radius + extra)
+    return JamBudget(kind="hamming", radius=radius)
 
 
 def likelihood_budget(
@@ -191,7 +196,6 @@ class ListCode:
     """Expurgated random code with a size-capped budget-ball list decoder."""
 
     codewords: np.ndarray  # (M, n) int8, all windows feasible
-    rate: float
     l_max: int
 
     def __post_init__(self):
@@ -229,39 +233,32 @@ def delta_interior(p: Distribution, cset: ConstraintSet, delta: float) -> bool:
 
 def build_list_code(
     n: int,
-    rate: float,
+    message_count: int,
     p_x: Distribution,
     gamma: ConstraintSet,
     w_x: int,
     *,
-    l_max: int = 32,
     rng: np.random.Generator,
-    delta: float = 0.02,
-    message_count: int | None = None,
-    max_messages: int = 1 << 14,
     suffix_context=None,
 ) -> tuple[ListCode, ExpurgationStats]:
-    """Sample ceil(2^(rate*n)) i.i.d. p_x codewords and expurgate violators.
+    """Sample message_count i.i.d. p_x codewords and expurgate violators.
 
     p_x must sit strictly inside the input set (delta-interior), otherwise
     a constant fraction of windows would violate it and the expurgation
     would gut the code.
     """
-    if not delta_interior(p_x, gamma, delta):
+    if not delta_interior(p_x, gamma, _DELTA):
         raise ValueError("input law is not in the delta-interior of the input set")
-    if message_count is None:
-        message_count = math.ceil(2.0 ** (rate * n))
-    if message_count > max_messages:
+    if message_count > _MAX_CODEWORDS:
         raise ValueError(
-            f"{message_count} codewords exceed the desk-scale cap {max_messages}; "
-            "lower the rate or the message count"
+            f"{message_count} codewords exceed the desk-scale cap {_MAX_CODEWORDS}; "
+            "lower the message count"
         )
     raw = sample_iid(p_x, (message_count, n), rng)
     kept, stats = expurgate(raw, w_x, gamma, suffix_context=suffix_context)
     if kept.shape[0] == 0:
         raise CodeConstructionError("expurgation removed every codeword")
-    code = ListCode(codewords=kept, rate=math.log2(kept.shape[0]) / n, l_max=l_max)
-    return code, stats
+    return ListCode(codewords=kept, l_max=_L_MAX), stats
 
 
 def _pack_bits(rows: np.ndarray) -> np.ndarray:
@@ -384,8 +381,6 @@ class PhasePlan:
     phase3_len: int
     alpha: float | None = None
     lam_frac: float | None = None
-    phase2_window_count: int | None = None
-    phase3_window_count: int | None = None
 
     @property
     def total_length(self) -> int:
@@ -407,6 +402,16 @@ def _per_window_counts(t: Distribution, slots: int, what: str) -> np.ndarray:
     return rounded
 
 
+def _type1_mask(plan: PhasePlan) -> np.ndarray:
+    """Type-1 positions of phases II and III, one window of w_x at a time."""
+    n2 = plan.phase2_len // plan.w_x
+    mask = np.zeros(((plan.phase2_len + plan.phase3_len) // plan.w_x, plan.w_x), dtype=bool)
+    for i in range(n2):
+        mask[i, interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, i, "II")[0]] = True
+    mask[n2:, interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, 0, "III")[0]] = True
+    return mask.ravel()
+
+
 def build_interleaved_region(plan: PhasePlan, t1: Distribution, t2: Distribution):
     """Phase-II sequence and the phase-III skeleton (type-1 slots left as -1)."""
     a_wx = round(plan.alpha * plan.w_x)
@@ -414,39 +419,18 @@ def build_interleaved_region(plan: PhasePlan, t1: Distribution, t2: Distribution
     t2_counts = _per_window_counts(t2, plan.w_x - a_wx, "(1-alpha) * t2")
     t1_block = block_pattern(t1_counts)
     t2_block = block_pattern(t2_counts)
-
-    phase2 = np.empty(plan.phase2_len, dtype=np.int8)
-    for i in range(plan.phase2_window_count):
-        s1, s2 = interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, i, "II")
-        win = np.empty(plan.w_x, dtype=np.int8)
-        win[s1] = t1_block
-        win[s2] = t2_block
-        phase2[i * plan.w_x : (i + 1) * plan.w_x] = win
-
-    skeleton = np.empty(plan.phase3_len, dtype=np.int8)
-    s1, s2 = interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, 0, "III")
-    for i in range(plan.phase3_window_count):
-        win = np.full(plan.w_x, -1, dtype=np.int8)
-        win[s2] = t2_block
-        skeleton[i * plan.w_x : (i + 1) * plan.w_x] = win
-    return phase2, skeleton
+    mask = _type1_mask(plan)
+    # each window holds a_wx type-1 and w_x - a_wx type-2 positions, filled in order
+    region = np.full(mask.size, -1, dtype=np.int8)
+    region[~mask] = np.tile(t2_block, mask.size // plan.w_x)
+    phase2 = region[: plan.phase2_len]
+    phase2[mask[: plan.phase2_len]] = np.tile(t1_block, plan.phase2_len // plan.w_x)
+    return phase2, region[plan.phase2_len :]
 
 
 def type1_window_fractions(plan: PhasePlan) -> np.ndarray:
     """Sliding-window type-1 location fractions over phases II and III."""
-    marks = []
-    for i in range(plan.phase2_window_count):
-        s1, _ = interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, i, "II")
-        m = np.zeros(plan.w_x, dtype=np.int32)
-        m[s1] = 1
-        marks.append(m)
-    s1, _ = interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, 0, "III")
-    for _ in range(plan.phase3_window_count):
-        m = np.zeros(plan.w_x, dtype=np.int32)
-        m[s1] = 1
-        marks.append(m)
-    flags = np.concatenate(marks)
-    c = np.concatenate([[0], np.cumsum(flags)])
+    c = np.concatenate([[0], np.cumsum(_type1_mask(plan))])
     w = plan.w_x
     return (c[w:] - c[:-w]) / w
 
@@ -515,7 +499,6 @@ def phase3_key_code(
     lam: ConstraintSet,
     rng: np.random.Generator,
     *,
-    delta: float = 0.02,
     allow_symmetrizable: bool = False,
     prefix_context=None,
     interior_set: ConstraintSet | None = None,
@@ -531,7 +514,7 @@ def phase3_key_code(
     interleaved layout t is interior to the ratio-enlarged set, so
     interior_set overrides which set the margin check runs against.
     """
-    if not delta_interior(t, interior_set if interior_set is not None else gamma, delta):
+    if not delta_interior(t, interior_set if interior_set is not None else gamma, _DELTA):
         raise ValueError("key-carrying law is not in the delta-interior of the input set")
     if not allow_symmetrizable and ecn_symmetrizable(t, channel, lam).feasible:
         raise ValueError(
@@ -569,19 +552,14 @@ class CodecParams:
     message_bits: int
     p_x: Distribution
     field_bits: int = 6
-    l_max: int = 32
-    delta: float = 0.02
     key_type: Distribution | None = None  # defaults to p_x
     key_len: int | None = None  # default 2*w_x; thm2 rounds up to whole windows
     guard_type: Distribution | None = None  # thm1; default p_x rounded to rationals
-    guard_denominator: int = 8
     alpha: float | None = None  # thm2
     lam_frac: float = 0.1  # thm2
     t1: Distribution | None = None  # thm2
     t2: Distribution | None = None  # thm2
     allow_symmetrizable_key_type: bool = False
-    budget_extra: int = 0
-    max_messages: int = 1 << 14
 
     def __post_init__(self):
         _check_field_bits(self.field_bits)
@@ -618,7 +596,6 @@ def make_phase_plan(params: CodecParams) -> PhasePlan:
         layout=LAYOUT_THM2, n1=params.n1, w_x=params.w_x,
         phase2_len=n2_windows * params.w_x, phase3_len=n3_windows * params.w_x,
         alpha=params.alpha, lam_frac=params.lam_frac,
-        phase2_window_count=n2_windows, phase3_window_count=n3_windows,
     )
 
 
@@ -663,9 +640,12 @@ class ThreePhaseCodec:
     def q(self) -> int:
         return self.hash_params.field_order
 
-    def hash_of(self, message_id, r1: int, r2: int):
-        """poly_hash of one message id (an int) or of an array of them."""
-        return poly_hash(chunk_message(message_id, self.hash_params), r1, r2, self.hash_params)
+    @cached_property
+    def _hash_table(self) -> np.ndarray:
+        """(messages, q) hashes at r1 = 0; the hash under (r1, r2) is r1 ^ T[pos, r2]."""
+        chunks = chunk_message(self.message_ids, self.hash_params)[:, None, :]
+        table = poly_hash(chunks, 0, np.arange(self.q)[None, :], self.hash_params)
+        return table.astype(np.uint8)
 
     def draw_message(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.message_count))
@@ -682,7 +662,10 @@ class ThreePhaseCodec:
         """Assemble the full codeword for the message at position message_pos."""
         if not 0 <= message_pos < self.message_count:
             raise ValueError(f"message position {message_pos} out of range")
-        h = self.hash_of(int(self.message_ids[message_pos]), r1, r2)
+        # an out-of-range key would index another message's hash or alias another key id
+        if not all(isinstance(r, (int, np.integer)) and 0 <= r < self.q for r in (r1, r2)):
+            raise ValueError(f"keys r1, r2 must be integers in [0, {self.q}), got {r1}, {r2}")
+        h = r1 ^ int(self._hash_table[message_pos, r2])
         x1 = self.phase1_flat.codewords[message_pos * self.q + h]
         full = np.concatenate([x1, self.phase2_seq, self.phase3_skeleton])
         full[self.key_slots] = self.key_code.encode(r1, r2)
@@ -708,7 +691,7 @@ class ThreePhaseCodec:
             return DecodeResult(None, "empty-list", 0, listing.pre_truncation_size,
                                 listing.overflow, (r1, r2), key_ok, ())
         pos, h = np.divmod(np.array(listing.messages), self.q)
-        survivors = np.sort(pos[h == self.hash_of(self.message_ids[pos], r1, r2)])
+        survivors = np.sort(pos[h == r1 ^ self._hash_table[pos, r2]])
         if not survivors.size:
             return DecodeResult(None, "no-survivor", len(listing.messages),
                                 listing.pre_truncation_size, listing.overflow,
@@ -760,8 +743,8 @@ def build_three_phase_codec(
         )
 
     if channel.is_binary_additive():
-        budget1 = hamming_budget(plan.n1, w_s, lam, extra=params.budget_extra)
-        budget3 = hamming_budget(plan.phase3_len, w_s, lam, extra=params.budget_extra)
+        budget1 = hamming_budget(plan.n1, w_s, lam)
+        budget3 = hamming_budget(plan.phase3_len, w_s, lam)
     else:
         budget1 = likelihood_budget(params.p_x, channel, lam)
         budget3 = likelihood_budget(key_t, channel, lam)
@@ -770,10 +753,8 @@ def build_three_phase_codec(
     # hash fiber lost a codeword to expurgation are dropped.  Expurgation
     # trims the phase-2 context to the w_x - 1 symbols a window can reach.
     raw_code, p1_stats = build_list_code(
-        plan.n1, math.log2(n_msg * q) / plan.n1, params.p_x, gamma, params.w_x,
-        l_max=params.l_max, rng=rng, delta=params.delta,
-        message_count=n_msg * q, max_messages=params.max_messages * 4,
-        suffix_context=phase2_seq,
+        plan.n1, n_msg * q, params.p_x, gamma, params.w_x,
+        rng=rng, suffix_context=phase2_seq,
     )
     fiber_ok = np.zeros(n_msg * q, dtype=bool)
     fiber_ok[p1_stats.kept_indices] = True
@@ -785,8 +766,7 @@ def build_three_phase_codec(
         )
     phase1 = ListCode(
         codewords=raw_code.codewords[np.repeat(msg_keep, q)[p1_stats.kept_indices]],
-        rate=math.log2(message_ids.size * q) / plan.n1,
-        l_max=params.l_max,
+        l_max=_L_MAX,
     )
 
     key_code, key_stats = phase3_key_code(
@@ -798,7 +778,6 @@ def build_three_phase_codec(
         channel,
         lam,
         rng,
-        delta=params.delta,
         allow_symmetrizable=params.allow_symmetrizable_key_type,
         prefix_context=phase2_seq,
         interior_set=key_interior_set,
@@ -839,11 +818,9 @@ def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
     if plan.layout == LAYOUT_THM1:
         guard_target = params.guard_type
         if guard_target is None:
-            guard_target = _round_to_denominator(
-                params.p_x, min(params.guard_denominator, params.w_x)
-            )
+            guard_target = _round_to_denominator(params.p_x, min(_GUARD_DENOMINATOR, params.w_x))
         guard = guard_word(guard_target, params.w_x)
-        if not delta_interior(guard.target_type, gamma, params.delta):
+        if not delta_interior(guard.target_type, gamma, _DELTA):
             raise ValueError("guard type is not in the delta-interior of the input set")
         key_type = params.key_type if params.key_type is not None else params.p_x
         skeleton = np.full(plan.phase3_len, -1, dtype=np.int8)
@@ -855,7 +832,7 @@ def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
 
 def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet):
     enlarged = gamma_prime(gamma, params.alpha)
-    if not delta_interior(params.t1, enlarged, params.delta):
+    if not delta_interior(params.t1, enlarged, _DELTA):
         raise ValueError(
             "type-1 law is not in the delta-interior of the ratio-enlarged input set"
         )

@@ -96,9 +96,9 @@ class Distribution:
     def __repr__(self) -> str:
         return f"Distribution({np.array2string(self.probs, precision=6)})"
 
-    def close_to(self, other: "Distribution", atol: float = TOLERANCE) -> bool:
+    def close_to(self, other: "Distribution") -> bool:
         return self.size == other.size and bool(
-            np.all(np.abs(self.probs - other.probs) <= atol)
+            np.all(np.abs(self.probs - other.probs) <= TOLERANCE)
         )
 
 
@@ -129,15 +129,15 @@ class Channel:
 
     __slots__ = ("table",)
 
-    def __init__(self, table, *, atol: float = 1e-9):
+    def __init__(self, table):
         t = np.array(table, dtype=float)
         if t.ndim != 3:
             raise ValueError(f"channel table must be 3-D (x, s, y), got {t.ndim}-D")
-        if np.any(t < -atol):
+        if np.any(t < -TOLERANCE):
             raise ValueError("channel table has negative entries")
         t = np.clip(t, 0.0, None)
         sums = t.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > atol):
+        if np.any(np.abs(sums - 1.0) > TOLERANCE):
             raise ValueError("every channel row W(. | x, s) must sum to 1")
         t /= sums[:, :, None]
         t.setflags(write=False)
@@ -185,7 +185,7 @@ class ConstraintSet:
 
     __slots__ = ("dim", "coeffs", "bounds", "_feasible", "_vertices")
 
-    def __init__(self, dim: int, inequalities=(), *, tol: float = TOLERANCE):
+    def __init__(self, dim: int, inequalities=()):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         coeff_rows = []
@@ -207,9 +207,7 @@ class ConstraintSet:
         if len(coeff_rows) == 0:
             pt = np.full(dim, 1.0 / dim)
         else:
-            pt = lp.feasible_point(
-                a_ub=coeffs, b_ub=bounds, a_eq=np.ones((1, dim)), b_eq=[1.0], tol=tol
-            )
+            pt = lp.feasible_point(a_ub=coeffs, b_ub=bounds, a_eq=np.ones((1, dim)), b_eq=[1.0])
             if pt is None:
                 raise InfeasibleSetError(
                     "constraint set has no feasible point on the simplex"
@@ -312,7 +310,7 @@ class ConstraintSet:
                 pts.append(x)
         out = [Distribution(x) for x in pts]
         for v in self.vertices():
-            if not any(v.close_to(u, 1e-9) for u in out):
+            if not any(v.close_to(u) for u in out):
                 out.append(v)
         return out
 

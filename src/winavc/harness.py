@@ -39,6 +39,7 @@ OUTCOMES = (
 )
 
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
+_IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
 
 
 class ConfigError(ValueError):
@@ -49,7 +50,6 @@ class ConfigError(ValueError):
 class JammerParams:
     kind: str  # "iid" | "spoof" | "symmetrize" | "none" | "custom"
     p_s: Distribution | None = None
-    margin: float = 0.2  # iid default: back off the cap by this fraction
     rejection_cap: int = jammers.DEFAULT_REJECTION_CAP
     custom: object | None = None  # callable(rng, n) -> JamResult
 
@@ -157,7 +157,7 @@ def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec):
             cap, _ = spec.lam.max_linear(weight)
             if spec.lam.dim != 2:
                 raise ConfigError("iid jammer without explicit p_s needs binary states")
-            p_s = Distribution.bernoulli(cap * (1.0 - jp.margin))
+            p_s = Distribution.bernoulli(cap * (1.0 - _IID_MARGIN))
         return lambda rng: jammers.iid_jammer(p_s, n, spec.w_s, spec.lam, rng, jp.rejection_cap)
     if jp.kind == "spoof":
         sampler = _public_codeword_sampler(codec)
@@ -346,19 +346,19 @@ def sweep(grid: dict) -> list[dict]:
     (phase-1 lengths), w_x, message_bits, field_bits, p_x_weight (optional,
     defaults to w/3 rounded), jammer (list of kinds), trials (0 means
     capacity-only), seed.  Cell seeds derive from (seed, cell index).  An
-    axis that is not a list raises ConfigError; a failing cell keeps its
-    exception type and message in the status column.
+    axis that is not a list, or a fractional n or integer key, raises
+    ConfigError; a failing cell keeps its exception and message in status.
     """
     ws = _sweep_axis(grid, "w", [0.2])
     ps = _sweep_axis(grid, "p", [0.1])
     alphas = _sweep_axis(grid, "alpha", [1.0])
-    ns = _sweep_axis(grid, "n", [256])
+    ns = [_json_int(v, "n") for v in _sweep_axis(grid, "n", [256])]
     jam_kinds = _sweep_axis(grid, "jammer", ["iid"])
-    trials = int(grid.get("trials", 0))
-    seed = int(grid.get("seed", 0))
-    w_x = int(grid.get("w_x", 64))
-    message_bits = int(grid.get("message_bits", 4))
-    field_bits = int(grid.get("field_bits", 4))
+    trials = _json_int(grid.get("trials", 0), "trials")
+    seed = _json_int(grid.get("seed", 0), "seed")
+    w_x = _json_int(grid.get("w_x", 64), "w_x")
+    message_bits = _json_int(grid.get("message_bits", 4), "message_bits")
+    field_bits = _json_int(grid.get("field_bits", 4), "field_bits")
 
     rows = []
     cell_index = 0
@@ -447,6 +447,15 @@ def format_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
 # JSON config loading
 
 
+def _json_int(value, key: str) -> int:
+    """An integer key's value; an integral float (64.0) counts, anything else is a ConfigError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def _parse_constraints(entries, dim: int) -> ConstraintSet:
     """Half-spaces from a list of {coeffs, bound} entries."""
     return ConstraintSet(dim, [(e["coeffs"], e["bound"]) for e in entries])
@@ -469,18 +478,18 @@ def _parse_spec(doc: dict, planned_n: int | None = None) -> WindowedAvcSpec:
     """
     try:
         sizes = doc["alphabets"]
-        nx, ns, ny = int(sizes["x"]), int(sizes["s"]), int(sizes["y"])
+        nx, ns, ny = (_json_int(sizes[k], f"alphabets.{k}") for k in ("x", "s", "y"))
         channel = Channel(np.asarray(doc["channel"], dtype=float).reshape(nx, ns, ny))
         gamma = _parse_constraints(doc["gamma"], nx)
         lam = _parse_constraints(doc["lambda"], ns)
         wins = doc.get("windows", {"w_x": doc.get("n", 64), "w_s": doc.get("n", 64)})
-        w_x, w_s = int(wins["w_x"]), int(wins["w_s"])
+        w_x, w_s = _json_int(wins["w_x"], "windows.w_x"), _json_int(wins["w_s"], "windows.w_s")
         n = doc.get("n")
         if n is None:
             n = planned_n if planned_n is not None else max(w_x, w_s)
         return WindowedAvcSpec(
             x_alphabet=Alphabet(nx), s_alphabet=Alphabet(ns), y_alphabet=Alphabet(ny),
-            channel=channel, gamma=gamma, lam=lam, w_x=w_x, w_s=w_s, n=int(n),
+            channel=channel, gamma=gamma, lam=lam, w_x=w_x, w_s=w_s, n=_json_int(n, "n"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad channel description: {exc}") from exc
@@ -490,7 +499,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON document layout.
 
     The channel keys are those of _parse_spec, with windows required; the
-    rest are code {...}, jammer {...}, trials, seed, criterion.
+    rest are code {...} (CodecParams fields but w_x), jammer {...}, trials,
+    seed, criterion.
     """
     try:
         wins = doc["windows"]
@@ -500,13 +510,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         for key in ("p_x", "key_type", "guard_type", "t1", "t2"):
             if key in code_doc and code_doc[key] is not None:
                 code_doc[key] = _parse_distribution(code_doc[key])
-        code = CodecParams(w_x=int(wins["w_x"]), **code_doc)
+        for key in ("n1", "message_bits", "field_bits", "key_len"):
+            if code_doc.get(key) is not None:
+                code_doc[key] = _json_int(code_doc[key], f"code.{key}")
+        code = CodecParams(w_x=_json_int(wins["w_x"], "windows.w_x"), **code_doc)
         jam_doc = dict(doc.get("jammer", {"kind": "none"}))
         if jam_doc.get("p_s") is not None:
             jam_doc["p_s"] = _parse_distribution(jam_doc["p_s"])
+        if "rejection_cap" in jam_doc:
+            jam_doc["rejection_cap"] = _json_int(jam_doc["rejection_cap"], "jammer.rejection_cap")
         jammer = JammerParams(**jam_doc)
-        trials = int(doc.get("trials", 1))
-        seed = int(doc.get("seed", 0))
+        trials = _json_int(doc.get("trials", 1), "trials")
+        seed = _json_int(doc.get("seed", 0), "seed")
         criterion = doc.get("criterion", "average")
 
         # CodecParams rejects a field size outside 1..8 and planning an unknown

@@ -152,7 +152,7 @@ def fallback_state_sequence(
         if lam.contains(Distribution.point_mass(sym, s_alphabet_size)):
             return np.full(n, sym, dtype=np.int8)
     target = lam.feasible_point()
-    word = guard_word(target, w_s, max_denominator=w_s)
+    word = guard_word(target, w_s)
     reps = -(-n // word.symbols.size)
     seq = np.tile(word.symbols, reps)[:n]
     if not windows_valid(seq, w_s, lam):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+_TOL = 1e-9  # pivot, ratio-test and phase-1 feasibility tolerance
+_MAX_ITER = 10_000  # pivots per simplex phase
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -47,9 +48,6 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 10_000,
 ) -> LpResult:
     """Solve min c.x subject to a_ub x <= b_ub, a_eq x == b_eq, x >= 0."""
     c = np.asarray(c, dtype=float)
@@ -79,7 +77,7 @@ def solve_lp(
     m = len(rows)
     if m == 0:
         # Unconstrained over the non-negative orthant.
-        if np.any(c < -tol):
+        if np.any(c < -_TOL):
             return LpResult(UNBOUNDED, None, None)
         return LpResult(OPTIMAL, np.zeros(n), 0.0)
 
@@ -108,11 +106,11 @@ def solve_lp(
     # Phase 1: minimize the sum of artificial variables.
     art_cost = np.zeros(n + n_slack + m)
     art_cost[n + n_slack :] = 1.0
-    status = _run_simplex(tableau, basis, art_cost, tol, max_iter)
+    status = _run_simplex(tableau, basis, art_cost)
     if status == UNBOUNDED:  # pragma: no cover - phase 1 objective is bounded below
         raise SimplexError("phase-1 objective reported unbounded")
     phase1_value = float(art_cost[basis] @ tableau[:, -1])
-    if phase1_value > max(tol, tol * max(1.0, np.abs(b).max())):
+    if phase1_value > max(_TOL, _TOL * max(1.0, np.abs(b).max())):
         return LpResult(INFEASIBLE, None, None)
 
     # Drive any artificial variables remaining in the basis out of it.
@@ -121,7 +119,7 @@ def solve_lp(
         if basis[i] >= n_real:
             pivot_col = -1
             for j in range(n_real):
-                if abs(tableau[i, j]) > tol:
+                if abs(tableau[i, j]) > _TOL:
                     pivot_col = j
                     break
             if pivot_col >= 0:
@@ -132,7 +130,7 @@ def solve_lp(
     tableau[:, n_real:-1] = 0.0
     cost = np.zeros(n + n_slack + m)
     cost[:n] = c
-    status = _run_simplex(tableau, basis, cost, tol, max_iter, ncols=n_real)
+    status = _run_simplex(tableau, basis, cost, ncols=n_real)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
 
@@ -142,17 +140,17 @@ def solve_lp(
     return LpResult(OPTIMAL, x, float(c @ x))
 
 
-def _run_simplex(tableau, basis, cost, tol, max_iter, ncols=None) -> str:
+def _run_simplex(tableau, basis, cost, ncols=None) -> str:
     m = tableau.shape[0]
     if ncols is None:
         ncols = tableau.shape[1] - 1
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         cb = cost[basis]
         # Reduced costs: c_j - cb . B^-1 A_j (tableau already holds B^-1 A).
         reduced = cost[:ncols] - cb @ tableau[:, :ncols]
         entering = -1
         for j in range(ncols):  # Bland: smallest eligible index
-            if reduced[j] < -tol:
+            if reduced[j] < -_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -161,10 +159,10 @@ def _run_simplex(tableau, basis, cost, tol, max_iter, ncols=None) -> str:
         leaving = -1
         best = np.inf
         for i in range(m):
-            if col[i] > tol:
+            if col[i] > _TOL:
                 ratio = tableau[i, -1] / col[i]
-                if ratio < best - tol or (
-                    abs(ratio - best) <= tol
+                if ratio < best - _TOL or (
+                    abs(ratio - best) <= _TOL
                     and (leaving < 0 or basis[i] < basis[leaving])
                 ):
                     best = ratio
@@ -172,7 +170,7 @@ def _run_simplex(tableau, basis, cost, tol, max_iter, ncols=None) -> str:
         if leaving < 0:
             return UNBOUNDED
         _pivot(tableau, basis, leaving, entering)
-    raise SimplexError(f"simplex did not terminate within {max_iter} pivots")
+    raise SimplexError(f"simplex did not terminate within {_MAX_ITER} pivots")
 
 
 def _pivot(tableau, basis, row, col) -> None:
@@ -183,7 +181,7 @@ def _pivot(tableau, basis, row, col) -> None:
     basis[row] = col
 
 
-def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, tol=DEFAULT_TOL):
+def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     """Return any point of the polyhedron, or None if it is empty."""
     if a_ub is not None:
         n = np.atleast_2d(np.asarray(a_ub)).shape[1]
@@ -191,5 +189,5 @@ def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, tol=DEFAULT_TO
         n = np.atleast_2d(np.asarray(a_eq)).shape[1]
     else:
         raise ValueError("need at least one constraint block")
-    res = solve_lp(np.zeros(n), a_ub, b_ub, a_eq, b_eq, tol=tol)
+    res = solve_lp(np.zeros(n), a_ub, b_ub, a_eq, b_eq)
     return res.x if res.is_optimal else None

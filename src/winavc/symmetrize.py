@@ -38,8 +38,6 @@ def ecn_symmetrizable(
     p_x: Distribution,
     channel: Channel,
     lam: ConstraintSet,
-    *,
-    tol: float = 1e-9,
 ) -> SymmetrizabilityResult:
     """Decide whether p_x is symmetrizable for (channel, lam).
 
@@ -85,7 +83,6 @@ def ecn_symmetrizable(
         b_ub=np.asarray(ub_rhs) if ub_rows else None,
         a_eq=np.vstack(eq_rows),
         b_eq=np.asarray(eq_rhs),
-        tol=tol,
     )
     if not res.is_optimal:
         return SymmetrizabilityResult(False, None, None, float("inf"))

@@ -119,16 +119,13 @@ def block_pattern(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size), counts).astype(np.int8)
 
 
-def guard_word(
-    target: Distribution, w_x: int, *, max_denominator: int | None = None
-) -> GuardWord:
+def guard_word(target: Distribution, w_x: int) -> GuardWord:
     """Build the deterministic guard word of length w_x with type ~ target.
 
-    The base block realizes target exactly as a/b; it is repeated
-    ceil(w_x / b) times and truncated to w_x symbols.
+    The base block realizes target exactly as a/b with b <= w_x; it is
+    repeated ceil(w_x / b) times and truncated to w_x symbols.
     """
-    cap = w_x if max_denominator is None else min(max_denominator, w_x)
-    a, b = rationalize(target, cap)
+    a, b = rationalize(target, w_x)
     if b > w_x:
         raise ValueError(f"base block length {b} exceeds guard length {w_x}")
     base = block_pattern(a)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from winavc import capacity
 from winavc.capacity import (
     VERDICT_THM1,
     VERDICT_THM2,
@@ -221,6 +222,23 @@ class TestVerdict:
         spec = bitflip_spec(0.1, 0.3, 512, 64, 32)
         v = windowed_capacity_verdict(spec)
         assert v.status == VERDICT_UNKNOWN
+
+    @pytest.mark.parametrize("w_s, alpha, scans", [(64, "1", 1), (32, "0.5", 2)],
+                             ids=["alpha-1", "alpha-half"])
+    def test_gamma_scanned_once_at_alpha_one(self, monkeypatch, w_s, alpha, scans):
+        # w <= w/alpha <= p: every scan comes up empty, so the verdict reaches
+        # the enlarged set, which at alpha = 1 is gamma itself
+        calls = []
+        real = capacity.scan_nonsymmetrizable
+        monkeypatch.setattr(capacity, "scan_nonsymmetrizable",
+                            lambda *args: calls.append(args) or real(*args))
+        v = windowed_capacity_verdict(bitflip_spec(0.1, 0.3, 512, 64, w_s))
+        assert v.status == VERDICT_UNKNOWN
+        assert len(calls) == scans
+        assert v.hypothesis_evidence == (
+            "all-symmetrizable on both the admissible set and its ratio-"
+            f"enlarged version at alpha={alpha} (grid evidence)"
+        )
 
     def test_regime_warnings(self):
         spec = bitflip_spec(0.2, 0.1, 512, 8, 8)  # windows below 4 ln n

@@ -173,8 +173,19 @@ def test_simulate_seed_override(experiment_config, capsys):
       "key_len": -5}, "key code length"),
     ({"field_bits": 0}, "field_bits"),
     ({"field_bits": 9}, "field_bits"),
+    ({"n1": 512.5}, "code.n1"),
+    ({"message_bits": 2.5}, "code.message_bits"),
+    ({"key_len": 100.5}, "code.key_len"),
+    ({"field_bits": 6.5}, "code.field_bits"),
+    ({"delta": 0.02}, "delta"),
+    ({"l_max": 32}, "l_max"),
+    ({"guard_denominator": 8}, "guard_denominator"),
+    ({"budget_extra": 0}, "budget_extra"),
+    ({"max_messages": 16384}, "max_messages"),
 ], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len",
-        "field-bits-0", "field-bits-9"])
+        "field-bits-0", "field-bits-9", "n1-fraction", "message-bits-fraction",
+        "key-len-fraction", "field-bits-fraction", "removed-delta", "removed-l-max",
+        "removed-guard-denominator", "removed-budget-extra", "removed-max-messages"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc["code"].update(code_edit)
@@ -183,6 +194,50 @@ def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"trials": 3.9}, "trials"),
+    ({"seed": 3.5}, "seed"),
+    ({"windows": {"w_x": 64, "w_s": 64.5}}, "windows.w_s"),
+    ({"n": 384.5}, "n"),
+    ({"alphabets": {"x": 2, "s": 2.5, "y": 2}}, "alphabets.s"),
+    ({"jammer": {"kind": "iid", "rejection_cap": 100.5}}, "jammer.rejection_cap"),
+], ids=["trials", "seed", "w-s", "n", "alphabet", "rejection-cap"])
+def test_simulate_non_integer_key_exits_2(experiment_config, capsys, edit, named):
+    doc = json.loads(Path(experiment_config).read_text())
+    doc.update(edit)
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert f"{named} must be an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_accepts_integral_floats(experiment_config, capsys):
+    doc = json.loads(Path(experiment_config).read_text())
+    doc["trials"] = 5.0
+    doc["code"]["n1"] = 256.0
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["trials"] == 5
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("check-windows", {"sequence": [0, 1, 0, 0], "window": 2.7, "dim": 2,
+                       "constraints": [{"coeffs": [0, 1], "bound": 0.5}]}, "window"),
+    ("sweep", {"w": [0.2], "p": [0.1], "w_x": 64.2}, "w_x"),
+    ("sweep", {"w": [0.2], "p": [0.1], "n": [256.5]}, "n"),
+], ids=["check-windows-window", "sweep-w-x", "sweep-n"])
+def test_non_integer_key_exits_2(tmp_path, capsys, command, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert f"{named} must be an integer" in captured.err
     assert captured.out == ""
 
 

@@ -137,29 +137,27 @@ class TestBuildListCode:
     def test_basic_build(self):
         rng = np.random.default_rng(2)
         code, stats = build_list_code(
-            256, 0.0, Distribution.bernoulli(0.25), ConstraintSet.weight_cap(0.4),
-            64, rng=rng, message_count=500,
+            256, 500, Distribution.bernoulli(0.25), ConstraintSet.weight_cap(0.4),
+            64, rng=rng,
         )
         assert stats.removed_fraction < 0.15
         assert code.num_messages == 500 - stats.removed
-        assert code.rate == pytest.approx(np.log2(code.num_messages) / 256)
         for row in code.codewords[:20]:
             assert verify_windows(row, 64, ConstraintSet.weight_cap(0.4)).valid
 
     def test_single_codeword(self):
         rng = np.random.default_rng(3)
         code, _ = build_list_code(
-            64, 0.0, Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.4),
+            64, 1, Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.4),
             16, rng=rng,
         )
         assert code.num_messages == 1
-        assert code.rate == 0.0
 
     def test_point_mass_input(self):
         rng = np.random.default_rng(4)
         code, stats = build_list_code(
-            64, 0.0, Distribution.point_mass(0, 2), ConstraintSet.weight_cap(0.4),
-            16, rng=rng, message_count=10,
+            64, 10, Distribution.point_mass(0, 2), ConstraintSet.weight_cap(0.4),
+            16, rng=rng,
         )
         assert stats.removed == 0
         assert not code.codewords.any()
@@ -168,15 +166,15 @@ class TestBuildListCode:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
             build_list_code(
-                64, 0.0, Distribution.bernoulli(0.4), ConstraintSet.weight_cap(0.4),
-                16, rng=rng, message_count=4,
+                64, 4, Distribution.bernoulli(0.4), ConstraintSet.weight_cap(0.4),
+                16, rng=rng,
             )
 
     def test_desk_scale_cap(self):
         rng = np.random.default_rng(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="desk-scale"):
             build_list_code(
-                512, 0.5, Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.4),
+                512, (1 << 16) + 1, Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.4),
                 64, rng=rng,
             )
 
@@ -187,7 +185,7 @@ class TestListDecode:
             [[0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
             dtype=np.int8,
         )
-        return ListCode(codewords=words, rate=np.log2(3) / 6, l_max=4)
+        return ListCode(codewords=words, l_max=4)
 
     def test_exact_match_zero_budget(self):
         code = self._small_code()
@@ -208,7 +206,7 @@ class TestListDecode:
 
     def test_truncation_flagged(self):
         words = np.zeros((8, 4), dtype=np.int8)
-        code = ListCode(codewords=words, rate=0.75, l_max=3)
+        code = ListCode(codewords=words, l_max=3)
         res = list_decode([0, 0, 0, 0], code, JamBudget("hamming", 4))
         assert res.overflow
         assert res.pre_truncation_size == 8
@@ -242,7 +240,7 @@ class TestHammingScoring:
         y = data.draw(binary_rows(1, n), label="y")[0]
         radius = data.draw(st.integers(0, n), label="radius")
         scores, ok = _budget_scores(
-            ListCode(codewords=words, rate=1.0, l_max=rows), y, JamBudget("hamming", radius)
+            ListCode(codewords=words, l_max=rows), y, JamBudget("hamming", radius)
         )
         want = np.count_nonzero(words != y[None, :], axis=1)
         assert np.array_equal(scores, want)
@@ -279,7 +277,7 @@ class TestHammingScoring:
         y[7] = bad_y
         budget = JamBudget("hamming", 10)
         with pytest.raises(ValueError, match="binary"):
-            list_decode(y, ListCode(codewords=words, rate=0.1, l_max=3), budget)
+            list_decode(y, ListCode(codewords=words, l_max=3), budget)
         key_code = KeyCode(codewords=words.copy(), key_ids=np.arange(3), field_bits=2)
         with pytest.raises(ValueError, match="binary"):
             key_code.decode(y, budget)
@@ -462,6 +460,25 @@ class TestThreePhase:
         assert res.keys == (r1, r2)
         assert res.message_id == int(codec.message_ids[2])
         assert res.survivors == (int(codec.message_ids[2]),)
+
+    def test_encode_uses_the_message_hash(self):
+        # the cached hash table against poly_hash of each message, one at a time
+        codec, _ = self._build(seed=4)
+        hp = codec.hash_params
+        rng = np.random.default_rng(9)
+        for pos in range(codec.message_count):
+            r1, r2 = codec.draw_keys(rng)
+            h = poly_hash(chunk_message(int(codec.message_ids[pos]), hp), r1, r2, hp)
+            x = codec.encode(pos, r1, r2)
+            assert np.array_equal(x[: codec.plan.n1], codec.phase1_flat.codewords[pos * codec.q + h])
+
+    def test_encode_refuses_keys_outside_the_field(self):
+        # r2 = q would index another message's hash; (0, q) aliases key id (1, 0)
+        codec, _ = self._build(seed=4)
+        q = codec.q
+        for r1, r2 in ((0, q), (q, 0), (-1, 0), (0, -1), (0, 1.0)):
+            with pytest.raises(ValueError, match="keys"):
+                codec.encode(0, r1, r2)
 
     def test_thm2_layout_build_and_fractions(self):
         rng = np.random.default_rng(13)

@@ -125,7 +125,7 @@ class TestGuardWord:
 
     def test_irrational_target_rejected(self):
         with pytest.raises(ValueError):
-            guard_word(Distribution([1 / np.pi, 1 - 1 / np.pi]), 16, max_denominator=64)
+            guard_word(Distribution([1 / np.pi, 1 - 1 / np.pi]), 16)
 
     def test_block_longer_than_word_rejected(self):
         with pytest.raises(ValueError):
