@@ -11,7 +11,7 @@ import pytest
 
 from winavc import gf2
 from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash
-from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec
+from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec, block_channel_sample
 from winavc.capacity import bitflip_list_capacity
 from winavc.cli import EXIT_OK, cli_main
 from winavc.harness import (
@@ -216,8 +216,9 @@ class TestPinnedOutputs:
     shared one key-segment path, the trial records before Hamming scoring
     moved to bit-packed codewords, the field products and hashes before the
     field became one multiplication table, the CLI stdout before the unused
-    knobs became constants; none may move under a later refactor or
-    speed-up.
+    knobs became constants, the likelihood-scored build and decodes before
+    the two random codes shared one type and one scorer; none may move under
+    a later refactor or speed-up.
     """
 
     def test_codec_build(self):
@@ -262,6 +263,51 @@ class TestPinnedOutputs:
             "phase2": "a601151925a76921836e4b338ab015cd676b48eaa932533fabaae1b5f8ac2569",
             "phase3_skeleton": "002a186bc0d71ee6fa56f71cf7b0e10ebdb02b0c7cd671442491e6844af876dc",
             "encode": "3bee16a35d2c2a19642e0cf69ed8df5d4dba03a7fc1a6fffaed498df6c6b2581",
+        }
+
+    def test_likelihood_codec_build(self):
+        # the noisy-XOR build of tests/test_codec.py: the only path that
+        # scores by log-likelihood instead of Hamming distance
+        from winavc.jammers import iid_jammer
+
+        eps = 0.03
+        table = np.empty((2, 2, 2))
+        for x, s in itertools.product(range(2), repeat=2):
+            table[x, s, x ^ s] = 1 - eps
+            table[x, s, 1 - (x ^ s)] = eps
+        noisy = Channel(table)
+        lam = ConstraintSet.weight_cap(0.05)
+        params = CodecParams(
+            layout="thm1", n1=512, w_x=64, message_bits=4, field_bits=4,
+            p_x=Distribution.bernoulli(0.1), key_type=Distribution.bernoulli(0.12),
+            key_len=128,
+        )
+        codec, _ = build_three_phase_codec(
+            params, ConstraintSet.weight_cap(0.3), lam, noisy, 64, np.random.default_rng(17),
+        )
+        assert codec.budget1.kind == codec.budget3.kind == "likelihood"
+        draw = np.random.default_rng(18)
+        decodes = []
+        for _ in range(30):
+            m = codec.draw_message(draw)
+            r1, r2 = codec.draw_keys(draw)
+            x = codec.encode(m, r1, r2)
+            jam = iid_jammer(Distribution.bernoulli(0.04), x.size, 64, lam, draw)
+            res = codec.decode(block_channel_sample(x, jam.states, noisy, draw))
+            decodes.append([res.status, res.message_id, list(res.keys), res.list_size])
+        digests = {
+            "message_ids": _digest(codec.message_ids),
+            "phase1": _digest(codec.phase1_flat.codewords),
+            "key_codewords": _digest(codec.key_code.codewords),
+            "key_ids": _digest(codec.key_code.key_ids),
+            "decodes": hashlib.sha256(json.dumps(decodes).encode()).hexdigest(),
+        }
+        assert digests == {
+            "message_ids": "3275b8328bbe87edabce5d86b3d477076887fe3fdec4fbb812f40c0489753439",
+            "phase1": "8f57a97b7be4a1193f1df74370e4f96c53f3e090b86ac003e32f1dc83bc23405",
+            "key_codewords": "eb08f7bc89db8566ea120abd0ce282d14dc81fbf10a0a21561f239f358bb4ef3",
+            "key_ids": "69184f4dd1032774380db4693aebe4056c03d38c588a5af56fbb28cb6d33b29b",
+            "decodes": "8d2d4ef632a4d9db6823dec5140d6174312534eba07332700aa66909d57ac6b8",
         }
 
     def test_trial_outcomes(self):
