@@ -35,7 +35,7 @@ print(f"segments: list codeword {plan.n1} | guard {plan.phase2_len} | "
       f"keys {plan.phase3_len}  (total {plan.total_length})")
 print(f"messages kept: {codec.message_count} of {build_stats['messages_built']} "
       f"(phase-1 removal {build_stats['phase1_removed_fraction']:.2%})")
-print(f"key pairs kept: {codec.key_code.key_ids.size} of {build_stats['key_total']}")
+print(f"key pairs kept: {codec.key_code.ids.size} of {build_stats['key_total']}")
 print(f"decoding budgets: phase-1 radius {codec.budget1.radius}, "
       f"key radius {codec.budget3.radius}")
 

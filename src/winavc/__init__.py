@@ -19,12 +19,10 @@ from .codec import (
     ListCode,
     PhasePlan,
     ThreePhaseCodec,
-    build_list_code,
     build_three_phase_codec,
     hamming_budget,
     interleave_allocation,
     list_decode,
-    phase3_key_code,
     poly_hash,
 )
 from .core import (

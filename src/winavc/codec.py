@@ -188,37 +188,45 @@ def likelihood_budget(
 
 
 # ---------------------------------------------------------------------------
-# List code
+# Random codes
 
 
 @dataclass(frozen=True)
 class ListCode:
     """Expurgated random code with a size-capped budget-ball list decoder."""
 
-    codewords: np.ndarray  # (M, n) int8, all windows feasible
-    l_max: int
+    codewords: np.ndarray  # (M, n) int8, the rows expurgation kept
+    ids: np.ndarray  # (M,) int64, increasing: each row's index before expurgation
 
     def __post_init__(self):
         self.codewords.setflags(write=False)
+        self.ids.setflags(write=False)
 
     @cached_property
     def _packed_codewords(self) -> np.ndarray:
         """(words, codewords) _pack_bits array, packed on first Hamming scoring."""
         return np.ascontiguousarray(_pack_bits(self.codewords).T)
 
-    @property
-    def num_messages(self) -> int:
-        return self.codewords.shape[0]
-
-    @property
-    def blocklength(self) -> int:
-        return self.codewords.shape[1]
+    def scores(self, y_seq, budget: JamBudget) -> tuple[np.ndarray, np.ndarray]:
+        """(scores, admissible mask) of every codeword against y_seq; lower is better."""
+        y = np.asarray(y_seq, dtype=np.int8)
+        n = self.codewords.shape[1]
+        if y.size != n:
+            raise ValueError(f"output length {y.size} != code length {n}")
+        if budget.kind == "hamming":
+            # word-major, so the sum runs over a few long rows
+            diff = self._packed_codewords ^ _pack_bits(y)[:, None]
+            scores = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
+            return scores, scores <= budget.radius
+        if budget.kind == "likelihood":
+            ll = budget.ll_table[self.codewords, y[None, :]].mean(axis=1)
+            return -ll, ll >= budget.ll_floor
+        raise ValueError(f"unknown budget kind {budget.kind!r}")
 
 
 @dataclass(frozen=True)
 class ListDecodeResult:
     messages: tuple[int, ...]
-    pre_truncation_size: int
     overflow: bool
 
 
@@ -231,34 +239,41 @@ def delta_interior(p: Distribution, cset: ConstraintSet, delta: float) -> bool:
     return True
 
 
-def build_list_code(
-    n: int,
-    message_count: int,
-    p_x: Distribution,
+def _random_code(
+    skeleton: np.ndarray,
+    count: int,
+    law: Distribution,
     gamma: ConstraintSet,
     w_x: int,
-    *,
     rng: np.random.Generator,
+    *,
+    prefix_context=None,
     suffix_context=None,
 ) -> tuple[ListCode, ExpurgationStats]:
-    """Sample message_count i.i.d. p_x codewords and expurgate violators.
+    """Sample count i.i.d. law rows and expurgate them in their segment.
 
-    p_x must sit strictly inside the input set (delta-interior), otherwise
-    a constant fraction of windows would violate it and the expurgation
-    would gut the code.
+    Each row is written, in order, into the -1 entries (the slots) of the
+    skeleton; the code length is the slot count.  Each filled segment is
+    window-checked between prefix_context and suffix_context.
     """
-    if not delta_interior(p_x, gamma, _DELTA):
-        raise ValueError("input law is not in the delta-interior of the input set")
-    if message_count > _MAX_CODEWORDS:
+    if count > _MAX_CODEWORDS:
         raise ValueError(
-            f"{message_count} codewords exceed the desk-scale cap {_MAX_CODEWORDS}; "
+            f"{count} codewords exceed the desk-scale cap {_MAX_CODEWORDS}; "
             "lower the message count"
         )
-    raw = sample_iid(p_x, (message_count, n), rng)
-    kept, stats = expurgate(raw, w_x, gamma, suffix_context=suffix_context)
-    if kept.shape[0] == 0:
+    slots = np.flatnonzero(skeleton < 0)
+    raw = sample_iid(law, (count, slots.size), rng)
+    segments = raw
+    if slots.size < skeleton.size:  # fixed symbols around the slots
+        segments = np.tile(skeleton, (count, 1))
+        segments[:, slots] = raw
+    _, stats = expurgate(
+        segments, w_x, gamma, prefix_context=prefix_context, suffix_context=suffix_context
+    )
+    if stats.kept_indices.size == 0:
         raise CodeConstructionError("expurgation removed every codeword")
-    return ListCode(codewords=kept, l_max=_L_MAX), stats
+    code = ListCode(codewords=raw[stats.kept_indices], ids=stats.kept_indices.astype(np.int64))
+    return code, stats
 
 
 def _pack_bits(rows: np.ndarray) -> np.ndarray:
@@ -276,37 +291,18 @@ def _pack_bits(rows: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
-def _budget_scores(code: ListCode | KeyCode, y: np.ndarray, budget: JamBudget):
-    """Returns (scores, admissible mask) of code's codewords; lower is better."""
-    if budget.kind == "hamming":
-        # word-major, so the sum runs over a few long rows
-        diff = code._packed_codewords ^ _pack_bits(y)[:, None]
-        scores = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
-        return scores, scores <= budget.radius
-    if budget.kind == "likelihood":
-        ll = budget.ll_table[code.codewords, y[None, :]].mean(axis=1)
-        return -ll, ll >= budget.ll_floor
-    raise ValueError(f"unknown budget kind {budget.kind!r}")
-
-
 def list_decode(y_seq, code: ListCode, budget: JamBudget) -> ListDecodeResult:
-    """All messages within the jamming budget, best score first.
+    """Positions of all codewords within the jamming budget, best score first.
 
-    Ties break deterministically by message index; the list is truncated to
-    l_max with the overflow flagged.
+    Ties break deterministically by position; the list is truncated to
+    _L_MAX with the overflow flagged.
     """
-    y = np.asarray(y_seq, dtype=np.int8)
-    if y.size != code.blocklength:
-        raise ValueError(f"output length {y.size} != blocklength {code.blocklength}")
-    scores, ok = _budget_scores(code, y, budget)
+    scores, ok = code.scores(y_seq, budget)
     idx = np.flatnonzero(ok)
-    order = np.lexsort((idx, scores[idx]))
-    ranked = idx[order]
-    pre = ranked.size
+    ranked = idx[np.lexsort((idx, scores[idx]))]
     return ListDecodeResult(
-        messages=tuple(int(i) for i in ranked[: code.l_max]),
-        pre_truncation_size=int(pre),
-        overflow=pre > code.l_max,
+        messages=tuple(int(i) for i in ranked[:_L_MAX]),
+        overflow=ranked.size > _L_MAX,
     )
 
 
@@ -336,12 +332,12 @@ def interleave_allocation(
     if abs(a_wx - round(a_wx)) > 1e-9:
         raise ValueError(f"alpha * w_x = {a_wx} must be an integer")
     a_wx = round(a_wx)
+    if lam_frac <= 0:  # checked for phase III too, so the planner's call refuses it
+        raise ValueError(f"lam_frac must be positive, got {lam_frac}")
     if phase == "III":
         return np.arange(a_wx), np.arange(a_wx, w_x)
     if phase != "II":
         raise ValueError(f"phase must be 'II' or 'III', got {phase!r}")
-    if lam_frac <= 0:
-        raise ValueError(f"lam_frac must be positive, got {lam_frac}")
     if window_index < 0:
         raise ValueError("window_index must be >= 0")
     l = lam_frac * a_wx
@@ -440,102 +436,33 @@ def type1_window_fractions(plan: PhasePlan) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KeyCode:
-    """Small random code carrying the two hash keys (r1, r2)."""
+class KeyCode(ListCode):
+    """The random code carrying the two hash keys: row ids are r1 * q + r2."""
 
-    codewords: np.ndarray  # (K, key slot count) int8
-    key_ids: np.ndarray  # surviving r1 * q + r2
     field_bits: int
-
-    def __post_init__(self):
-        self.codewords.setflags(write=False)
-        self.key_ids.setflags(write=False)
-
-    @cached_property
-    def _packed_codewords(self) -> np.ndarray:
-        """(words, codewords) _pack_bits array, packed on first Hamming scoring."""
-        return np.ascontiguousarray(_pack_bits(self.codewords).T)
 
     @property
     def q(self) -> int:
         return 1 << self.field_bits
 
-    def position_of(self, r1: int, r2: int) -> int:
-        pos = int(np.searchsorted(self.key_ids, r1 * self.q + r2))
-        if pos >= self.key_ids.size or self.key_ids[pos] != r1 * self.q + r2:
-            raise KeyError(f"key pair ({r1}, {r2}) was expurgated")
-        return pos
-
     def encode(self, r1: int, r2: int) -> np.ndarray:
-        return self.codewords[self.position_of(r1, r2)]
+        kid = r1 * self.q + r2
+        pos = int(np.searchsorted(self.ids, kid))
+        if pos >= self.ids.size or self.ids[pos] != kid:
+            raise KeyError(f"key pair ({r1}, {r2}) was expurgated")
+        return self.codewords[pos]
 
     def draw_keys(self, rng: np.random.Generator) -> tuple[int, int]:
-        kid = int(self.key_ids[rng.integers(self.key_ids.size)])
-        return kid // self.q, kid % self.q
+        return divmod(int(self.ids[rng.integers(self.ids.size)]), self.q)
 
-    def decode(self, y_seq, budget: JamBudget) -> tuple[int, int, bool]:
-        """Best key under the budget scoring; returns (r1, r2, within_budget).
+    def decode(self, y_seq, budget: JamBudget) -> tuple[int, int]:
+        """Best key pair (r1, r2) under the budget scoring.
 
-        Ties go to the smallest key id: key_ids is increasing, so that is
-        the first best score.
+        Ties go to the smallest key id: ids is increasing, so that is the
+        first best score.
         """
-        y = np.asarray(y_seq, dtype=np.int8)
-        n = self.codewords.shape[1]
-        if y.size != n:
-            raise ValueError(f"output length {y.size} != key code length {n}")
-        scores, ok = _budget_scores(self, y, budget)
-        best = int(np.argmin(scores))
-        kid = int(self.key_ids[best])
-        return kid // self.q, kid % self.q, bool(ok[best])
-
-
-def phase3_key_code(
-    field_bits: int,
-    t: Distribution,
-    skeleton: np.ndarray,
-    gamma: ConstraintSet,
-    w_x: int,
-    channel: Channel,
-    lam: ConstraintSet,
-    rng: np.random.Generator,
-    *,
-    allow_symmetrizable: bool = False,
-    prefix_context=None,
-    interior_set: ConstraintSet | None = None,
-) -> tuple[KeyCode, ExpurgationStats]:
-    """Random i.i.d.(t) code over all (r1, r2) key pairs, window-expurgated.
-
-    The key segment is the skeleton with each key codeword written, in
-    order, into its -1 entries (the key slots); the code length is the slot
-    count.  Each filled segment is window-checked after prefix_context.
-    The key-carrying law t must be non-symmetrizable for (channel, lam),
-    since the keys are what rescue unique decoding; pass
-    allow_symmetrizable=True only to demonstrate the failure mode.  In the
-    interleaved layout t is interior to the ratio-enlarged set, so
-    interior_set overrides which set the margin check runs against.
-    """
-    if not delta_interior(t, interior_set if interior_set is not None else gamma, _DELTA):
-        raise ValueError("key-carrying law is not in the delta-interior of the input set")
-    if not allow_symmetrizable and ecn_symmetrizable(t, channel, lam).feasible:
-        raise ValueError(
-            "key-carrying law is symmetrizable for the state constraints; "
-            "key transmission cannot be made reliable"
-        )
-    _check_field_bits(field_bits)
-    q = 1 << field_bits
-    slots = np.flatnonzero(skeleton < 0)
-    raw = sample_iid(t, (q * q, slots.size), rng)
-    segments = np.tile(skeleton, (q * q, 1))
-    segments[:, slots] = raw
-    _, stats = expurgate(segments, w_x, gamma, prefix_context=prefix_context)
-    if stats.kept_indices.size == 0:
-        raise CodeConstructionError("expurgation removed every key codeword")
-    code = KeyCode(
-        codewords=raw[stats.kept_indices],
-        key_ids=stats.kept_indices.astype(np.int64),
-        field_bits=field_bits,
-    )
-    return code, stats
+        scores, _ = self.scores(y_seq, budget)
+        return divmod(int(self.ids[np.argmin(scores)]), self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +531,8 @@ class DecodeResult:
     message_id: int | None
     status: str  # "unique" | "empty-list" | "no-survivor" | "ambiguous"
     list_size: int
-    pre_truncation_size: int
     overflow: bool
     keys: tuple[int, int]
-    key_within_budget: bool
     survivors: tuple[int, ...]
 
 
@@ -616,9 +541,6 @@ class ThreePhaseCodec:
     plan: PhasePlan
     hash_params: HashParams
     gamma: ConstraintSet
-    lam: ConstraintSet
-    channel: Channel
-    w_s: int
     message_ids: np.ndarray  # surviving original message ids
     phase1_flat: ListCode  # (M_surv * q, n1), message-major
     phase2_seq: np.ndarray
@@ -685,21 +607,18 @@ class ThreePhaseCodec:
                 f"output length {y.size} != transmission length {self.plan.total_length}"
             )
         listing = list_decode(y[: self.plan.n1], self.phase1_flat, self.budget1)
-        r1, r2, key_ok = self.key_code.decode(y[self.key_slots], self.budget3)
+        r1, r2 = self.key_code.decode(y[self.key_slots], self.budget3)
 
         if not listing.messages:
-            return DecodeResult(None, "empty-list", 0, listing.pre_truncation_size,
-                                listing.overflow, (r1, r2), key_ok, ())
+            return DecodeResult(None, "empty-list", 0, listing.overflow, (r1, r2), ())
         pos, h = np.divmod(np.array(listing.messages), self.q)
         survivors = np.sort(pos[h == r1 ^ self._hash_table[pos, r2]])
         if not survivors.size:
-            return DecodeResult(None, "no-survivor", len(listing.messages),
-                                listing.pre_truncation_size, listing.overflow,
-                                (r1, r2), key_ok, ())
+            return DecodeResult(None, "no-survivor", len(listing.messages), listing.overflow,
+                                (r1, r2), ())
         status = "unique" if survivors.size == 1 else "ambiguous"
         return DecodeResult(int(self.message_ids[survivors[0]]), status, len(listing.messages),
-                            listing.pre_truncation_size, listing.overflow,
-                            (r1, r2), key_ok,
+                            listing.overflow, (r1, r2),
                             tuple(int(m) for m in self.message_ids[survivors]))
 
 
@@ -725,14 +644,27 @@ def build_three_phase_codec(
 
     Phase-1 codewords are sampled per (message, hash value) pair; after
     expurgation any message with an incomplete hash fiber is dropped so the
-    encoder can realize every key draw.
+    encoder can realize every key draw.  Each sampling law must sit strictly
+    inside its input set (delta-interior), otherwise a constant fraction of
+    windows would violate it and expurgation would gut the code.  The
+    key-carrying law must also be non-symmetrizable for (channel, lam), since
+    the keys are what rescue unique decoding;
+    params.allow_symmetrizable_key_type lifts that check only to demonstrate
+    the failure mode.
     """
     hp = HashParams.for_message_bits(params.message_bits, params.field_bits)
     q = hp.field_order
     n_msg = 1 << params.message_bits
 
     plan = make_phase_plan(params)
-    phase2_seq, phase3_skeleton, key_t, key_interior_set = _buffer_region(params, plan, gamma)
+    if not delta_interior(params.p_x, gamma, _DELTA):
+        raise ValueError("input law is not in the delta-interior of the input set")
+    phase2_seq, phase3_skeleton, key_t = _buffer_region(params, plan, gamma)
+    if not params.allow_symmetrizable_key_type and ecn_symmetrizable(key_t, channel, lam).feasible:
+        raise ValueError(
+            "key-carrying law is symmetrizable for the state constraints; "
+            "key transmission cannot be made reliable"
+        )
     # The buffer region must be feasible on its own before anything random
     # is attached to it.
     if plan.phase2_len >= params.w_x and not windows_valid(phase2_seq, params.w_x, gamma):
@@ -752,44 +684,28 @@ def build_three_phase_codec(
     # Phase 1: one codeword per (message, hash value) pair; messages whose
     # hash fiber lost a codeword to expurgation are dropped.  Expurgation
     # trims the phase-2 context to the w_x - 1 symbols a window can reach.
-    raw_code, p1_stats = build_list_code(
-        plan.n1, n_msg * q, params.p_x, gamma, params.w_x,
-        rng=rng, suffix_context=phase2_seq,
+    raw, p1_stats = _random_code(
+        np.full(plan.n1, -1, dtype=np.int8), n_msg * q, params.p_x, gamma, params.w_x, rng,
+        suffix_context=phase2_seq,
     )
-    fiber_ok = np.zeros(n_msg * q, dtype=bool)
-    fiber_ok[p1_stats.kept_indices] = True
-    msg_keep = fiber_ok.reshape(n_msg, q).all(axis=1)
+    msg_keep = np.bincount(raw.ids // q, minlength=n_msg) == q
     message_ids = np.flatnonzero(msg_keep)
     if message_ids.size == 0:
         raise CodeConstructionError(
             "no message kept a complete hash fiber after expurgation"
         )
-    phase1 = ListCode(
-        codewords=raw_code.codewords[np.repeat(msg_keep, q)[p1_stats.kept_indices]],
-        l_max=_L_MAX,
-    )
+    row_keep = msg_keep[raw.ids // q]
+    phase1 = ListCode(codewords=raw.codewords[row_keep], ids=raw.ids[row_keep])
 
-    key_code, key_stats = phase3_key_code(
-        params.field_bits,
-        key_t,
-        phase3_skeleton,
-        gamma,
-        params.w_x,
-        channel,
-        lam,
-        rng,
-        allow_symmetrizable=params.allow_symmetrizable_key_type,
-        prefix_context=phase2_seq,
-        interior_set=key_interior_set,
+    keys, key_stats = _random_code(
+        phase3_skeleton, q * q, key_t, gamma, params.w_x, rng, prefix_context=phase2_seq,
     )
+    key_code = KeyCode(codewords=keys.codewords, ids=keys.ids, field_bits=params.field_bits)
 
     codec = ThreePhaseCodec(
         plan=plan,
         hash_params=hp,
         gamma=gamma,
-        lam=lam,
-        channel=channel,
-        w_s=w_s,
         message_ids=message_ids,
         phase1_flat=phase1,
         phase2_seq=phase2_seq,
@@ -814,7 +730,7 @@ def build_three_phase_codec(
 
 def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
     """The layout's buffer: (phase-2 sequence, phase-3 skeleton with key
-    slots as -1, key-carrying law, set the key law's margin is checked in)."""
+    slots as -1, key-carrying law), each law checked against its set."""
     if plan.layout == LAYOUT_THM1:
         guard_target = params.guard_type
         if guard_target is None:
@@ -823,11 +739,13 @@ def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
         if not delta_interior(guard.target_type, gamma, _DELTA):
             raise ValueError("guard type is not in the delta-interior of the input set")
         key_type = params.key_type if params.key_type is not None else params.p_x
+        if not delta_interior(key_type, gamma, _DELTA):
+            raise ValueError("key-carrying law is not in the delta-interior of the input set")
         skeleton = np.full(plan.phase3_len, -1, dtype=np.int8)
-        return guard.symbols, skeleton, key_type, gamma
+        return guard.symbols, skeleton, key_type
     _validate_interleaved_types(params, gamma)
     phase2_seq, skeleton = build_interleaved_region(plan, params.t1, params.t2)
-    return phase2_seq, skeleton, params.t1, gamma_prime(gamma, params.alpha)
+    return phase2_seq, skeleton, params.t1
 
 
 def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet):

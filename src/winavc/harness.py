@@ -53,6 +53,10 @@ class JammerParams:
     rejection_cap: int = jammers.DEFAULT_REJECTION_CAP
     custom: object | None = None  # callable(rng, n) -> JamResult
 
+    def __post_init__(self):
+        if self.rejection_cap < 1:
+            raise ConfigError(f"jammer.rejection_cap must be >= 1, got {self.rejection_cap}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -182,10 +182,13 @@ def test_simulate_seed_override(experiment_config, capsys):
     ({"guard_denominator": 8}, "guard_denominator"),
     ({"budget_extra": 0}, "budget_extra"),
     ({"max_messages": 16384}, "max_messages"),
+    *[({"layout": "thm2", "alpha": 0.5, "t1": {"weight": 0.25}, "t2": {"weight": 0.125},
+        "lam_frac": lam_frac}, "lam_frac") for lam_frac in (0, -0.1, -1.0)],
 ], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len",
         "field-bits-0", "field-bits-9", "n1-fraction", "message-bits-fraction",
         "key-len-fraction", "field-bits-fraction", "removed-delta", "removed-l-max",
-        "removed-guard-denominator", "removed-budget-extra", "removed-max-messages"])
+        "removed-guard-denominator", "removed-budget-extra", "removed-max-messages",
+        "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc["code"].update(code_edit)
@@ -213,6 +216,19 @@ def test_simulate_non_integer_key_exits_2(experiment_config, capsys, edit, named
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert f"{named} must be an integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_simulate_rejection_cap_below_1_exits_2(experiment_config, capsys, cap):
+    # a cap of 0 never draws a state sequence, so every trial would be forfeited
+    doc = json.loads(Path(experiment_config).read_text())
+    doc["jammer"]["rejection_cap"] = cap
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "jammer.rejection_cap must be >= 1" in captured.err
     assert captured.out == ""
 
 

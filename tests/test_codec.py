@@ -14,8 +14,7 @@ from winavc.codec import (
     JamBudget,
     KeyCode,
     ListCode,
-    _budget_scores,
-    build_list_code,
+    _random_code,
     build_three_phase_codec,
     chunk_message,
     delta_interior,
@@ -23,7 +22,6 @@ from winavc.codec import (
     interleave_allocation,
     list_decode,
     make_phase_plan,
-    phase3_key_code,
     poly_hash,
     type1_window_fractions,
 )
@@ -40,6 +38,18 @@ def binary_rows(rows, n):
 def free_skeleton(length):
     """A key segment of key slots only."""
     return np.full(length, -1, dtype=np.int8)
+
+
+def list_code(words):
+    """A code of the given rows, each its own id."""
+    return ListCode(codewords=words, ids=np.arange(len(words)))
+
+
+def key_code(field_bits, law, length, gamma, w_x, rng):
+    """Every key pair sampled into a free key segment, as the codec builds it."""
+    q = 1 << field_bits
+    code, stats = _random_code(free_skeleton(length), q * q, law, gamma, w_x, rng)
+    return KeyCode(codewords=code.codewords, ids=code.ids, field_bits=field_bits), stats
 
 
 def thm1_params(**kw):
@@ -136,46 +146,50 @@ class TestJamBudget:
 class TestBuildListCode:
     def test_basic_build(self):
         rng = np.random.default_rng(2)
-        code, stats = build_list_code(
-            256, 500, Distribution.bernoulli(0.25), ConstraintSet.weight_cap(0.4),
-            64, rng=rng,
+        code, stats = _random_code(
+            free_skeleton(256), 500, Distribution.bernoulli(0.25),
+            ConstraintSet.weight_cap(0.4), 64, rng,
         )
         assert stats.removed_fraction < 0.15
-        assert code.num_messages == 500 - stats.removed
+        assert code.codewords.shape[0] == 500 - stats.removed
+        assert np.array_equal(code.ids, stats.kept_indices)
         for row in code.codewords[:20]:
             assert verify_windows(row, 64, ConstraintSet.weight_cap(0.4)).valid
 
     def test_single_codeword(self):
         rng = np.random.default_rng(3)
-        code, _ = build_list_code(
-            64, 1, Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.4),
-            16, rng=rng,
+        code, _ = _random_code(
+            free_skeleton(64), 1, Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.4),
+            16, rng,
         )
-        assert code.num_messages == 1
+        assert code.codewords.shape[0] == 1
 
     def test_point_mass_input(self):
         rng = np.random.default_rng(4)
-        code, stats = build_list_code(
-            64, 10, Distribution.point_mass(0, 2), ConstraintSet.weight_cap(0.4),
-            16, rng=rng,
+        code, stats = _random_code(
+            free_skeleton(64), 10, Distribution.point_mass(0, 2), ConstraintSet.weight_cap(0.4),
+            16, rng,
         )
         assert stats.removed == 0
         assert not code.codewords.any()
 
     def test_interior_violation_rejected(self):
+        # the codec checks the input law's margin before it samples anything
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            build_list_code(
-                64, 4, Distribution.bernoulli(0.4), ConstraintSet.weight_cap(0.4),
-                16, rng=rng,
+        params = thm1_params(n1=64, w_x=16, key_len=32, p_x=Distribution.bernoulli(0.4),
+                             key_type=Distribution.bernoulli(0.1))
+        with pytest.raises(ValueError, match="input law"):
+            build_three_phase_codec(
+                params, ConstraintSet.weight_cap(0.4), ConstraintSet.weight_cap(0.05),
+                XOR, 16, rng,
             )
 
     def test_desk_scale_cap(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="desk-scale"):
-            build_list_code(
-                512, (1 << 16) + 1, Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.4),
-                64, rng=rng,
+            _random_code(
+                free_skeleton(512), (1 << 16) + 1, Distribution.bernoulli(0.1),
+                ConstraintSet.weight_cap(0.4), 64, rng,
             )
 
 
@@ -185,7 +199,7 @@ class TestListDecode:
             [[0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
             dtype=np.int8,
         )
-        return ListCode(codewords=words, l_max=4)
+        return list_code(words)
 
     def test_exact_match_zero_budget(self):
         code = self._small_code()
@@ -205,12 +219,14 @@ class TestListDecode:
         assert res.messages[0] == min(res.messages)
 
     def test_truncation_flagged(self):
-        words = np.zeros((8, 4), dtype=np.int8)
-        code = ListCode(codewords=words, l_max=3)
-        res = list_decode([0, 0, 0, 0], code, JamBudget("hamming", 4))
+        # the list is capped at 32 entries
+        budget = JamBudget("hamming", 4)
+        full = list_decode([0, 0, 0, 0], list_code(np.zeros((32, 4), dtype=np.int8)), budget)
+        assert not full.overflow
+        assert full.messages == tuple(range(32))
+        res = list_decode([0, 0, 0, 0], list_code(np.zeros((40, 4), dtype=np.int8)), budget)
         assert res.overflow
-        assert res.pre_truncation_size == 8
-        assert res.messages == (0, 1, 2)
+        assert res.messages == tuple(range(32))
 
     def test_empty_list(self):
         code = self._small_code()
@@ -239,9 +255,7 @@ class TestHammingScoring:
         words = data.draw(binary_rows(rows, n), label="codewords")
         y = data.draw(binary_rows(1, n), label="y")[0]
         radius = data.draw(st.integers(0, n), label="radius")
-        scores, ok = _budget_scores(
-            ListCode(codewords=words, l_max=rows), y, JamBudget("hamming", radius)
-        )
+        scores, ok = list_code(words).scores(y, JamBudget("hamming", radius))
         want = np.count_nonzero(words != y[None, :], axis=1)
         assert np.array_equal(scores, want)
         assert np.array_equal(ok, want <= radius)
@@ -261,12 +275,12 @@ class TestHammingScoring:
         ))
         y = data.draw(binary_rows(1, n), label="y")[0]
         budget = JamBudget("hamming", data.draw(st.integers(0, n), label="radius"))
-        code = KeyCode(codewords=distinct[pick], key_ids=np.array(key_ids, dtype=np.int64),
+        code = KeyCode(codewords=distinct[pick], ids=np.array(key_ids, dtype=np.int64),
                        field_bits=3)
         scores = np.count_nonzero(code.codewords != y[None, :], axis=1)
-        best = np.lexsort((code.key_ids, scores))[0]
-        kid = int(code.key_ids[best])
-        assert code.decode(y, budget) == (kid // 8, kid % 8, bool(scores[best] <= budget.radius))
+        best = np.lexsort((code.ids, scores))[0]
+        kid = int(code.ids[best])
+        assert code.decode(y, budget) == (kid // 8, kid % 8)
 
     @pytest.mark.parametrize("bad_word, bad_y", [(2, 0), (-1, 0), (0, 2), (0, -1)],
                              ids=["code-2", "code-minus-1", "y-2", "y-minus-1"])
@@ -277,10 +291,10 @@ class TestHammingScoring:
         y[7] = bad_y
         budget = JamBudget("hamming", 10)
         with pytest.raises(ValueError, match="binary"):
-            list_decode(y, ListCode(codewords=words, l_max=3), budget)
-        key_code = KeyCode(codewords=words.copy(), key_ids=np.arange(3), field_bits=2)
+            list_decode(y, list_code(words), budget)
+        keys = KeyCode(codewords=words.copy(), ids=np.arange(3), field_bits=2)
         with pytest.raises(ValueError, match="binary"):
-            key_code.decode(y, budget)
+            keys.decode(y, budget)
 
 
 class TestInterleaveAllocation:
@@ -339,22 +353,19 @@ class TestKeyCode:
     def test_roundtrip_and_expurgation(self):
         rng = np.random.default_rng(8)
         lam = ConstraintSet.weight_cap(0.05)
-        code, stats = phase3_key_code(
-            4, Distribution.bernoulli(0.12), free_skeleton(128),
-            ConstraintSet.weight_cap(0.3), 64, XOR, lam, rng,
+        code, stats = key_code(
+            4, Distribution.bernoulli(0.12), 128, ConstraintSet.weight_cap(0.3), 64, rng,
         )
         assert stats.total == 256
         r1, r2 = code.draw_keys(np.random.default_rng(1))
         word = code.encode(r1, r2)
-        got = code.decode(word, hamming_budget(128, 64, lam))
-        assert got[:2] == (r1, r2) and got[2]
+        assert code.decode(word, hamming_budget(128, 64, lam)) == (r1, r2)
 
     def test_decode_under_max_jamming(self):
         rng = np.random.default_rng(9)
         lam = ConstraintSet.weight_cap(0.05)
-        code, _ = phase3_key_code(
-            4, Distribution.bernoulli(0.12), free_skeleton(128),
-            ConstraintSet.weight_cap(0.3), 64, XOR, lam, rng,
+        code, _ = key_code(
+            4, Distribution.bernoulli(0.12), 128, ConstraintSet.weight_cap(0.3), 64, rng,
         )
         budget = hamming_budget(128, 64, lam)
         hits = 0
@@ -365,8 +376,7 @@ class TestKeyCode:
             word = code.encode(r1, r2).copy()
             flips = draw.choice(128, size=6, replace=False)  # budget is 6
             word[flips] ^= 1
-            got = code.decode(word, budget)
-            hits += got[:2] == (r1, r2)
+            hits += code.decode(word, budget) == (r1, r2)
         assert hits / trials >= 0.99
 
     def test_sixteen_bit_key_reliability_under_iid_jamming(self):
@@ -376,12 +386,11 @@ class TestKeyCode:
 
         rng = np.random.default_rng(77)
         lam = ConstraintSet.weight_cap(0.05)
-        code, _ = phase3_key_code(
-            8, Distribution.bernoulli(0.12), free_skeleton(128),
-            ConstraintSet.weight_cap(0.3), 64, XOR, lam, rng,
+        code, _ = key_code(
+            8, Distribution.bernoulli(0.12), 128, ConstraintSet.weight_cap(0.3), 64, rng,
         )
         budget = hamming_budget(128, 64, lam)
-        assert code.key_ids.size > 60000
+        assert code.ids.size > 60000
         draw = np.random.default_rng(78)
         hits = 0
         trials = 1000
@@ -389,26 +398,24 @@ class TestKeyCode:
             r1, r2 = code.draw_keys(draw)
             word = code.encode(r1, r2)
             jam = iid_jammer(Distribution.bernoulli(0.04), 128, 64, lam, draw)
-            got = code.decode(word ^ jam.states, budget)
-            hits += got[:2] == (r1, r2)
+            hits += code.decode(word ^ jam.states, budget) == (r1, r2)
         assert hits / trials >= 0.99
 
+    def _build_with_weak_key_law(self, seed, **kw):
+        # a weight-0.05 key law is symmetrizable against a 0.1 state cap
+        params = thm1_params(w_x=32, field_bits=3, key_type=Distribution.bernoulli(0.05), **kw)
+        return build_three_phase_codec(
+            params, ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.1), XOR, 32,
+            np.random.default_rng(seed),
+        )
+
     def test_symmetrizable_law_rejected(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError):
-            phase3_key_code(
-                3, Distribution.bernoulli(0.05), free_skeleton(64),
-                ConstraintSet.weight_cap(0.3), 32, XOR, ConstraintSet.weight_cap(0.1), rng,
-            )
+        with pytest.raises(ValueError, match="symmetrizable"):
+            self._build_with_weak_key_law(11)
 
     def test_symmetrizable_override(self):
-        rng = np.random.default_rng(12)
-        code, _ = phase3_key_code(
-            3, Distribution.bernoulli(0.05), free_skeleton(64),
-            ConstraintSet.weight_cap(0.3), 32, XOR, ConstraintSet.weight_cap(0.1), rng,
-            allow_symmetrizable=True,
-        )
-        assert code.codewords.shape[1] == 64
+        codec, _ = self._build_with_weak_key_law(12, allow_symmetrizable_key_type=True)
+        assert codec.key_code.codewords.shape[1] == 64
 
 
 class TestThreePhase:

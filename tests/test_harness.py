@@ -127,9 +127,9 @@ class TestRunTrials:
 
         exact_err = 0.0
         m_count = codec.message_count
-        k_count = codec.key_code.key_ids.size
+        k_count = codec.key_code.ids.size
         for pos in range(m_count):
-            for kid in codec.key_code.key_ids:
+            for kid in codec.key_code.ids:
                 r1, r2 = int(kid) // codec.q, int(kid) % codec.q
                 x = codec.encode(pos, r1, r2)
                 for bits, w in seq_weight.items():
@@ -250,7 +250,7 @@ class TestPinnedOutputs:
             "message_ids": _digest(codec.message_ids),
             "phase1": _digest(codec.phase1_flat.codewords),
             "key_codewords": _digest(codec.key_code.codewords),
-            "key_ids": _digest(codec.key_code.key_ids),
+            "key_ids": _digest(codec.key_code.ids),
             "phase2": _digest(codec.phase2_seq),
             "phase3_skeleton": _digest(codec.phase3_skeleton),
             "encode": _digest(codec.encode(0, r1, r2)),
@@ -299,7 +299,7 @@ class TestPinnedOutputs:
             "message_ids": _digest(codec.message_ids),
             "phase1": _digest(codec.phase1_flat.codewords),
             "key_codewords": _digest(codec.key_code.codewords),
-            "key_ids": _digest(codec.key_code.key_ids),
+            "key_ids": _digest(codec.key_code.ids),
             "decodes": hashlib.sha256(json.dumps(decodes).encode()).hexdigest(),
         }
         assert digests == {
