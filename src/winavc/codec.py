@@ -263,17 +263,18 @@ def _random_code(
         )
     slots = np.flatnonzero(skeleton < 0)
     raw = sample_iid(law, (count, slots.size), rng)
-    segments = raw
-    if slots.size < skeleton.size:  # fixed symbols around the slots
+    segments = raw  # a skeleton of slots only: each segment is its row
+    if slots.size < skeleton.size:
         segments = np.tile(skeleton, (count, 1))
         segments[:, slots] = raw
-    _, stats = expurgate(
+    kept, stats = expurgate(
         segments, w_x, gamma, prefix_context=prefix_context, suffix_context=suffix_context
     )
     if stats.kept_indices.size == 0:
         raise CodeConstructionError("expurgation removed every codeword")
-    code = ListCode(codewords=raw[stats.kept_indices], ids=stats.kept_indices.astype(np.int64))
-    return code, stats
+    if segments is not raw:
+        kept = raw[stats.kept_indices]  # the kept rows without the skeleton's fixed symbols
+    return ListCode(codewords=kept, ids=stats.kept_indices.astype(np.int64)), stats
 
 
 def _pack_bits(rows: np.ndarray) -> np.ndarray:
