@@ -441,20 +441,25 @@ def block_channel_sample(x_seq, s_seq, channel: Channel, rng: np.random.Generato
     s = np.asarray(s_seq, dtype=int)
     if x.shape != s.shape or x.ndim != 1:
         raise ValueError(f"input and state lengths differ: {x.shape} vs {s.shape}")
-    rows = channel.table[x, s]  # (n, |Y|)
-    u = rng.random(x.size)
-    return (rows.cumsum(axis=1) < u[:, None]).sum(axis=1).astype(np.int8)
+    return inverse_cdf(channel.table[x, s], rng.random(x.size))
 
 
 def sample_iid(p: Distribution, shape, rng: np.random.Generator) -> np.ndarray:
-    """int8 array of the given shape with i.i.d. p entries, one uniform per entry.
+    """int8 array of the given shape with i.i.d. p entries, one uniform per entry."""
+    return inverse_cdf(p.probs, rng.random(shape))
 
-    Symbol = number of cdf entries <= u, i.e. searchsorted(cdf, u, "right").
+
+def inverse_cdf(probs, u) -> np.ndarray:
+    """int8 symbols by inverse CDF, one per uniform in u; laws lie along probs' last axis.
+
+    The other axes of probs broadcast against u, whose shape the result has.
+    A symbol counts the cdf entries <= u but never one that reaches the law's
+    total (the last entry, or one after the last positive probability), so no
+    u in [0, 1) gives a symbol outside the alphabet or of probability zero.
     """
-    u = rng.random(shape)
-    out = np.zeros(u.shape, dtype=np.int8)
-    for c in np.cumsum(p.probs):
-        if c >= 1.0:  # the cdf is non-decreasing and u < 1: no later entry counts
-            break
-        out += u >= c
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[cdf >= cdf[..., -1:]] = np.inf
+    out = np.zeros(np.shape(u), dtype=np.int8)
+    for k in range(cdf.shape[-1] - 1):
+        out += u >= cdf[..., k]
     return out

@@ -40,6 +40,7 @@ OUTCOMES = (
 
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
 _IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
+JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
 
 
 class ConfigError(ValueError):
@@ -48,12 +49,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class JammerParams:
-    kind: str  # "iid" | "spoof" | "symmetrize" | "none" | "custom"
+    kind: str  # one of JAMMER_KINDS
     p_s: Distribution | None = None
     rejection_cap: int = jammers.DEFAULT_REJECTION_CAP
-    custom: object | None = None  # callable(rng, n) -> JamResult
 
     def __post_init__(self):
+        if self.kind not in JAMMER_KINDS:
+            raise ConfigError(f"unknown jammer kind {self.kind!r}; expected one of {JAMMER_KINDS}")
         if self.rejection_cap < 1:
             raise ConfigError(f"jammer.rejection_cap must be >= 1, got {self.rejection_cap}")
 
@@ -66,19 +68,17 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     error_criterion: str = "average"  # or "max"
-    generation_failure_budget: int | None = None  # default max(10, trials // 10)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.error_criterion not in ("average", "max"):
             raise ConfigError(f"unknown error criterion {self.error_criterion!r}")
-
-    @property
-    def failure_budget(self) -> int:
-        if self.generation_failure_budget is not None:
-            return self.generation_failure_budget
-        return max(10, self.trials // 10)
+        p_s, states = self.jammer.p_s, self.spec.s_alphabet.size
+        if p_s is not None and p_s.size != states:
+            raise ConfigError(f"jammer.p_s has {p_s.size} entries but alphabets.s is {states}")
+        if self.jammer.kind == "iid" and p_s is None and states != 2:
+            raise ConfigError(f"an iid jammer without jammer.p_s needs binary states, not {states}")
 
 
 @dataclass(frozen=True)
@@ -145,44 +145,33 @@ def build_codec_from_config(config: ExperimentConfig) -> tuple[ThreePhaseCodec, 
     )
 
 
-def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec):
-    """Returns draw(rng) -> JamResult.  Sees only public code structure."""
+def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec, fallback):
+    """Returns draw(rng) -> JamResult ("none" plays fallback).  Sees only public code structure."""
     spec = config.spec
     jp = config.jammer
     n = codec.plan.total_length
     if jp.kind == "none":
-        zeros = jammers.fallback_state_sequence(spec.s_alphabet.size, n, spec.w_s, spec.lam)
-        return lambda rng: jammers.JamResult(zeros.copy(), True, 0)
+        return lambda rng: jammers.JamResult(fallback, True, 0)
     if jp.kind == "iid":
         p_s = jp.p_s
         if p_s is None:
-            weight = np.ones(spec.lam.dim)
-            weight[0] = 0.0
-            cap, _ = spec.lam.max_linear(weight)
-            if spec.lam.dim != 2:
-                raise ConfigError("iid jammer without explicit p_s needs binary states")
+            cap, _ = spec.lam.max_linear([0.0, 1.0])
             p_s = Distribution.bernoulli(cap * (1.0 - _IID_MARGIN))
         return lambda rng: jammers.iid_jammer(p_s, n, spec.w_s, spec.lam, rng, jp.rejection_cap)
     if jp.kind == "spoof":
         sampler = _public_codeword_sampler(codec)
         return lambda rng: jammers.spoof_jammer(sampler, n, spec.w_s, spec.lam, rng)
-    if jp.kind == "symmetrize":
-        # The symmetrizing map is derived from the public input law; the
-        # dominant surviving phase-1 law is approximated by its sampler law.
-        sym = ecn_symmetrizable(config.code.p_x, spec.channel, spec.lam)
-        if not sym.feasible:
-            raise ConfigError(
-                "symmetrize jammer requested but the input law is not symmetrizable"
-            )
-        sampler = _public_codeword_sampler(codec)
-        return lambda rng: jammers.symmetrize_jammer(
-            sampler, sym.witness, n, spec.w_s, spec.lam, rng, jp.rejection_cap
+    # symmetrize: the symmetrizing map is derived from the public input law;
+    # the dominant surviving phase-1 law is approximated by its sampler law.
+    sym = ecn_symmetrizable(config.code.p_x, spec.channel, spec.lam)
+    if not sym.feasible:
+        raise ConfigError(
+            "symmetrize jammer requested but the input law is not symmetrizable"
         )
-    if jp.kind == "custom":
-        if not callable(jp.custom):
-            raise ConfigError("custom jammer requires a callable")
-        return lambda rng: jp.custom(rng, n)
-    raise ConfigError(f"unknown jammer kind {jp.kind!r}")
+    sampler = _public_codeword_sampler(codec)
+    return lambda rng: jammers.symmetrize_jammer(
+        sampler, sym.witness, n, spec.w_s, spec.lam, rng, jp.rejection_cap
+    )
 
 
 def _public_codeword_sampler(codec: ThreePhaseCodec):
@@ -211,11 +200,11 @@ def run_trials(
     """
     if codec is None:
         codec, build_stats = build_codec_from_config(config)
-    draw_state = _make_state_generator(config, codec)
     spec = config.spec
     fallback = jammers.fallback_state_sequence(
         spec.s_alphabet.size, codec.plan.total_length, spec.w_s, spec.lam
     )
+    draw_state = _make_state_generator(config, codec, fallback)
     notes = []
 
     if config.error_criterion == "max":
@@ -306,10 +295,11 @@ def run_trials(
         forfeits += rec.jam_forfeited
         rejections += rec.jam_rejections
         generation_failures += rec.jam_generation_failed
-    if generation_failures > config.failure_budget:
+    failure_budget = max(10, config.trials // 10)
+    if generation_failures > failure_budget:
         raise jammers.JammerGenerationError(
             f"{generation_failures} trials exceeded the rejection cap "
-            f"(budget {config.failure_budget}); the jammer law is incompatible "
+            f"(budget {failure_budget}); the jammer law is incompatible "
             "with its window constraints"
         )
 
@@ -531,9 +521,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         # CodecParams rejects a field size outside 1..8 and planning an unknown
         # or incomplete layout here rather than at build time; without an
         # explicit n planning also sizes the instance.
+        planned = make_phase_plan(code).total_length
+        spec = _parse_spec(doc, planned)
+        # w_x cannot exceed the plan, whose buffer alone is at least w_x long
+        if spec.w_s > planned:
+            raise ConfigError(f"windows.w_s = {spec.w_s} is longer than the planned "
+                              f"transmission of {planned} symbols")
         return ExperimentConfig(
-            spec=_parse_spec(doc, make_phase_plan(code).total_length),
-            code=code, jammer=jammer,
+            spec=spec, code=code, jammer=jammer,
             trials=trials, master_seed=seed, error_criterion=criterion,
         )
     except ConfigError:

@@ -1,11 +1,12 @@
 """Jamming strategies as oblivious state-sequence generators.
 
-Generators see only public objects (the codebook or a codeword sampler),
-never the transmitted message or the encoder's realized codeword.  The
-i.i.d. and symmetrizing strategies rejection-sample whole sequences until
-every state window is admissible; the spoofing strategy reports whether its
-chosen codeword happens to be admissible instead of resampling, since
-admissibility of codewords-as-states is exactly the attack's precondition.
+Generators see only public objects (a sampler of the public code's
+codewords), never the transmitted message or the encoder's realized
+codeword.  The i.i.d. and symmetrizing strategies share one loop that
+rejection-samples whole sequences until every state window is admissible;
+the spoofing strategy reports whether its chosen codeword happens to be
+admissible instead of resampling, since admissibility of codewords-as-states
+is exactly the attack's precondition.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSet, Distribution, sample_iid
+from .core import ConstraintSet, Distribution, inverse_cdf, sample_iid
 from .windows import guard_word, windows_valid, windows_valid_rows
 
 DEFAULT_REJECTION_CAP = 10_000
@@ -48,13 +49,19 @@ def iid_jammer(
     law; the rejection count is returned so converse experiments can bound
     how much conditioning occurred.
     """
-    batch = 64
+    return _first_admissible(lambda c: sample_iid(p_s, (c, n), rng), 64, w_s, lam, rejection_cap)
+
+
+def _first_admissible(draw, batch: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
+    """The first of the rows draw(count) returns, batch at a time, with every window admissible.
+
+    Batches are drawn whole, so the stream depends on the batch size.
+    """
     drawn = 0
     while drawn < rejection_cap:
         count = min(batch, rejection_cap - drawn)
-        cands = sample_iid(p_s, (count, n), rng)
-        ok = windows_valid_rows(cands, w_s, lam)
-        hits = np.flatnonzero(ok)
+        cands = draw(count)
+        hits = np.flatnonzero(windows_valid_rows(cands, w_s, lam))
         if hits.size:
             first = int(hits[0])
             return JamResult(
@@ -86,34 +93,31 @@ def estimate_rejection_rate(
     return bad / draws, bad
 
 
-def _draw_codeword(codebook_or_sampler, rng: np.random.Generator) -> np.ndarray:
-    if callable(codebook_or_sampler):
-        return np.asarray(codebook_or_sampler(rng), dtype=np.int8)
-    mat = np.atleast_2d(np.asarray(codebook_or_sampler, dtype=np.int8))
-    return mat[rng.integers(mat.shape[0])]
+def _draw_codeword(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
+    x = np.asarray(sampler(rng), dtype=np.int8)
+    if x.size != n:
+        raise ValueError(f"codeword length {x.size} != required state length {n}")
+    return x
 
 
 def spoof_jammer(
-    codebook_or_sampler,
+    sampler,
     n: int,
     w_s: int,
     lam: ConstraintSet,
     rng: np.random.Generator,
 ) -> JamResult:
-    """Play a uniformly chosen codeword as the state sequence.
+    """Play a uniformly chosen codeword, sampler(rng), as the state sequence.
 
     Admissibility is reported, not enforced: the spoof only works in the
     regime where codewords are themselves admissible states.
     """
-    x = _draw_codeword(codebook_or_sampler, rng)
-    if x.size != n:
-        raise ValueError(f"codeword length {x.size} != required state length {n}")
-    valid = windows_valid(x, w_s, lam)
-    return JamResult(states=x, window_valid=valid, rejections=0)
+    x = _draw_codeword(sampler, n, rng)
+    return JamResult(states=x, window_valid=windows_valid(x, w_s, lam), rejections=0)
 
 
 def symmetrize_jammer(
-    codebook_or_sampler,
+    sampler,
     u,
     n: int,
     w_s: int,
@@ -121,23 +125,18 @@ def symmetrize_jammer(
     rng: np.random.Generator,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> JamResult:
-    """Pass a random codeword through the symmetrizing map U(s|x').
+    """Pass a random codeword, sampler(rng), through the symmetrizing map U(s|x').
 
-    Each retry redraws both the codeword and the per-letter states; with a
-    deterministic U this degenerates to the spoofing strategy.
+    u holds one state Distribution per input symbol.  Each retry redraws both the
+    codeword and the states; with a deterministic U this is the spoofing strategy.
     """
-    u_mat = np.vstack([np.asarray(getattr(row, "probs", row), dtype=float) for row in u])
-    cdf = np.cumsum(u_mat, axis=1)
-    for attempt in range(rejection_cap):
-        x = _draw_codeword(codebook_or_sampler, rng)
-        if x.size != n:
-            raise ValueError(f"codeword length {x.size} != required state length {n}")
-        s = (cdf[x] < rng.random(n)[:, None]).sum(axis=1).astype(np.int8)
-        if windows_valid(s, w_s, lam):
-            return JamResult(states=s, window_valid=True, rejections=attempt)
-    raise JammerGenerationError(
-        f"no admissible symmetrized sequence in {rejection_cap} draws"
-    )
+    u_mat = np.vstack([row.probs for row in u])
+
+    def draw(count: int) -> np.ndarray:  # count is always 1
+        x = _draw_codeword(sampler, n, rng)
+        return inverse_cdf(u_mat[x], rng.random(n))[None, :]
+
+    return _first_admissible(draw, 1, w_s, lam, rejection_cap)
 
 
 def fallback_state_sequence(

@@ -200,15 +200,14 @@ def expurgate(
 
 def windows_valid(seq, w: int, c: ConstraintSet) -> bool:
     """Fast vectorized equivalent of verify_windows(...).valid (inclusive range)."""
-    arr = np.asarray(seq, dtype=np.int8)
-    if not 1 <= w <= arr.size:
-        raise ValueError(f"window length must satisfy 1 <= w <= {arr.size}, got {w}")
-    return not _window_violations(arr[None, :], w, c).any()
+    return bool(windows_valid_rows(seq, w, c)[0])
 
 
 def windows_valid_rows(mat, w: int, c: ConstraintSet) -> np.ndarray:
     """Per-row window validity for a matrix of sequences."""
     arr = np.atleast_2d(np.asarray(mat, dtype=np.int8))
+    if not 1 <= w <= arr.shape[1]:
+        raise ValueError(f"window length must satisfy 1 <= w <= {arr.shape[1]}, got {w}")
     return ~_window_violations(arr, w, c).any(axis=1)
 
 

@@ -232,6 +232,21 @@ def test_simulate_rejection_cap_below_1_exits_2(experiment_config, capsys, cap):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("edit, named", [
+    ({"jammer": {"kind": "iid", "p_s": [0.9, 0.05, 0.05]}, "trials": 3}, "jammer.p_s"),
+    ({"windows": {"w_x": 64, "w_s": 1024}, "n": 2048}, "windows.w_s = 1024"),
+], ids=["p-s-size", "w-s-longer-than-transmission"])
+def test_simulate_bad_jammer_exits_2(experiment_config, capsys, edit, named):
+    doc = json.loads(Path(experiment_config).read_text())
+    doc.update(edit)
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert named in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_accepts_integral_floats(experiment_config, capsys):
     doc = json.loads(Path(experiment_config).read_text())
     doc["trials"] = 5.0

@@ -205,6 +205,13 @@ class TestBlockChannel:
         with pytest.raises(ValueError):
             block_channel_sample([0, 1], [0], Channel.xor(), np.random.default_rng(0))
 
+    def test_edge_uniforms_follow_xor(self, edge_rng):
+        # no uniform may pick an output of probability zero
+        x = np.array([1, 1, 0])
+        s = np.array([0, 0, 1])
+        y = block_channel_sample(x, s, Channel.xor(), edge_rng)
+        assert y.tolist() == (x ^ s).tolist()
+
     def test_empirical_law_converges(self):
         # 1e5 samples of one (x, s) pair within 0.01 TV of the channel row
         rng = np.random.default_rng(42)
@@ -229,14 +236,23 @@ class TestSampleIid:
     @example(weights=[0, 0, 1, 6, 3, 3], shape=(0, 5), seed=1)
     def test_matches_searchsorted_stream(self, weights, shape, seed):
         # the (seed, trial, stream) contract: one uniform per entry, mapped
-        # by searchsorted(cdf, u, side="right")
+        # by searchsorted over every cdf entry but the last
         w = np.asarray(weights, dtype=float)
         p = Distribution(w / w.sum())
         got = sample_iid(p, shape, np.random.default_rng(seed))
         u = np.random.default_rng(seed).random(shape)
-        want = np.searchsorted(np.cumsum(p.probs), u, side="right").astype(np.int8)
+        want = np.searchsorted(np.cumsum(p.probs)[:-1], u, side="right").astype(np.int8)
         assert got.dtype == np.int8 and got.shape == want.shape
         assert np.array_equal(got, want)
+
+    # both cumulative sums end at 1 - 1e-16, below the largest uniform
+    @pytest.mark.parametrize("probs", [[0.1] * 10, [0.1] * 10 + [0.0]],
+                             ids=["ten-tenths", "trailing-zero"])
+    def test_edge_uniforms_stay_in_support(self, edge_rng, probs):
+        p = Distribution(probs)
+        got = sample_iid(p, (3,), edge_rng)
+        assert got.max() < 10
+        assert (p.probs[got] > 0).all()
 
 
 class TestConstraintSet:

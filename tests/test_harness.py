@@ -153,23 +153,6 @@ class TestRunTrials:
         assert stats.jam_forfeits == 30
         assert stats.err_avg == 0.0
 
-    def test_custom_jammer_callable(self):
-        from winavc.jammers import JamResult
-
-        def burst(rng, n):
-            s = np.zeros(n, dtype=np.int8)
-            s[:2] = 1  # two flips right at the front, admissible for cap 0.05
-            return JamResult(states=s, window_valid=True, rejections=0)
-
-        config = small_config(trials=20)
-        config = ExperimentConfig(
-            spec=config.spec, code=config.code,
-            jammer=JammerParams(kind="custom", custom=burst),
-            trials=20, master_seed=3,
-        )
-        stats = run_trials(config)
-        assert stats.err_avg == 0.0  # 2 flips is far inside the budget
-
     def test_generation_failures_counted_within_budget(self):
         from winavc.jammers import JammerGenerationError
 
@@ -182,19 +165,18 @@ class TestRunTrials:
         hopeless = JammerParams(
             kind="iid", p_s=Distribution.bernoulli(0.4), rejection_cap=16
         )
+        # the budget is max(10, trials // 10): 8 failures fit in it, 11 do not
         config = ExperimentConfig(
             spec=spec, code=code, jammer=hopeless, trials=8, master_seed=1,
-            generation_failure_budget=10,
         )
         stats = run_trials(config)
         assert stats.jam_generation_failures == 8
         assert stats.jam_forfeits == 8
-        strict = ExperimentConfig(
-            spec=spec, code=code, jammer=hopeless, trials=8, master_seed=1,
-            generation_failure_budget=3,
+        over = ExperimentConfig(
+            spec=spec, code=code, jammer=hopeless, trials=11, master_seed=1,
         )
-        with pytest.raises(JammerGenerationError):
-            run_trials(strict)
+        with pytest.raises(JammerGenerationError, match="11 trials exceeded"):
+            run_trials(over)
 
 
 EXPERIMENT_JSON = Path(__file__).resolve().parents[1] / "examples_configs" / "experiment.json"
@@ -460,6 +442,20 @@ class TestConfigParsing:
             del doc["code"][key]
         if n is not None:
             doc["n"] = n
+        with pytest.raises(ConfigError, match=named):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"jammer": {"kind": "burst"}}, "unknown jammer kind 'burst'"),
+        ({"jammer": {"kind": "custom"}}, "unknown jammer kind 'custom'"),
+        ({"alphabets": {"x": 2, "s": 3, "y": 2},
+          "channel": [[1, 0], [0, 1], [0, 1], [0, 1], [1, 0], [1, 0]],
+          "lambda": [{"coeffs": [0, 1, 1], "bound": 0.05}]}, "needs binary states"),
+        ({"jammer": {"kind": "iid", "p_s": [0.9, 0.05, 0.05]}}, "jammer.p_s has 3 entries"),
+    ], ids=["unknown-kind", "custom-kind", "iid-without-p-s-on-ternary-states", "p-s-size"])
+    def test_bad_jammer_rejected_at_load(self, edit, named):
+        doc = self.doc()
+        doc.update(edit)
         with pytest.raises(ConfigError, match=named):
             config_from_dict(doc)
 

@@ -19,6 +19,11 @@ from winavc.core import Channel
 from winavc.windows import verify_windows
 
 
+def uniform_row(book):
+    """Sampler of a uniformly drawn row of book."""
+    return lambda r: book[r.integers(len(book))]
+
+
 class TestIidJammer:
     def test_point_mass_never_rejects(self):
         lam = ConstraintSet.weight_cap(0.2)
@@ -88,19 +93,19 @@ class TestSpoofJammer:
     def test_valid_when_codebook_obeys_state_budget(self):
         rng = np.random.default_rng(6)
         codebook = (rng.random((16, 128)) < 0.05).astype(np.int8)
-        res = spoof_jammer(codebook, 128, 32, ConstraintSet.weight_cap(0.2), rng)
+        res = spoof_jammer(uniform_row(codebook), 128, 32, ConstraintSet.weight_cap(0.2), rng)
         assert res.window_valid
         assert any((res.states == row).all() for row in codebook)
 
     def test_invalid_status_reported_not_raised(self):
         rng = np.random.default_rng(7)
         codebook = (rng.random((8, 128)) < 0.3).astype(np.int8)
-        res = spoof_jammer(codebook, 128, 32, ConstraintSet.weight_cap(0.05), rng)
+        res = spoof_jammer(uniform_row(codebook), 128, 32, ConstraintSet.weight_cap(0.05), rng)
         assert not res.window_valid
 
     def test_single_codeword_deterministic(self):
         word = np.zeros((1, 64), dtype=np.int8)
-        res = spoof_jammer(word, 64, 16, ConstraintSet.weight_cap(0.2),
+        res = spoof_jammer(uniform_row(word), 64, 16, ConstraintSet.weight_cap(0.2),
                            np.random.default_rng(8))
         assert (res.states == 0).all()
 
@@ -117,7 +122,7 @@ class TestSymmetrizeJammer:
         codebook = (rng.random((4, 96)) < 0.05).astype(np.int8)
         ident = (Distribution.point_mass(0, 2), Distribution.point_mass(1, 2))
         res = symmetrize_jammer(
-            codebook, ident, 96, 32, ConstraintSet.weight_cap(0.2), rng
+            uniform_row(codebook), ident, 96, 32, ConstraintSet.weight_cap(0.2), rng
         )
         assert any((res.states == row).all() for row in codebook)
 
@@ -127,7 +132,7 @@ class TestSymmetrizeJammer:
         lam = ConstraintSet.weight_cap(0.2)
         wit = ecn_symmetrizable(Distribution.bernoulli(0.05), Channel.xor(), lam)
         assert wit.feasible
-        res = symmetrize_jammer(codebook, wit.witness, 128, 32, lam, rng)
+        res = symmetrize_jammer(uniform_row(codebook), wit.witness, 128, 32, lam, rng)
         assert res.window_valid
         assert verify_windows(res.states, 32, lam).valid
 
@@ -136,9 +141,31 @@ class TestSymmetrizeJammer:
         codebook = (rng.random((4, 64)) < 0.05).astype(np.int8)
         zero_map = (Distribution.point_mass(0, 2), Distribution.point_mass(0, 2))
         res = symmetrize_jammer(
-            codebook, zero_map, 64, 16, ConstraintSet.weight_cap(0.2), rng
+            uniform_row(codebook), zero_map, 64, 16, ConstraintSet.weight_cap(0.2), rng
         )
         assert not res.states.any()
+
+    def test_point_mass_on_state_1_at_edge_uniforms(self, edge_rng):
+        to_one = (Distribution.point_mass(1, 2), Distribution.point_mass(1, 2))
+        res = symmetrize_jammer(
+            lambda r: np.zeros(32, dtype=np.int8), to_one, 32, 8,
+            ConstraintSet.weight_cap(1.0), edge_rng,
+        )
+        assert res.states.tolist() == [1] * 32
+
+
+class TestWindowLongerThanSequence:
+    @pytest.mark.parametrize("jam", [
+        lambda rng: iid_jammer(Distribution.bernoulli(0.05), 32, 64,
+                               ConstraintSet.weight_cap(0.2), rng),
+        lambda rng: symmetrize_jammer(
+            lambda r: np.zeros(32, dtype=np.int8),
+            (Distribution.point_mass(0, 2), Distribution.point_mass(0, 2)),
+            32, 64, ConstraintSet.weight_cap(0.2), rng),
+    ], ids=["iid", "symmetrize"])
+    def test_refused_with_the_window_rule(self, jam):
+        with pytest.raises(ValueError, match="window length must satisfy 1 <= w <= 32"):
+            jam(np.random.default_rng(13))
 
 
 class TestObliviousContract:
