@@ -1,6 +1,8 @@
 """Jamming strategies: admissibility contracts and rejection behavior."""
 
+import hashlib
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -186,3 +188,43 @@ class TestFallback:
         lam = ConstraintSet(2, [([0.0, 1.0], 0.5), ([0.0, -1.0], -0.25)])
         seq = fallback_state_sequence(2, 96, 8, lam)
         assert verify_windows(seq, 8, lam).valid
+
+
+class TestPinnedStreams:
+    """Seeded symmetrize and spoof draws, pinned bit for bit.
+
+    A change to the rejection loop or the sampler may not move them: the
+    symmetrize jammer tries one fresh codeword per candidate, so its stream
+    has no block length to depend on.
+    """
+
+    BOOK = (np.random.default_rng(31).random((16, 48)) < 0.12).astype(np.int8)
+    LAM = ConstraintSet.weight_cap(0.25)
+
+    @staticmethod
+    def _digest(results) -> str:
+        rows = [[r.states.tolist(), r.window_valid, r.rejections] for r in results]
+        return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize("u, digest", [
+        ((Distribution.point_mass(0, 2), Distribution.point_mass(1, 2)),
+         "a3a4b4131b572c07e012bde048d9179c15cbebec4b50695166c073adf245e6b5"),
+        ((Distribution.bernoulli(0.1), Distribution.bernoulli(0.7)),
+         "a35d349c922fccd7de66424d1e4243a2d96775e17847cf4b7e7b36e66b8b4b62"),
+    ], ids=["point-mass", "mixed"])
+    def test_symmetrize_jammer(self, u, digest):
+        rng = np.random.default_rng(32)
+        results = [
+            symmetrize_jammer(uniform_row(self.BOOK), u, 48, 12, self.LAM, rng)
+            for _ in range(20)
+        ]
+        assert self._digest(results) == digest
+
+    def test_spoof_jammer(self):
+        rng = np.random.default_rng(33)
+        results = [
+            spoof_jammer(uniform_row(self.BOOK), 48, 12, self.LAM, rng) for _ in range(20)
+        ]
+        assert self._digest(results) == (
+            "04da9c20ee7c65d0d616581ed6e745540df2a9eb0150f2fb24269d043dd28814"
+        )
