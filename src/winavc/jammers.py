@@ -2,11 +2,15 @@
 
 Generators see only public objects (a sampler of the public code's
 codewords), never the transmitted message or the encoder's realized
-codeword.  The i.i.d. and symmetrizing strategies share one loop that
-rejection-samples whole sequences until every state window is admissible;
-the spoofing strategy reports whether its chosen codeword happens to be
-admissible instead of resampling, since admissibility of codewords-as-states
-is exactly the attack's precondition.
+codeword.  The i.i.d. and symmetrizing strategies share one exact rejection
+loop: it scans blocks of states, refuses a candidate at its first violating
+window and starts the next one right after that window, so the accepted
+sequence has the candidate law conditioned on every window being admissible.
+The i.i.d. jammer scans long i.i.d. blocks that hold many candidates; the
+symmetrizing jammer scans one codeword's states per block, so every retry
+draws a fresh codeword.  The spoofing strategy reports whether its chosen
+codeword happens to be admissible instead of resampling, since admissibility
+of codewords-as-states is exactly the attack's precondition.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConstraintSet, Distribution, inverse_cdf, sample_iid
-from .windows import guard_word, windows_valid, windows_valid_rows
+from .windows import guard_word, violation_flags, windows_valid, windows_valid_rows
 
 DEFAULT_REJECTION_CAP = 10_000
+_IID_BLOCK = 8  # the i.i.d. jammer draws its states 8n at a time
 
 
 class JammerGenerationError(RuntimeError):
@@ -43,35 +48,47 @@ def iid_jammer(
     rng: np.random.Generator,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> JamResult:
-    """i.i.d. state sequence, resampled whole until every window is admissible.
+    """i.i.d. p_s state sequence conditioned on every window being admissible.
 
-    Resampling realizes conditioning on admissibility without distorting the
-    law; the rejection count is returned so converse experiments can bound
-    how much conditioning occurred.
+    Candidates are read off i.i.d. blocks of 8n states, each starting right
+    after the previous one's first violating window; conditioning by
+    rejection does not distort the law, and the rejection count is returned
+    so converse experiments can bound how much conditioning occurred.
     """
-    return _first_admissible(lambda c: sample_iid(p_s, (c, n), rng), 64, w_s, lam, rejection_cap)
-
-
-def _first_admissible(draw, batch: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
-    """The first of the rows draw(count) returns, batch at a time, with every window admissible.
-
-    Batches are drawn whole, so the stream depends on the batch size.
-    """
-    drawn = 0
-    while drawn < rejection_cap:
-        count = min(batch, rejection_cap - drawn)
-        cands = draw(count)
-        hits = np.flatnonzero(windows_valid_rows(cands, w_s, lam))
-        if hits.size:
-            first = int(hits[0])
-            return JamResult(
-                states=cands[first], window_valid=True, rejections=drawn + first
-            )
-        drawn += count
-    raise JammerGenerationError(
-        f"no admissible sequence in {rejection_cap} draws; the state law is "
-        "too close to the constraint boundary for this window length"
+    return _first_admissible(
+        lambda: sample_iid(p_s, _IID_BLOCK * n, rng), n, w_s, lam, rejection_cap
     )
+
+
+def _first_admissible(draw, n: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
+    """The first length-n candidate with every window admissible, read off the blocks draw() returns.
+
+    A candidate starting at s is accepted when no violating window starts in
+    s..s+n-w_s.  Otherwise it counts as one rejection and the next candidate
+    starts at j + w_s, just past the first violating window j: the refusal
+    read only symbols before that point, so the accepted sequence keeps the
+    law of one candidate conditioned on admissibility.  A block tail shorter
+    than n is dropped.
+    """
+    if not 1 <= w_s <= n:
+        raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w_s}")
+    rejections = 0
+    while True:
+        block = draw()
+        # one byte per window start, 1 where the window violates lam
+        bad = violation_flags(block, w_s, lam).tobytes()
+        start = 0
+        while start + n <= block.size:
+            j = bad.find(1, start, start + n - w_s + 1)
+            if j < 0:
+                return JamResult(block[start:start + n].copy(), True, rejections)
+            rejections += 1
+            if rejections >= rejection_cap:
+                raise JammerGenerationError(
+                    f"no admissible sequence in {rejection_cap} draws; the state law is "
+                    "too close to the constraint boundary for this window length"
+                )
+            start = j + w_s
 
 
 def estimate_rejection_rate(
@@ -132,11 +149,11 @@ def symmetrize_jammer(
     """
     u_mat = np.vstack([row.probs for row in u])
 
-    def draw(count: int) -> np.ndarray:  # count is always 1
+    def draw() -> np.ndarray:
         x = _draw_codeword(sampler, n, rng)
-        return inverse_cdf(u_mat[x], rng.random(n))[None, :]
+        return inverse_cdf(u_mat[x], rng.random(n))
 
-    return _first_admissible(draw, 1, w_s, lam, rejection_cap)
+    return _first_admissible(draw, n, w_s, lam, rejection_cap)
 
 
 def fallback_state_sequence(

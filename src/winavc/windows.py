@@ -47,8 +47,7 @@ def verify_windows(
     if not np.array_equal(arr, raw):
         raise ValueError("sequence symbols must be integers")
     n = arr.size
-    if not 1 <= w <= n:
-        raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w}")
+    _check_window(w, n)
     if mode not in (OPEN_RANGE, INCLUSIVE_RANGE):
         raise ValueError(f"unknown mode {mode!r}")
     if arr.min() < 0 or arr.max() >= c.dim:
@@ -57,7 +56,7 @@ def verify_windows(
     n_starts = n - w + 1 if mode == INCLUSIVE_RANGE else n - w
     if n_starts <= 0:
         return WindowReport(True, (), 0)
-    starts = np.flatnonzero(_window_violations(arr[None, :], w, c)[0, :n_starts])
+    starts = np.flatnonzero(violation_flags(arr, w, c)[:n_starts])
     # Symbol counts of the violating windows from running per-symbol totals.
     onehot = arr[:, None] == np.arange(c.dim)
     csum = np.vstack([np.zeros((1, c.dim), dtype=int), onehot.cumsum(axis=0)])
@@ -206,9 +205,20 @@ def windows_valid(seq, w: int, c: ConstraintSet) -> bool:
 def windows_valid_rows(mat, w: int, c: ConstraintSet) -> np.ndarray:
     """Per-row window validity for a matrix of sequences."""
     arr = np.atleast_2d(np.asarray(mat, dtype=np.int8))
-    if not 1 <= w <= arr.shape[1]:
-        raise ValueError(f"window length must satisfy 1 <= w <= {arr.shape[1]}, got {w}")
+    _check_window(w, arr.shape[1])
     return ~_window_violations(arr, w, c).any(axis=1)
+
+
+def violation_flags(seq, w: int, c: ConstraintSet) -> np.ndarray:
+    """Per start 0..n-w (inclusive range): does the length-w window of seq there leave c?"""
+    arr = np.asarray(seq)
+    _check_window(w, arr.size)
+    return _window_violations(arr[None, :], w, c)[0]
+
+
+def _check_window(w: int, n: int) -> None:
+    if not 1 <= w <= n:
+        raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w}")
 
 
 def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet) -> np.ndarray:
