@@ -12,7 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # SHA-256 of each demo's stdout, recorded before the unused knobs became
-# constants; a refactor or speed-up may not move them.
+# constants; a refactor or speed-up may not move them.  The roundtrip demo's
+# was re-recorded when the i.i.d. jammer began restarting each candidate
+# after its first violating window, which changes its seeded stream.
 STDOUT_DIGESTS = {
     "capacity_bitflip": "169212c94eeba15f8f587b15e9c964aea39d70754c650c7b439468ff8f450de7",
     "guard_words_and_windows": "246675071b009e3b37852bbddf68709a92b2fe39c1b91c1df86fb0113fa4375e",
@@ -20,7 +22,7 @@ STDOUT_DIGESTS = {
     "spoofing_attack": "aaf316cd59ea7cb12e57dd007cf2e6eb43f9b9c2591ca6bf178132de968e6d6e",
     "sweep_csv": "33da4f4c0beb2897a339b1619a03197740ba55507f815e0abc346a59807ab446",
     "symmetrizability_map": "60a8a80cf2ef0f34812acb30321b17d2b8c7a1d7a49aa3a572ce83d5c6c9cdaa",
-    "three_phase_roundtrip": "6149ca5d427d5a86123cfbe218c108c4d15554b6fceccfc66dd664c8aae08c1f",
+    "three_phase_roundtrip": "1ed83f8448e6d79318dc4de78877498331c05b698a7fc768cba8cf705ce7a0e4",
 }
 
 

@@ -200,7 +200,10 @@ class TestPinnedOutputs:
     field became one multiplication table, the CLI stdout before the unused
     knobs became constants, the likelihood-scored build and decodes before
     the two random codes shared one type and one scorer; none may move under
-    a later refactor or speed-up.
+    a later refactor or speed-up.  The figures that follow the i.i.d.
+    jammer's stream (the trial rejections and records, the likelihood
+    decodes and the simulate stdout) were re-recorded when its rejection
+    loop began restarting each candidate after its first violating window.
     """
 
     def test_codec_build(self):
@@ -289,7 +292,7 @@ class TestPinnedOutputs:
             "phase1": "8f57a97b7be4a1193f1df74370e4f96c53f3e090b86ac003e32f1dc83bc23405",
             "key_codewords": "eb08f7bc89db8566ea120abd0ce282d14dc81fbf10a0a21561f239f358bb4ef3",
             "key_ids": "69184f4dd1032774380db4693aebe4056c03d38c588a5af56fbb28cb6d33b29b",
-            "decodes": "8d2d4ef632a4d9db6823dec5140d6174312534eba07332700aa66909d57ac6b8",
+            "decodes": "4c5fe79243a63b769df1eee6a3ce1016c50320230475d3f052609f2622eb00b2",
         }
 
     def test_trial_outcomes(self):
@@ -299,7 +302,7 @@ class TestPinnedOutputs:
             "correct": 20, "list-failure": 0, "disambiguation-failure": 0,
             "ambiguity": 0, "wrong-message": 0,
         }
-        assert stats.jam_rejections_total == 5785
+        assert stats.jam_rejections_total == 4281
 
     def test_trial_records(self):
         # every field a decoding change could move, not only the outcome counts
@@ -311,7 +314,7 @@ class TestPinnedOutputs:
         ]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == (
-            "05eaf341b9b2d3df725e878d92fc3936c737ad119072c0401897791514190798"
+            "66e46afe0e40aefd4540fe66cbdae2375e650589da0632db06fe21edbdff4feb"
         )
 
     def test_field_products_and_hashes(self):
@@ -338,7 +341,7 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("argv, digest", [
         (["simulate", "--config", str(EXPERIMENT_JSON), "--format", "json"],
-         "945c04090b3544f70edd3e93a1b461dbcc74bae653592c4bd87e64002112b60c"),
+         "bda772a82ba27212402cfe61c9acb9d069db4b7c82af554e0a2cfff6e4775935"),
         (["sweep", "--config", str(GRID_JSON)],
          "3c462300f2009598c5310828188a4d2cb8e53da22239ced3369656abf418ec3b"),
     ], ids=["simulate-experiment-json", "sweep-grid"])
