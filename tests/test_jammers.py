@@ -2,10 +2,14 @@
 
 import hashlib
 import inspect
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from winavc.core import ConstraintSet, Distribution
 from winavc.jammers import (
@@ -228,3 +232,77 @@ class TestPinnedStreams:
         assert self._digest(results) == (
             "04da9c20ee7c65d0d616581ed6e745540df2a9eb0150f2fb24269d043dd28814"
         )
+
+
+class TestExactConditioning:
+    """The accepted states follow the candidate law conditioned on admissibility.
+
+    On n = 8, w_s = 3 under a weight cap of 1/3 (at most one 1 per window)
+    every binary sequence is enumerated, so the conditional law and the
+    acceptance probability a are exact; rejections before an acceptance are
+    geometric with mean (1 - a) / a.
+    """
+
+    N, W_S, DRAWS = 8, 3, 20_000
+    LAM = ConstraintSet.weight_cap(1 / 3)
+    SEQS = np.array(list(itertools.product((0, 1), repeat=8)), dtype=np.int8)
+    # brute force: a cap of 1/3 on a 3-window allows at most one 1
+    ADMISSIBLE = np.lib.stride_tricks.sliding_window_view(SEQS, 3, axis=1).sum(-1).max(1) <= 1
+
+    def check_law(self, results, probs):
+        """probs: the candidate law over SEQS, before conditioning."""
+        a = probs[self.ADMISSIBLE].sum()
+        # SEQS lists the words in binary counting order, first symbol most significant
+        rows = np.array([r.states for r in results]).astype(int) @ (1 << np.arange(self.N)[::-1])
+        observed = np.bincount(rows, minlength=self.SEQS.shape[0])
+        assert not observed[~self.ADMISSIBLE].any()
+        expected = self.DRAWS * probs[self.ADMISSIBLE] / a
+        assert chisquare(observed[self.ADMISSIBLE], expected).pvalue > 1e-3
+        rejections = np.array([r.rejections for r in results])
+        spread = np.sqrt(1 - a) / a / np.sqrt(self.DRAWS)  # sd of the mean of a geometric
+        assert abs(rejections.mean() - (1 - a) / a) < 4 * spread
+
+    def test_iid_jammer(self):
+        p = 0.3
+        weights = self.SEQS.sum(axis=1)
+        probs = p**weights * (1 - p) ** (self.N - weights)
+        rng = np.random.default_rng(40)
+        results = [
+            iid_jammer(Distribution.bernoulli(p), self.N, self.W_S, self.LAM, rng)
+            for _ in range(self.DRAWS)
+        ]
+        self.check_law(results, probs)
+
+    def test_symmetrize_jammer(self):
+        book = np.array([[0, 1, 0, 0, 1, 0, 0, 0], [1, 0, 0, 1, 0, 1, 1, 0]], dtype=np.int8)
+        u = (Distribution.bernoulli(0.2), Distribution.bernoulli(0.5))
+        u_mat = np.vstack([row.probs for row in u])
+        # uniform codeword, then independent states through U(s|x)
+        probs = sum(
+            0.5 * np.prod(u_mat[x][np.arange(self.N), self.SEQS], axis=1) for x in book
+        )
+        rng = np.random.default_rng(41)
+        results = [
+            symmetrize_jammer(uniform_row(book), u, self.N, self.W_S, self.LAM, rng)
+            for _ in range(self.DRAWS)
+        ]
+        self.check_law(results, probs)
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 60),
+        data=st.data(),
+        cap=st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.75]),
+        margin=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_states_pass_verify_windows(self, n, data, cap, margin, seed):
+        w_s = data.draw(st.integers(1, n), label="w_s")
+        lam = ConstraintSet.weight_cap(cap)
+        try:
+            res = iid_jammer(Distribution.bernoulli(cap * margin), n, w_s, lam,
+                             np.random.default_rng(seed), rejection_cap=2000)
+        except JammerGenerationError:
+            return  # no acceptance within the cap: nothing to check
+        assert res.states.shape == (n,)
+        assert verify_windows(res.states, w_s, lam).valid
