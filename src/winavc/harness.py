@@ -79,6 +79,16 @@ class ExperimentConfig:
             raise ConfigError(f"jammer.p_s has {p_s.size} entries but alphabets.s is {states}")
         if self.jammer.kind == "iid" and p_s is None and states != 2:
             raise ConfigError(f"an iid jammer without jammer.p_s needs binary states, not {states}")
+        if self.jammer.kind == "symmetrize":
+            _symmetrizing_map(self)
+
+
+def _symmetrizing_map(config: ExperimentConfig) -> tuple[Distribution, ...]:
+    """The symmetrize jammer's U(s|x) for the public input law; ConfigError if there is none."""
+    sym = ecn_symmetrizable(config.code.p_x, config.spec.channel, config.spec.lam)
+    if not sym.feasible:
+        raise ConfigError("symmetrize jammer requested but the input law is not symmetrizable")
+    return sym.witness
 
 
 @dataclass(frozen=True)
@@ -163,14 +173,10 @@ def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec, fall
         return lambda rng: jammers.spoof_jammer(sampler, n, spec.w_s, spec.lam, rng)
     # symmetrize: the symmetrizing map is derived from the public input law;
     # the dominant surviving phase-1 law is approximated by its sampler law.
-    sym = ecn_symmetrizable(config.code.p_x, spec.channel, spec.lam)
-    if not sym.feasible:
-        raise ConfigError(
-            "symmetrize jammer requested but the input law is not symmetrizable"
-        )
+    u = _symmetrizing_map(config)
     sampler = _public_codeword_sampler(codec)
     return lambda rng: jammers.symmetrize_jammer(
-        sampler, sym.witness, n, spec.w_s, spec.lam, rng, jp.rejection_cap
+        sampler, u, n, spec.w_s, spec.lam, rng, jp.rejection_cap
     )
 
 
@@ -253,10 +259,11 @@ def run_trials(
             # admissible states can never exceed the decoder's budget ball,
             # so the true codeword always enters the pre-truncation list
             corruption = int(np.count_nonzero(states[: codec.plan.n1]))
-            assert corruption <= codec.budget1.radius, (
-                f"trial {i}: admissible corruption {corruption} exceeds the "
-                f"decoding budget {codec.budget1.radius}"
-            )
+            if corruption > codec.budget1.radius:
+                raise RuntimeError(
+                    f"trial {i}: admissible corruption {corruption} exceeds the "
+                    f"phase-1 decoding budget radius {codec.budget1.radius}"
+                )
         y = block_channel_sample(x, states, spec.channel, chan_rng)
         result = codec.decode(y)
         sent_id = int(codec.message_ids[m_pos])

@@ -247,6 +247,22 @@ def test_simulate_bad_jammer_exits_2(experiment_config, capsys, edit, named):
     assert captured.out == ""
 
 
+def test_simulate_nonsymmetrizable_symmetrize_jammer_exits_2(experiment_config, capsys, monkeypatch):
+    # p_x has weight 0.1 against a state cap of 0.05: no symmetrizing map exists
+    def build(*args, **kwargs):
+        raise AssertionError("the codec was built")
+
+    monkeypatch.setattr("winavc.harness.build_three_phase_codec", build)
+    doc = json.loads(Path(experiment_config).read_text())
+    doc["jammer"] = {"kind": "symmetrize"}
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "the input law is not symmetrizable" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_accepts_integral_floats(experiment_config, capsys):
     doc = json.loads(Path(experiment_config).read_text())
     doc["trials"] = 5.0

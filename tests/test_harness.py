@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,14 @@ def small_config(jammer_kind="iid", trials=60, seed=1, criterion="average", **co
         master_seed=seed,
         error_criterion=criterion,
     )
+
+
+def run_with_tight_budget():
+    """run_trials on small_config with its phase-1 decoding radius forced to 0."""
+    config = small_config(trials=3)
+    codec, build_stats = build_codec_from_config(config)
+    tight = dataclasses.replace(codec, budget1=dataclasses.replace(codec.budget1, radius=0))
+    return run_trials(config, codec=tight, build_stats=build_stats)
 
 
 class TestWilson:
@@ -390,6 +401,32 @@ class TestSweep:
         assert "0.357751" in line
 
 
+class TestBudgetInvariant:
+    """Admissible states never exceed the phase-1 radius; a run that does is refused."""
+
+    MESSAGE = "trial 0: admissible corruption 8 exceeds the phase-1 decoding budget radius 0"
+
+    def test_too_small_radius_raises(self):
+        with pytest.raises(RuntimeError, match=self.MESSAGE):
+            run_with_tight_budget()
+
+    def test_check_survives_optimized_python(self):
+        # python -O strips assert statements; this check must still run
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "import test_harness; test_harness.run_with_tight_budget()"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode != 0
+        assert self.MESSAGE in proc.stderr
+
+
 class TestConfigParsing:
     def doc(self):
         return {
@@ -455,7 +492,9 @@ class TestConfigParsing:
           "channel": [[1, 0], [0, 1], [0, 1], [0, 1], [1, 0], [1, 0]],
           "lambda": [{"coeffs": [0, 1, 1], "bound": 0.05}]}, "needs binary states"),
         ({"jammer": {"kind": "iid", "p_s": [0.9, 0.05, 0.05]}}, "jammer.p_s has 3 entries"),
-    ], ids=["unknown-kind", "custom-kind", "iid-without-p-s-on-ternary-states", "p-s-size"])
+        ({"jammer": {"kind": "symmetrize"}}, "the input law is not symmetrizable"),
+    ], ids=["unknown-kind", "custom-kind", "iid-without-p-s-on-ternary-states", "p-s-size",
+            "nonsymmetrizable-symmetrize"])
     def test_bad_jammer_rejected_at_load(self, edit, named):
         doc = self.doc()
         doc.update(edit)
