@@ -263,6 +263,19 @@ def test_simulate_nonsymmetrizable_symmetrize_jammer_exits_2(experiment_config, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["none", "iid", "spoof"])
+def test_simulate_state_set_without_constant_fallback(experiment_config, capsys, kind):
+    # no constant state sequence is admissible and the state set's vertices
+    # are not multiples of 1/w_s; the forfeit sequence must still exist
+    doc = json.loads(Path(experiment_config).read_text())
+    doc["lambda"] = [{"coeffs": [0, 1], "bound": 0.05}, {"coeffs": [1, 0], "bound": 0.97}]
+    doc["jammer"] = {"kind": kind}
+    doc["trials"] = 3
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+
+
 def test_simulate_accepts_integral_floats(experiment_config, capsys):
     doc = json.loads(Path(experiment_config).read_text())
     doc["trials"] = 5.0

@@ -193,6 +193,13 @@ class TestFallback:
         seq = fallback_state_sequence(2, 96, 8, lam)
         assert verify_windows(seq, 8, lam).valid
 
+    def test_vertices_off_the_window_lattice(self):
+        # weight in [0.03, 0.05]: neither vertex is a multiple of 1/64, yet a
+        # word with 3 ones in every 64 symbols is admissible
+        lam = ConstraintSet(2, [([0.0, 1.0], 0.05), ([1.0, 0.0], 0.97)])
+        seq = fallback_state_sequence(2, 704, 64, lam)
+        assert verify_windows(seq, 64, lam).valid
+
 
 class TestPinnedStreams:
     """Seeded symmetrize and spoof draws, pinned bit for bit.
