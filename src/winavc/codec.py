@@ -29,6 +29,7 @@ from .core import (
 from .symmetrize import ecn_symmetrizable, gamma_prime
 from .windows import (
     ExpurgationStats,
+    _round_to_denominator,
     block_pattern,
     expurgate,
     guard_word,
@@ -621,16 +622,6 @@ class ThreePhaseCodec:
         return DecodeResult(int(self.message_ids[survivors[0]]), status, len(listing.messages),
                             listing.overflow, (r1, r2),
                             tuple(int(m) for m in self.message_ids[survivors]))
-
-
-def _round_to_denominator(p: Distribution, b: int) -> Distribution:
-    """Nearest distribution with entries k/b (largest-remainder rounding)."""
-    scaled = p.probs * b
-    base = np.floor(scaled).astype(int)
-    short = b - base.sum()
-    order = np.argsort(-(scaled - base))
-    base[order[:short]] += 1
-    return Distribution(base / b)
 
 
 def build_three_phase_codec(

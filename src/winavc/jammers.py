@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConstraintSet, Distribution, inverse_cdf, sample_iid
-from .windows import guard_word, violation_flags, windows_valid, windows_valid_rows
+from .windows import (
+    _round_to_denominator,
+    guard_word,
+    violation_flags,
+    windows_valid,
+    windows_valid_rows,
+)
 
 DEFAULT_REJECTION_CAP = 10_000
 _IID_BLOCK = 8  # the i.i.d. jammer draws its states 8n at a time
@@ -161,14 +167,15 @@ def fallback_state_sequence(
 ) -> np.ndarray:
     """Deterministic admissible state sequence (the jammer's forfeit move).
 
-    Tries constant sequences first, then a fixed-type word built from a
-    rationalized interior point of the state set.
+    Tries constant sequences first, then a fixed-type word whose type is the
+    mean of the state set's vertices rounded to multiples of 1/w_s, so every
+    length-w_s window has exactly that type.
     """
     for sym in range(s_alphabet_size):
         if lam.contains(Distribution.point_mass(sym, s_alphabet_size)):
             return np.full(n, sym, dtype=np.int8)
-    target = lam.feasible_point()
-    word = guard_word(target, w_s)
+    centre = np.mean([v.probs for v in lam.vertices()], axis=0)
+    word = guard_word(_round_to_denominator(Distribution(centre, atol=1e-9), w_s), w_s)
     reps = -(-n // word.symbols.size)
     seq = np.tile(word.symbols, reps)[:n]
     if not windows_valid(seq, w_s, lam):

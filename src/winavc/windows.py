@@ -133,6 +133,16 @@ def guard_word(target: Distribution, w_x: int) -> GuardWord:
     return GuardWord(word, b, target)
 
 
+def _round_to_denominator(p: Distribution, b: int) -> Distribution:
+    """Nearest distribution with entries k/b (largest-remainder rounding)."""
+    scaled = p.probs * b
+    base = np.floor(scaled).astype(int)
+    short = b - base.sum()
+    order = np.argsort(-(scaled - base))
+    base[order[:short]] += 1
+    return Distribution(base / b)
+
+
 @dataclass(frozen=True)
 class ExpurgationStats:
     total: int
