@@ -30,14 +30,12 @@ from .core import (
     Channel,
     ConstraintSet,
     Distribution,
-    EmpiricalType,
     InfeasibleSetError,
     WindowedAvcSpec,
     binary_convolution,
     binary_entropy,
     bitflip_spec,
     block_channel_sample,
-    empirical_type,
     entropy,
     mutual_information,
 )

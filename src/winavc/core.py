@@ -1,6 +1,6 @@
 """Finite-alphabet probability primitives.
 
-Distributions, empirical types, state-dependent channels, and convex
+Distributions, state-dependent channels, and convex
 constraint sets on the probability simplex.  Everything is immutable after
 construction; sampling takes an explicit numpy Generator.
 """
@@ -102,28 +102,6 @@ class Distribution:
         )
 
 
-@dataclass(frozen=True)
-class EmpiricalType:
-    """Symbol counts of a sequence together with its length."""
-
-    counts: tuple[int, ...]
-    length: int
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-        if sum(self.counts) != self.length:
-            raise ValueError(
-                f"counts sum to {sum(self.counts)}, expected length {self.length}"
-            )
-
-    @property
-    def distribution(self) -> Distribution:
-        return Distribution(np.asarray(self.counts, dtype=float) / self.length)
-
-
 class Channel:
     """Conditional distribution table W(y | x, s), shape (|X|, |S|, |Y|)."""
 
@@ -157,9 +135,6 @@ class Channel:
     @property
     def num_outputs(self) -> int:
         return self.table.shape[2]
-
-    def row(self, x: int, s: int) -> Distribution:
-        return Distribution(self.table[x, s])
 
     @classmethod
     def xor(cls) -> "Channel":
@@ -376,20 +351,6 @@ def bitflip_spec(w: float, p: float, n: int, w_x: int, w_s: int) -> WindowedAvcS
         lam=ConstraintSet.weight_cap(p),
         w_x=w_x, w_s=w_s, n=n,
     )
-
-
-def empirical_type(seq, alphabet: Alphabet) -> EmpiricalType:
-    """Histogram of a symbol sequence as an EmpiricalType."""
-    arr = np.asarray(seq, dtype=int)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("sequence must be non-empty and 1-D")
-    if arr.min() < 0 or arr.max() >= alphabet.size:
-        raise ValueError(
-            f"symbols must lie in [0, {alphabet.size}), got range "
-            f"[{arr.min()}, {arr.max()}]"
-        )
-    counts = np.bincount(arr, minlength=alphabet.size)
-    return EmpiricalType(tuple(int(c) for c in counts), int(arr.size))
 
 
 def binary_convolution(p: float, w: float) -> float:

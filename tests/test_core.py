@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import array_shapes
 
 from winavc import core
 from winavc.core import (
-    Alphabet,
     Channel,
     ConstraintSet,
     Distribution,
@@ -17,7 +16,6 @@ from winavc.core import (
     binary_entropy,
     bitflip_spec,
     block_channel_sample,
-    empirical_type,
     entropy,
     mutual_information,
     sample_iid,
@@ -45,43 +43,6 @@ class TestDistribution:
     def test_point_mass_and_uniform(self):
         assert Distribution.point_mass(1, 3).probs.tolist() == [0.0, 1.0, 0.0]
         assert entropy(Distribution.uniform(2)) == pytest.approx(1.0)
-
-
-class TestEmpiricalType:
-    def test_count_example(self):
-        t = empirical_type([0, 0, 0, 1], Alphabet(2))
-        assert t.counts == (3, 1)
-        assert t.distribution.probs.tolist() == [0.75, 0.25]
-
-    def test_degenerate(self):
-        t = empirical_type([0] * 8, Alphabet(2))
-        assert t.distribution.probs.tolist() == [1.0, 0.0]
-
-    def test_hand_counted(self):
-        t = empirical_type([1, 0, 0, 0, 1, 0, 0, 0], Alphabet(2))
-        assert t.distribution.probs.tolist() == [0.75, 0.25]
-
-    def test_out_of_range_symbol(self):
-        with pytest.raises(ValueError):
-            empirical_type([0, 2], Alphabet(2))
-
-    def test_empty_sequence(self):
-        with pytest.raises(ValueError):
-            empirical_type([], Alphabet(2))
-
-    def test_concatenation_is_weighted_average(self):
-        rng = np.random.default_rng(5)
-        alpha = Alphabet(3)
-        for _ in range(50):
-            a = rng.integers(0, 3, size=int(rng.integers(1, 30)))
-            b = rng.integers(0, 3, size=int(rng.integers(1, 30)))
-            ta = empirical_type(a, alpha)
-            tb = empirical_type(b, alpha)
-            tc = empirical_type(np.concatenate([a, b]), alpha)
-            mix = (
-                ta.length * ta.distribution.probs + tb.length * tb.distribution.probs
-            ) / (ta.length + tb.length)
-            assert np.allclose(tc.distribution.probs, mix)
 
 
 class TestBinaryConvolution:

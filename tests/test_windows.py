@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from winavc.core import (
     TOLERANCE,
-    Alphabet,
     ConstraintSet,
     Distribution,
     InfeasibleSetError,
-    empirical_type,
 )
 from winavc.windows import (
     INCLUSIVE_RANGE,
@@ -56,7 +54,7 @@ class TestVerifyWindows:
         seq = [1, 0, 1, 0, 0, 0, 0, 0]
         g = ConstraintSet.weight_cap(0.25)
         rep = verify_windows(seq, len(seq), g)
-        overall = empirical_type(seq, Alphabet(2)).distribution
+        overall = Distribution(np.bincount(seq, minlength=2) / len(seq))
         assert rep.valid == g.contains(overall)
         assert rep.windows_checked == 1
 
@@ -99,7 +97,7 @@ class TestVerifyWindows:
             assert rep.windows_checked == want_count
             assert [s for s, _ in rep.violations] == want_viol
             for s, d in rep.violations:
-                assert d == empirical_type(seq[s : s + w], Alphabet(dim)).distribution
+                assert d == Distribution(np.bincount(seq[s : s + w], minlength=dim) / w)
             if mode == INCLUSIVE_RANGE:
                 assert windows_valid(seq, w, cset) == rep.valid
 
@@ -117,7 +115,7 @@ class TestGuardWord:
     def test_truncated_type(self):
         gw = guard_word(Distribution([0.75, 0.25]), 5)
         assert gw.symbols.tolist() == [0, 0, 0, 1, 0]
-        t = empirical_type(gw.symbols, Alphabet(2)).distribution
+        t = Distribution(np.bincount(gw.symbols, minlength=2) / gw.symbols.size)
         assert t.probs.tolist() == [0.8, 0.2]
         tv = 0.5 * np.abs(t.probs - np.array([0.75, 0.25])).sum()
         assert tv == pytest.approx(0.05)
