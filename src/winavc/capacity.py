@@ -6,13 +6,14 @@ Frank-Wolfe with the polytope's vertex set as LP oracle, for every state
 alphabet; the outer maximization is a lattice sweep over gamma followed by
 golden-section refinement along segments toward the polytope vertices
 (valid because the inner value is concave in P).  `list_capacity` and
-`oblivious_capacity` share that outer loop (`_max_min`).
+`oblivious_capacity` share that outer loop (`_max_min`), which brackets the
+true max-min by the saddle interval [lower, upper] at its returned pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .core import (
     WindowedAvcSpec,
     binary_convolution,
     binary_entropy,
-    induced_channel,
     _mi_from_induced,
 )
 from .symmetrize import ecn_symmetrizable, gamma_prime, scan_nonsymmetrizable
@@ -40,11 +40,14 @@ _REGIME_CONSTANT = 4.0  # c in the advisory window regime (c ln n, n/c)
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """`value` is the worst-case rate of `argmax_px`; lower <= max-min <= upper."""
+
     value: float
     argmax_px: Distribution | None
     argmin_qs: Distribution | None
     solver_iterations: int
-    duality_gap_estimate: float
+    lower: float
+    upper: float
     all_symmetrizable_evidence: bool = False
 
 
@@ -89,14 +92,37 @@ def _golden_max(f, lo: float, hi: float, *, tol: float = 1e-9, max_iter: int = 2
     return x, fx, evals
 
 
-def _mi_grad_q(px: np.ndarray, q: np.ndarray, channel: Channel) -> np.ndarray:
-    """d I / d Q(s) at fixed input law (up to an additive constant)."""
-    w = channel.table
-    v = np.einsum("s,xsy->xy", q, w)
+def _log_ratio(px: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log2 V(y|x) / (PV)(y), shape (|X|, |Y|), 0 where V(y|x) = 0."""
     py = px @ v
     log_ratio = np.log2(np.maximum(v, LOG_FLOOR) / np.maximum(py, LOG_FLOOR)[None, :])
     log_ratio[v <= 0] = 0.0
+    return log_ratio
+
+
+def _mi_grad_q(px: np.ndarray, q: np.ndarray, channel: Channel) -> np.ndarray:
+    """d I / d Q(s) at fixed input law (up to an additive constant)."""
+    w = channel.table
+    log_ratio = _log_ratio(px, np.einsum("s,xsy->xy", q, w))
     return np.einsum("x,xsy,xy->s", px, w, log_ratio)
+
+
+def _saddle_interval(px, q, gamma, lam, channel: Channel) -> tuple[float, float]:
+    """[lower, upper] around max_{P in gamma} min_{Q in lam} I from one pair (px, q).
+
+    I is convex in Q, so its tangent at q, minimised over lam's vertices,
+    bounds min_Q I(px, Q) and hence the max-min from below.  I is concave in
+    P with gradient D(V(.|x) || px V) up to a constant, so its tangent at px,
+    maximised over gamma's vertices, bounds max_P I(P, q) and hence the
+    max-min from above.
+    """
+    v = np.einsum("s,xsy->xy", q, channel.table)
+    mi = _mi_from_induced(px, v)
+    grad_q = _mi_grad_q(px, q, channel)
+    grad_p = np.sum(v * _log_ratio(px, v), axis=1)
+    lower = mi - max(float(grad_q @ (q - b.probs)) for b in lam.vertices())
+    upper = mi + max(float(grad_p @ (a.probs - px)) for a in gamma.vertices())
+    return lower, upper
 
 
 def worst_case_mi(
@@ -138,45 +164,43 @@ def worst_case_mi(
     return best_val, Distribution(np.clip(q, 0, None), atol=1e-6), evals
 
 
-def best_response_mi(
-    q_s: Distribution,
-    gamma: ConstraintSet,
-    channel: Channel,
-    *,
-    grid_resolution: int = 17,
-) -> tuple[float, Distribution, int]:
-    """max_{P in gamma} I(x;y) at fixed state law: concave maximization."""
-    v = induced_channel(q_s, channel)
-    return _maximize_concave(
-        lambda px: _mi_from_induced(px, v), gamma, gamma.grid_points(grid_resolution)
-    )
+def _max_min(gamma, lam, channel, grid_resolution, admissible=None) -> CapacityResult | None:
+    """max_P min_{Q in lam} I(x;y) over the P in gamma that `admissible` accepts.
 
-
-def _maximize_concave(objective, gamma: ConstraintSet, candidates):
-    """Best candidate, then golden refinement toward gamma's vertices.
-
-    Returns (value, argmax, evals).
+    The best lattice point of gamma is refined by golden-section searches
+    along segments toward gamma's vertices; the lattice sweep and the
+    refinement both skip rejected laws.  Returns None when `admissible`
+    rejects every lattice point of gamma.
     """
-    if not candidates:
-        raise ValueError("no candidate points inside the constraint set")
-    evals = 0
-    best_p, best_val = None, -np.inf
+    candidates = gamma.grid_points(grid_resolution)
+    if admissible is not None:
+        candidates = [p for p in candidates if admissible(p)]
+        if not candidates:
+            return None
+    evals = len(candidates)
+
+    def g(px_arr: np.ndarray) -> float:
+        nonlocal evals
+        p = Distribution(np.clip(px_arr, 0, None), atol=1e-6)
+        if admissible is not None and not admissible(p):
+            return -np.inf
+        val, _, e = worst_case_mi(p, lam, channel)
+        evals += e
+        return val
+
+    best_val, best_p = -np.inf, None
     for p in candidates:
-        val = objective(p.probs)
-        evals += 1
+        val = g(p.probs)
         if val > best_val:
             best_val, best_p = val, p
-    verts = gamma.vertices()
     cur = best_p.probs.copy()
     for _ in range(_REFINE_PASSES):
         improved = False
-        for vtx in verts:
+        for vtx in gamma.vertices():
             direction = vtx.probs - cur
             if np.abs(direction).max() < 1e-12:
                 continue
-            t, val, e = _golden_max(
-                lambda t: objective(cur + t * direction), 0.0, 1.0, tol=1e-9
-            )
+            t, val, e = _golden_max(lambda t: g(cur + t * direction), 0.0, 1.0, tol=1e-9)
             evals += e
             if val > best_val + 1e-12:
                 best_val = val
@@ -184,40 +208,16 @@ def _maximize_concave(objective, gamma: ConstraintSet, candidates):
                 improved = True
         if not improved:
             break
-    return best_val, Distribution(np.clip(cur, 0, None), atol=1e-6), evals
-
-
-def _max_min(gamma, lam, channel, grid_resolution, admissible=None) -> CapacityResult | None:
-    """max_P min_{Q in lam} I(x;y) over the P in gamma that `admissible` accepts.
-
-    The lattice sweep and the refinement both skip rejected laws.  The gap
-    estimate is left NaN.  Returns None when `admissible` rejects every
-    lattice point of gamma.
-    """
-    candidates = gamma.grid_points(grid_resolution)
-    if admissible is not None:
-        candidates = [p for p in candidates if admissible(p)]
-        if not candidates:
-            return None
-    total_evals = 0
-
-    def g(px_arr: np.ndarray) -> float:
-        nonlocal total_evals
-        p = Distribution(np.clip(px_arr, 0, None), atol=1e-6)
-        if admissible is not None and not admissible(p):
-            return -np.inf
-        val, _, e = worst_case_mi(p, lam, channel)
-        total_evals += e
-        return val
-
-    value, p_star, evals = _maximize_concave(g, gamma, candidates)
+    p_star = Distribution(np.clip(cur, 0, None), atol=1e-6)
     _, q_star, e = worst_case_mi(p_star, lam, channel)
+    lower, upper = _saddle_interval(p_star.probs, q_star.probs, gamma, lam, channel)
     return CapacityResult(
-        value=max(value, 0.0),
+        value=max(best_val, 0.0),
         argmax_px=p_star,
         argmin_qs=q_star,
-        solver_iterations=total_evals + evals + e,
-        duality_gap_estimate=float("nan"),
+        solver_iterations=evals + e,
+        lower=lower,
+        upper=upper,
     )
 
 
@@ -231,16 +231,10 @@ def list_capacity(
     """max_{P in gamma} min_{Q in lam} I(x;y) in bits per use.
 
     The reported value is the worst-case rate of the returned argmax input
-    law; the gap estimate is max_P I(P, Q*) - value at the returned argmin
-    state law, a one-sided saddle check.
+    law; [lower, upper] is the saddle interval at the returned pair, so
+    upper - lower bounds the value's error.
     """
-    res = _max_min(gamma, lam, channel, grid_resolution)
-    upper, _, e = best_response_mi(res.argmin_qs, gamma, channel, grid_resolution=grid_resolution)
-    return replace(
-        res,
-        solver_iterations=res.solver_iterations + e,
-        duality_gap_estimate=max(upper - res.value, 0.0),
-    )
+    return _max_min(gamma, lam, channel, grid_resolution)
 
 
 def oblivious_capacity(
@@ -254,8 +248,11 @@ def oblivious_capacity(
 
     The restriction is evaluated on the scan grid (plus vertices) with local
     refinement around the best point; exactness beyond the grid resolution
-    is not claimed.  When every scanned point is symmetrizable the value is
-    0 and `all_symmetrizable_evidence` is set.
+    is not claimed.  [lower, upper] is the same saddle interval as
+    list_capacity's, taken at the restricted pair: upper bounds the
+    unrestricted max-min.  When every scanned point is symmetrizable the
+    value and lower are 0, upper is NaN and `all_symmetrizable_evidence` is
+    set.
     """
     res = _max_min(
         gamma, lam, channel, grid_resolution,
@@ -267,7 +264,8 @@ def oblivious_capacity(
             argmax_px=None,
             argmin_qs=None,
             solver_iterations=0,
-            duality_gap_estimate=0.0,
+            lower=0.0,
+            upper=float("nan"),
             all_symmetrizable_evidence=True,
         )
     return res
@@ -276,11 +274,13 @@ def oblivious_capacity(
 def windowed_capacity_verdict(spec: WindowedAvcSpec) -> WindowedCapacityVerdict:
     """Decide which equality hypothesis certifies the windowed capacity.
 
-    Checks for a non-symmetrizable admissible input law directly, then (when
+    Looks for a non-symmetrizable admissible input law directly, then (when
     w_s <= w_x) on the ratio-enlarged input set.  `unknown` is a legal
-    verdict; the underlying scans are grid evidence, not proofs.  Window
-    lengths outside (c ln n, n/c), c = 4, get advisory regime warnings since
-    the equalities are asymptotic statements about mid-scale windows.
+    verdict.  For a state set with one inequality the search is exact; with
+    several it is grid evidence (see scan_nonsymmetrizable), and the text says
+    so.  Window lengths outside (c ln n, n/c), c = 4, get advisory regime
+    warnings since the equalities are asymptotic statements about mid-scale
+    windows.
     """
     cap = list_capacity(spec.gamma, spec.lam, spec.channel)
 
@@ -293,46 +293,34 @@ def windowed_capacity_verdict(spec: WindowedAvcSpec) -> WindowedCapacityVerdict:
                 f"{name}={w} outside ({low:.1f}, {high:.1f}) for n={spec.n}"
             )
 
+    def verdict(status: str, evidence: str) -> WindowedCapacityVerdict:
+        return WindowedCapacityVerdict(status, cap, evidence, tuple(warnings))
+
+    grid = " (grid evidence)" if spec.lam.num_inequalities > 1 else ""
     direct = scan_nonsymmetrizable(spec.gamma, spec.channel, spec.lam)
-    if direct:
-        return WindowedCapacityVerdict(
-            status=VERDICT_THM1,
-            capacity=cap,
-            hypothesis_evidence=(
-                f"found {len(direct)} non-symmetrizable input law(s) in the "
-                f"admissible set, e.g. {np.round(direct[0].probs, 6).tolist()}"
-            ),
-            regime_warnings=tuple(warnings),
-        )
+    if direct is not None:
+        return verdict(VERDICT_THM1, (
+            "admissible set holds the non-symmetrizable input law "
+            f"{np.round(direct.probs, 6).tolist()}"
+        ))
 
     alpha = spec.alpha
-    if alpha <= 1.0:
-        # at alpha = 1 the enlarged set is gamma itself, scanned above
-        enlarged = gamma_prime(spec.gamma, alpha)
-        widened = [] if alpha == 1.0 else scan_nonsymmetrizable(enlarged, spec.channel, spec.lam)
-        if widened:
-            return WindowedCapacityVerdict(
-                status=VERDICT_THM2,
-                capacity=cap,
-                hypothesis_evidence=(
-                    f"admissible set all-symmetrizable (grid evidence); ratio-"
-                    f"enlarged set at alpha={alpha:g} contains non-symmetrizable "
-                    f"law(s), e.g. {np.round(widened[0].probs, 6).tolist()}"
-                ),
-                regime_warnings=tuple(warnings),
-            )
-        evidence = (
-            f"all-symmetrizable on both the admissible set and its ratio-"
-            f"enlarged version at alpha={alpha:g} (grid evidence)"
-        )
-    else:
-        evidence = (
-            "admissible set all-symmetrizable (grid evidence); ratio "
+    if alpha > 1.0:
+        return verdict(VERDICT_UNKNOWN, (
+            f"admissible set all-symmetrizable{grid}; ratio "
             f"alpha={alpha:g} > 1 rules out the enlarged-set route"
-        )
-    return WindowedCapacityVerdict(
-        status=VERDICT_UNKNOWN,
-        capacity=cap,
-        hypothesis_evidence=evidence,
-        regime_warnings=tuple(warnings),
+        ))
+    # at alpha = 1 the enlarged set is gamma itself, scanned above
+    widened = None if alpha == 1.0 else scan_nonsymmetrizable(
+        gamma_prime(spec.gamma, alpha), spec.channel, spec.lam
     )
+    if widened is not None:
+        return verdict(VERDICT_THM2, (
+            f"admissible set all-symmetrizable{grid}; ratio-enlarged set at "
+            f"alpha={alpha:g} holds the non-symmetrizable law "
+            f"{np.round(widened.probs, 6).tolist()}"
+        ))
+    return verdict(VERDICT_UNKNOWN, (
+        f"all-symmetrizable on both the admissible set and its ratio-"
+        f"enlarged version at alpha={alpha:g}{grid}"
+    ))

@@ -100,7 +100,8 @@ def _cmd_capacity(args) -> int:
     res = verdict.capacity
     row = {
         "c_list": res.value,
-        "gap_estimate": res.duality_gap_estimate,
+        "lower": res.lower,
+        "upper": res.upper,
         "argmax_px": list(np.round(res.argmax_px.probs, 9)),
         "argmin_qs": list(np.round(res.argmin_qs.probs, 9)),
         "verdict": verdict.status,
@@ -117,15 +118,15 @@ def _cmd_capacity(args) -> int:
 def _cmd_symmetrize(args) -> int:
     spec = _parse_spec(_load_json(args.config))
     if args.scan:
-        found = scan_nonsymmetrizable(spec.gamma, spec.channel, spec.lam, args.resolution)
-        payload = {
-            "non_symmetrizable_points": [p.probs.tolist() for p in found],
-            "count": len(found),
-            "all_symmetrizable_evidence": not found,
+        witness = scan_nonsymmetrizable(spec.gamma, spec.channel, spec.lam)
+        row = {
+            "witness": None if witness is None else witness.probs.tolist(),
+            "all_symmetrizable": witness is None,
+            # one LP decides a state set of at most one inequality
+            "exact": spec.lam.num_inequalities <= 1,
+            "status": "ok",
         }
-        _emit(payload if args.format == "json" else
-              {"count": len(found), "all_symmetrizable_evidence": not found,
-               "status": "ok"}, args)
+        _emit(row, args, columns=["all_symmetrizable", "exact", "status"])
         return EXIT_OK
     if args.px:
         p_x = Distribution([float(v) for v in args.px.split(",")])
@@ -220,13 +221,15 @@ def _cmd_selftest(args) -> int:
     check("capacity closed form (w=0.2, p=0.1)",
           abs(val - bitflip_list_capacity(0.2, 0.1)) < 1e-3)
 
-    ok = True
+    ok = scan_ok = True
     for w, p in ((0.1, 0.2), (0.3, 0.1), (0.2, 0.2)):
-        lp_ans = ecn_symmetrizable(
-            Distribution.bernoulli(w), xor, ConstraintSet.weight_cap(p)
-        ).feasible
+        lam = ConstraintSet.weight_cap(p)
+        lp_ans = ecn_symmetrizable(Distribution.bernoulli(w), xor, lam).feasible
         ok &= lp_ans == bitflip_symmetrizable(w, p)
+        witness = scan_nonsymmetrizable(ConstraintSet.weight_cap(w), xor, lam)
+        scan_ok &= (witness is not None) == (w > p)
     check("symmetrizability oracle (3 points)", ok)
+    check("non-symmetrizability scan vs w > p (3 points)", scan_ok)
 
     rng = np.random.default_rng(0)
     ok = True
@@ -283,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetrize", help="symmetrizability feasibility check")
     common(p)
     p.add_argument("--px", help="input law as comma-separated probabilities")
-    p.add_argument("--scan", action="store_true", help="grid-scan the input set")
-    p.add_argument("--resolution", type=int, default=21)
+    p.add_argument("--scan", action="store_true",
+                   help="look for a non-symmetrizable law in the input set")
     p.set_defaults(func=_cmd_symmetrize)
 
     p = sub.add_parser("check-windows", help="verify sliding-window constraints")

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .core import Channel, ConstraintSet, Distribution
+from .core import Channel, ConstraintSet, Distribution, _compositions
+
+_MULTIPLIER_STEPS = 20  # lattice steps per edge of the multiplier simplex
 
 
 @dataclass(frozen=True)
@@ -51,23 +53,8 @@ def ecn_symmetrizable(
     if lam.dim != ns:
         raise ValueError("state constraint set does not match channel")
 
-    w = channel.table  # (x, s, y)
     nvar = nx * ns  # u[x, s] flattened row-major
-
-    eq_rows, eq_rhs = [], []
-    for x, xp in itertools.combinations(range(nx), 2):
-        for y in range(channel.num_outputs):
-            row = np.zeros(nvar)
-            # sum_s u[xp, s] W(y|x, s) - sum_s u[x, s] W(y|xp, s) = 0
-            row[xp * ns : (xp + 1) * ns] += w[x, :, y]
-            row[x * ns : (x + 1) * ns] -= w[xp, :, y]
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-    for x in range(nx):
-        row = np.zeros(nvar)
-        row[x * ns : (x + 1) * ns] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
+    a_eq, b_eq = _symmetrization_equalities(channel)
 
     ub_rows, ub_rhs = [], []
     for c, b in lam.inequalities:
@@ -81,8 +68,8 @@ def ecn_symmetrizable(
         np.zeros(nvar),
         a_ub=np.vstack(ub_rows) if ub_rows else None,
         b_ub=np.asarray(ub_rhs) if ub_rows else None,
-        a_eq=np.vstack(eq_rows),
-        b_eq=np.asarray(eq_rhs),
+        a_eq=a_eq,
+        b_eq=b_eq,
     )
     if not res.is_optimal:
         return SymmetrizabilityResult(False, None, None, float("inf"))
@@ -92,6 +79,29 @@ def ecn_symmetrizable(
     marginal = Distribution(np.clip(p_x.probs @ u, 0, None), atol=1e-6)
     residual = symmetrization_residual(witness, channel)
     return SymmetrizabilityResult(True, witness, marginal, residual)
+
+
+def _symmetrization_equalities(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """Equality rows (a_eq, b_eq) on u[x, s], flattened row-major, that make U a
+    symmetrizing map: the identities for every x < x' and y, then each U(.|x)
+    summing to 1."""
+    nx, ns = channel.num_inputs, channel.num_states
+    w = channel.table  # (x, s, y)
+    eq_rows, eq_rhs = [], []
+    for x, xp in itertools.combinations(range(nx), 2):
+        for y in range(channel.num_outputs):
+            row = np.zeros(nx * ns)
+            # sum_s u[xp, s] W(y|x, s) - sum_s u[x, s] W(y|xp, s) = 0
+            row[xp * ns : (xp + 1) * ns] += w[x, :, y]
+            row[x * ns : (x + 1) * ns] -= w[xp, :, y]
+            eq_rows.append(row)
+            eq_rhs.append(0.0)
+    for x in range(nx):
+        row = np.zeros(nx * ns)
+        row[x * ns : (x + 1) * ns] = 1.0
+        eq_rows.append(row)
+        eq_rhs.append(1.0)
+    return np.vstack(eq_rows), np.asarray(eq_rhs)
 
 
 def symmetrization_residual(witness, channel: Channel) -> float:
@@ -142,17 +152,47 @@ def scan_nonsymmetrizable(
     gamma: ConstraintSet,
     channel: Channel,
     lam: ConstraintSet,
-    grid_resolution: int = 21,
-) -> list[Distribution]:
-    """Grid-scan gamma (lattice plus vertices) for non-symmetrizable inputs.
+) -> Distribution | None:
+    """A non-symmetrizable input law in gamma, or None when gamma has none.
 
-    An empty result is evidence, not proof, that every admissible input is
-    symmetrizable.
+    Let 𝒰 be the polytope of symmetrizing maps U and C, b the rows and
+    bounds of lam.  By Farkas' lemma P is non-symmetrizable exactly when some
+    multiplier mu >= 0 on the k-simplex gives
+    min_{U in 𝒰} <P ⊗ mu^T C, U> > mu^T b (Csiszar & Narayan 1988).  The LP
+    dual of that minimum, max {b_eq^T nu : a_eq^T nu <= P ⊗ mu^T C}, is
+    linear jointly in (P, nu), so one LP per mu maximises it over gamma.  A
+    law whose optimum exceeds mu^T b is returned once ecn_symmetrizable
+    confirms it.  An unbounded LP means 𝒰 is empty, and then gamma's feasible
+    point is the witness.  With at most one inequality mu = 1 and None is
+    exact; with k > 1 inequalities mu runs over a lattice of the simplex and
+    None is grid evidence.
     """
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
-    found = []
-    for p in gamma.grid_points(grid_resolution):
+    nx, ns, k = channel.num_inputs, channel.num_states, lam.num_inequalities
+    a_eq, b_eq = _symmetrization_equalities(channel)
+    m = b_eq.size
+    if k > 1:
+        mus = np.array(list(_compositions(_MULTIPLIER_STEPS, k))) / _MULTIPLIER_STEPS
+    else:
+        mus = np.ones((1, k))
+    # variables (P, nu+, nu-) with nu = nu+ - nu-; rows: gamma's inequalities,
+    # then a_eq^T nu - P(x) c(s) <= 0 for every (x, s)
+    ng = gamma.num_inequalities
+    a_ub = np.zeros((ng + nx * ns, nx + 2 * m))
+    a_ub[:ng, :nx] = gamma.coeffs
+    a_ub[ng:, nx : nx + m] = a_eq.T
+    a_ub[ng:, nx + m :] = -a_eq.T
+    b_ub = np.concatenate([gamma.bounds, np.zeros(nx * ns)])
+    cost = np.concatenate([np.zeros(nx), -b_eq, b_eq])
+    simplex_row = np.concatenate([np.ones(nx), np.zeros(2 * m)])
+    for mu in mus:
+        a_ub[ng:, :nx] = -np.kron(np.eye(nx), (mu @ lam.coeffs)[:, None])
+        res = lp.solve_lp(cost, a_ub, b_ub, simplex_row, [1.0])
+        if not res.is_optimal:
+            p = gamma.feasible_point()
+        elif -res.value > mu @ lam.bounds + 1e-9:
+            p = Distribution(np.clip(res.x[:nx], 0, None), atol=1e-6)
+        else:
+            continue
         if not ecn_symmetrizable(p, channel, lam).feasible:
-            found.append(p)
-    return found
+            return p
+    return None

@@ -1,5 +1,7 @@
 """Max-min solver vs closed form, saddle checks, and verdict logic."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from winavc.capacity import (
     VERDICT_THM1,
     VERDICT_THM2,
     VERDICT_UNKNOWN,
-    best_response_mi,
     bitflip_list_capacity,
     list_capacity,
     oblivious_capacity,
@@ -27,6 +28,15 @@ from winavc.core import (
 )
 
 XOR = Channel.xor()
+
+# The ternary benchmark's channel 0 and its sets, and its max-min to 7
+# decimals: list_capacity's value at the default resolution, whose certified
+# interval is 3e-9 wide.
+TERNARY_TABLE = np.random.default_rng(np.random.SeedSequence(8)).dirichlet(
+    np.ones(3), size=(8, 3, 3))[0]
+TERNARY_GAMMA = ConstraintSet(3, [([0.0, 1.0, 2.0], 0.8)])
+TERNARY_LAM = ConstraintSet(3, [([0.0, 1.0, 2.0], 0.6)])
+TERNARY_REFERENCE = 0.0924423
 
 
 def weight_caps(w, p):
@@ -72,9 +82,9 @@ class TestListCapacity:
         for w in (0.05, 0.15, 0.25, 0.35, 0.45):
             for p in (0.05, 0.15, 0.25, 0.35, 0.45):
                 res = list_capacity(*weight_caps(w, p), XOR)
-                assert res.value == pytest.approx(
-                    bitflip_list_capacity(w, p), abs=1e-3
-                ), (w, p)
+                exact = bitflip_list_capacity(w, p)
+                assert res.value == pytest.approx(exact, abs=1e-3), (w, p)
+                assert res.lower - 1e-9 <= exact <= res.upper + 1e-9, (w, p)
 
     def test_result_invariants(self):
         res = list_capacity(*weight_caps(0.3, 0.15), XOR)
@@ -83,7 +93,8 @@ class TestListCapacity:
         assert gamma.contains(res.argmax_px, tol=1e-6)
         assert lam.contains(res.argmin_qs, tol=1e-6)
         direct = mutual_information(res.argmax_px, res.argmin_qs, XOR)
-        assert abs(direct - res.value) <= res.duality_gap_estimate + 1e-6
+        assert res.lower <= res.value <= res.upper
+        assert res.lower - 1e-9 <= direct <= res.upper + 1e-9
 
     def test_saddle_property(self):
         gamma, lam = weight_caps(0.25, 0.1)
@@ -120,7 +131,8 @@ class TestListCapacity:
         lam = ConstraintSet(3, [([0.0, 1.0, 1.0], 0.4)])
         res = list_capacity(gamma, lam, ch, grid_resolution=13)
         assert res.value >= -1e-9
-        assert res.duality_gap_estimate <= 5e-3
+        assert res.lower <= res.value <= res.upper
+        assert res.upper - res.lower <= 5e-3
 
 
 class TestWorstCaseMi:
@@ -181,6 +193,8 @@ class TestObliviousCapacity:
         assert res.value == 0.0
         assert res.all_symmetrizable_evidence
         assert res.argmax_px is None
+        assert res.lower == 0.0
+        assert np.isnan(res.upper)
 
     def test_single_nonsym_point(self):
         point = ConstraintSet(2, [([0.0, 1.0], 0.3), ([0.0, -1.0], -0.3)])
@@ -199,9 +213,13 @@ class TestObliviousCapacity:
             wvec = [0.0] + [1.0] * (nx - 1)
             gamma = ConstraintSet(nx, [(wvec, float(rng.uniform(0.2, 0.6)))])
             lam = ConstraintSet(ns, [(wvec[:ns], float(rng.uniform(0.2, 0.6)))])
-            c_list = list_capacity(gamma, lam, ch, grid_resolution=11).value
-            c_obl = oblivious_capacity(gamma, lam, ch, grid_resolution=11).value
-            assert c_obl <= c_list + 1e-4
+            c_list = list_capacity(gamma, lam, ch, grid_resolution=11)
+            c_obl = oblivious_capacity(gamma, lam, ch, grid_resolution=11)
+            assert c_obl.value <= c_list.value + 1e-4
+            if not c_obl.all_symmetrizable_evidence:
+                # the restricted pair's upper still bounds the unrestricted max-min
+                assert c_obl.lower <= c_obl.value <= c_obl.upper
+                assert c_list.lower <= c_obl.upper + 1e-9
 
 
 class TestVerdict:
@@ -237,8 +255,17 @@ class TestVerdict:
         assert len(calls) == scans
         assert v.hypothesis_evidence == (
             "all-symmetrizable on both the admissible set and its ratio-"
-            f"enlarged version at alpha={alpha} (grid evidence)"
+            f"enlarged version at alpha={alpha}"
         )
+
+    def test_grid_evidence_only_for_several_state_inequalities(self):
+        # the same state set written with a redundant second inequality
+        spec = bitflip_spec(0.1, 0.3, 512, 64, 32)
+        lam = ConstraintSet(2, [([0.0, 1.0], 0.3), ([0.0, 1.0], 0.9)])
+        v = windowed_capacity_verdict(replace(spec, lam=lam))
+        assert v.status == VERDICT_UNKNOWN
+        assert v.hypothesis_evidence.endswith("alpha=0.5 (grid evidence)")
+        assert "grid evidence" not in windowed_capacity_verdict(spec).hypothesis_evidence
 
     def test_regime_warnings(self):
         spec = bitflip_spec(0.2, 0.1, 512, 8, 8)  # windows below 4 ln n
@@ -248,10 +275,23 @@ class TestVerdict:
         assert windowed_capacity_verdict(spec_ok).regime_warnings == ()
 
 
-class TestBestResponse:
-    def test_maximizer_at_cap(self):
-        val, p, _ = best_response_mi(
-            Distribution.bernoulli(0.1), ConstraintSet.weight_cap(0.2), XOR
-        )
-        assert p.probs[1] == pytest.approx(0.2, abs=1e-5)
-        assert val == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-6)
+class TestCertificate:
+    def test_best_response_at_cap(self):
+        # at the bit-flip saddle no input law beats the cap against Q*, so the
+        # tangent at P* certifies the closed form from above
+        res = list_capacity(*weight_caps(0.2, 0.1), XOR)
+        assert res.argmax_px.probs[1] == pytest.approx(0.2, abs=1e-5)
+        assert res.upper == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-6)
+
+    @pytest.mark.parametrize("resolution", [5, 9])
+    def test_coarse_ternary_interval_holds_reference(self, resolution):
+        res = list_capacity(TERNARY_GAMMA, TERNARY_LAM, Channel(TERNARY_TABLE),
+                            grid_resolution=resolution)
+        assert res.lower <= TERNARY_REFERENCE <= res.upper
+        assert res.lower <= res.value <= res.upper
+
+    def test_default_ternary_interval_is_tight(self):
+        res = list_capacity(TERNARY_GAMMA, TERNARY_LAM, Channel(TERNARY_TABLE))
+        # the reference is rounded to 7 decimals
+        assert res.lower - 5e-8 <= TERNARY_REFERENCE <= res.upper + 5e-8
+        assert res.upper - res.lower <= 1e-6

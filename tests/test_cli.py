@@ -54,6 +54,7 @@ def test_capacity_json_format(bitflip_config, capsys):
     assert cli_main(["capacity", "--config", bitflip_config, "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["c_list"] == pytest.approx(0.3578, abs=1e-3)
+    assert doc["lower"] <= doc["c_list"] <= doc["upper"]
     assert doc["verdict"] == "equals_Clist_thm1"
 
 
@@ -114,7 +115,15 @@ def test_symmetrize_scan(bitflip_config, capsys):
                      "--format", "json"])
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["count"] > 0  # w = 0.2 > p = 0.1: non-symmetrizable points exist
+    # w = 0.2 > p = 0.1: the heaviest admissible inputs are non-symmetrizable
+    assert doc["all_symmetrizable"] is False
+    assert doc["exact"] is True
+    assert doc["witness"][1] > 0.1
+    assert cli_main(["symmetrize", "--config", bitflip_config, "--scan"]) == EXIT_OK
+    assert capsys.readouterr().out == "all_symmetrizable,exact,status\nFalse,True,ok\n"
+    assert cli_main(["symmetrize", "--config", bitflip_config, "--scan",
+                     "--resolution", "5"]) == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_check_windows(tmp_path, capsys):

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from winavc.core import Channel, ConstraintSet, Distribution
+from winavc.core import Channel, ConstraintSet, Distribution, InfeasibleSetError
 from winavc.symmetrize import (
     bitflip_symmetrizable,
     ecn_symmetrizable,
@@ -138,22 +140,79 @@ class TestGammaPrime:
 
 class TestScan:
     def test_nonempty_when_cap_exceeds_state_budget(self):
-        found = scan_nonsymmetrizable(
+        witness = scan_nonsymmetrizable(
             ConstraintSet.weight_cap(0.3), XOR, ConstraintSet.weight_cap(0.1)
         )
-        assert found
-        assert any(p.probs[1] > 0.1 for p in found)
+        assert witness is not None
+        assert witness.probs[1] > 0.1
 
     def test_empty_in_symmetrizable_regime(self):
-        found = scan_nonsymmetrizable(
+        witness = scan_nonsymmetrizable(
             ConstraintSet.weight_cap(0.1), XOR, ConstraintSet.weight_cap(0.2)
         )
-        assert found == []
+        assert witness is None
 
     def test_single_point_set(self):
         point = ConstraintSet(
             2, [([0.0, 1.0], 0.3), ([0.0, -1.0], -0.3)]
         )  # weight exactly 0.3
-        found = scan_nonsymmetrizable(point, XOR, ConstraintSet.weight_cap(0.1))
-        assert len(found) >= 1
-        assert all(abs(p.probs[1] - 0.3) < 1e-6 for p in found)
+        witness = scan_nonsymmetrizable(point, XOR, ConstraintSet.weight_cap(0.1))
+        assert witness is not None
+        assert abs(witness.probs[1] - 0.3) < 1e-6
+
+    @settings(max_examples=150)
+    @given(w=st.integers(2, 48), p=st.integers(2, 48), alpha=st.sampled_from([1.0, 0.5, 0.25]))
+    @example(w=20, p=20, alpha=1.0)  # w = p
+    @example(w=10, p=20, alpha=0.5)  # w / alpha = p
+    @example(w=5, p=20, alpha=0.25)
+    def test_bitflip_exact(self, w, p, alpha):
+        # Bern(w') is symmetrizable exactly when w' <= p, and the enlarged cap
+        # w' = w / alpha is the heaviest law of gamma_prime
+        w, p = w / 100, p / 100
+        gamma = gamma_prime(ConstraintSet.weight_cap(w), alpha)
+        witness = scan_nonsymmetrizable(gamma, XOR, ConstraintSet.weight_cap(p))
+        assert (witness is not None) == (w / alpha > p)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_random_channels_agree_with_lattice(self, data):
+        nx = data.draw(st.integers(2, 3), label="nx")
+        ns = data.draw(st.integers(2, 3), label="ns")
+        ny = data.draw(st.integers(2, 3), label="ny")
+        weights = st.floats(0.01, 1.0)
+        table = np.array(data.draw(
+            st.lists(weights, min_size=nx * ns * ny, max_size=nx * ns * ny), label="table"
+        )).reshape(nx, ns, ny)
+        channel = Channel(table / table.sum(axis=2, keepdims=True))
+
+        def half_space(dim, label):
+            c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                            max_size=dim), label=label))
+            t = data.draw(st.floats(0.0, 1.0), label=label + " bound")
+            return c, float(c.min() + t * (c.max() - c.min()))
+
+        k = data.draw(st.integers(1, 2), label="lambda inequalities")
+        try:
+            gamma = ConstraintSet(nx, [half_space(nx, "gamma")])
+            lam = ConstraintSet(ns, [half_space(ns, f"lambda {i}") for i in range(k)])
+        except InfeasibleSetError:
+            assume(False)
+
+        witness = scan_nonsymmetrizable(gamma, channel, lam)
+        if witness is not None:
+            assert gamma.contains(witness, tol=1e-7)
+            assert not ecn_symmetrizable(witness, channel, lam).feasible
+        if any(not ecn_symmetrizable(p, channel, lam).feasible
+               for p in gamma.grid_points(11)):
+            assert witness is not None
+
+    def test_state_blind_channel(self):
+        # W(y|x, s) = V(y|x) with distinct rows: no map symmetrizes it
+        rows = np.array([[0.9, 0.1], [0.2, 0.8]])
+        channel = Channel(np.repeat(rows[:, None, :], 2, axis=1))
+        assert not ecn_symmetrizable(Distribution.uniform(2), channel,
+                                     ConstraintSet.weight_cap(0.5)).feasible
+        gamma = ConstraintSet.weight_cap(0.3)
+        witness = scan_nonsymmetrizable(gamma, channel, ConstraintSet.weight_cap(0.5))
+        assert witness is not None
+        assert gamma.contains(witness)
