@@ -14,9 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # SHA-256 of each demo's stdout, recorded before the unused knobs became
 # constants; a refactor or speed-up may not move them.  The roundtrip demo's
 # was re-recorded when the i.i.d. jammer began restarting each candidate
-# after its first violating window, which changes its seeded stream.
+# after its first violating window, which changes its seeded stream.  The
+# bit-flip capacity demo's was re-recorded when its last column became the
+# certified width upper - lower in place of the one-sided gap estimate.
 STDOUT_DIGESTS = {
-    "capacity_bitflip": "169212c94eeba15f8f587b15e9c964aea39d70754c650c7b439468ff8f450de7",
+    "capacity_bitflip": "d2cf473dfe2ce95e6ddb3680b4aba2dc39458b2d6057f4b6a8d045d6d32db662",
     "guard_words_and_windows": "246675071b009e3b37852bbddf68709a92b2fe39c1b91c1df86fb0113fa4375e",
     "interleaved_layout": "a4e1ef8a7f6707b5fe6bb81c8fbe7387f51f73967c0c1092523134be23af990a",
     "spoofing_attack": "aaf316cd59ea7cb12e57dd007cf2e6eb43f9b9c2591ca6bf178132de968e6d6e",
