@@ -6,7 +6,8 @@ A conditional map U(s|x) symmetrizes the channel for input law P_x when
 
 and the induced state marginal sum_x P_x(x) U(s|x) is an admissible state
 distribution.  Existence is a pure LP feasibility question in the |S|*|X|
-variables U(s|x).
+variables U(s|x); whether a whole input set holds a non-symmetrizable law is
+one LP per Farkas multiplier on the state set's inequalities.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import lp
 from .core import Channel, ConstraintSet, Distribution, _compositions
 
-_MULTIPLIER_STEPS = 20  # lattice steps per edge of the multiplier simplex
+_MULTIPLIER_STEPS = 20  # lattice steps per edge of the multiplier simplex (lam with k > 1 rows)
 
 
 @dataclass(frozen=True)
