@@ -21,6 +21,7 @@ import numpy as np
 
 _TOL = 1e-9  # pivot, ratio-test and phase-1 feasibility tolerance
 _MAX_ITER = 10_000  # pivots per simplex phase
+_SMALL_ROW = 1e-3  # constraint rows with a smaller largest |coefficient| are rescaled
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -83,6 +84,11 @@ def solve_lp(
 
     a = np.vstack(rows)
     b = np.asarray(rhs, dtype=float)
+    # Pivots on a row far below unit scale turn roundoff into infeasible
+    # "optimal" points; such rows are scaled to unit max, the rest divided by 1.
+    row_max = np.abs(a).max(axis=1)
+    shrink = np.where((row_max > 0) & (row_max < _SMALL_ROW), row_max, 1.0)
+    a, b = a / shrink[:, None], b / shrink
 
     n_slack = len(slack_rows)
     full = np.zeros((m, n + n_slack))

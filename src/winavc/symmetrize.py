@@ -54,21 +54,12 @@ def ecn_symmetrizable(
     if lam.dim != ns:
         raise ValueError("state constraint set does not match channel")
 
-    nvar = nx * ns  # u[x, s] flattened row-major
     a_eq, b_eq = _symmetrization_equalities(channel)
-
-    ub_rows, ub_rhs = [], []
-    for c, b in lam.inequalities:
-        row = np.zeros(nvar)
-        for x in range(nx):
-            row[x * ns : (x + 1) * ns] = p_x[x] * c
-        ub_rows.append(row)
-        ub_rhs.append(b)
-
+    # u[x, s] flattened row-major; inequality i has coefficient P(x) c_i(s)
     res = lp.solve_lp(
-        np.zeros(nvar),
-        a_ub=np.vstack(ub_rows) if ub_rows else None,
-        b_ub=np.asarray(ub_rhs) if ub_rows else None,
+        np.zeros(nx * ns),
+        a_ub=np.kron(p_x.probs, lam.coeffs),
+        b_ub=lam.bounds,
         a_eq=a_eq,
         b_eq=b_eq,
     )
@@ -186,11 +177,14 @@ def scan_nonsymmetrizable(
     cost = np.concatenate([np.zeros(nx), -b_eq, b_eq])
     simplex_row = np.concatenate([np.ones(nx), np.zeros(2 * m)])
     for mu in mus:
-        a_ub[ng:, :nx] = -np.kron(np.eye(nx), (mu @ lam.coeffs)[:, None])
+        # <c, Q> <= b at unit max |c|, so the 1e-9 margin does not depend on scale
+        c, b = mu @ lam.coeffs, mu @ lam.bounds
+        scale = np.abs(c).max(initial=0.0) or 1.0
+        a_ub[ng:, :nx] = -np.kron(np.eye(nx), (c / scale)[:, None])
         res = lp.solve_lp(cost, a_ub, b_ub, simplex_row, [1.0])
         if not res.is_optimal:
             p = gamma.feasible_point()
-        elif -res.value > mu @ lam.bounds + 1e-9:
+        elif -res.value > b / scale + 1e-9:
             p = Distribution(np.clip(res.x[:nx], 0, None), atol=1e-6)
         else:
             continue
