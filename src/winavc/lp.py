@@ -22,6 +22,10 @@ import numpy as np
 _TOL = 1e-9  # pivot, ratio-test and phase-1 feasibility tolerance
 _MAX_ITER = 10_000  # pivots per simplex phase
 _SMALL_ROW = 1e-3  # constraint rows with a smaller largest |coefficient| are rescaled
+# Re-substitution tolerance of a returned point, relative to each row's
+# scale: ratio-test ties within _TOL can leave a basic variable a few _TOL
+# below zero.
+_CHECK_TOL = 1e3 * _TOL
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -29,7 +33,7 @@ UNBOUNDED = "unbounded"
 
 
 class SimplexError(RuntimeError):
-    """Pivoting failed to terminate within the iteration budget."""
+    """Pivoting did not terminate within the iteration budget, or ended at an infeasible point."""
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,10 @@ def solve_lp(
     # Normalize to b >= 0 before introducing artificials.
     neg = b < 0
     full[neg] *= -1.0
-    b = np.where(neg, -b, b)
 
     tableau = np.zeros((m, n + n_slack + m + 1))
     tableau[:, : n + n_slack] = full
-    tableau[:, -1] = b
+    tableau[:, -1] = np.abs(b)
     basis = np.empty(m, dtype=int)
     for i in range(m):
         tableau[i, n + n_slack + i] = 1.0
@@ -143,7 +146,24 @@ def solve_lp(
     x = np.zeros(n + n_slack + m)
     x[basis] = tableau[:, -1]
     x = x[:n]
+    _check_point(x, a, b, n_slack)
     return LpResult(OPTIMAL, x, float(c @ x))
+
+
+def _check_point(x, a, b, n_ub) -> None:
+    """Raise SimplexError unless x >= 0, a[:n_ub] x <= b[:n_ub] and a[n_ub:] x == b[n_ub:].
+
+    Degenerate pivots on a tiny entry can leave roundoff that the final
+    tableau no longer shows; the check re-substitutes x into the scaled rows.
+    """
+    excess = a @ x - b
+    np.abs(excess[n_ub:], out=excess[n_ub:])
+    scale = 1.0 + np.abs(a) @ np.abs(x) + np.abs(b)
+    if np.any(excess > _CHECK_TOL * scale) or x.min() < -_CHECK_TOL * (1.0 + x.max()):
+        raise SimplexError(
+            f"simplex returned an infeasible point (row excess {excess.max():.3g}, "
+            f"least entry {x.min():.3g})"
+        )
 
 
 def _run_simplex(tableau, basis, cost, ncols=None) -> str:

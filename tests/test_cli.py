@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from winavc.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, cli_main
+from winavc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
 
 
 @pytest.fixture
@@ -124,6 +124,24 @@ def test_symmetrize_scan(bitflip_config, capsys):
     assert cli_main(["symmetrize", "--config", bitflip_config, "--scan",
                      "--resolution", "5"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_symmetrize_scan_solver_failure_exits_3(tmp_path, capsys):
+    # an LP whose simplex ends at an infeasible point is a runtime error, not
+    # a config error about a law that does not sum to 1
+    table = [0.5, 1, 1, 1, 1, 1, 1, 0.25, 1, 1, 1, 1]
+    rows = [[table[i] / (table[i] + table[i + 1]), table[i + 1] / (table[i] + table[i + 1])]
+            for i in range(0, 12, 2)]
+    doc = {
+        "alphabets": {"x": 2, "s": 3, "y": 2},
+        "channel": rows,
+        "gamma": [{"coeffs": [0, 1], "bound": 1}],
+        "lambda": [{"coeffs": [-9.37525e-7, 1, 0], "bound": -9.37525e-7}],
+    }
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["symmetrize", "--config", str(path), "--scan"]) == EXIT_RUNTIME
+    assert "infeasible point" in capsys.readouterr().err
 
 
 def test_check_windows(tmp_path, capsys):

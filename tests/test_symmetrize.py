@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from winavc.core import Channel, ConstraintSet, Distribution, InfeasibleSetError
+from winavc.lp import SimplexError
 from winavc.symmetrize import (
     bitflip_symmetrizable,
     ecn_symmetrizable,
@@ -231,3 +232,13 @@ class TestScan:
         witness = scan_nonsymmetrizable(gamma, channel, ConstraintSet.weight_cap(0.5))
         assert witness is not None
         assert gamma.contains(witness)
+
+    def test_infeasible_simplex_point_raises(self):
+        # The scan's LP pivots on the 9.4e-7 state coefficient and ends at a
+        # "law" summing to 1.047; the solver must refuse it, not return it.
+        table = np.array([0.5, 1, 1, 1, 1, 1, 1, 0.25, 1, 1, 1, 1]).reshape(2, 3, 2)
+        channel = Channel(table / table.sum(axis=2, keepdims=True))
+        lam = ConstraintSet(3, [([-9.37525e-7, 1.0, 0.0], -9.37525e-7)])
+        gamma = ConstraintSet(2, [([0.0, 1.0], 1.0)])
+        with pytest.raises(SimplexError, match="infeasible point"):
+            scan_nonsymmetrizable(gamma, channel, lam)
