@@ -17,6 +17,7 @@ from winavc.windows import (
     expurgate,
     guard_word,
     verify_windows,
+    violation_flags,
     windows_valid,
     windows_valid_rows,
 )
@@ -295,6 +296,120 @@ class TestWindowKernelBruteForce:
         )
         assert stats.kept_indices.tolist() == want
         assert np.array_equal(kept, mat[want])
+
+
+def cumsum_window_violations(mat, w, gamma):
+    """The earlier int32 cumsum kernel, kept as the reference for the flags."""
+    rows, n = mat.shape
+    flags = np.zeros((rows, n - w + 1), dtype=bool)
+    win_counts = {}
+    for sym in np.flatnonzero(np.any(gamma.coeffs != 0.0, axis=0)):
+        csum = np.cumsum(mat == sym, axis=1, dtype=np.int32)
+        counts = csum[:, w - 1:].copy()
+        counts[:, 1:] -= csum[:, : n - w]
+        win_counts[sym] = counts
+    for c, bound in zip(gamma.coeffs, gamma.bounds):
+        terms = (c[sym] * counts for sym, counts in win_counts.items() if c[sym] != 0.0)
+        dots = next(terms, 0.0)
+        for term in terms:
+            dots += term
+        flags |= dots > bound * w + TOLERANCE * w
+    return flags
+
+
+def tenth_on_threshold(w, k):
+    """The bound b with b*w + TOLERANCE*w == fl(0.1*k): the window test's float
+    threshold sits exactly on a count's weighted sum, where only the strict > decides."""
+    b = (0.1 * k - TOLERANCE * w) / w
+    for _ in range(16):
+        t = b * w + TOLERANCE * w
+        if t == 0.1 * k:
+            return b
+        b = np.nextafter(b, np.inf if t < 0.1 * k else -np.inf)
+    raise AssertionError(f"no bound puts the threshold on 0.1 * {k} at w = {w}")
+
+
+KERNEL_N = 600
+KERNEL_WINDOWS = [1, 2, 63, 64, 65, 255, 256, 257, KERNEL_N]
+KERNEL_SETS = {
+    2: {
+        "cap": lambda w: ConstraintSet.weight_cap(0.3),
+        "floor": lambda w: ConstraintSet(2, [([0.0, -1.0], -0.2)]),
+        "negative-pair": lambda w: ConstraintSet(2, [([0.0, -0.7], -0.1), ([-2.5, 0.0], -1.9)]),
+        "tenth-on-count": lambda w: ConstraintSet(
+            2, [([0.0, 0.1], tenth_on_threshold(w, max(w // 3, 1)))]
+        ),
+        "both-symbols": lambda w: ConstraintSet(2, [([0.3, 0.7], 0.55)]),
+        # an all-zero row whose threshold -TOLERANCE*w + TOLERANCE*w is exactly 0
+        "zero-row": lambda w: ConstraintSet(2, [([0.0, 0.0], -TOLERANCE), ([0.0, 1.0], 0.35)]),
+    },
+    3: {
+        "caps": lambda w: ConstraintSet(3, [([0.0, 1.0, 0.0], 0.4), ([0.0, 0.0, 1.0], 0.3)]),
+        "floor-and-tenth": lambda w: ConstraintSet(
+            3, [([-1.0, 0.0, 0.0], -0.25), ([0.0, 0.1, 0.0], tenth_on_threshold(w, max(w // 3, 1)))]
+        ),
+        "mixed": lambda w: ConstraintSet(3, [([0.2, -0.5, 1.0], 0.3), ([0.0, 1.0, 1.0], 0.7)]),
+    },
+}
+
+
+def kernel_rows(dim, rows, n, seed):
+    """Rows of i.i.d. symbols, each under its own law, so windows fall on both sides
+    of a bound; the last row repeats the last symbol, so its counts reach w."""
+    rng = np.random.default_rng(seed)
+    laws = rng.dirichlet(np.ones(dim), size=rows - 1)
+    mat = [rng.choice(dim, size=n, p=law) for law in laws] + [np.full(n, dim - 1)]
+    return np.array(mat, dtype=np.int8)
+
+
+class TestKernelMatchesCumsum:
+    """The window kernel's flags equal the cumsum reference's, bit for bit."""
+
+    def check(self, mat, w, cset):
+        want = cumsum_window_violations(mat, w, cset)
+        assert np.array_equal(windows_valid_rows(mat, w, cset), ~want.any(axis=1))
+        for row, row_want in zip(mat, want):
+            assert np.array_equal(violation_flags(row, w, cset), row_want)
+        return want
+
+    @pytest.mark.parametrize("w", KERNEL_WINDOWS)
+    @pytest.mark.parametrize(
+        "dim,name", [(d, k) for d, sets in KERNEL_SETS.items() for k in sets]
+    )
+    def test_flags(self, dim, name, w):
+        cset = KERNEL_SETS[dim][name](w)
+        mat = kernel_rows(dim, 12, KERNEL_N, seed=1000 * dim + w)
+        want = self.check(mat, w, cset)
+        # contexts of w - 1 symbols: every window of the extended rows overlaps the codeword
+        pre = suf = None
+        ext = mat
+        if w > 1:
+            pre, suf = mat[0, : w - 1], mat[1, : w - 1]
+            ext = np.hstack([np.tile(pre, (12, 1)), mat, np.tile(suf, (12, 1))])
+        keep = ~cumsum_window_violations(ext, w, cset).any(axis=1)
+        kept, stats = expurgate(mat, w, cset, suffix_context=suf, prefix_context=pre)
+        assert stats.kept_indices.tolist() == np.flatnonzero(keep).tolist()
+        assert np.array_equal(kept, mat[keep])
+        if name in ("cap", "mixed") and w < KERNEL_N:
+            assert 0 < want.sum() < want.size  # windows on both sides of the bound
+
+    @pytest.mark.parametrize("w", [65_535, 65_536, 70_001])
+    def test_windows_past_uint16(self, w):
+        # counts past 65,535 need a wider type than the uint16 path's
+        mat = kernel_rows(2, 2, 70_001, seed=w)
+        mat[0, :68_000] = 1
+        self.check(mat, w, ConstraintSet.weight_cap(0.6))
+        self.check(mat, w, ConstraintSet(2, [([0.0, -1.0], -0.6)]))
+
+    def test_equal_and_fresh_sets_at_one_window(self):
+        # tests are kept per set: two equal sets, then sets built and dropped in turn
+        mat = kernel_rows(2, 12, KERNEL_N, seed=7)
+        a, b = ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.3)
+        self.check(mat, 64, a)
+        self.check(mat, 64, b)
+        for bound in np.linspace(0.05, 0.95, 19):
+            self.check(mat, 64, ConstraintSet.weight_cap(float(bound)))
+            self.check(mat, 64, ConstraintSet(2, [([0.0, -1.0], -float(bound))]))
 
 
 class TestConvexityGlue:
