@@ -232,15 +232,6 @@ def _check_window(w: int, n: int) -> None:
         raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w}")
 
 
-def _count_dtype(w: int) -> type:
-    """Narrowest integer type that holds every count of a length-w window."""
-    if w < 1 << 8:
-        return np.uint8
-    if w < 1 << 16:
-        return np.uint16
-    return np.int64
-
-
 def _window_counts(ind: np.ndarray, w: int) -> np.ndarray:
     """Counts of the True entries of the 1-D ind in each length-w window, one per start.
 
@@ -248,8 +239,10 @@ def _window_counts(ind: np.ndarray, w: int) -> np.ndarray:
     of the bits set in w add up to w: about 2 log2(w) vector adds in the
     narrowest integer type that holds w.
     """
-    dtype = _count_dtype(w)
-    block = ind.view(np.uint8) if dtype is np.uint8 else ind.astype(dtype)
+    if w < 1 << 8:
+        block = ind.view(np.uint8)
+    else:
+        block = ind.astype(np.uint16 if w < 1 << 16 else np.int64)
     starts = ind.size - w + 1
     total, have, size = None, 0, 1
     while True:
@@ -279,7 +272,7 @@ class _WindowTests:
     symbols: tuple[int, ...]  # symbols whose window counts a test reads
     at_least: tuple[tuple[int, int], ...]  # (s, k): violated when count of s >= k
     at_most: tuple[tuple[int, int], ...]  # (s, k): violated when count of s <= k
-    sums: tuple[tuple[tuple[tuple[int, float], ...], float], ...]  # (((s, c), ...), t): sum > t
+    sums: tuple  # (((s, c), ...), t): violated when the sum of c * count of s exceeds t
 
 
 @functools.lru_cache(maxsize=64)
