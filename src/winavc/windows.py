@@ -6,6 +6,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,8 +257,7 @@ def _window_counts(ind: np.ndarray, w: int) -> np.ndarray:
         size *= 2
 
 
-@dataclass(frozen=True)
-class _WindowTests:
+class _WindowTests(NamedTuple):
     """The window tests equivalent to one ConstraintSet at one window length w.
 
     An inequality <c, counts> > bound*w + TOLERANCE*w that weighs a single
