@@ -194,6 +194,25 @@ EXPERIMENT_JSON = Path(__file__).resolve().parents[1] / "examples_configs" / "ex
 GRID_JSON = EXPERIMENT_JSON.with_name("grid.json")
 
 
+def experiment_variant(**changes) -> ExperimentConfig:
+    """examples_configs/experiment.json at 20 trials, with the given fields replaced."""
+    config = load_config(str(EXPERIMENT_JSON))
+    return dataclasses.replace(config, trials=20, **changes)
+
+
+def spoofing_regime_config(jammer_kind: str) -> ExperimentConfig:
+    """demos/spoofing_attack.py's symmetrizable regime at 20 trials: codewords are admissible states."""
+    code = CodecParams(
+        layout="thm1", n1=256, w_x=128, message_bits=4, field_bits=3, key_len=128,
+        p_x=Distribution.bernoulli(0.02), key_type=Distribution.bernoulli(0.02),
+        allow_symmetrizable_key_type=True,
+    )
+    return ExperimentConfig(
+        spec=bitflip_spec(0.05, 0.1, 640, 128, 128), code=code,
+        jammer=JammerParams(kind=jammer_kind), trials=20, master_seed=99,
+    )
+
+
 def _digest(arr: np.ndarray) -> str:
     arr = np.ascontiguousarray(arr)
     h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
@@ -210,7 +229,9 @@ class TestPinnedOutputs:
     moved to bit-packed codewords, the field products and hashes before the
     field became one multiplication table, the CLI stdout before the unused
     knobs became constants, the likelihood-scored build and decodes before
-    the two random codes shared one type and one scorer; none may move under
+    the two random codes shared one type and one scorer, the spoof,
+    symmetrize, none and max-criterion records before trials ran in blocks;
+    none may move under
     a later refactor or speed-up.  The figures that follow the i.i.d.
     jammer's stream (the trial rejections and records, the likelihood
     decodes and the simulate stdout) were re-recorded when its rejection
@@ -327,6 +348,23 @@ class TestPinnedOutputs:
         assert digest == (
             "66e46afe0e40aefd4540fe66cbdae2375e650589da0632db06fe21edbdff4feb"
         )
+
+    @pytest.mark.parametrize("make_config, digest", [
+        (lambda: experiment_variant(jammer=JammerParams(kind="spoof")),
+         "392805ec2167dcb02777480069c82822d99abcd87af95482fd2511c051147a82"),
+        (lambda: spoofing_regime_config("spoof"),
+         "e7cd22c17db2081a96fd31f2888064f232f2217a2795a975d1f9f5c19a30a70b"),
+        (lambda: spoofing_regime_config("symmetrize"),
+         "3902a6491ee0ab0cd3c030d6c4363a9ceefab945cd28067e011997472a909c88"),
+        (lambda: experiment_variant(jammer=JammerParams(kind="none")),
+         "196facb618e5d13aeb414663e307367596c7c40001e2bd26af72511ff33514cf"),
+        (lambda: experiment_variant(error_criterion="max"),
+         "abb63b949d5045205dd4872a0031f14994e572800106b26be29fe5cb46c29809"),
+    ], ids=["spoof-forfeits", "spoof-admissible", "symmetrize", "none", "max-criterion"])
+    def test_other_jammer_records(self, make_config, digest):
+        # the trial paths test_trial_records leaves out: every TrialRecord field
+        records = [dataclasses.astuple(r) for r in run_trials(make_config()).records]
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
     def test_field_products_and_hashes(self):
         # every GF(2^k) product for k = 1..8, and the hash on seeded draws
