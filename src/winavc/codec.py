@@ -35,6 +35,7 @@ from .windows import (
     guard_word,
     verify_windows,
     windows_valid,
+    windows_valid_rows,
 )
 
 LAYOUT_THM1 = "thm1"
@@ -208,19 +209,25 @@ class ListCode:
         """(words, codewords) _pack_bits array, packed on first Hamming scoring."""
         return np.ascontiguousarray(_pack_bits(self.codewords).T)
 
-    def scores(self, y_seq, budget: JamBudget) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, admissible mask) of every codeword against y_seq; lower is better."""
-        y = np.asarray(y_seq, dtype=np.int8)
+    def score_rows(self, y_rows, budget: JamBudget) -> tuple[np.ndarray, np.ndarray]:
+        """(scores, admissible mask) of every codeword against each row of a (rows, n)
+        output block, two (rows, codewords) arrays; lower scores are better."""
+        y = np.asarray(y_rows, dtype=np.int8)
         n = self.codewords.shape[1]
-        if y.size != n:
-            raise ValueError(f"output length {y.size} != code length {n}")
+        if y.ndim != 2 or y.shape[1] != n:
+            raise ValueError(f"output length {y.shape[-1]} != code length {n}")
         if budget.kind == "hamming":
-            # word-major, so the sum runs over a few long rows
-            diff = self._packed_codewords ^ _pack_bits(y)[:, None]
-            scores = np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
+            # one pass per packed word, so no (rows, words, codewords) array is built
+            packed = _pack_bits(y)
+            scores = np.zeros((y.shape[0], self.codewords.shape[0]), dtype=np.int32)
+            diff = np.empty(scores.shape, dtype=np.uint64)
+            for word, y_word in zip(self._packed_codewords, packed.T):
+                np.bitwise_xor(word, y_word[:, None], out=diff)
+                scores += np.bitwise_count(diff)
             return scores, scores <= budget.radius
         if budget.kind == "likelihood":
-            ll = budget.ll_table[self.codewords, y[None, :]].mean(axis=1)
+            # row by row: one (codewords, n) table of letter scores at a time
+            ll = np.array([budget.ll_table[self.codewords, row].mean(axis=1) for row in y])
             return -ll, ll >= budget.ll_floor
         raise ValueError(f"unknown budget kind {budget.kind!r}")
 
@@ -299,13 +306,21 @@ def list_decode(y_seq, code: ListCode, budget: JamBudget) -> ListDecodeResult:
     Ties break deterministically by position; the list is truncated to
     _L_MAX with the overflow flagged.
     """
-    scores, ok = code.scores(y_seq, budget)
-    idx = np.flatnonzero(ok)
-    ranked = idx[np.lexsort((idx, scores[idx]))]
-    return ListDecodeResult(
-        messages=tuple(int(i) for i in ranked[:_L_MAX]),
-        overflow=ranked.size > _L_MAX,
-    )
+    return list_decode_rows(np.reshape(y_seq, (1, -1)), code, budget)[0]
+
+
+def list_decode_rows(y_rows, code: ListCode, budget: JamBudget) -> list[ListDecodeResult]:
+    """list_decode for each row of a (rows, n) output block, scored in one pass."""
+    scores, ok = code.score_rows(y_rows, budget)
+    results = []
+    for row_scores, row_ok in zip(scores, ok):
+        idx = np.flatnonzero(row_ok)
+        ranked = idx[np.lexsort((idx, row_scores[idx]))]
+        results.append(ListDecodeResult(
+            messages=tuple(int(i) for i in ranked[:_L_MAX]),
+            overflow=ranked.size > _L_MAX,
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +463,17 @@ class KeyCode(ListCode):
         return 1 << self.field_bits
 
     def encode(self, r1: int, r2: int) -> np.ndarray:
-        kid = r1 * self.q + r2
-        pos = int(np.searchsorted(self.ids, kid))
-        if pos >= self.ids.size or self.ids[pos] != kid:
-            raise KeyError(f"key pair ({r1}, {r2}) was expurgated")
+        return self.encode_rows([r1], [r2])[0]
+
+    def encode_rows(self, r1, r2) -> np.ndarray:
+        """Key codewords (rows, n) for equal-length arrays of key pairs."""
+        kid = np.asarray(r1) * self.q + np.asarray(r2)
+        pos = np.searchsorted(self.ids, kid)
+        kept = pos < self.ids.size
+        kept[kept] = self.ids[pos[kept]] == kid[kept]
+        if not kept.all():
+            first = np.argmin(kept)
+            raise KeyError(f"key pair ({r1[first]}, {r2[first]}) was expurgated")
         return self.codewords[pos]
 
     def draw_keys(self, rng: np.random.Generator) -> tuple[int, int]:
@@ -463,8 +485,13 @@ class KeyCode(ListCode):
         Ties go to the smallest key id: ids is increasing, so that is the
         first best score.
         """
-        scores, _ = self.scores(y_seq, budget)
-        return divmod(int(self.ids[np.argmin(scores)]), self.q)
+        r1, r2 = self.decode_rows(np.reshape(y_seq, (1, -1)), budget)
+        return int(r1[0]), int(r2[0])
+
+    def decode_rows(self, y_rows, budget: JamBudget) -> tuple[np.ndarray, np.ndarray]:
+        """decode for each row of a (rows, n) output block: the arrays (r1, r2)."""
+        scores, _ = self.score_rows(y_rows, budget)
+        return np.divmod(self.ids[np.argmin(scores, axis=1)], self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -584,33 +611,58 @@ class ThreePhaseCodec:
 
     def encode(self, message_pos: int, r1: int, r2: int, *, check_windows: bool = True) -> np.ndarray:
         """Assemble the full codeword for the message at position message_pos."""
-        if not 0 <= message_pos < self.message_count:
-            raise ValueError(f"message position {message_pos} out of range")
+        return self.encode_rows([message_pos], [r1], [r2], check_windows=check_windows)[0]
+
+    def encode_rows(self, message_pos, r1, r2, *, check_windows: bool = True) -> np.ndarray:
+        """encode for equal-length arrays of message positions and keys: one (rows, n) block."""
+        pos, r1, r2 = (np.asarray(v) for v in (message_pos, r1, r2))
+        out = (pos < 0) | (pos >= self.message_count)
+        if out.any():
+            raise ValueError(f"message position {pos[np.argmax(out)]} out of range")
         # an out-of-range key would index another message's hash or alias another key id
-        if not all(isinstance(r, (int, np.integer)) and 0 <= r < self.q for r in (r1, r2)):
-            raise ValueError(f"keys r1, r2 must be integers in [0, {self.q}), got {r1}, {r2}")
-        h = r1 ^ int(self._hash_table[message_pos, r2])
-        x1 = self.phase1_flat.codewords[message_pos * self.q + h]
-        full = np.concatenate([x1, self.phase2_seq, self.phase3_skeleton])
-        full[self.key_slots] = self.key_code.encode(r1, r2)
-        if check_windows and not windows_valid(full, self.plan.w_x, self.gamma):
-            report = verify_windows(full, self.plan.w_x, self.gamma)
-            raise CodeConstructionError(
-                f"assembled codeword violates an input window at start "
-                f"{report.first_violation()}"
-            )
+        bad = np.ones(pos.shape, dtype=bool)
+        if r1.dtype.kind in "iu" and r2.dtype.kind in "iu":
+            bad = (r1 < 0) | (r1 >= self.q) | (r2 < 0) | (r2 >= self.q)
+        if bad.any():
+            t = np.argmax(bad)
+            raise ValueError(f"keys r1, r2 must be integers in [0, {self.q}), got {r1[t]}, {r2[t]}")
+        h = r1 ^ self._hash_table[pos, r2]
+        plan = self.plan
+        full = np.empty((pos.size, plan.total_length), dtype=np.int8)
+        full[:, : plan.n1] = self.phase1_flat.codewords[pos * self.q + h]
+        full[:, plan.n1 : plan.phase3_start] = self.phase2_seq
+        full[:, plan.phase3_start :] = self.phase3_skeleton
+        full[:, self.key_slots] = self.key_code.encode_rows(r1, r2)
+        if check_windows:
+            valid = windows_valid_rows(full, plan.w_x, self.gamma)
+            if not valid.all():
+                report = verify_windows(full[np.argmin(valid)], plan.w_x, self.gamma)
+                raise CodeConstructionError(
+                    f"assembled codeword violates an input window at start "
+                    f"{report.first_violation()}"
+                )
         return full
 
     def decode(self, y_seq) -> DecodeResult:
         """List-decode the first segment, recover keys, filter by hash."""
-        y = np.asarray(y_seq, dtype=np.int8)
-        if y.size != self.plan.total_length:
-            raise ValueError(
-                f"output length {y.size} != transmission length {self.plan.total_length}"
-            )
-        listing = list_decode(y[: self.plan.n1], self.phase1_flat, self.budget1)
-        r1, r2 = self.key_code.decode(y[self.key_slots], self.budget3)
+        return self.decode_rows(np.reshape(y_seq, (1, -1)))[0]
 
+    def decode_rows(self, y_rows) -> list[DecodeResult]:
+        """decode for each row of a (rows, n) output block, each stage scored in one pass."""
+        y = np.asarray(y_rows, dtype=np.int8)
+        if y.ndim != 2 or y.shape[1] != self.plan.total_length:
+            raise ValueError(
+                f"output length {y.shape[-1]} != transmission length {self.plan.total_length}"
+            )
+        listings = list_decode_rows(y[:, : self.plan.n1], self.phase1_flat, self.budget1)
+        r1s, r2s = self.key_code.decode_rows(y[:, self.key_slots], self.budget3)
+        return [
+            self._filter(listing, int(r1), int(r2))
+            for listing, r1, r2 in zip(listings, r1s, r2s)
+        ]
+
+    def _filter(self, listing: ListDecodeResult, r1: int, r2: int) -> DecodeResult:
+        """Keep the listed messages whose hash under (r1, r2) matches their codeword's."""
         if not listing.messages:
             return DecodeResult(None, "empty-list", 0, listing.overflow, (r1, r2), ())
         pos, h = np.divmod(np.array(listing.messages), self.q)

@@ -398,11 +398,32 @@ def _mi_from_induced(px: np.ndarray, v: np.ndarray) -> float:
 
 def block_channel_sample(x_seq, s_seq, channel: Channel, rng: np.random.Generator):
     """Sample the block channel output; each y_i ~ W(. | x_i, s_i) independently."""
-    x = np.asarray(x_seq, dtype=int)
-    s = np.asarray(s_seq, dtype=int)
+    x = np.asarray(x_seq)
+    s = np.asarray(s_seq)
     if x.shape != s.shape or x.ndim != 1:
         raise ValueError(f"input and state lengths differ: {x.shape} vs {s.shape}")
-    return inverse_cdf(channel.table[x, s], rng.random(x.size))
+    return channel_sample_rows(x[None], s[None], channel, [rng])[0]
+
+
+def channel_sample_rows(x_rows, s_rows, channel: Channel, rngs) -> np.ndarray:
+    """block_channel_sample for each row of equal-shape (rows, n) inputs and states.
+
+    Row r draws its n uniforms from rngs[r], as one block_channel_sample
+    call would; one inverse-CDF pass then samples every output.
+    """
+    x = np.asarray(x_rows)
+    s = np.asarray(s_rows)
+    if x.shape != s.shape or x.ndim != 2 or len(rngs) != x.shape[0]:
+        raise ValueError(
+            f"need equal (rows, n) inputs and states and one generator per row, got "
+            f"{x.shape}, {s.shape} and {len(rngs)}"
+        )
+    u = np.empty(x.shape)
+    for row, rng in zip(u, rngs):
+        row[:] = rng.random(x.shape[1])
+    nx, ns, ny = channel.table.shape
+    pairs = np.ravel_multi_index((x, s), (nx, ns))  # refuses a symbol outside its alphabet
+    return inverse_cdf_indexed(channel.table.reshape(nx * ns, ny), pairs, u)
 
 
 def sample_iid(p: Distribution, shape, rng: np.random.Generator) -> np.ndarray:
@@ -418,8 +439,27 @@ def inverse_cdf(probs, u) -> np.ndarray:
     total (the last entry, or one after the last positive probability), so no
     u in [0, 1) gives a symbol outside the alphabet or of probability zero.
     """
+    return _cdf_symbols(_capped_cdf(probs), u)
+
+
+def inverse_cdf_indexed(laws, index, u) -> np.ndarray:
+    """inverse_cdf(laws[index], u) for a (count, k) table of laws.
+
+    Each law's cdf is taken once on the table and then gathered: a row's
+    cdf does not depend on the rows around it, so the symbols are those of
+    inverse_cdf, without a cumulative sum over every gathered row.
+    """
+    return _cdf_symbols(_capped_cdf(laws).take(index, axis=0), u)
+
+
+def _capped_cdf(probs) -> np.ndarray:
+    """Cumulative sums along the last axis, inf from the first that reaches the law's total."""
     cdf = np.cumsum(probs, axis=-1)
     cdf[cdf >= cdf[..., -1:]] = np.inf
+    return cdf
+
+
+def _cdf_symbols(cdf, u) -> np.ndarray:
     out = np.zeros(np.shape(u), dtype=np.int8)
     for k in range(cdf.shape[-1] - 1):
         out += u >= cdf[..., k]

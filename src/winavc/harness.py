@@ -1,11 +1,15 @@
 """Monte Carlo simulation driver: experiment configs, trial loops, sweeps.
 
-Per-trial randomness is derived counter-mode from (master_seed, trial index)
-so each trial is bit-reproducible on its own, whatever trials run before it.
-The jammer only ever receives public objects; when a strategy proposes an
-inadmissible state sequence it forfeits the trial and a deterministic
-admissible fallback is played instead (an adversary cannot play outside the
-model).
+Each trial owns four Generators, derived counter-mode from (master_seed,
+trial index, stream): stream 2 draws its message (the max criterion sweeps
+messages instead), 3 its keys, 4 its jammer states and 5 its channel
+outputs.  Trials run in fixed blocks, one call per stage for the whole
+block, and every Generator draws exactly what it would in a trial run
+alone, so each trial is bit-reproducible on its own and the records do not
+depend on the block size or on which trials run before it.  The jammer only
+ever receives public objects; when a strategy proposes an inadmissible
+state sequence it forfeits the trial and a deterministic admissible
+fallback is played instead (an adversary cannot play outside the model).
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .core import (
     Distribution,
     WindowedAvcSpec,
     bitflip_spec,
-    block_channel_sample,
+    block_channel_sample,  # unused here; bench/layers.py traces harness.block_channel_sample
+    channel_sample_rows,
 )
 from .symmetrize import ecn_symmetrizable
 
@@ -41,6 +46,11 @@ OUTCOMES = (
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
 _IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
 JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
+# Trials per block in run_trials.  Blocks of 8 to 16 trials ran experiment.json
+# within run-to-run noise of each other, about twice as fast as one trial at
+# a time; at 12 the largest temporaries of a block, the i.i.d. jammer's
+# uniforms and window counts, stay under 1 MB (tracemalloc peak 0.94 MB).
+_TRIAL_BLOCK = 12
 
 
 class ConfigError(ValueError):
@@ -77,8 +87,18 @@ class ExperimentConfig:
         p_s, states = self.jammer.p_s, self.spec.s_alphabet.size
         if p_s is not None and p_s.size != states:
             raise ConfigError(f"jammer.p_s has {p_s.size} entries but alphabets.s is {states}")
-        if self.jammer.kind == "iid" and p_s is None and states != 2:
-            raise ConfigError(f"an iid jammer without jammer.p_s needs binary states, not {states}")
+        if self.jammer.kind == "iid" and p_s is None:
+            if states != 2:
+                raise ConfigError(
+                    f"an iid jammer without jammer.p_s needs binary states, not {states}"
+                )
+            # the default law backs off the cap on state 1; a set that also
+            # bounds state 1 from below refuses nearly every i.i.d. draw
+            if not self.spec.lam.contains(Distribution.point_mass(0, 2)):
+                raise ConfigError(
+                    "an iid jammer without jammer.p_s needs a state set with no lower "
+                    "bound on state 1; set jammer.p_s"
+                )
         if self.jammer.kind == "symmetrize":
             _symmetrizing_map(self)
 
@@ -156,37 +176,42 @@ def build_codec_from_config(config: ExperimentConfig) -> tuple[ThreePhaseCodec, 
 
 
 def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec, fallback):
-    """Returns draw(rng) -> JamResult ("none" plays fallback).  Sees only public code structure."""
+    """Returns draw(rngs) -> one JamResult per generator, None where a draw hit the
+    rejection cap ("none" plays fallback).  Sees only public code structure."""
     spec = config.spec
     jp = config.jammer
     n = codec.plan.total_length
     if jp.kind == "none":
-        return lambda rng: jammers.JamResult(fallback, True, 0)
+        return lambda rngs: [jammers.JamResult(fallback, True, 0)] * len(rngs)
     if jp.kind == "iid":
         p_s = jp.p_s
         if p_s is None:
             cap, _ = spec.lam.max_linear([0.0, 1.0])
             p_s = Distribution.bernoulli(cap * (1.0 - _IID_MARGIN))
-        return lambda rng: jammers.iid_jammer(p_s, n, spec.w_s, spec.lam, rng, jp.rejection_cap)
+        return lambda rngs: jammers.iid_jammer_rows(
+            p_s, n, spec.w_s, spec.lam, rngs, jp.rejection_cap
+        )
+    sample_rows = _public_codeword_sampler(codec)
     if jp.kind == "spoof":
-        sampler = _public_codeword_sampler(codec)
-        return lambda rng: jammers.spoof_jammer(sampler, n, spec.w_s, spec.lam, rng)
+        return lambda rngs: jammers.spoof_jammer_rows(sample_rows, n, spec.w_s, spec.lam, rngs)
     # symmetrize: the symmetrizing map is derived from the public input law;
     # the dominant surviving phase-1 law is approximated by its sampler law.
     u = _symmetrizing_map(config)
-    sampler = _public_codeword_sampler(codec)
-    return lambda rng: jammers.symmetrize_jammer(
-        sampler, u, n, spec.w_s, spec.lam, rng, jp.rejection_cap
+    return lambda rngs: jammers.symmetrize_jammer_rows(
+        sample_rows, u, n, spec.w_s, spec.lam, rngs, jp.rejection_cap
     )
 
 
 def _public_codeword_sampler(codec: ThreePhaseCodec):
-    """Uniform draw over the public encoder's possible transmissions."""
+    """Uniform draws over the public encoder's possible transmissions, one per generator."""
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        m = codec.draw_message(rng)
-        r1, r2 = codec.draw_keys(rng)
-        return codec.encode(m, r1, r2, check_windows=False)
+    def sample(rngs) -> np.ndarray:
+        m, keys = [], []
+        for rng in rngs:
+            m.append(codec.draw_message(rng))
+            keys.append(codec.draw_keys(rng))
+        r1, r2 = np.array(keys).T
+        return codec.encode_rows(m, r1, r2, check_windows=False)
 
     return sample
 
@@ -200,9 +225,11 @@ def run_trials(
 ) -> RunStats:
     """Build the code once, then simulate trials; deterministic per seed.
 
-    Under the max criterion, messages are swept round-robin (exhaustively
-    when the surviving message count is at most 2^10, else over a fixed
-    seed-derived subset) so that per-message error estimates are balanced.
+    Trials run _TRIAL_BLOCK at a time: each stage (encoding, jamming, the
+    channel and decoding) handles a whole block in one call.  Under the max
+    criterion, messages are swept round-robin (exhaustively when the
+    surviving message count is at most 2^10, else over a fixed seed-derived
+    subset) so that per-message error estimates are balanced.
     """
     if codec is None:
         codec, build_stats = build_codec_from_config(config)
@@ -210,7 +237,7 @@ def run_trials(
     fallback = jammers.fallback_state_sequence(
         spec.s_alphabet.size, codec.plan.total_length, spec.w_s, spec.lam
     )
-    draw_state = _make_state_generator(config, codec, fallback)
+    draw_states = _make_state_generator(config, codec, fallback)
     notes = []
 
     if config.error_criterion == "max":
@@ -232,63 +259,62 @@ def run_trials(
 
     additive = spec.channel.is_binary_additive()
 
-    def one_trial(i: int) -> TrialRecord:
-        msg_rng = _trial_rng(config.master_seed, i, 2)
-        key_rng = _trial_rng(config.master_seed, i, 3)
-        jam_rng = _trial_rng(config.master_seed, i, 4)
-        chan_rng = _trial_rng(config.master_seed, i, 5)
+    def trial_block(indices: range) -> list[TrialRecord]:
+        msg_rngs, key_rngs, jam_rngs, chan_rngs = (
+            [_trial_rng(config.master_seed, i, stream) for i in indices]
+            for stream in (2, 3, 4, 5)
+        )
         if message_pool is not None:
-            m_pos = int(message_pool[i % message_pool.size])
+            m_pos = message_pool[np.asarray(indices) % message_pool.size]
         else:
-            m_pos = codec.draw_message(msg_rng)
-        r1, r2 = codec.draw_keys(key_rng)
-        x = codec.encode(m_pos, r1, r2)
-        generation_failed = False
-        try:
-            jam = draw_state(jam_rng)
-            forfeited = not jam.window_valid
-            states = fallback if forfeited else jam.states
-            rejections = jam.rejections
-        except jammers.JammerGenerationError:
-            # counted against the failure budget, not fatal per trial
-            generation_failed = True
-            forfeited = True
-            states = fallback
-            rejections = config.jammer.rejection_cap
+            m_pos = np.array([codec.draw_message(rng) for rng in msg_rngs])
+        r1, r2 = np.array([codec.draw_keys(rng) for rng in key_rngs]).T
+        x = codec.encode_rows(m_pos, r1, r2)
+        jams = draw_states(jam_rngs)
+        # a refused draw forfeits, and a draw that hit the rejection cap is
+        # counted against the failure budget, not fatal per trial
+        forfeited = [jam is None or not jam.window_valid for jam in jams]
+        states = np.array([fallback if f else jam.states for f, jam in zip(forfeited, jams)])
         if additive:
             # admissible states can never exceed the decoder's budget ball,
             # so the true codeword always enters the pre-truncation list
-            corruption = int(np.count_nonzero(states[: codec.plan.n1]))
-            if corruption > codec.budget1.radius:
+            corruption = np.count_nonzero(states[:, : codec.plan.n1], axis=1)
+            over = np.flatnonzero(corruption > codec.budget1.radius)
+            if over.size:
                 raise RuntimeError(
-                    f"trial {i}: admissible corruption {corruption} exceeds the "
-                    f"phase-1 decoding budget radius {codec.budget1.radius}"
+                    f"trial {indices[over[0]]}: admissible corruption {corruption[over[0]]} "
+                    f"exceeds the phase-1 decoding budget radius {codec.budget1.radius}"
                 )
-        y = block_channel_sample(x, states, spec.channel, chan_rng)
-        result = codec.decode(y)
-        sent_id = int(codec.message_ids[m_pos])
-        if result.status == "empty-list":
-            outcome = "list-failure"
-        elif result.status == "no-survivor":
-            outcome = "disambiguation-failure"
-        elif result.status == "ambiguous":
-            outcome = "ambiguity"
-        elif result.message_id == sent_id:
-            outcome = "correct"
-        else:
-            outcome = "wrong-message"
-        return TrialRecord(
-            index=i,
-            message_id=sent_id,
-            keys=(r1, r2),
-            jam_rejections=rejections,
-            jam_forfeited=forfeited,
-            jam_generation_failed=generation_failed,
-            list_size=result.list_size,
-            outcome=outcome,
-        )
+        y = channel_sample_rows(x, states, spec.channel, chan_rngs)
+        records = []
+        rows = zip(indices, m_pos, r1, r2, jams, forfeited, codec.decode_rows(y))
+        for i, m, k1, k2, jam, forfeit, result in rows:
+            sent_id = int(codec.message_ids[m])
+            if result.status == "empty-list":
+                outcome = "list-failure"
+            elif result.status == "no-survivor":
+                outcome = "disambiguation-failure"
+            elif result.status == "ambiguous":
+                outcome = "ambiguity"
+            elif result.message_id == sent_id:
+                outcome = "correct"
+            else:
+                outcome = "wrong-message"
+            records.append(TrialRecord(
+                index=i,
+                message_id=sent_id,
+                keys=(int(k1), int(k2)),
+                jam_rejections=config.jammer.rejection_cap if jam is None else jam.rejections,
+                jam_forfeited=forfeit,
+                jam_generation_failed=jam is None,
+                list_size=result.list_size,
+                outcome=outcome,
+            ))
+        return records
 
-    records = [one_trial(i) for i in range(config.trials)]
+    records = []
+    for lo in range(0, config.trials, _TRIAL_BLOCK):
+        records += trial_block(range(lo, min(lo + _TRIAL_BLOCK, config.trials)))
 
     counts = {k: 0 for k in OUTCOMES}
     per_message: dict[int, list[int]] = {}

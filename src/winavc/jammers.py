@@ -10,7 +10,10 @@ The i.i.d. jammer scans long i.i.d. blocks that hold many candidates; the
 symmetrizing jammer scans one codeword's states per block, so every retry
 draws a fresh codeword.  The spoofing strategy reports whether its chosen
 codeword happens to be admissible instead of resampling, since admissibility
-of codewords-as-states is exactly the attack's precondition.
+of codewords-as-states is exactly the attack's precondition.  Each strategy
+also makes a block of independent draws, one Generator per draw, in one call
+(the *_rows functions); every Generator draws exactly what a single call
+would, and a single call is a block of one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstraintSet, Distribution, inverse_cdf, sample_iid
+from .core import ConstraintSet, Distribution, inverse_cdf, inverse_cdf_indexed, sample_iid
 from .windows import (
     _round_to_denominator,
     guard_word,
@@ -61,40 +64,88 @@ def iid_jammer(
     rejection does not distort the law, and the rejection count is returned
     so converse experiments can bound how much conditioning occurred.
     """
-    return _first_admissible(
-        lambda: sample_iid(p_s, _IID_BLOCK * n, rng), n, w_s, lam, rejection_cap
-    )
+    return _single(iid_jammer_rows(p_s, n, w_s, lam, [rng], rejection_cap)[0], rejection_cap)
 
 
-def _first_admissible(draw, n: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
-    """The first length-n candidate with every window admissible, read off the blocks draw() returns.
+def iid_jammer_rows(
+    p_s: Distribution,
+    n: int,
+    w_s: int,
+    lam: ConstraintSet,
+    rngs,
+    rejection_cap: int = DEFAULT_REJECTION_CAP,
+) -> list[JamResult | None]:
+    """iid_jammer once per generator in rngs; None where that draw hit the rejection cap.
 
-    A candidate starting at s is accepted when no violating window starts in
-    s..s+n-w_s.  Otherwise it counts as one rejection and the next candidate
-    starts at j + w_s, just past the first violating window j: the refusal
-    read only symbols before that point, so the accepted sequence keeps the
-    law of one candidate conditioned on admissibility.  A block tail shorter
-    than n is dropped.
+    Each generator draws exactly what its own iid_jammer call would; the
+    uniforms of every unfinished draw share one reused buffer.
+    """
+    uniforms = np.empty((len(rngs), _IID_BLOCK * n))
+
+    def draw(live):
+        u = uniforms[: len(live)]
+        for row, t in zip(u, live):
+            rngs[t].random(out=row)
+        return inverse_cdf(p_s.probs, u)
+
+    return _first_admissible(draw, len(rngs), n, w_s, lam, rejection_cap)
+
+
+def _single(result: JamResult | None, rejection_cap: int) -> JamResult:
+    """One draw's result, or the JammerGenerationError of a draw that hit the cap."""
+    if result is None:
+        raise JammerGenerationError(
+            f"no admissible sequence in {rejection_cap} draws; the state law is "
+            "too close to the constraint boundary for this window length"
+        )
+    return result
+
+
+def _first_admissible(draw, count: int, n: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
+    """For each of count draws, the first length-n candidate with every window admissible.
+
+    draw(live) returns one block of states per draw index in live, a
+    (len(live), L) array; every round, each draw still looking reads the
+    next block.  A candidate starting at s is accepted when no violating
+    window starts in s..s+n-w_s.  Otherwise it counts as one rejection and
+    the next candidate starts at j + w_s, just past the first violating
+    window j: the refusal read only symbols before that point, so the
+    accepted sequence keeps the law of one candidate conditioned on
+    admissibility.  A block tail shorter than n is dropped.  A draw whose
+    rejections reach rejection_cap stops with None.
     """
     if not 1 <= w_s <= n:
         raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w_s}")
-    rejections = 0
-    while True:
-        block = draw()
-        # one byte per window start, 1 where the window violates lam
-        bad = violation_flags(block, w_s, lam).tobytes()
-        start = 0
-        while start + n <= block.size:
-            j = bad.find(1, start, start + n - w_s + 1)
-            if j < 0:
-                return JamResult(block[start:start + n].copy(), True, rejections)
-            rejections += 1
-            if rejections >= rejection_cap:
-                raise JammerGenerationError(
-                    f"no admissible sequence in {rejection_cap} draws; the state law is "
-                    "too close to the constraint boundary for this window length"
-                )
-            start = j + w_s
+    results: list[JamResult | None] = [None] * count
+    rejections = [0] * count
+    span = n - w_s + 1  # window starts one candidate reads
+    live = list(range(count))
+    while live:
+        block = draw(live)
+        size = block.shape[1]
+        # one byte per window start, 1 where the window violates lam; row r's from r * starts
+        starts = size - w_s + 1
+        find = violation_flags(block, w_s, lam).tobytes().find
+        looking = []
+        for r, t in enumerate(live):
+            base = r * starts
+            start, last = base, base + size - n  # positions are offsets into the flag bytes
+            refused = rejections[t]
+            while start <= last:
+                j = find(1, start, start + span)
+                if j < 0:
+                    begin = start - base
+                    results[t] = JamResult(block[r, begin:begin + n].copy(), True, refused)
+                    break
+                refused += 1
+                if refused >= rejection_cap:
+                    break
+                start = j + w_s
+            else:
+                rejections[t] = refused
+                looking.append(t)
+        live = looking
+    return results
 
 
 def estimate_rejection_rate(
@@ -116,10 +167,15 @@ def estimate_rejection_rate(
     return bad / draws, bad
 
 
-def _draw_codeword(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(sampler(rng), dtype=np.int8)
-    if x.size != n:
-        raise ValueError(f"codeword length {x.size} != required state length {n}")
+def _rows_sampler(sampler):
+    """A sampler(rng) of one codeword as a sampler of one codeword per generator."""
+    return lambda rngs: np.stack([np.asarray(sampler(rng)) for rng in rngs])
+
+
+def _codeword_rows(sample_rows, rngs, n: int) -> np.ndarray:
+    x = np.asarray(sample_rows(rngs), dtype=np.int8)
+    if x.shape[1:] != (n,):
+        raise ValueError(f"codeword length {x.shape[-1]} != required state length {n}")
     return x
 
 
@@ -135,8 +191,14 @@ def spoof_jammer(
     Admissibility is reported, not enforced: the spoof only works in the
     regime where codewords are themselves admissible states.
     """
-    x = _draw_codeword(sampler, n, rng)
-    return JamResult(states=x, window_valid=windows_valid(x, w_s, lam), rejections=0)
+    return spoof_jammer_rows(_rows_sampler(sampler), n, w_s, lam, [rng])[0]
+
+
+def spoof_jammer_rows(sample_rows, n: int, w_s: int, lam: ConstraintSet, rngs) -> list[JamResult]:
+    """spoof_jammer once per generator in rngs; sample_rows(rngs) gives one codeword per generator."""
+    x = _codeword_rows(sample_rows, rngs, n)
+    valid = windows_valid_rows(x, w_s, lam)
+    return [JamResult(states=row, window_valid=bool(v), rejections=0) for row, v in zip(x, valid)]
 
 
 def symmetrize_jammer(
@@ -153,13 +215,37 @@ def symmetrize_jammer(
     u holds one state Distribution per input symbol.  Each retry redraws both the
     codeword and the states; with a deterministic U this is the spoofing strategy.
     """
+    return _single(
+        symmetrize_jammer_rows(_rows_sampler(sampler), u, n, w_s, lam, [rng], rejection_cap)[0],
+        rejection_cap,
+    )
+
+
+def symmetrize_jammer_rows(
+    sample_rows,
+    u,
+    n: int,
+    w_s: int,
+    lam: ConstraintSet,
+    rngs,
+    rejection_cap: int = DEFAULT_REJECTION_CAP,
+) -> list[JamResult | None]:
+    """symmetrize_jammer once per generator in rngs; None where that draw hit the rejection cap.
+
+    sample_rows(rngs) gives one codeword per generator; each generator then
+    draws its codeword's n uniforms, as in its own symmetrize_jammer call.
+    """
     u_mat = np.vstack([row.probs for row in u])
 
-    def draw() -> np.ndarray:
-        x = _draw_codeword(sampler, n, rng)
-        return inverse_cdf(u_mat[x], rng.random(n))
+    def draw(live):
+        live_rngs = [rngs[t] for t in live]
+        x = _codeword_rows(sample_rows, live_rngs, n)
+        uniforms = np.empty(x.shape)
+        for row, rng in zip(uniforms, live_rngs):
+            row[:] = rng.random(n)
+        return inverse_cdf_indexed(u_mat, x, uniforms)
 
-    return _first_admissible(draw, n, w_s, lam, rejection_cap)
+    return _first_admissible(draw, len(rngs), n, w_s, lam, rejection_cap)
 
 
 def fallback_state_sequence(

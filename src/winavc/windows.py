@@ -222,10 +222,15 @@ def windows_valid_rows(mat, w: int, c: ConstraintSet) -> np.ndarray:
 
 
 def violation_flags(seq, w: int, c: ConstraintSet) -> np.ndarray:
-    """Per start 0..n-w (inclusive range): does the length-w window of seq there leave c?"""
+    """Per start 0..n-w (inclusive range): does the length-w window of seq there leave c?
+
+    seq is one sequence, or a (rows, n) array whose rows are checked apart:
+    the flags then have shape (rows, n-w+1).
+    """
     arr = np.asarray(seq)
-    _check_window(w, arr.size)
-    return _window_violations(arr[None, :], w, c)[0]
+    _check_window(w, arr.shape[-1])
+    flags = _window_violations(arr.reshape(-1, arr.shape[-1]), w, c)
+    return flags.reshape(arr.shape[:-1] + flags.shape[-1:])
 
 
 def _check_window(w: int, n: int) -> None:

@@ -290,17 +290,45 @@ def test_simulate_nonsymmetrizable_symmetrize_jammer_exits_2(experiment_config, 
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("kind", ["none", "iid", "spoof"])
-def test_simulate_state_set_without_constant_fallback(experiment_config, capsys, kind):
+TWO_SIDED_LAMBDA = [{"coeffs": [0, 1], "bound": 0.05}, {"coeffs": [1, 0], "bound": 0.97}]
+
+
+@pytest.mark.parametrize("jammer", [
+    {"kind": "none"},
+    # the default iid law needs a one-sided state set; a law inside this one
+    # still hits the rejection cap, so every trial forfeits within the budget
+    {"kind": "iid", "p_s": {"weight": 0.04}},
+    {"kind": "spoof"},
+], ids=["none", "iid", "spoof"])
+def test_simulate_state_set_without_constant_fallback(experiment_config, capsys, jammer):
     # no constant state sequence is admissible and the state set's vertices
     # are not multiples of 1/w_s; the forfeit sequence must still exist
     doc = json.loads(Path(experiment_config).read_text())
-    doc["lambda"] = [{"coeffs": [0, 1], "bound": 0.05}, {"coeffs": [1, 0], "bound": 0.97}]
-    doc["jammer"] = {"kind": kind}
+    doc["lambda"] = TWO_SIDED_LAMBDA
+    doc["jammer"] = jammer
     doc["trials"] = 3
     Path(experiment_config).write_text(json.dumps(doc))
     assert cli_main(["simulate", "--config", experiment_config, "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["trials"] == 3
+
+
+def test_simulate_default_iid_law_on_two_sided_state_set_exits_2(experiment_config, capsys,
+                                                                  monkeypatch):
+    # Q1 in [0.03, 0.05]: the default law backs off the cap on Q1 and ignores the
+    # floor, so every trial would run into the rejection cap; refused at load
+    def build(*args, **kwargs):
+        raise AssertionError("the codec was built")
+
+    monkeypatch.setattr("winavc.harness.build_three_phase_codec", build)
+    doc = json.loads(Path(experiment_config).read_text())
+    doc["lambda"] = TWO_SIDED_LAMBDA
+    doc["jammer"] = {"kind": "iid"}
+    Path(experiment_config).write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", experiment_config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "jammer.p_s" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_accepts_integral_floats(experiment_config, capsys):

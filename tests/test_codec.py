@@ -249,14 +249,15 @@ class TestListDecode:
 class TestHammingScoring:
     @given(data=st.data())
     def test_packed_scores_match_symbol_compare(self, data):
-        # lengths 1-200 cross the 8-bit byte and 64-bit word boundaries
+        # lengths 1-200 cross the 8-bit byte and 64-bit word boundaries; each of
+        # several outputs is scored on its own
         rows = data.draw(st.integers(1, 40), label="rows")
         n = data.draw(st.integers(1, 200), label="n")
         words = data.draw(binary_rows(rows, n), label="codewords")
-        y = data.draw(binary_rows(1, n), label="y")[0]
+        ys = data.draw(binary_rows(data.draw(st.integers(1, 4), label="outputs"), n), label="ys")
         radius = data.draw(st.integers(0, n), label="radius")
-        scores, ok = list_code(words).scores(y, JamBudget("hamming", radius))
-        want = np.count_nonzero(words != y[None, :], axis=1)
+        scores, ok = list_code(words).score_rows(ys, JamBudget("hamming", radius))
+        want = np.count_nonzero(words[None, :, :] != ys[:, None, :], axis=2)
         assert np.array_equal(scores, want)
         assert np.array_equal(ok, want <= radius)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from winavc import gf2
+from winavc import gf2, harness
 from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash
 from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec, block_channel_sample
 from winavc.capacity import bitflip_list_capacity
@@ -231,8 +231,7 @@ class TestPinnedOutputs:
     knobs became constants, the likelihood-scored build and decodes before
     the two random codes shared one type and one scorer, the spoof,
     symmetrize, none and max-criterion records before trials ran in blocks;
-    none may move under
-    a later refactor or speed-up.  The figures that follow the i.i.d.
+    none may move under a later refactor or speed-up.  The figures that follow the i.i.d.
     jammer's stream (the trial rejections and records, the likelihood
     decodes and the simulate stdout) were re-recorded when its rejection
     loop began restarting each candidate after its first violating window.
@@ -397,6 +396,54 @@ class TestPinnedOutputs:
     def test_cli_stdout(self, argv, digest, capsys):
         assert cli_main(argv) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def hopeless_iid_config(trials: int) -> ExperimentConfig:
+    """An iid state law far outside its window budget: every trial hits the rejection cap."""
+    spec = bitflip_spec(0.3, 0.05, 448, 64, 64)
+    code = CodecParams(
+        layout="thm1", n1=256, w_x=64, message_bits=3, field_bits=3,
+        p_x=Distribution.bernoulli(0.1), key_len=128,
+    )
+    hopeless = JammerParams(kind="iid", p_s=Distribution.bernoulli(0.4), rejection_cap=16)
+    return ExperimentConfig(spec=spec, code=code, jammer=hopeless, trials=trials, master_seed=1)
+
+
+class TestTrialBlocks:
+    """run_trials' records do not depend on how many trials run as one block."""
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: small_config(trials=20),
+        lambda: small_config(trials=20, criterion="max"),
+        lambda: small_config(jammer_kind="spoof", trials=20),
+        lambda: spoofing_regime_config("spoof"),
+        lambda: spoofing_regime_config("symmetrize"),
+        lambda: small_config(jammer_kind="none", trials=20),
+        lambda: hopeless_iid_config(8),
+    ], ids=["iid", "iid-max-criterion", "spoof-forfeits", "spoof-admissible", "symmetrize",
+            "none", "iid-hopeless"])
+    def test_records_do_not_depend_on_block_size(self, make_config, monkeypatch):
+        config = make_config()
+        codec, build_stats = build_codec_from_config(config)
+        runs = {}
+        for block in (1, 3, harness._TRIAL_BLOCK, config.trials):
+            monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
+            runs[block] = run_trials(config, codec=codec, build_stats=build_stats).records
+        first = runs[1]
+        assert len(first) == config.trials
+        assert all(records == first for records in runs.values())
+
+    @pytest.mark.parametrize("block", [1, 3, 11])
+    def test_capped_trials_forfeit_alone_and_fail_the_run_at_its_end(self, block, monkeypatch):
+        from winavc.jammers import JammerGenerationError
+
+        monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
+        stats = run_trials(hopeless_iid_config(8))
+        assert [r.jam_generation_failed for r in stats.records] == [True] * 8
+        assert all(r.jam_forfeited and r.jam_rejections == 16 for r in stats.records)
+        # every trial still runs: the budget is checked once the run is done
+        with pytest.raises(JammerGenerationError, match="11 trials exceeded"):
+            run_trials(hopeless_iid_config(11))
 
 
 class TestSweep:

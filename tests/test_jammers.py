@@ -17,8 +17,11 @@ from winavc.jammers import (
     estimate_rejection_rate,
     fallback_state_sequence,
     iid_jammer,
+    iid_jammer_rows,
     spoof_jammer,
+    spoof_jammer_rows,
     symmetrize_jammer,
+    symmetrize_jammer_rows,
 )
 from winavc.symmetrize import ecn_symmetrizable
 from winavc.core import Channel
@@ -199,6 +202,56 @@ class TestFallback:
         lam = ConstraintSet(2, [([0.0, 1.0], 0.05), ([1.0, 0.0], 0.97)])
         seq = fallback_state_sequence(2, 704, 64, lam)
         assert verify_windows(seq, 64, lam).valid
+
+
+class TestRows:
+    """A block of draws gives each generator what its own single draw gives."""
+
+    LAM = ConstraintSet.weight_cap(0.1)
+    BOOK = (np.random.default_rng(34).random((16, 64)) < 0.06).astype(np.int8)
+
+    @staticmethod
+    def _single(draw):
+        try:
+            res = draw()
+        except JammerGenerationError:
+            return None
+        return res.states.tolist(), res.window_valid, res.rejections
+
+    @staticmethod
+    def _row(res):
+        return None if res is None else (res.states.tolist(), res.window_valid, res.rejections)
+
+    def test_iid(self):
+        # a cap of 40 stops some of the 8 draws; others finish, some after several blocks
+        law = Distribution.bernoulli(0.1)
+        rngs = [np.random.default_rng(s) for s in range(8)]
+        rows = iid_jammer_rows(law, 64, 16, self.LAM, rngs, 40)
+        want = [self._single(lambda: iid_jammer(law, 64, 16, self.LAM, np.random.default_rng(s), 40))
+                for s in range(8)]
+        assert [self._row(r) for r in rows] == want
+        assert None in want and any(w is not None for w in want)
+
+    def test_symmetrize(self):
+        u = (Distribution.bernoulli(0.05), Distribution.bernoulli(0.6))
+        rows_sampler = lambda rngs: np.stack([uniform_row(self.BOOK)(r) for r in rngs])
+        rows = symmetrize_jammer_rows(rows_sampler, u, 64, 16, self.LAM,
+                                      [np.random.default_rng(s) for s in range(8)], 8)
+        want = [self._single(lambda: symmetrize_jammer(uniform_row(self.BOOK), u, 64, 16, self.LAM,
+                                                       np.random.default_rng(s), 8))
+                for s in range(8)]
+        assert [self._row(r) for r in rows] == want
+        assert None in want and any(w is not None for w in want)
+
+    def test_spoof(self):
+        rows_sampler = lambda rngs: np.stack([uniform_row(self.BOOK)(r) for r in rngs])
+        lam = ConstraintSet.weight_cap(0.08)
+        rows = spoof_jammer_rows(rows_sampler, 64, 16, lam, [np.random.default_rng(s) for s in range(8)])
+        want = [self._single(lambda: spoof_jammer(uniform_row(self.BOOK), 64, 16, lam,
+                                                  np.random.default_rng(s)))
+                for s in range(8)]
+        assert [self._row(r) for r in rows] == want
+        assert {w[1] for w in want} == {True, False}
 
 
 class TestPinnedStreams:
