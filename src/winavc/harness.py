@@ -46,10 +46,11 @@ OUTCOMES = (
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
 _IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
 JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
-# Trials per block in run_trials.  Blocks of 8 to 16 trials ran experiment.json
-# within run-to-run noise of each other, about twice as fast as one trial at
-# a time; at 12 the largest temporaries of a block, the i.i.d. jammer's
-# uniforms and window counts, stay under 1 MB (tracemalloc peak 0.94 MB).
+# Trials per block in run_trials.  On a 2-CPU Xeon, blocks of 8 to 16 trials
+# ran experiment.json within run-to-run noise of each other, about twice as
+# fast as one trial at a time; at 12 the largest temporaries of a block, the
+# i.i.d. jammer's uniforms and window counts, stay under 1 MB (tracemalloc
+# peak 0.94 MB).
 _TRIAL_BLOCK = 12
 
 

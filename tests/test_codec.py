@@ -362,6 +362,15 @@ class TestKeyCode:
         word = code.encode(r1, r2)
         assert code.decode(word, hamming_budget(128, 64, lam)) == (r1, r2)
 
+    def test_expurgated_key_pairs_refused(self):
+        # ids 1 and 5 survive in GF(4) x GF(4): (1, 0) = id 4 sits between them,
+        # (3, 3) = id 15 past the last
+        code = KeyCode(codewords=np.eye(2, 4, dtype=np.int8), ids=np.array([1, 5]), field_bits=2)
+        assert code.encode_rows([0, 1], [1, 1]).tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+        for r1, r2 in ((1, 0), (3, 3)):
+            with pytest.raises(KeyError, match=f"key pair \\({r1}, {r2}\\) was expurgated"):
+                code.encode_rows([0, r1], [1, r2])
+
     def test_decode_under_max_jamming(self):
         rng = np.random.default_rng(9)
         lam = ConstraintSet.weight_cap(0.05)
