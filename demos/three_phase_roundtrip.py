@@ -13,9 +13,9 @@ from winavc import (
     ConstraintSet,
     Distribution,
     build_three_phase_codec,
-    iid_jammer,
 )
-from winavc.core import block_channel_sample
+from winavc.core import channel_sample_rows
+from winavc.jammers import iid_jammer_rows
 
 rng = np.random.default_rng(7)
 gamma = ConstraintSet.weight_cap(0.3)
@@ -41,15 +41,15 @@ print(f"decoding budgets: phase-1 radius {codec.budget1.radius}, "
 
 m = codec.draw_message(rng)
 r1, r2 = codec.draw_keys(rng)
-x = codec.encode(m, r1, r2)
+x = codec.encode_rows([m], [r1], [r2])[0]
 print(f"\nsent message id {int(codec.message_ids[m])} with keys (r1, r2) = ({r1}, {r2})")
 
-jam = iid_jammer(Distribution.bernoulli(0.04), plan.total_length, w_s, lam, rng)
+jam = iid_jammer_rows(Distribution.bernoulli(0.04), plan.total_length, w_s, lam, [rng])[0]
 print(f"jammer: i.i.d. Bern(0.04), accepted after {jam.rejections} rejected draws, "
       f"{int(jam.states.sum())} flips")
 
-y = block_channel_sample(x, jam.states, xor, rng)
-res = codec.decode(y)
+y = channel_sample_rows([x], [jam.states], xor, [rng])
+res = codec.decode_rows(y)[0]
 print(f"\ndecode: status={res.status}, message id {res.message_id}, "
       f"keys {res.keys}, list size {res.list_size}")
 assert res.message_id == int(codec.message_ids[m])
@@ -60,7 +60,7 @@ assert res.message_id == int(codec.message_ids[m])
 s = np.zeros(plan.total_length, dtype=np.int8)
 for base in range(0, plan.total_length - w_s + 1, w_s):
     s[base + rng.choice(w_s, size=3, replace=False)] = 1
-res = codec.decode(x ^ s)
+res = codec.decode_rows([x ^ s])[0]
 print(f"\nunder maximal admissible jamming ({int(s.sum())} flips): "
       f"status={res.status}, message id {res.message_id}")
 assert res.message_id == int(codec.message_ids[m])

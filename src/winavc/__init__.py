@@ -22,7 +22,6 @@ from .codec import (
     build_three_phase_codec,
     hamming_budget,
     interleave_allocation,
-    list_decode,
     poly_hash,
 )
 from .core import (
@@ -35,7 +34,6 @@ from .core import (
     binary_convolution,
     binary_entropy,
     bitflip_spec,
-    block_channel_sample,
     entropy,
     mutual_information,
 )
@@ -52,9 +50,6 @@ from .jammers import (
     JamResult,
     JammerGenerationError,
     estimate_rejection_rate,
-    iid_jammer,
-    spoof_jammer,
-    symmetrize_jammer,
 )
 from .symmetrize import (
     SymmetrizabilityResult,

@@ -300,17 +300,10 @@ def _pack_bits(rows: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
-def list_decode(y_seq, code: ListCode, budget: JamBudget) -> ListDecodeResult:
-    """Positions of all codewords within the jamming budget, best score first.
-
-    Ties break deterministically by position; the list is truncated to
-    _L_MAX with the overflow flagged.
-    """
-    return list_decode_rows(np.reshape(y_seq, (1, -1)), code, budget)[0]
-
-
 def list_decode_rows(y_rows, code: ListCode, budget: JamBudget) -> list[ListDecodeResult]:
-    """list_decode for each row of a (rows, n) output block, scored in one pass."""
+    """Positions of all codewords within the jamming budget for each row of a (rows, n)
+    output block, best score first and ties by position, truncated to _L_MAX with
+    the overflow flagged; every row is scored in one pass."""
     scores, ok = code.score_rows(y_rows, budget)
     results = []
     for row_scores, row_ok in zip(scores, ok):
@@ -462,9 +455,6 @@ class KeyCode(ListCode):
     def q(self) -> int:
         return 1 << self.field_bits
 
-    def encode(self, r1: int, r2: int) -> np.ndarray:
-        return self.encode_rows([r1], [r2])[0]
-
     def encode_rows(self, r1, r2) -> np.ndarray:
         """Key codewords (rows, n) for equal-length arrays of key pairs."""
         kid = np.asarray(r1) * self.q + np.asarray(r2)
@@ -479,17 +469,9 @@ class KeyCode(ListCode):
     def draw_keys(self, rng: np.random.Generator) -> tuple[int, int]:
         return divmod(int(self.ids[rng.integers(self.ids.size)]), self.q)
 
-    def decode(self, y_seq, budget: JamBudget) -> tuple[int, int]:
-        """Best key pair (r1, r2) under the budget scoring.
-
-        Ties go to the smallest key id: ids is increasing, so that is the
-        first best score.
-        """
-        r1, r2 = self.decode_rows(np.reshape(y_seq, (1, -1)), budget)
-        return int(r1[0]), int(r2[0])
-
     def decode_rows(self, y_rows, budget: JamBudget) -> tuple[np.ndarray, np.ndarray]:
-        """decode for each row of a (rows, n) output block: the arrays (r1, r2)."""
+        """Best key pair under the budget scoring for each row of a (rows, n) output
+        block, as arrays (r1, r2); ties go to the smallest key id, the first in ids."""
         scores, _ = self.score_rows(y_rows, budget)
         return np.divmod(self.ids[np.argmin(scores, axis=1)], self.q)
 
@@ -609,12 +591,9 @@ class ThreePhaseCodec:
         """Positions of the key codeword in the transmission."""
         return self.plan.phase3_start + np.flatnonzero(self.phase3_skeleton < 0)
 
-    def encode(self, message_pos: int, r1: int, r2: int, *, check_windows: bool = True) -> np.ndarray:
-        """Assemble the full codeword for the message at position message_pos."""
-        return self.encode_rows([message_pos], [r1], [r2], check_windows=check_windows)[0]
-
     def encode_rows(self, message_pos, r1, r2, *, check_windows: bool = True) -> np.ndarray:
-        """encode for equal-length arrays of message positions and keys: one (rows, n) block."""
+        """Full codewords for equal-length arrays of message positions and keys: one
+        (rows, n) block, each row the transmission of its message under its keys."""
         pos, r1, r2 = (np.asarray(v) for v in (message_pos, r1, r2))
         out = (pos < 0) | (pos >= self.message_count)
         if out.any():
@@ -643,12 +622,9 @@ class ThreePhaseCodec:
                 )
         return full
 
-    def decode(self, y_seq) -> DecodeResult:
-        """List-decode the first segment, recover keys, filter by hash."""
-        return self.decode_rows(np.reshape(y_seq, (1, -1)))[0]
-
     def decode_rows(self, y_rows) -> list[DecodeResult]:
-        """decode for each row of a (rows, n) output block, each stage scored in one pass."""
+        """List-decode the first segment, recover the keys and filter the list by hash,
+        for each row of a (rows, n) output block; each stage is scored in one pass."""
         y = np.asarray(y_rows, dtype=np.int8)
         if y.ndim != 2 or y.shape[1] != self.plan.total_length:
             raise ValueError(

@@ -155,10 +155,11 @@ class Channel:
 class ConstraintSet:
     """Intersection of half-spaces <c, P> <= bound with the simplex.
 
-    Non-emptiness is verified at construction by LP feasibility.
+    Non-emptiness is verified at construction by LP feasibility.  A row whose
+    largest |coefficient| is below 1 (but not 0) measures tolerances in units of it.
     """
 
-    __slots__ = ("dim", "coeffs", "bounds", "_feasible", "_vertices")
+    __slots__ = ("dim", "coeffs", "bounds", "_scale", "_feasible", "_vertices")
 
     def __init__(self, dim: int, inequalities=()):
         if dim < 1:
@@ -178,6 +179,8 @@ class ConstraintSet:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "bounds", bounds)
+        scale = np.abs(coeffs).max(axis=1, initial=0.0)  # each row's unit for tolerances
+        object.__setattr__(self, "_scale", np.where((scale > 0) & (scale < 1), scale, 1.0))
 
         if len(coeff_rows) == 0:
             pt = np.full(dim, 1.0 / dim)
@@ -215,12 +218,10 @@ class ConstraintSet:
         """Signed margin: min over inequalities of bound - <c, p> (+inf if none)."""
         if p.size != self.dim:
             raise ValueError(f"distribution size {p.size} does not match dim {self.dim}")
-        if self.num_inequalities == 0:
-            return float("inf")
-        return float(np.min(self.bounds - self.coeffs @ p.probs))
+        return float(np.min(self.bounds - self.coeffs @ p.probs, initial=np.inf))
 
     def contains(self, p: Distribution, tol: float = TOLERANCE) -> bool:
-        return self.slack(p) >= -tol
+        return bool(np.all(self.bounds - self.coeffs @ p.probs >= -tol * self._scale))
 
     def max_linear(self, direction) -> tuple[float, Distribution]:
         """Maximize <direction, P> over the set; returns (value, argmax)."""
@@ -265,7 +266,7 @@ class ConstraintSet:
                 continue
             x = np.clip(x, 0.0, None)
             x /= x.sum()
-            if self.num_inequalities and np.any(self.coeffs @ x > self.bounds + tol):
+            if self.num_inequalities and np.any(self.coeffs @ x > self.bounds + tol * self._scale):
                 continue
             if not any(np.abs(x - v).max() <= 1e-8 for v in found):
                 found.append(x)
@@ -280,7 +281,7 @@ class ConstraintSet:
         for comp in _compositions(denom, self.dim):
             x = np.asarray(comp, dtype=float) / denom
             if self.num_inequalities == 0 or np.all(
-                self.coeffs @ x <= self.bounds + TOLERANCE
+                self.coeffs @ x <= self.bounds + TOLERANCE * self._scale
             ):
                 pts.append(x)
         out = [Distribution(x) for x in pts]
@@ -396,20 +397,12 @@ def _mi_from_induced(px: np.ndarray, v: np.ndarray) -> float:
     return max(float(terms.sum()), 0.0)
 
 
-def block_channel_sample(x_seq, s_seq, channel: Channel, rng: np.random.Generator):
-    """Sample the block channel output; each y_i ~ W(. | x_i, s_i) independently."""
-    x = np.asarray(x_seq)
-    s = np.asarray(s_seq)
-    if x.shape != s.shape or x.ndim != 1:
-        raise ValueError(f"input and state lengths differ: {x.shape} vs {s.shape}")
-    return channel_sample_rows(x[None], s[None], channel, [rng])[0]
-
-
 def channel_sample_rows(x_rows, s_rows, channel: Channel, rngs) -> np.ndarray:
-    """block_channel_sample for each row of equal-shape (rows, n) inputs and states.
+    """Block channel outputs for equal-shape (rows, n) inputs and states; each
+    y_i ~ W(. | x_i, s_i) independently.
 
-    Row r draws its n uniforms from rngs[r], as one block_channel_sample
-    call would; one inverse-CDF pass then samples every output.
+    Row r draws its n uniforms from rngs[r], so a row does not depend on the
+    others in the block; one inverse-CDF pass then samples every output.
     """
     x = np.asarray(x_rows)
     s = np.asarray(s_rows)

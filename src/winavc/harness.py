@@ -1,19 +1,20 @@
 """Monte Carlo simulation driver: experiment configs, trial loops, sweeps.
 
-Each trial owns four Generators, derived counter-mode from (master_seed,
-trial index, stream): stream 2 draws its message (the max criterion sweeps
-messages instead), 3 its keys, 4 its jammer states and 5 its channel
-outputs.  Trials run in fixed blocks, one call per stage for the whole
-block, and every Generator draws exactly what it would in a trial run
-alone, so each trial is bit-reproducible on its own and the records do not
-depend on the block size or on which trials run before it.  The jammer only
-ever receives public objects; when a strategy proposes an inadmissible
-state sequence it forfeits the trial and a deterministic admissible
-fallback is played instead (an adversary cannot play outside the model).
+Each trial owns its Generators, derived counter-mode from (master_seed,
+trial index, stream): stream 2 draws its message (not made under the max
+criterion, which sweeps messages instead), 3 its keys, 4 its jammer states
+and 5 its channel outputs.  Trials run in fixed blocks, one call per stage
+for the whole block, and every Generator draws exactly what it would in a
+trial run alone, so each trial is bit-reproducible on its own and the
+records do not depend on the block size or on which trials run before it.
+The jammer only ever receives public objects; a strategy that proposes an
+inadmissible state sequence forfeits the trial, and a deterministic
+admissible fallback is played (an adversary cannot play outside the model).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ from .core import (
     Distribution,
     WindowedAvcSpec,
     bitflip_spec,
-    block_channel_sample,  # unused here; bench/layers.py traces harness.block_channel_sample
     channel_sample_rows,
 )
 from .symmetrize import ecn_symmetrizable
@@ -100,8 +100,16 @@ class ExperimentConfig:
                     "an iid jammer without jammer.p_s needs a state set with no lower "
                     "bound on state 1; set jammer.p_s"
                 )
+            _default_iid_law(self.spec.lam)  # solved here, once per state set
         if self.jammer.kind == "symmetrize":
             _symmetrizing_map(self)
+
+
+@functools.lru_cache(maxsize=64)
+def _default_iid_law(lam: ConstraintSet) -> Distribution:
+    """The iid jammer's law without jammer.p_s; one LP per state set, hashed by identity."""
+    cap, _ = lam.max_linear([0.0, 1.0])
+    return Distribution.bernoulli(cap * (1.0 - _IID_MARGIN))
 
 
 def _symmetrizing_map(config: ExperimentConfig) -> tuple[Distribution, ...]:
@@ -185,10 +193,7 @@ def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec, fall
     if jp.kind == "none":
         return lambda rngs: [jammers.JamResult(fallback, True, 0)] * len(rngs)
     if jp.kind == "iid":
-        p_s = jp.p_s
-        if p_s is None:
-            cap, _ = spec.lam.max_linear([0.0, 1.0])
-            p_s = Distribution.bernoulli(cap * (1.0 - _IID_MARGIN))
+        p_s = jp.p_s if jp.p_s is not None else _default_iid_law(spec.lam)
         return lambda rngs: jammers.iid_jammer_rows(
             p_s, n, spec.w_s, spec.lam, rngs, jp.rejection_cap
         )
@@ -207,12 +212,8 @@ def _public_codeword_sampler(codec: ThreePhaseCodec):
     """Uniform draws over the public encoder's possible transmissions, one per generator."""
 
     def sample(rngs) -> np.ndarray:
-        m, keys = [], []
-        for rng in rngs:
-            m.append(codec.draw_message(rng))
-            keys.append(codec.draw_keys(rng))
-        r1, r2 = np.array(keys).T
-        return codec.encode_rows(m, r1, r2, check_windows=False)
+        draws = [(codec.draw_message(rng), *codec.draw_keys(rng)) for rng in rngs]
+        return codec.encode_rows(*np.array(draws).T, check_windows=False)
 
     return sample
 
@@ -261,14 +262,15 @@ def run_trials(
     additive = spec.channel.is_binary_additive()
 
     def trial_block(indices: range) -> list[TrialRecord]:
-        msg_rngs, key_rngs, jam_rngs, chan_rngs = (
+        key_rngs, jam_rngs, chan_rngs = (
             [_trial_rng(config.master_seed, i, stream) for i in indices]
-            for stream in (2, 3, 4, 5)
+            for stream in (3, 4, 5)
         )
         if message_pool is not None:
             m_pos = message_pool[np.asarray(indices) % message_pool.size]
         else:
-            m_pos = np.array([codec.draw_message(rng) for rng in msg_rngs])
+            m_pos = np.array([codec.draw_message(_trial_rng(config.master_seed, i, 2))
+                              for i in indices])
         r1, r2 = np.array([codec.draw_keys(rng) for rng in key_rngs]).T
         x = codec.encode_rows(m_pos, r1, r2)
         jams = draw_states(jam_rngs)

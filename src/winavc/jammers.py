@@ -2,18 +2,13 @@
 
 Generators see only public objects (a sampler of the public code's
 codewords), never the transmitted message or the encoder's realized
-codeword.  The i.i.d. and symmetrizing strategies share one exact rejection
-loop: it scans blocks of states, refuses a candidate at its first violating
-window and starts the next one right after that window, so the accepted
-sequence has the candidate law conditioned on every window being admissible.
-The i.i.d. jammer scans long i.i.d. blocks that hold many candidates; the
-symmetrizing jammer scans one codeword's states per block, so every retry
-draws a fresh codeword.  The spoofing strategy reports whether its chosen
-codeword happens to be admissible instead of resampling, since admissibility
-of codewords-as-states is exactly the attack's precondition.  Each strategy
-also makes a block of independent draws, one Generator per draw, in one call
-(the *_rows functions); every Generator draws exactly what a single call
-would, and a single call is a block of one.
+codeword.  Each strategy is one *_rows function that makes a block of
+independent draws, one Generator per draw, in one call; a Generator draws
+only its own states, so a draw does not depend on the block around it.  The
+i.i.d. and symmetrizing strategies share one exact rejection loop,
+_first_admissible.  The spoofing strategy reports whether its chosen codeword
+happens to be admissible instead of resampling, since admissibility of
+codewords-as-states is exactly the attack's precondition.
 """
 
 from __future__ import annotations
@@ -49,24 +44,6 @@ class JamResult:
         self.states.setflags(write=False)
 
 
-def iid_jammer(
-    p_s: Distribution,
-    n: int,
-    w_s: int,
-    lam: ConstraintSet,
-    rng: np.random.Generator,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
-) -> JamResult:
-    """i.i.d. p_s state sequence conditioned on every window being admissible.
-
-    Candidates are read off i.i.d. blocks of 8n states, each starting right
-    after the previous one's first violating window; conditioning by
-    rejection does not distort the law, and the rejection count is returned
-    so converse experiments can bound how much conditioning occurred.
-    """
-    return _single(iid_jammer_rows(p_s, n, w_s, lam, [rng], rejection_cap)[0], rejection_cap)
-
-
 def iid_jammer_rows(
     p_s: Distribution,
     n: int,
@@ -75,10 +52,12 @@ def iid_jammer_rows(
     rngs,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> list[JamResult | None]:
-    """iid_jammer once per generator in rngs; None where that draw hit the rejection cap.
+    """An i.i.d. p_s state sequence conditioned on every window being admissible,
+    one per generator in rngs; None where that draw hit the rejection cap.
 
-    Each generator draws exactly what its own iid_jammer call would; the
-    uniforms of every unfinished draw share one reused buffer.
+    Candidates are read off the generator's i.i.d. blocks of 8n states, each
+    starting right after the previous one's first violating window; the
+    rejection count lets converse experiments bound the conditioning.
     """
     uniforms = np.empty((len(rngs), _IID_BLOCK * n))
 
@@ -89,16 +68,6 @@ def iid_jammer_rows(
         return inverse_cdf(p_s.probs, u)
 
     return _first_admissible(draw, len(rngs), n, w_s, lam, rejection_cap)
-
-
-def _single(result: JamResult | None, rejection_cap: int) -> JamResult:
-    """One draw's result, or the JammerGenerationError of a draw that hit the cap."""
-    if result is None:
-        raise JammerGenerationError(
-            f"no admissible sequence in {rejection_cap} draws; the state law is "
-            "too close to the constraint boundary for this window length"
-        )
-    return result
 
 
 def _first_admissible(draw, count: int, n: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
@@ -167,11 +136,6 @@ def estimate_rejection_rate(
     return bad / draws, bad
 
 
-def _rows_sampler(sampler):
-    """A sampler(rng) of one codeword as a sampler of one codeword per generator."""
-    return lambda rngs: np.stack([np.asarray(sampler(rng)) for rng in rngs])
-
-
 def _codeword_rows(sample_rows, rngs, n: int) -> np.ndarray:
     x = np.asarray(sample_rows(rngs), dtype=np.int8)
     if x.shape[1:] != (n,):
@@ -179,46 +143,14 @@ def _codeword_rows(sample_rows, rngs, n: int) -> np.ndarray:
     return x
 
 
-def spoof_jammer(
-    sampler,
-    n: int,
-    w_s: int,
-    lam: ConstraintSet,
-    rng: np.random.Generator,
-) -> JamResult:
-    """Play a uniformly chosen codeword, sampler(rng), as the state sequence.
+def spoof_jammer_rows(sample_rows, n: int, w_s: int, lam: ConstraintSet, rngs) -> list[JamResult]:
+    """Play a random codeword, one per generator from sample_rows(rngs), as the states.
 
     Admissibility is reported, not enforced: the spoof only works in the
-    regime where codewords are themselves admissible states.
-    """
-    return spoof_jammer_rows(_rows_sampler(sampler), n, w_s, lam, [rng])[0]
-
-
-def spoof_jammer_rows(sample_rows, n: int, w_s: int, lam: ConstraintSet, rngs) -> list[JamResult]:
-    """spoof_jammer once per generator in rngs; sample_rows(rngs) gives one codeword per generator."""
+    regime where codewords are themselves admissible states."""
     x = _codeword_rows(sample_rows, rngs, n)
     valid = windows_valid_rows(x, w_s, lam)
     return [JamResult(states=row, window_valid=bool(v), rejections=0) for row, v in zip(x, valid)]
-
-
-def symmetrize_jammer(
-    sampler,
-    u,
-    n: int,
-    w_s: int,
-    lam: ConstraintSet,
-    rng: np.random.Generator,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
-) -> JamResult:
-    """Pass a random codeword, sampler(rng), through the symmetrizing map U(s|x').
-
-    u holds one state Distribution per input symbol.  Each retry redraws both the
-    codeword and the states; with a deterministic U this is the spoofing strategy.
-    """
-    return _single(
-        symmetrize_jammer_rows(_rows_sampler(sampler), u, n, w_s, lam, [rng], rejection_cap)[0],
-        rejection_cap,
-    )
 
 
 def symmetrize_jammer_rows(
@@ -230,10 +162,11 @@ def symmetrize_jammer_rows(
     rngs,
     rejection_cap: int = DEFAULT_REJECTION_CAP,
 ) -> list[JamResult | None]:
-    """symmetrize_jammer once per generator in rngs; None where that draw hit the rejection cap.
+    """Pass a random codeword, one per generator from sample_rows(rngs), through the
+    symmetrizing map U(s|x'); None where that draw hit the rejection cap.
 
-    sample_rows(rngs) gives one codeword per generator; each generator then
-    draws its codeword's n uniforms, as in its own symmetrize_jammer call.
+    u holds one state Distribution per input symbol.  Each retry redraws both
+    the codeword and its n states; with a deterministic U this is the spoof.
     """
     u_mat = np.vstack([row.probs for row in u])
 

@@ -20,7 +20,7 @@ from winavc.codec import (
     delta_interior,
     hamming_budget,
     interleave_allocation,
-    list_decode,
+    list_decode_rows,
     make_phase_plan,
     poly_hash,
     type1_window_fractions,
@@ -203,34 +203,36 @@ class TestListDecode:
 
     def test_exact_match_zero_budget(self):
         code = self._small_code()
-        res = list_decode([1, 1, 1, 0, 0, 0], code, JamBudget("hamming", 0))
+        res, = list_decode_rows([[1, 1, 1, 0, 0, 0]], code, JamBudget("hamming", 0))
         assert res.messages == (1,)
 
     def test_within_radius(self):
         code = self._small_code()
-        res = list_decode([1, 1, 0, 0, 0, 0], code, JamBudget("hamming", 1))
+        res, = list_decode_rows([[1, 1, 0, 0, 0, 0]], code, JamBudget("hamming", 1))
         assert res.messages == (1,)
 
     def test_tie_breaks_by_index(self):
         code = self._small_code()
         # equidistant from codewords 1 and 2
-        res = list_decode([1, 1, 1, 1, 1, 1], code, JamBudget("hamming", 3))
+        res, = list_decode_rows([[1, 1, 1, 1, 1, 1]], code, JamBudget("hamming", 3))
         assert res.messages == (1, 2) or res.messages == (0, 1, 2)
         assert res.messages[0] == min(res.messages)
 
     def test_truncation_flagged(self):
         # the list is capped at 32 entries
         budget = JamBudget("hamming", 4)
-        full = list_decode([0, 0, 0, 0], list_code(np.zeros((32, 4), dtype=np.int8)), budget)
+        full, = list_decode_rows([[0, 0, 0, 0]], list_code(np.zeros((32, 4), dtype=np.int8)),
+                                 budget)
         assert not full.overflow
         assert full.messages == tuple(range(32))
-        res = list_decode([0, 0, 0, 0], list_code(np.zeros((40, 4), dtype=np.int8)), budget)
+        res, = list_decode_rows([[0, 0, 0, 0]], list_code(np.zeros((40, 4), dtype=np.int8)),
+                                budget)
         assert res.overflow
         assert res.messages == tuple(range(32))
 
     def test_empty_list(self):
         code = self._small_code()
-        res = list_decode([1, 0, 1, 0, 1, 0], code, JamBudget("hamming", 1))
+        res, = list_decode_rows([[1, 0, 1, 0, 1, 0]], code, JamBudget("hamming", 1))
         assert res.messages == ()
 
     def test_likelihood_budget_agrees_on_xor(self):
@@ -242,7 +244,7 @@ class TestListDecode:
             Distribution.bernoulli(0.3), XOR, ConstraintSet.weight_cap(0.2),
             ref_q=Distribution.bernoulli(0.1), slack=0.3,
         )
-        res = list_decode([1, 1, 0, 0, 0, 0], code, budget)
+        res, = list_decode_rows([[1, 1, 0, 0, 0, 0]], code, budget)
         assert res.messages and res.messages[0] == 1
 
 
@@ -281,7 +283,7 @@ class TestHammingScoring:
         scores = np.count_nonzero(code.codewords != y[None, :], axis=1)
         best = np.lexsort((code.ids, scores))[0]
         kid = int(code.ids[best])
-        assert code.decode(y, budget) == (kid // 8, kid % 8)
+        assert np.array_equal(code.decode_rows(y[None], budget), ([kid // 8], [kid % 8]))
 
     @pytest.mark.parametrize("bad_word, bad_y", [(2, 0), (-1, 0), (0, 2), (0, -1)],
                              ids=["code-2", "code-minus-1", "y-2", "y-minus-1"])
@@ -292,10 +294,10 @@ class TestHammingScoring:
         y[7] = bad_y
         budget = JamBudget("hamming", 10)
         with pytest.raises(ValueError, match="binary"):
-            list_decode(y, list_code(words), budget)
+            list_decode_rows(y[None], list_code(words), budget)
         keys = KeyCode(codewords=words.copy(), ids=np.arange(3), field_bits=2)
         with pytest.raises(ValueError, match="binary"):
-            keys.decode(y, budget)
+            keys.decode_rows(y[None], budget)
 
 
 class TestInterleaveAllocation:
@@ -359,8 +361,8 @@ class TestKeyCode:
         )
         assert stats.total == 256
         r1, r2 = code.draw_keys(np.random.default_rng(1))
-        word = code.encode(r1, r2)
-        assert code.decode(word, hamming_budget(128, 64, lam)) == (r1, r2)
+        word = code.encode_rows([r1], [r2])
+        assert np.array_equal(code.decode_rows(word, hamming_budget(128, 64, lam)), ([r1], [r2]))
 
     def test_expurgated_key_pairs_refused(self):
         # ids 1 and 5 survive in GF(4) x GF(4): (1, 0) = id 4 sits between them,
@@ -378,21 +380,20 @@ class TestKeyCode:
             4, Distribution.bernoulli(0.12), 128, ConstraintSet.weight_cap(0.3), 64, rng,
         )
         budget = hamming_budget(128, 64, lam)
-        hits = 0
         trials = 200
         draw = np.random.default_rng(10)
-        for _ in range(trials):
-            r1, r2 = code.draw_keys(draw)
-            word = code.encode(r1, r2).copy()
-            flips = draw.choice(128, size=6, replace=False)  # budget is 6
-            word[flips] ^= 1
-            hits += code.decode(word, budget) == (r1, r2)
-        assert hits / trials >= 0.99
+        keys, flips = [], np.zeros((trials, 128), dtype=np.int8)
+        for row in flips:
+            keys.append(code.draw_keys(draw))
+            row[draw.choice(128, size=6, replace=False)] = 1  # budget is 6
+        r1, r2 = np.array(keys).T
+        got1, got2 = code.decode_rows(code.encode_rows(r1, r2) ^ flips, budget)
+        assert np.count_nonzero((got1 == r1) & (got2 == r2)) / trials >= 0.99
 
     def test_sixteen_bit_key_reliability_under_iid_jamming(self):
         # 2^16 key pairs, blocklength 128, jammer inside his window budget:
         # success rate at least 0.99
-        from winavc.jammers import iid_jammer
+        from winavc.jammers import iid_jammer_rows
 
         rng = np.random.default_rng(77)
         lam = ConstraintSet.weight_cap(0.05)
@@ -406,9 +407,9 @@ class TestKeyCode:
         trials = 1000
         for _ in range(trials):
             r1, r2 = code.draw_keys(draw)
-            word = code.encode(r1, r2)
-            jam = iid_jammer(Distribution.bernoulli(0.04), 128, 64, lam, draw)
-            hits += code.decode(word ^ jam.states, budget) == (r1, r2)
+            word = code.encode_rows([r1], [r2])
+            jam, = iid_jammer_rows(Distribution.bernoulli(0.04), 128, 64, lam, [draw])
+            hits += np.array_equal(code.decode_rows(word ^ jam.states, budget), ([r1], [r2]))
         assert hits / trials >= 0.99
 
     def _build_with_weak_key_law(self, seed, **kw):
@@ -440,8 +441,7 @@ class TestThreePhase:
     def test_length_bookkeeping(self):
         codec, _ = self._build()
         assert codec.plan.total_length == 256 + 32 + 64
-        x = codec.encode(0, 1, 2)
-        assert x.size == codec.plan.total_length
+        assert codec.encode_rows([0], [1], [2]).shape == (1, codec.plan.total_length)
 
     def test_roundtrip_exhaustive_with_noise(self):
         codec, _ = self._build()
@@ -449,11 +449,11 @@ class TestThreePhase:
         budget = codec.budget1.radius
         for pos in range(codec.message_count):
             r1, r2 = codec.draw_keys(rng)
-            x = codec.encode(pos, r1, r2)
+            x = codec.encode_rows([pos], [r1], [r2])
             s = np.zeros_like(x)
             flips = rng.choice(codec.plan.n1, size=budget // 2, replace=False)
-            s[flips] = 1
-            res = codec.decode(x ^ s)
+            s[0, flips] = 1
+            res, = codec.decode_rows(x ^ s)
             assert res.status == "unique"
             assert res.message_id == int(codec.message_ids[pos])
 
@@ -464,15 +464,14 @@ class TestThreePhase:
         for _ in range(100):
             pos = codec.draw_message(rng)
             r1, r2 = codec.draw_keys(rng)
-            x = codec.encode(pos, r1, r2)
+            x, = codec.encode_rows([pos], [r1], [r2])
             assert verify_windows(x, 32, g).valid
 
     def test_hash_filter_contract(self):
         # hand-built survivor filtering: exactly one list entry matches
         codec, _ = self._build(seed=4)
         r1, r2 = codec.draw_keys(np.random.default_rng(8))
-        x = codec.encode(2, r1, r2)
-        res = codec.decode(x)
+        res, = codec.decode_rows(codec.encode_rows([2], [r1], [r2]))
         assert res.status == "unique"
         assert res.keys == (r1, r2)
         assert res.message_id == int(codec.message_ids[2])
@@ -486,7 +485,7 @@ class TestThreePhase:
         for pos in range(codec.message_count):
             r1, r2 = codec.draw_keys(rng)
             h = poly_hash(chunk_message(int(codec.message_ids[pos]), hp), r1, r2, hp)
-            x = codec.encode(pos, r1, r2)
+            x, = codec.encode_rows([pos], [r1], [r2])
             assert np.array_equal(x[: codec.plan.n1], codec.phase1_flat.codewords[pos * codec.q + h])
 
     def test_encode_refuses_keys_outside_the_field(self):
@@ -495,7 +494,7 @@ class TestThreePhase:
         q = codec.q
         for r1, r2 in ((0, q), (q, 0), (-1, 0), (0, -1), (0, 1.0)):
             with pytest.raises(ValueError, match="keys"):
-                codec.encode(0, r1, r2)
+                codec.encode_rows([0], [r1], [r2])
 
     def test_thm2_layout_build_and_fractions(self):
         rng = np.random.default_rng(13)
@@ -512,9 +511,9 @@ class TestThreePhase:
         assert fr.min() >= 0.5 - 1e-12
         assert fr.max() <= 0.55 + 1e-12
         r1, r2 = codec.draw_keys(np.random.default_rng(0))
-        x = codec.encode(0, r1, r2)
-        assert verify_windows(x, 80, gamma).valid
-        res = codec.decode(x)
+        x = codec.encode_rows([0], [r1], [r2])
+        assert verify_windows(x[0], 80, gamma).valid
+        res, = codec.decode_rows(x)
         assert res.status == "unique"
 
     def test_noisy_channel_uses_likelihood_decoding(self):
@@ -538,8 +537,8 @@ class TestThreePhase:
         codec, _ = build_three_phase_codec(params, gamma, lam, noisy, 64, rng)
         assert codec.budget1.kind == "likelihood"
 
-        from winavc.core import block_channel_sample
-        from winavc.jammers import iid_jammer
+        from winavc.core import channel_sample_rows
+        from winavc.jammers import iid_jammer_rows
 
         draw = np.random.default_rng(18)
         ok = 0
@@ -547,10 +546,10 @@ class TestThreePhase:
         for _ in range(trials):
             m = codec.draw_message(draw)
             r1, r2 = codec.draw_keys(draw)
-            x = codec.encode(m, r1, r2)
-            jam = iid_jammer(Distribution.bernoulli(0.04), x.size, 64, lam, draw)
-            y = block_channel_sample(x, jam.states, noisy, draw)
-            res = codec.decode(y)
+            x = codec.encode_rows([m], [r1], [r2])
+            jam, = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam, [draw])
+            y = channel_sample_rows(x, [jam.states], noisy, [draw])
+            res, = codec.decode_rows(y)
             ok += (res.status == "unique"
                    and res.message_id == int(codec.message_ids[m]))
         assert ok / trials >= 0.9
@@ -596,7 +595,7 @@ class TestNoiselessRoundTrip:
         draw = np.random.default_rng(seed + 1)
         for pos in range(codec.message_count):
             r1, r2 = codec.draw_keys(draw)
-            res = codec.decode(codec.encode(pos, r1, r2))
+            res, = codec.decode_rows(codec.encode_rows([pos], [r1], [r2]))
             assert (res.status, res.message_id, res.keys) == (
                 "unique", int(codec.message_ids[pos]), (r1, r2)
             )

@@ -15,7 +15,7 @@ from winavc.core import (
     binary_convolution,
     binary_entropy,
     bitflip_spec,
-    block_channel_sample,
+    channel_sample_rows,
     entropy,
     mutual_information,
     sample_iid,
@@ -146,10 +146,10 @@ class TestMutualInformation:
 class TestBlockChannel:
     def test_deterministic_xor(self):
         rng = np.random.default_rng(0)
-        y = block_channel_sample([0, 1, 1, 0], [0, 0, 0, 0], Channel.xor(), rng)
-        assert y.tolist() == [0, 1, 1, 0]
-        y = block_channel_sample([0, 1, 1, 0], [1, 1, 1, 1], Channel.xor(), rng)
-        assert y.tolist() == [1, 0, 0, 1]
+        y = channel_sample_rows([[0, 1, 1, 0]], [[0, 0, 0, 0]], Channel.xor(), [rng])
+        assert y.tolist() == [[0, 1, 1, 0]]
+        y = channel_sample_rows([[0, 1, 1, 0]], [[1, 1, 1, 1]], Channel.xor(), [rng])
+        assert y.tolist() == [[1, 0, 0, 1]]
 
     def test_identity_in_x(self):
         table = np.zeros((2, 2, 2))
@@ -158,19 +158,29 @@ class TestBlockChannel:
                 table[x, s, x] = 1.0
         ch = Channel(table)
         rng = np.random.default_rng(1)
-        x = rng.integers(0, 2, size=32)
-        s = rng.integers(0, 2, size=32)
-        assert block_channel_sample(x, s, ch, rng).tolist() == x.tolist()
+        x = rng.integers(0, 2, size=(1, 32))
+        s = rng.integers(0, 2, size=(1, 32))
+        assert channel_sample_rows(x, s, ch, [rng]).tolist() == x.tolist()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            block_channel_sample([0, 1], [0], Channel.xor(), np.random.default_rng(0))
+            channel_sample_rows([[0, 1]], [[0]], Channel.xor(), [np.random.default_rng(0)])
+
+    def test_generator_count_mismatch(self):
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        with pytest.raises(ValueError, match="one generator per row"):
+            channel_sample_rows(np.zeros((2, 4), int), np.zeros((2, 4), int), Channel.xor(), rngs)
+
+    def test_one_dimensional_input(self):
+        with pytest.raises(ValueError, match=r"\(rows, n\)"):
+            channel_sample_rows([0, 1, 1, 0], [0, 0, 0, 0], Channel.xor(),
+                                [np.random.default_rng(0)])
 
     def test_edge_uniforms_follow_xor(self, edge_rng):
         # no uniform may pick an output of probability zero
-        x = np.array([1, 1, 0])
-        s = np.array([0, 0, 1])
-        y = block_channel_sample(x, s, Channel.xor(), edge_rng)
+        x = np.array([[1, 1, 0]])
+        s = np.array([[0, 0, 1]])
+        y = channel_sample_rows(x, s, Channel.xor(), [edge_rng])
         assert y.tolist() == (x ^ s).tolist()
 
     def test_empirical_law_converges(self):
@@ -180,10 +190,21 @@ class TestBlockChannel:
                           [[0.1, 0.1, 0.8], [0.4, 0.4, 0.2]]])
         ch = Channel(table)
         n = 100_000
-        y = block_channel_sample(np.ones(n, int), np.ones(n, int), ch, rng)
+        y, = channel_sample_rows(np.ones((1, n), int), np.ones((1, n), int), ch, [rng])
         emp = np.bincount(y, minlength=3) / n
         tv = 0.5 * np.abs(emp - table[1, 1]).sum()
         assert tv < 0.01
+
+    def test_block_matches_blocks_of_one(self):
+        # each row draws only from its own generator
+        rng = np.random.default_rng(43)
+        table = rng.dirichlet(np.ones(3), size=(2, 2))
+        x = rng.integers(0, 2, size=(8, 50))
+        s = rng.integers(0, 2, size=(8, 50))
+        block = channel_sample_rows(x, s, Channel(table), [np.random.default_rng(k) for k in range(8)])
+        ones = [channel_sample_rows(x[k:k + 1], s[k:k + 1], Channel(table),
+                                    [np.random.default_rng(k)])[0] for k in range(8)]
+        assert np.array_equal(block, ones)
 
 
 class TestSampleIid:
@@ -244,6 +265,17 @@ class TestConstraintSet:
         g = ConstraintSet.weight_cap(0.3, dim=3)
         for p in g.grid_points(11):
             assert g.contains(p)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-3, 0.5])
+    def test_row_scale_does_not_change_the_set(self, scale):
+        # {scale * P0 <= 0} is the single law (0, 1), as {P0 <= 0} is
+        small = ConstraintSet(2, [([scale, 0.0], 0.0)])
+        unit = ConstraintSet(2, [([1.0, 0.0], 0.0)])
+        for g in (small, unit):
+            assert [p.probs.tolist() for p in g.grid_points(11)] == [[0.0, 1.0]]
+            assert [v.probs.tolist() for v in g.vertices()] == [[0.0, 1.0]]
+        for p in map(Distribution, ([1.0, 0.0], [1e-6, 1 - 1e-6], [0.0, 1.0])):
+            assert small.contains(p) == unit.contains(p)
 
     def test_linear_extremes(self):
         g = ConstraintSet.weight_cap(0.25)

@@ -14,7 +14,7 @@ import pytest
 
 from winavc import gf2, harness
 from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash
-from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec, block_channel_sample
+from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec, channel_sample_rows
 from winavc.capacity import bitflip_list_capacity
 from winavc.cli import EXIT_OK, cli_main
 from winavc.harness import (
@@ -139,13 +139,12 @@ class TestRunTrials:
         exact_err = 0.0
         m_count = codec.message_count
         k_count = codec.key_code.ids.size
+        seqs = np.array(list(seq_weight), dtype=np.int8)
         for pos in range(m_count):
             for kid in codec.key_code.ids:
                 r1, r2 = int(kid) // codec.q, int(kid) % codec.q
-                x = codec.encode(pos, r1, r2)
-                for bits, w in seq_weight.items():
-                    y = x ^ np.array(bits, dtype=np.int8)
-                    res = codec.decode(y)
+                x = codec.encode_rows([pos], [r1], [r2])
+                for res, w in zip(codec.decode_rows(x ^ seqs), seq_weight.values()):
                     wrong = not (
                         res.status == "unique"
                         and res.message_id == int(codec.message_ids[pos])
@@ -269,7 +268,7 @@ class TestPinnedOutputs:
             "key_ids": _digest(codec.key_code.ids),
             "phase2": _digest(codec.phase2_seq),
             "phase3_skeleton": _digest(codec.phase3_skeleton),
-            "encode": _digest(codec.encode(0, r1, r2)),
+            "encode": _digest(codec.encode_rows([0], [r1], [r2])[0]),
         }
         assert digests == {
             "message_ids": "3275b8328bbe87edabce5d86b3d477076887fe3fdec4fbb812f40c0489753439",
@@ -284,7 +283,7 @@ class TestPinnedOutputs:
     def test_likelihood_codec_build(self):
         # the noisy-XOR build of tests/test_codec.py: the only path that
         # scores by log-likelihood instead of Hamming distance
-        from winavc.jammers import iid_jammer
+        from winavc.jammers import iid_jammer_rows
 
         eps = 0.03
         table = np.empty((2, 2, 2))
@@ -307,9 +306,9 @@ class TestPinnedOutputs:
         for _ in range(30):
             m = codec.draw_message(draw)
             r1, r2 = codec.draw_keys(draw)
-            x = codec.encode(m, r1, r2)
-            jam = iid_jammer(Distribution.bernoulli(0.04), x.size, 64, lam, draw)
-            res = codec.decode(block_channel_sample(x, jam.states, noisy, draw))
+            x = codec.encode_rows([m], [r1], [r2])
+            jam, = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam, [draw])
+            res, = codec.decode_rows(channel_sample_rows(x, [jam.states], noisy, [draw]))
             decodes.append([res.status, res.message_id, list(res.keys), res.list_size])
         digests = {
             "message_ids": _digest(codec.message_ids),

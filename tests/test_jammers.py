@@ -13,14 +13,10 @@ from scipy.stats import chisquare
 
 from winavc.core import ConstraintSet, Distribution
 from winavc.jammers import (
-    JammerGenerationError,
     estimate_rejection_rate,
     fallback_state_sequence,
-    iid_jammer,
     iid_jammer_rows,
-    spoof_jammer,
     spoof_jammer_rows,
-    symmetrize_jammer,
     symmetrize_jammer_rows,
 )
 from winavc.symmetrize import ecn_symmetrizable
@@ -28,16 +24,21 @@ from winavc.core import Channel
 from winavc.windows import verify_windows
 
 
-def uniform_row(book):
-    """Sampler of a uniformly drawn row of book."""
-    return lambda r: book[r.integers(len(book))]
+def uniform_rows(book):
+    """Sampler of one uniformly drawn row of book per generator."""
+    return lambda rngs: np.stack([book[r.integers(len(book))] for r in rngs])
+
+
+def fixed_rows(word):
+    """Sampler that gives word to every generator."""
+    return lambda rngs: np.stack([word] * len(rngs))
 
 
 class TestIidJammer:
     def test_point_mass_never_rejects(self):
         lam = ConstraintSet.weight_cap(0.2)
-        res = iid_jammer(
-            Distribution.point_mass(0, 2), 128, 16, lam, np.random.default_rng(0)
+        res, = iid_jammer_rows(
+            Distribution.point_mass(0, 2), 128, 16, lam, [np.random.default_rng(0)]
         )
         assert not res.states.any()
         assert res.rejections == 0
@@ -46,7 +47,7 @@ class TestIidJammer:
         rng = np.random.default_rng(1)
         lam = ConstraintSet.weight_cap(0.1)
         for _ in range(20):
-            res = iid_jammer(Distribution.bernoulli(0.05), 256, 64, lam, rng)
+            res, = iid_jammer_rows(Distribution.bernoulli(0.05), 256, 64, lam, [rng])
             assert res.window_valid
             assert verify_windows(res.states, 64, lam).valid
 
@@ -58,12 +59,12 @@ class TestIidJammer:
         rng = np.random.default_rng(2)
         lam = ConstraintSet.weight_cap(0.1)
         first_try = sum(
-            iid_jammer(Distribution.bernoulli(0.02), 256, 64, lam, rng).rejections == 0
+            iid_jammer_rows(Distribution.bernoulli(0.02), 256, 64, lam, [rng])[0].rejections == 0
             for _ in range(200)
         )
         assert first_try / 200 > 0.95
         results = [
-            iid_jammer(Distribution.bernoulli(0.05), 256, 64, lam, rng)
+            iid_jammer_rows(Distribution.bernoulli(0.05), 256, 64, lam, [rng])[0]
             for _ in range(200)
         ]
         assert sum(r.rejections == 0 for r in results) / 200 > 0.4
@@ -78,13 +79,12 @@ class TestIidJammer:
         )
         assert rate > 0.5
 
-    def test_cap_exceeded_raises(self):
+    def test_cap_exceeded_gives_none(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(JammerGenerationError):
-            iid_jammer(
-                Distribution.bernoulli(0.45), 256, 16,
-                ConstraintSet.weight_cap(0.1), rng, rejection_cap=50,
-            )
+        assert iid_jammer_rows(
+            Distribution.bernoulli(0.45), 256, 16,
+            ConstraintSet.weight_cap(0.1), [rng], rejection_cap=50,
+        ) == [None]
 
     def test_rejection_rate_decreases_with_window_length(self):
         rng = np.random.default_rng(5)
@@ -102,26 +102,28 @@ class TestSpoofJammer:
     def test_valid_when_codebook_obeys_state_budget(self):
         rng = np.random.default_rng(6)
         codebook = (rng.random((16, 128)) < 0.05).astype(np.int8)
-        res = spoof_jammer(uniform_row(codebook), 128, 32, ConstraintSet.weight_cap(0.2), rng)
+        res, = spoof_jammer_rows(uniform_rows(codebook), 128, 32, ConstraintSet.weight_cap(0.2),
+                                 [rng])
         assert res.window_valid
         assert any((res.states == row).all() for row in codebook)
 
     def test_invalid_status_reported_not_raised(self):
         rng = np.random.default_rng(7)
         codebook = (rng.random((8, 128)) < 0.3).astype(np.int8)
-        res = spoof_jammer(uniform_row(codebook), 128, 32, ConstraintSet.weight_cap(0.05), rng)
+        res, = spoof_jammer_rows(uniform_rows(codebook), 128, 32, ConstraintSet.weight_cap(0.05),
+                                 [rng])
         assert not res.window_valid
 
     def test_single_codeword_deterministic(self):
         word = np.zeros((1, 64), dtype=np.int8)
-        res = spoof_jammer(uniform_row(word), 64, 16, ConstraintSet.weight_cap(0.2),
-                           np.random.default_rng(8))
+        res, = spoof_jammer_rows(uniform_rows(word), 64, 16, ConstraintSet.weight_cap(0.2),
+                                 [np.random.default_rng(8)])
         assert (res.states == 0).all()
 
     def test_sampler_callable_supported(self):
         rng = np.random.default_rng(9)
         fixed = (rng.random(64) < 0.05).astype(np.int8)
-        res = spoof_jammer(lambda r: fixed, 64, 16, ConstraintSet.weight_cap(0.2), rng)
+        res, = spoof_jammer_rows(fixed_rows(fixed), 64, 16, ConstraintSet.weight_cap(0.2), [rng])
         assert (res.states == fixed).all()
 
 
@@ -130,8 +132,8 @@ class TestSymmetrizeJammer:
         rng = np.random.default_rng(10)
         codebook = (rng.random((4, 96)) < 0.05).astype(np.int8)
         ident = (Distribution.point_mass(0, 2), Distribution.point_mass(1, 2))
-        res = symmetrize_jammer(
-            uniform_row(codebook), ident, 96, 32, ConstraintSet.weight_cap(0.2), rng
+        res, = symmetrize_jammer_rows(
+            uniform_rows(codebook), ident, 96, 32, ConstraintSet.weight_cap(0.2), [rng]
         )
         assert any((res.states == row).all() for row in codebook)
 
@@ -141,7 +143,7 @@ class TestSymmetrizeJammer:
         lam = ConstraintSet.weight_cap(0.2)
         wit = ecn_symmetrizable(Distribution.bernoulli(0.05), Channel.xor(), lam)
         assert wit.feasible
-        res = symmetrize_jammer(uniform_row(codebook), wit.witness, 128, 32, lam, rng)
+        res, = symmetrize_jammer_rows(uniform_rows(codebook), wit.witness, 128, 32, lam, [rng])
         assert res.window_valid
         assert verify_windows(res.states, 32, lam).valid
 
@@ -149,28 +151,28 @@ class TestSymmetrizeJammer:
         rng = np.random.default_rng(12)
         codebook = (rng.random((4, 64)) < 0.05).astype(np.int8)
         zero_map = (Distribution.point_mass(0, 2), Distribution.point_mass(0, 2))
-        res = symmetrize_jammer(
-            uniform_row(codebook), zero_map, 64, 16, ConstraintSet.weight_cap(0.2), rng
+        res, = symmetrize_jammer_rows(
+            uniform_rows(codebook), zero_map, 64, 16, ConstraintSet.weight_cap(0.2), [rng]
         )
         assert not res.states.any()
 
     def test_point_mass_on_state_1_at_edge_uniforms(self, edge_rng):
         to_one = (Distribution.point_mass(1, 2), Distribution.point_mass(1, 2))
-        res = symmetrize_jammer(
-            lambda r: np.zeros(32, dtype=np.int8), to_one, 32, 8,
-            ConstraintSet.weight_cap(1.0), edge_rng,
+        res, = symmetrize_jammer_rows(
+            fixed_rows(np.zeros(32, dtype=np.int8)), to_one, 32, 8,
+            ConstraintSet.weight_cap(1.0), [edge_rng],
         )
         assert res.states.tolist() == [1] * 32
 
 
 class TestWindowLongerThanSequence:
     @pytest.mark.parametrize("jam", [
-        lambda rng: iid_jammer(Distribution.bernoulli(0.05), 32, 64,
-                               ConstraintSet.weight_cap(0.2), rng),
-        lambda rng: symmetrize_jammer(
-            lambda r: np.zeros(32, dtype=np.int8),
+        lambda rng: iid_jammer_rows(Distribution.bernoulli(0.05), 32, 64,
+                                    ConstraintSet.weight_cap(0.2), [rng]),
+        lambda rng: symmetrize_jammer_rows(
+            fixed_rows(np.zeros(32, dtype=np.int8)),
             (Distribution.point_mass(0, 2), Distribution.point_mass(0, 2)),
-            32, 64, ConstraintSet.weight_cap(0.2), rng),
+            32, 64, ConstraintSet.weight_cap(0.2), [rng]),
     ], ids=["iid", "symmetrize"])
     def test_refused_with_the_window_rule(self, jam):
         with pytest.raises(ValueError, match="window length must satisfy 1 <= w <= 32"):
@@ -180,7 +182,7 @@ class TestWindowLongerThanSequence:
 class TestObliviousContract:
     def test_generators_take_no_message_or_realization(self):
         # interface shape: no parameter could carry the transmitted message
-        for fn in (iid_jammer, spoof_jammer, symmetrize_jammer):
+        for fn in (iid_jammer_rows, spoof_jammer_rows, symmetrize_jammer_rows):
             names = set(inspect.signature(fn).parameters)
             assert not names & {"message", "codeword", "transmitted", "x_seq"}
 
@@ -205,52 +207,38 @@ class TestFallback:
 
 
 class TestRows:
-    """A block of draws gives each generator what its own single draw gives."""
+    """A block of 8 draws gives each generator what its own block of one gives."""
 
     LAM = ConstraintSet.weight_cap(0.1)
     BOOK = (np.random.default_rng(34).random((16, 64)) < 0.06).astype(np.int8)
 
     @staticmethod
-    def _single(draw):
-        try:
-            res = draw()
-        except JammerGenerationError:
-            return None
-        return res.states.tolist(), res.window_valid, res.rejections
-
-    @staticmethod
     def _row(res):
         return None if res is None else (res.states.tolist(), res.window_valid, res.rejections)
+
+    def _compare(self, jam):
+        """jam(rngs) -> one result per generator, run on 8 seeds at once and one at a time."""
+        block = [self._row(r) for r in jam([np.random.default_rng(s) for s in range(8)])]
+        ones = [self._row(jam([np.random.default_rng(s)])[0]) for s in range(8)]
+        assert block == ones
+        return ones
 
     def test_iid(self):
         # a cap of 40 stops some of the 8 draws; others finish, some after several blocks
         law = Distribution.bernoulli(0.1)
-        rngs = [np.random.default_rng(s) for s in range(8)]
-        rows = iid_jammer_rows(law, 64, 16, self.LAM, rngs, 40)
-        want = [self._single(lambda: iid_jammer(law, 64, 16, self.LAM, np.random.default_rng(s), 40))
-                for s in range(8)]
-        assert [self._row(r) for r in rows] == want
+        want = self._compare(lambda rngs: iid_jammer_rows(law, 64, 16, self.LAM, rngs, 40))
         assert None in want and any(w is not None for w in want)
 
     def test_symmetrize(self):
         u = (Distribution.bernoulli(0.05), Distribution.bernoulli(0.6))
-        rows_sampler = lambda rngs: np.stack([uniform_row(self.BOOK)(r) for r in rngs])
-        rows = symmetrize_jammer_rows(rows_sampler, u, 64, 16, self.LAM,
-                                      [np.random.default_rng(s) for s in range(8)], 8)
-        want = [self._single(lambda: symmetrize_jammer(uniform_row(self.BOOK), u, 64, 16, self.LAM,
-                                                       np.random.default_rng(s), 8))
-                for s in range(8)]
-        assert [self._row(r) for r in rows] == want
+        want = self._compare(lambda rngs: symmetrize_jammer_rows(
+            uniform_rows(self.BOOK), u, 64, 16, self.LAM, rngs, 8))
         assert None in want and any(w is not None for w in want)
 
     def test_spoof(self):
-        rows_sampler = lambda rngs: np.stack([uniform_row(self.BOOK)(r) for r in rngs])
         lam = ConstraintSet.weight_cap(0.08)
-        rows = spoof_jammer_rows(rows_sampler, 64, 16, lam, [np.random.default_rng(s) for s in range(8)])
-        want = [self._single(lambda: spoof_jammer(uniform_row(self.BOOK), 64, 16, lam,
-                                                  np.random.default_rng(s)))
-                for s in range(8)]
-        assert [self._row(r) for r in rows] == want
+        want = self._compare(lambda rngs: spoof_jammer_rows(uniform_rows(self.BOOK), 64, 16, lam,
+                                                            rngs))
         assert {w[1] for w in want} == {True, False}
 
 
@@ -279,7 +267,7 @@ class TestPinnedStreams:
     def test_symmetrize_jammer(self, u, digest):
         rng = np.random.default_rng(32)
         results = [
-            symmetrize_jammer(uniform_row(self.BOOK), u, 48, 12, self.LAM, rng)
+            symmetrize_jammer_rows(uniform_rows(self.BOOK), u, 48, 12, self.LAM, [rng])[0]
             for _ in range(20)
         ]
         assert self._digest(results) == digest
@@ -287,7 +275,8 @@ class TestPinnedStreams:
     def test_spoof_jammer(self):
         rng = np.random.default_rng(33)
         results = [
-            spoof_jammer(uniform_row(self.BOOK), 48, 12, self.LAM, rng) for _ in range(20)
+            spoof_jammer_rows(uniform_rows(self.BOOK), 48, 12, self.LAM, [rng])[0]
+            for _ in range(20)
         ]
         assert self._digest(results) == (
             "04da9c20ee7c65d0d616581ed6e745540df2a9eb0150f2fb24269d043dd28814"
@@ -328,7 +317,7 @@ class TestExactConditioning:
         probs = p**weights * (1 - p) ** (self.N - weights)
         rng = np.random.default_rng(40)
         results = [
-            iid_jammer(Distribution.bernoulli(p), self.N, self.W_S, self.LAM, rng)
+            iid_jammer_rows(Distribution.bernoulli(p), self.N, self.W_S, self.LAM, [rng])[0]
             for _ in range(self.DRAWS)
         ]
         self.check_law(results, probs)
@@ -343,7 +332,7 @@ class TestExactConditioning:
         )
         rng = np.random.default_rng(41)
         results = [
-            symmetrize_jammer(uniform_row(book), u, self.N, self.W_S, self.LAM, rng)
+            symmetrize_jammer_rows(uniform_rows(book), u, self.N, self.W_S, self.LAM, [rng])[0]
             for _ in range(self.DRAWS)
         ]
         self.check_law(results, probs)
@@ -359,10 +348,9 @@ class TestExactConditioning:
     def test_accepted_states_pass_verify_windows(self, n, data, cap, margin, seed):
         w_s = data.draw(st.integers(1, n), label="w_s")
         lam = ConstraintSet.weight_cap(cap)
-        try:
-            res = iid_jammer(Distribution.bernoulli(cap * margin), n, w_s, lam,
-                             np.random.default_rng(seed), rejection_cap=2000)
-        except JammerGenerationError:
+        res, = iid_jammer_rows(Distribution.bernoulli(cap * margin), n, w_s, lam,
+                               [np.random.default_rng(seed)], rejection_cap=2000)
+        if res is None:
             return  # no acceptance within the cap: nothing to check
         assert res.states.shape == (n,)
         assert verify_windows(res.states, w_s, lam).valid
