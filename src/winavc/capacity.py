@@ -1,22 +1,21 @@
 """Max-min mutual information solvers and capacity predicates.
 
 The saddle problem max_{P in gamma} min_{Q in lam} I(x;y) is concave in P
-(for each Q) and convex in Q (for each P).  The inner minimization is
-Frank-Wolfe with the polytope's vertex set as LP oracle, for every state
-alphabet; the outer maximization is a lattice sweep over gamma followed by
-golden-section refinement along segments toward the polytope vertices
-(valid because the inner value is concave in P).  `list_capacity` and
-`oblivious_capacity` share that outer loop (`_max_min`), which brackets the
-true max-min by the saddle interval [lower, upper] at its returned pair.
+(for each Q) and convex in Q (for each P).  `_max_min` solves it by
+entropic mirror-prox on vertex weights and stops on a certified interval
+[lower, upper] around the max-min.  `list_capacity` is that solver on gamma;
+`oblivious_capacity` runs it on gamma cut down to its non-symmetrizable laws.
+`worst_case_mi` is the inner minimum over Q alone, by Frank-Wolfe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lp
 from .core import (
     LOG_FLOOR,
     Channel,
@@ -27,20 +26,31 @@ from .core import (
     binary_entropy,
     _mi_from_induced,
 )
-from .symmetrize import ecn_symmetrizable, gamma_prime, scan_nonsymmetrizable
+from .symmetrize import (
+    _farkas_multipliers,
+    _symmetrization_equalities,
+    gamma_prime,
+    scan_nonsymmetrizable,
+)
 
 VERDICT_THM1 = "equals_Clist_thm1"
 VERDICT_THM2 = "equals_Clist_thm2"
 VERDICT_UNKNOWN = "unknown"
 
 _INNER_MAX_ITER = 400  # Frank-Wolfe steps per inner solve
-_REFINE_PASSES = 3  # outer refinement sweeps over gamma's vertices
+_SADDLE_TOL = 1e-6  # certified width upper - lower at which the saddle solver stops
+_SADDLE_MAX_ITER = 20_000  # mirror-prox steps before the interval is returned as it stands
+_SADDLE_STEP = 2.0  # mirror-prox step size on gradients in bits
+_CUT_TOL = 1e-9  # symmetrizability margin, in units of the state row's largest |coefficient|
+_MAX_CUTS = 100  # cutting-plane rounds in oblivious_capacity
 _REGIME_CONSTANT = 4.0  # c in the advisory window regime (c ln n, n/c)
 
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """`value` is the worst-case rate of `argmax_px`; lower <= max-min <= upper."""
+    """lower <= max-min <= upper: `value` = `lower` <= I(argmax_px, Q) for every Q,
+    and I(P, argmin_qs) <= `upper` for every P.  `solver_iterations` counts
+    mirror-prox steps; a width above 1e-6 means the step cap was hit."""
 
     value: float
     argmax_px: Distribution | None
@@ -107,24 +117,6 @@ def _mi_grad_q(px: np.ndarray, q: np.ndarray, channel: Channel) -> np.ndarray:
     return np.einsum("x,xsy,xy->s", px, w, log_ratio)
 
 
-def _saddle_interval(px, q, gamma, lam, channel: Channel) -> tuple[float, float]:
-    """[lower, upper] around max_{P in gamma} min_{Q in lam} I from one pair (px, q).
-
-    I is convex in Q, so its tangent at q, minimised over lam's vertices,
-    bounds min_Q I(px, Q) and hence the max-min from below.  I is concave in
-    P with gradient D(V(.|x) || px V) up to a constant, so its tangent at px,
-    maximised over gamma's vertices, bounds max_P I(P, q) and hence the
-    max-min from above.
-    """
-    v = np.einsum("s,xsy->xy", q, channel.table)
-    mi = _mi_from_induced(px, v)
-    grad_q = _mi_grad_q(px, q, channel)
-    grad_p = np.sum(v * _log_ratio(px, v), axis=1)
-    lower = mi - max(float(grad_q @ (q - b.probs)) for b in lam.vertices())
-    upper = mi + max(float(grad_p @ (a.probs - px)) for a in gamma.vertices())
-    return lower, upper
-
-
 def worst_case_mi(
     p_x: Distribution,
     lam: ConstraintSet,
@@ -164,111 +156,115 @@ def worst_case_mi(
     return best_val, Distribution(np.clip(q, 0, None), atol=1e-6), evals
 
 
-def _max_min(gamma, lam, channel, grid_resolution, admissible=None) -> CapacityResult | None:
-    """max_P min_{Q in lam} I(x;y) over the P in gamma that `admissible` accepts.
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
-    The best lattice point of gamma is refined by golden-section searches
-    along segments toward gamma's vertices; the lattice sweep and the
-    refinement both skip rejected laws.  Returns None when `admissible`
-    rejects every lattice point of gamma.
+
+def _max_min(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> CapacityResult:
+    """max_{P in gamma} min_{Q in lam} I by entropic mirror-prox on vertex weights.
+
+    P = A alpha and Q = B beta, with the vertices of gamma and lam as the rows
+    of A and B.  I is convex in Q and <grad_Q I, Q> = I, so at any pair
+    min_Q I(P, .) >= min_j <grad_Q I, B_j>; I is concave in P and
+    <grad_P I, P> = I for grad_P I = D(V(.|x) || PV), so
+    max_P I(., Q) <= max_i <grad_P I, A_i>.  Those vertex vectors are the
+    gradients in alpha and beta, so every extragradient step (Nemirovski,
+    SIAM J. Optim. 2004) also bounds the max-min.  The largest-weight vertex
+    pair is bounded too, which certifies a vertex saddle at once.  Stops once
+    the best upper - lower <= _SADDLE_TOL or after _SADDLE_MAX_ITER steps.
     """
-    candidates = gamma.grid_points(grid_resolution)
-    if admissible is not None:
-        candidates = [p for p in candidates if admissible(p)]
-        if not candidates:
-            return None
-    evals = len(candidates)
+    a = np.vstack([v.probs for v in gamma.vertices()])
+    b = np.vstack([v.probs for v in lam.vertices()])
+    lower, p_low = 0.0, a[0]  # I >= 0 at every pair
+    upper, q_up = np.inf, None
 
-    def g(px_arr: np.ndarray) -> float:
-        nonlocal evals
-        p = Distribution(np.clip(px_arr, 0, None), atol=1e-6)
-        if admissible is not None and not admissible(p):
-            return -np.inf
-        val, _, e = worst_case_mi(p, lam, channel)
-        evals += e
-        return val
+    def certify(px: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A grad_P I, B grad_Q I) at (px, q), keeping the best bounds they give."""
+        nonlocal lower, upper, p_low, q_up
+        v = q @ channel.table
+        log_ratio = _log_ratio(px, v)
+        grad_a = a @ np.sum(v * log_ratio, axis=1)
+        grad_b = b @ np.einsum("x,xsy,xy->s", px, channel.table, log_ratio)
+        if grad_b.min() > lower:
+            lower, p_low = float(grad_b.min()), px
+        if grad_a.max() < upper:
+            upper, q_up = float(grad_a.max()), q
+        return grad_a, grad_b
 
-    best_val, best_p = -np.inf, None
-    for p in candidates:
-        val = g(p.probs)
-        if val > best_val:
-            best_val, best_p = val, p
-    cur = best_p.probs.copy()
-    for _ in range(_REFINE_PASSES):
-        improved = False
-        for vtx in gamma.vertices():
-            direction = vtx.probs - cur
-            if np.abs(direction).max() < 1e-12:
-                continue
-            t, val, e = _golden_max(lambda t: g(cur + t * direction), 0.0, 1.0, tol=1e-9)
-            evals += e
-            if val > best_val + 1e-12:
-                best_val = val
-                cur = cur + t * direction
-                improved = True
-        if not improved:
+    log_a, log_b = np.zeros(len(a)), np.zeros(len(b))
+    steps, pair = 0, None
+    while True:
+        grad_a, grad_b = certify(_softmax(log_a) @ a, _softmax(log_b) @ b)
+        top = (log_a.argmax(), log_b.argmax())
+        if top != pair:  # the bounds at an unchanged vertex pair are unchanged
+            pair = top
+            certify(a[top[0]], b[top[1]])
+        if upper - lower <= _SADDLE_TOL or steps == _SADDLE_MAX_ITER:
             break
-    p_star = Distribution(np.clip(cur, 0, None), atol=1e-6)
-    _, q_star, e = worst_case_mi(p_star, lam, channel)
-    lower, upper = _saddle_interval(p_star.probs, q_star.probs, gamma, lam, channel)
+        steps += 1
+        half_a, half_b = log_a + _SADDLE_STEP * grad_a, log_b - _SADDLE_STEP * grad_b
+        grad_a, grad_b = certify(_softmax(half_a) @ a, _softmax(half_b) @ b)
+        log_a += _SADDLE_STEP * grad_a
+        log_b -= _SADDLE_STEP * grad_b
     return CapacityResult(
-        value=max(best_val, 0.0),
-        argmax_px=p_star,
-        argmin_qs=q_star,
-        solver_iterations=evals + e,
+        value=lower,
+        argmax_px=Distribution(np.clip(p_low, 0, None), atol=1e-6),
+        argmin_qs=Distribution(np.clip(q_up, 0, None), atol=1e-6),
+        solver_iterations=steps,
         lower=lower,
-        upper=upper,
+        upper=max(upper, lower),  # at a vertex saddle the two differ by rounding alone
     )
 
 
-def list_capacity(
-    gamma: ConstraintSet,
-    lam: ConstraintSet,
-    channel: Channel,
-    *,
-    grid_resolution: int = 21,
-) -> CapacityResult:
-    """max_{P in gamma} min_{Q in lam} I(x;y) in bits per use.
+def _nonsymmetrizable_max_min(gamma, lam, channel, c, bound) -> CapacityResult:
+    """The max-min over the P in gamma with Lambda_0(P) >= bound, by cutting planes.
 
-    The reported value is the worst-case rate of the returned argmax input
-    law; [lower, upper] is the saddle interval at the returned pair, so
-    upper - lower bounds the value's error.
+    <P, U* c> >= Lambda_0(P) for every P and symmetrizing U*, so the U* that
+    attains Lambda_0 at a violating argmax cuts it off; the solver reruns
+    with the cut until its argmax complies.
     """
-    return _max_min(gamma, lam, channel, grid_resolution)
+    scale = np.abs(c).max(initial=0.0) or 1.0
+    c, bound = c / scale, bound / scale
+    a_eq, b_eq = _symmetrization_equalities(channel)
+    cuts, steps, upper = [], 0, np.inf
+    for _ in range(_MAX_CUTS):
+        res = _max_min(ConstraintSet(gamma.dim, gamma.inequalities + cuts), lam, channel)
+        steps += res.solver_iterations
+        upper = min(upper, res.upper)  # each region holds every law that complies
+        sym = lp.solve_lp(np.kron(res.argmax_px.probs, c), a_eq=a_eq, b_eq=b_eq)
+        # with no symmetrizing map at all, every P complies
+        if not sym.is_optimal or sym.value >= bound - _CUT_TOL:
+            return replace(res, solver_iterations=steps, upper=upper)
+        cuts.append((-(sym.x.reshape(channel.num_inputs, c.size) @ c), -bound))
+    raise RuntimeError(f"the argmax is still symmetrizable after {_MAX_CUTS} cuts")
 
 
-def oblivious_capacity(
-    gamma: ConstraintSet,
-    lam: ConstraintSet,
-    channel: Channel,
-    *,
-    grid_resolution: int = 21,
-) -> CapacityResult:
-    """Same max-min restricted to non-symmetrizable admissible input laws.
+def list_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> CapacityResult:
+    """max_{P in gamma} min_{Q in lam} I(x;y) in bits per use (see `_max_min`)."""
+    return _max_min(gamma, lam, channel)
 
-    The restriction is evaluated on the scan grid (plus vertices) with local
-    refinement around the best point; exactness beyond the grid resolution
-    is not claimed.  [lower, upper] is the same saddle interval as
-    list_capacity's, taken at the restricted pair: upper bounds the
-    unrestricted max-min.  When every scanned point is symmetrizable the
-    value and lower are 0, upper is NaN and `all_symmetrizable_evidence` is
-    set.
+
+def oblivious_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> CapacityResult:
+    """Same max-min restricted to the non-symmetrizable laws of gamma.
+
+    For lam = {<c, Q> <= b}, P is non-symmetrizable exactly when Lambda_0(P) =
+    min over symmetrizing U of sum_x P(x) sum_s U(s|x) c(s) exceeds b (Csiszar
+    & Narayan 1988).  Lambda_0 is concave, so the max-min over gamma ∩
+    {Lambda_0 >= b} falls to cutting planes and [lower, upper] brackets the
+    oblivious capacity.  Several rows take the best over scan_nonsymmetrizable's
+    Farkas relaxations (grid evidence).  With no non-symmetrizable law, value
+    and lower are 0, upper is NaN and `all_symmetrizable_evidence` is set.
     """
-    res = _max_min(
-        gamma, lam, channel, grid_resolution,
-        admissible=lambda p: not ecn_symmetrizable(p, channel, lam).feasible,
-    )
-    if res is None:
-        return CapacityResult(
-            value=0.0,
-            argmax_px=None,
-            argmin_qs=None,
-            solver_iterations=0,
-            lower=0.0,
-            upper=float("nan"),
-            all_symmetrizable_evidence=True,
-        )
-    return res
+    results = []
+    for mu in _farkas_multipliers(lam):
+        c, bound = mu @ lam.coeffs, float(mu @ lam.bounds)
+        if scan_nonsymmetrizable(gamma, channel, ConstraintSet(lam.dim, [(c, bound)])) is not None:
+            results.append(_nonsymmetrizable_max_min(gamma, lam, channel, c, bound))
+    if not results:
+        return CapacityResult(0.0, None, None, 0, 0.0, float("nan"), all_symmetrizable_evidence=True)
+    best = max(results, key=lambda r: r.value)
+    return replace(best, upper=max(r.upper for r in results))
 
 
 def windowed_capacity_verdict(spec: WindowedAvcSpec) -> WindowedCapacityVerdict:

@@ -140,6 +140,14 @@ def gamma_prime(gamma: ConstraintSet, alpha: float) -> ConstraintSet:
     return ConstraintSet(gamma.dim, ineqs)
 
 
+def _farkas_multipliers(lam: ConstraintSet) -> np.ndarray:
+    """Multipliers mu on lam's rows: 1 for at most one row, else a simplex lattice."""
+    k = lam.num_inequalities
+    if k <= 1:
+        return np.ones((1, k))
+    return np.array(list(_compositions(_MULTIPLIER_STEPS, k))) / _MULTIPLIER_STEPS
+
+
 def scan_nonsymmetrizable(
     gamma: ConstraintSet,
     channel: Channel,
@@ -159,13 +167,9 @@ def scan_nonsymmetrizable(
     exact; with k > 1 inequalities mu runs over a lattice of the simplex and
     None is grid evidence.
     """
-    nx, ns, k = channel.num_inputs, channel.num_states, lam.num_inequalities
+    nx, ns = channel.num_inputs, channel.num_states
     a_eq, b_eq = _symmetrization_equalities(channel)
     m = b_eq.size
-    if k > 1:
-        mus = np.array(list(_compositions(_MULTIPLIER_STEPS, k))) / _MULTIPLIER_STEPS
-    else:
-        mus = np.ones((1, k))
     # variables (P, nu+, nu-) with nu = nu+ - nu-; rows: gamma's inequalities,
     # then a_eq^T nu - P(x) c(s) <= 0 for every (x, s)
     ng = gamma.num_inequalities
@@ -176,7 +180,7 @@ def scan_nonsymmetrizable(
     b_ub = np.concatenate([gamma.bounds, np.zeros(nx * ns)])
     cost = np.concatenate([np.zeros(nx), -b_eq, b_eq])
     simplex_row = np.concatenate([np.ones(nx), np.zeros(2 * m)])
-    for mu in mus:
+    for mu in _farkas_multipliers(lam):
         # <c, Q> <= b at unit max |c|, so the 1e-9 margin does not depend on scale
         c, b = mu @ lam.coeffs, mu @ lam.bounds
         scale = np.abs(c).max(initial=0.0) or 1.0

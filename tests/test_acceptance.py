@@ -279,8 +279,8 @@ def test_a10_structural_inequality_and_thm2_verdict():
         wvec = np.array([0.0] + [1.0] * (nx - 1))
         gamma = ConstraintSet(nx, [(wvec, float(rng.uniform(0.2, 0.6)))])
         lam = ConstraintSet(ns, [(wvec[:ns], float(rng.uniform(0.2, 0.6)))])
-        c_list = list_capacity(gamma, lam, ch, grid_resolution=11).value
-        c_obl = oblivious_capacity(gamma, lam, ch, grid_resolution=11).value
+        c_list = list_capacity(gamma, lam, ch).value
+        c_obl = oblivious_capacity(gamma, lam, ch).value
         assert c_obl <= c_list + 1e-6, (c_obl, c_list)
         checked += 1
 

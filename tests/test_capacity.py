@@ -30,8 +30,8 @@ from winavc.core import (
 XOR = Channel.xor()
 
 # The ternary benchmark's channel 0 and its sets, and its max-min to 7
-# decimals: list_capacity's value at the default resolution, whose certified
-# interval is 3e-9 wide.
+# decimals, certified to within 3e-9 by a lattice sweep with golden-section
+# refinement.
 TERNARY_TABLE = np.random.default_rng(np.random.SeedSequence(8)).dirichlet(
     np.ones(3), size=(8, 3, 3))[0]
 TERNARY_GAMMA = ConstraintSet(3, [([0.0, 1.0, 2.0], 0.8)])
@@ -41,6 +41,24 @@ TERNARY_REFERENCE = 0.0924423
 
 def weight_caps(w, p):
     return ConstraintSet.weight_cap(w), ConstraintSet.weight_cap(p)
+
+
+def random_instances(seed, count):
+    """(gamma, lam, channel) for `count` random 2-3 letter weight-cap instances."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nx = ns = int(rng.integers(2, 4))
+        ny = int(rng.integers(2, 4))
+        ch = Channel(rng.dirichlet(np.ones(ny), size=(nx, ns)))
+        wvec = [0.0] + [1.0] * (nx - 1)
+        gamma = ConstraintSet(nx, [(wvec, float(rng.uniform(0.2, 0.6)))])
+        lam = ConstraintSet(ns, [(wvec[:ns], float(rng.uniform(0.2, 0.6)))])
+        yield gamma, lam, ch
+
+
+def seed7_instance(index):
+    """The index-th (counting from 1) instance drawn from default_rng(7)."""
+    return list(random_instances(7, index))[-1]
 
 
 class TestBitflipClosedForm:
@@ -129,10 +147,16 @@ class TestListCapacity:
         ch = Channel(rng.dirichlet(np.ones(3) * 5, size=(3, 3)))
         gamma = ConstraintSet(3, [([0.0, 1.0, 1.0], 0.5)])
         lam = ConstraintSet(3, [([0.0, 1.0, 1.0], 0.4)])
-        res = list_capacity(gamma, lam, ch, grid_resolution=13)
+        res = list_capacity(gamma, lam, ch)
         assert res.value >= -1e-9
         assert res.lower <= res.value <= res.upper
         assert res.upper - res.lower <= 5e-3
+
+    @pytest.mark.parametrize("index", [7, 8, 13])
+    def test_seeded_instance_is_certified(self, index):
+        # a lattice sweep with golden refinement left these 8e-3, 2.9e-3 and 9.3e-3 wide
+        res = list_capacity(*seed7_instance(index))
+        assert res.upper - res.lower <= 1e-6
 
 
 class TestWorstCaseMi:
@@ -204,22 +228,47 @@ class TestObliviousCapacity:
         )
         assert res.value == pytest.approx(val, abs=1e-6)
 
+    @pytest.mark.parametrize("make_instance", [
+        lambda: (*weight_caps(0.2, 0.1), XOR),
+        lambda: (*weight_caps(0.1, 0.2), XOR),
+        lambda: seed7_instance(8),
+    ], ids=["bitflip-nonsym", "bitflip-all-sym", "seed7-8-cut"])
+    def test_redundant_state_row_changes_nothing(self, make_instance):
+        # a second, looser copy of lam's row sends the solve through every
+        # Farkas multiplier of the two-row lattice
+        gamma, lam, ch = make_instance()
+        (c, b), = lam.inequalities
+        one = oblivious_capacity(gamma, lam, ch)
+        two = oblivious_capacity(gamma, ConstraintSet(lam.dim, [(c, b), (c, b + 0.3)]), ch)
+        assert two.all_symmetrizable_evidence == one.all_symmetrizable_evidence
+        assert two.value == pytest.approx(one.value, abs=1e-9)
+        if not two.all_symmetrizable_evidence:
+            assert two.lower <= two.value <= two.upper
+
+    def test_cut_rounds_are_capped(self, monkeypatch):
+        # the seed-7 instance 8 needs one cut, so one round cannot finish
+        monkeypatch.setattr(capacity, "_MAX_CUTS", 1)
+        with pytest.raises(RuntimeError, match="after 1 cuts"):
+            oblivious_capacity(*seed7_instance(8))
+
     def test_never_exceeds_list_capacity(self):
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            nx = ns = int(rng.integers(2, 4))
-            ny = int(rng.integers(2, 4))
-            ch = Channel(rng.dirichlet(np.ones(ny), size=(nx, ns)))
-            wvec = [0.0] + [1.0] * (nx - 1)
-            gamma = ConstraintSet(nx, [(wvec, float(rng.uniform(0.2, 0.6)))])
-            lam = ConstraintSet(ns, [(wvec[:ns], float(rng.uniform(0.2, 0.6)))])
-            c_list = list_capacity(gamma, lam, ch, grid_resolution=11)
-            c_obl = oblivious_capacity(gamma, lam, ch, grid_resolution=11)
-            assert c_obl.value <= c_list.value + 1e-4
+        for gamma, lam, ch in random_instances(33, 10):
+            c_list = list_capacity(gamma, lam, ch)
+            c_obl = oblivious_capacity(gamma, lam, ch)
+            assert c_obl.value <= c_list.value + 1e-6
             if not c_obl.all_symmetrizable_evidence:
-                # the restricted pair's upper still bounds the unrestricted max-min
-                assert c_obl.lower <= c_obl.value <= c_obl.upper
-                assert c_list.lower <= c_obl.upper + 1e-9
+                assert c_obl.lower <= c_obl.value <= c_obl.upper <= c_list.upper + 1e-9
+
+    @pytest.mark.parametrize("index", [7, 8, 13])
+    def test_seeded_instance_brackets(self, index):
+        # instance 8's list argmax is symmetrizable: one cut moves off it, where
+        # a filtered lattice sweep once returned C_obl 0.021992 > C_list 0.021671
+        gamma, lam, ch = seed7_instance(index)
+        c_list = list_capacity(gamma, lam, ch)
+        c_obl = oblivious_capacity(gamma, lam, ch)
+        assert c_obl.upper - c_obl.lower <= 1e-6
+        assert c_obl.value <= c_list.value + 1e-6
+        assert c_obl.lower <= c_obl.value <= c_obl.upper <= c_list.upper + 1e-9
 
 
 class TestVerdict:
@@ -282,13 +331,6 @@ class TestCertificate:
         res = list_capacity(*weight_caps(0.2, 0.1), XOR)
         assert res.argmax_px.probs[1] == pytest.approx(0.2, abs=1e-5)
         assert res.upper == pytest.approx(bitflip_list_capacity(0.2, 0.1), abs=1e-6)
-
-    @pytest.mark.parametrize("resolution", [5, 9])
-    def test_coarse_ternary_interval_holds_reference(self, resolution):
-        res = list_capacity(TERNARY_GAMMA, TERNARY_LAM, Channel(TERNARY_TABLE),
-                            grid_resolution=resolution)
-        assert res.lower <= TERNARY_REFERENCE <= res.upper
-        assert res.lower <= res.value <= res.upper
 
     def test_default_ternary_interval_is_tight(self):
         res = list_capacity(TERNARY_GAMMA, TERNARY_LAM, Channel(TERNARY_TABLE))
