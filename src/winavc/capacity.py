@@ -27,7 +27,7 @@ from .core import (
     _mi_from_induced,
 )
 from .symmetrize import (
-    _farkas_multipliers,
+    _relaxed_witnesses,
     _symmetrization_equalities,
     gamma_prime,
     scan_nonsymmetrizable,
@@ -176,8 +176,7 @@ def _max_min(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> Capa
     """
     a = np.vstack([v.probs for v in gamma.vertices()])
     b = np.vstack([v.probs for v in lam.vertices()])
-    lower, p_low = 0.0, a[0]  # I >= 0 at every pair
-    upper, q_up = np.inf, None
+    lower, upper, p_low, q_up = 0.0, np.inf, a[0], None  # I >= 0 at every pair
 
     def certify(px: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A grad_P I, B grad_Q I) at (px, q), keeping the best bounds they give."""
@@ -186,7 +185,10 @@ def _max_min(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> Capa
         log_ratio = _log_ratio(px, v)
         grad_a = a @ np.sum(v * log_ratio, axis=1)
         grad_b = b @ np.einsum("x,xsy,xy->s", px, channel.table, log_ratio)
-        if grad_b.min() > lower:
+        # log V(y|x) = -inf if a used x misses a reached y: no bound from a vertex leading x to y
+        lost = np.outer(px > 0, px @ v > 0) & (v < LOG_FLOOR)
+        blind = b @ np.einsum("xy,xsy->s", lost, channel.table) > 0
+        if not blind.any() and grad_b.min() > lower:
             lower, p_low = float(grad_b.min()), px
         if grad_a.max() < upper:
             upper, q_up = float(grad_a.max()), q
@@ -205,15 +207,16 @@ def _max_min(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> Capa
         steps += 1
         half_a, half_b = log_a + _SADDLE_STEP * grad_a, log_b - _SADDLE_STEP * grad_b
         grad_a, grad_b = certify(_softmax(half_a) @ a, _softmax(half_b) @ b)
-        log_a += _SADDLE_STEP * grad_a
-        log_b -= _SADDLE_STEP * grad_b
+        log_a, log_b = log_a + _SADDLE_STEP * grad_a, log_b - _SADDLE_STEP * grad_b
+    if lower - upper > 1e-12:  # at a vertex saddle the two differ by rounding alone
+        raise RuntimeError(f"certified bounds crossed: lower {lower} > upper {upper}")
     return CapacityResult(
         value=lower,
         argmax_px=Distribution(np.clip(p_low, 0, None), atol=1e-6),
         argmin_qs=Distribution(np.clip(q_up, 0, None), atol=1e-6),
         solver_iterations=steps,
         lower=lower,
-        upper=max(upper, lower),  # at a vertex saddle the two differ by rounding alone
+        upper=max(upper, lower),
     )
 
 
@@ -224,8 +227,6 @@ def _nonsymmetrizable_max_min(gamma, lam, channel, c, bound) -> CapacityResult:
     attains Lambda_0 at a violating argmax cuts it off; the solver reruns
     with the cut until its argmax complies.
     """
-    scale = np.abs(c).max(initial=0.0) or 1.0
-    c, bound = c / scale, bound / scale
     a_eq, b_eq = _symmetrization_equalities(channel)
     cuts, steps, upper = [], 0, np.inf
     for _ in range(_MAX_CUTS):
@@ -233,8 +234,7 @@ def _nonsymmetrizable_max_min(gamma, lam, channel, c, bound) -> CapacityResult:
         steps += res.solver_iterations
         upper = min(upper, res.upper)  # each region holds every law that complies
         sym = lp.solve_lp(np.kron(res.argmax_px.probs, c), a_eq=a_eq, b_eq=b_eq)
-        # with no symmetrizing map at all, every P complies
-        if not sym.is_optimal or sym.value >= bound - _CUT_TOL:
+        if not sym.is_optimal or sym.value >= bound - _CUT_TOL:  # no symmetrizing map: all comply
             return replace(res, solver_iterations=steps, upper=upper)
         cuts.append((-(sym.x.reshape(channel.num_inputs, c.size) @ c), -bound))
     raise RuntimeError(f"the argmax is still symmetrizable after {_MAX_CUTS} cuts")
@@ -252,19 +252,18 @@ def oblivious_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channe
     min over symmetrizing U of sum_x P(x) sum_s U(s|x) c(s) exceeds b (Csiszar
     & Narayan 1988).  Lambda_0 is concave, so the max-min over gamma ∩
     {Lambda_0 >= b} falls to cutting planes and [lower, upper] brackets the
-    oblivious capacity.  Several rows take the best over scan_nonsymmetrizable's
-    Farkas relaxations (grid evidence).  With no non-symmetrizable law, value
-    and lower are 0, upper is NaN and `all_symmetrizable_evidence` is set.
+    oblivious capacity.  Several rows take the best over the Farkas relaxations
+    on scan_nonsymmetrizable's multiplier lattice, and `upper` then bounds only
+    their union (grid evidence).  With no non-symmetrizable law, value and
+    lower are 0, upper is NaN and `all_symmetrizable_evidence` is set.
     """
-    results = []
-    for mu in _farkas_multipliers(lam):
-        c, bound = mu @ lam.coeffs, float(mu @ lam.bounds)
-        if scan_nonsymmetrizable(gamma, channel, ConstraintSet(lam.dim, [(c, bound)])) is not None:
-            results.append(_nonsymmetrizable_max_min(gamma, lam, channel, c, bound))
+    results = [
+        _nonsymmetrizable_max_min(gamma, lam, channel, c, bound)
+        for c, bound, p in _relaxed_witnesses(gamma, channel, lam) if p is not None
+    ]
     if not results:
         return CapacityResult(0.0, None, None, 0, 0.0, float("nan"), all_symmetrizable_evidence=True)
-    best = max(results, key=lambda r: r.value)
-    return replace(best, upper=max(r.upper for r in results))
+    return replace(max(results, key=lambda r: r.value), upper=max(r.upper for r in results))
 
 
 def windowed_capacity_verdict(spec: WindowedAvcSpec) -> WindowedCapacityVerdict:

@@ -148,10 +148,38 @@ def _farkas_multipliers(lam: ConstraintSet) -> np.ndarray:
     return np.array(list(_compositions(_MULTIPLIER_STEPS, k))) / _MULTIPLIER_STEPS
 
 
+def _relaxed_witnesses(gamma: ConstraintSet, channel: Channel, lam: ConstraintSet):
+    """Yield (c, b, p) per multiplier mu: the row <c, Q> <= b of mu^T lam at unit max |c|,
+    and a law of gamma that scan_nonsymmetrizable's LP finds non-symmetrizable under it, or None."""
+    nx, ns = channel.num_inputs, channel.num_states
+    a_eq, b_eq = _symmetrization_equalities(channel)
+    m = b_eq.size
+    # variables (P, nu+, nu-) with nu = nu+ - nu-; rows: gamma's inequalities,
+    # then a_eq^T nu - P(x) c(s) <= 0 for every (x, s)
+    ng = gamma.num_inequalities
+    a_ub = np.zeros((ng + nx * ns, nx + 2 * m))
+    a_ub[:ng, :nx] = gamma.coeffs
+    a_ub[ng:, nx : nx + m] = a_eq.T
+    a_ub[ng:, nx + m :] = -a_eq.T
+    b_ub = np.concatenate([gamma.bounds, np.zeros(nx * ns)])
+    cost = np.concatenate([np.zeros(nx), -b_eq, b_eq])
+    simplex_row = np.concatenate([np.ones(nx), np.zeros(2 * m)])
+    for mu in _farkas_multipliers(lam):
+        # at unit max |c| the 1e-9 margin does not depend on scale
+        scale = np.abs(mu @ lam.coeffs).max(initial=0.0) or 1.0
+        c, b = mu @ lam.coeffs / scale, float(mu @ lam.bounds) / scale
+        a_ub[ng:, :nx] = -np.kron(np.eye(nx), c[:, None])
+        res = lp.solve_lp(cost, a_ub, b_ub, simplex_row, [1.0])
+        p = None
+        if not res.is_optimal:
+            p = gamma.feasible_point()
+        elif -res.value > b + 1e-9:
+            p = Distribution(np.clip(res.x[:nx], 0, None), atol=1e-6)
+        yield c, b, None if p is None or ecn_symmetrizable(p, channel, lam).feasible else p
+
+
 def scan_nonsymmetrizable(
-    gamma: ConstraintSet,
-    channel: Channel,
-    lam: ConstraintSet,
+    gamma: ConstraintSet, channel: Channel, lam: ConstraintSet
 ) -> Distribution | None:
     """A non-symmetrizable input law in gamma, or None when gamma has none.
 
@@ -167,31 +195,4 @@ def scan_nonsymmetrizable(
     exact; with k > 1 inequalities mu runs over a lattice of the simplex and
     None is grid evidence.
     """
-    nx, ns = channel.num_inputs, channel.num_states
-    a_eq, b_eq = _symmetrization_equalities(channel)
-    m = b_eq.size
-    # variables (P, nu+, nu-) with nu = nu+ - nu-; rows: gamma's inequalities,
-    # then a_eq^T nu - P(x) c(s) <= 0 for every (x, s)
-    ng = gamma.num_inequalities
-    a_ub = np.zeros((ng + nx * ns, nx + 2 * m))
-    a_ub[:ng, :nx] = gamma.coeffs
-    a_ub[ng:, nx : nx + m] = a_eq.T
-    a_ub[ng:, nx + m :] = -a_eq.T
-    b_ub = np.concatenate([gamma.bounds, np.zeros(nx * ns)])
-    cost = np.concatenate([np.zeros(nx), -b_eq, b_eq])
-    simplex_row = np.concatenate([np.ones(nx), np.zeros(2 * m)])
-    for mu in _farkas_multipliers(lam):
-        # <c, Q> <= b at unit max |c|, so the 1e-9 margin does not depend on scale
-        c, b = mu @ lam.coeffs, mu @ lam.bounds
-        scale = np.abs(c).max(initial=0.0) or 1.0
-        a_ub[ng:, :nx] = -np.kron(np.eye(nx), (c / scale)[:, None])
-        res = lp.solve_lp(cost, a_ub, b_ub, simplex_row, [1.0])
-        if not res.is_optimal:
-            p = gamma.feasible_point()
-        elif -res.value > b / scale + 1e-9:
-            p = Distribution(np.clip(res.x[:nx], 0, None), atol=1e-6)
-        else:
-            continue
-        if not ecn_symmetrizable(p, channel, lam).feasible:
-            return p
-    return None
+    return next((p for _, _, p in _relaxed_witnesses(gamma, channel, lam) if p is not None), None)

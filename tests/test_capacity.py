@@ -152,6 +152,23 @@ class TestListCapacity:
         assert res.lower <= res.value <= res.upper
         assert res.upper - res.lower <= 5e-3
 
+    def test_structural_zeros_give_no_false_lower_bound(self):
+        # y = x + s mod 3, so I = H(y) - H(Q) <= log2 3 - H(Q) for every Q; each
+        # weight-cap vertex of both sets has a zero letter, where V(y|x) = 0
+        table = np.zeros((3, 3, 3))
+        for x in range(3):
+            for s in range(3):
+                table[x, s, (x + s) % 3] = 1.0
+        ch = Channel(table)
+        res = list_capacity(TERNARY_GAMMA, TERNARY_LAM, ch)
+        # lam's max-entropy law is proportional to (1, r, r^2) with <(0, 1, 2), Q> = 0.6
+        r = (-0.4 + np.sqrt(0.4**2 + 4 * 1.4 * 0.6)) / 2.8
+        q = np.array([1.0, r, r * r]) / (1.0 + r + r * r)
+        assert res.value <= np.log2(3) + float(q @ np.log2(q)) + 1e-9  # about 0.1787
+        assert res.value <= worst_case_mi(res.argmax_px, TERNARY_LAM, ch)[0] + 1e-9
+        assert res.lower <= res.value <= res.upper
+        assert res.upper - res.lower <= 1e-6
+
     @pytest.mark.parametrize("index", [7, 8, 13])
     def test_seeded_instance_is_certified(self, index):
         # a lattice sweep with golden refinement left these 8e-3, 2.9e-3 and 9.3e-3 wide
