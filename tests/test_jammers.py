@@ -197,6 +197,10 @@ class TestFallback:
         lam = ConstraintSet(2, [([0.0, 1.0], 0.5), ([0.0, -1.0], -0.25)])
         seq = fallback_state_sequence(2, 96, 8, lam)
         assert verify_windows(seq, 8, lam).valid
+        assert seq.dtype == np.int8
+        assert hashlib.sha256(seq.tobytes()).hexdigest() == (
+            "cfb37903cb43ee5e384efbadf78527c8957aba51e4b272ff8c2f95452bf20797"
+        )
 
     def test_vertices_off_the_window_lattice(self):
         # weight in [0.03, 0.05]: neither vertex is a multiple of 1/64, yet a
@@ -204,6 +208,10 @@ class TestFallback:
         lam = ConstraintSet(2, [([0.0, 1.0], 0.05), ([1.0, 0.0], 0.97)])
         seq = fallback_state_sequence(2, 704, 64, lam)
         assert verify_windows(seq, 64, lam).valid
+        assert seq.dtype == np.int8
+        assert hashlib.sha256(seq.tobytes()).hexdigest() == (
+            "e74528426188fa43960c2aded24799130909a57d05ecf2b63c6133d1b71ec49e"
+        )
 
 
 class TestRows:
