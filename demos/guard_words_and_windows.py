@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from winavc import ConstraintSet, Distribution, expurgate, guard_word, verify_windows
+from winavc import ConstraintSet, expurgate, guard_word, verify_windows
 
 gamma = ConstraintSet.weight_cap(0.25)
 
@@ -16,18 +16,20 @@ for seq in (good, bad):
 
 # Guard words realize a target type deterministically and keep every
 # sufficiently long window close to it: within b/L in total variation.
-gw = guard_word(Distribution([0.75, 0.25]), 20)
+counts = np.array([3, 1])
+b = counts.sum()
+gw = guard_word(counts, 20)
 print()
-print("guard word for type (3/4, 1/4), length 20:", gw.symbols.tolist())
-print("base block length:", gw.base_block_length)
+print("guard word for type (3/4, 1/4), length 20:", gw.tolist())
+print("base block length:", b)
 for L in (4, 8, 16):
     worst = 0.0
-    for start in range(len(gw.symbols) - L + 1):
-        win = gw.symbols[start : start + L]
+    for start in range(gw.size - L + 1):
+        win = gw[start : start + L]
         emp = np.bincount(win, minlength=2) / L
-        worst = max(worst, 0.5 * np.abs(emp - gw.target_type.probs).sum())
+        worst = max(worst, 0.5 * np.abs(emp - counts / b).sum())
     print(f"  window length {L:2d}: worst TV deviation {worst:.4f} "
-          f"(bound {gw.deviation_bound(L):.4f})")
+          f"(bound {b / L:.4f})")
 
 # Random codebooks lose only the rare codeword whose windows fluctuate past
 # the cap; the margin between the sampling law and the cap controls how rare.

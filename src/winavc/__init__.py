@@ -25,7 +25,6 @@ from .codec import (
     poly_hash,
 )
 from .core import (
-    Alphabet,
     Channel,
     ConstraintSet,
     Distribution,
@@ -59,7 +58,6 @@ from .symmetrize import (
     scan_nonsymmetrizable,
 )
 from .windows import (
-    GuardWord,
     WindowReport,
     expurgate,
     guard_word,

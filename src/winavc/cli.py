@@ -69,7 +69,7 @@ def _load_json(path: str) -> dict:
 
 def _emit(payload, args, columns=None) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2, default=_jsonify) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         rows = payload if isinstance(payload, list) else [payload]
         if columns is None:
@@ -80,18 +80,6 @@ def _emit(payload, args, columns=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _jsonify(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Distribution):
-        return obj.probs.tolist()
-    return str(obj)
 
 
 def _cmd_capacity(args) -> int:

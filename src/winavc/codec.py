@@ -7,7 +7,10 @@ key codeword from which the decoder recovers the hash keys and disambiguates
 the list.  Two buffer layouts are supported: a single fixed-type guard word
 ("thm1"), and an interleaved region whose windows mix a type-1 and a type-2
 law in ratio alpha : 1-alpha ("thm2", for jammer windows shorter than
-encoder windows).
+encoder windows).  Both buffers are deterministic words built from integer
+symbol counts: the guard from p_x rounded to multiples of 1/min(8, w_x),
+the interleaved blocks from the exact counts alpha*w_x*t1 and
+(1-alpha)*w_x*t2 of each window.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .core import (
 from .symmetrize import ecn_symmetrizable, gamma_prime
 from .windows import (
     ExpurgationStats,
-    _round_to_denominator,
+    _rounded_counts,
     block_pattern,
     expurgate,
     guard_word,
@@ -44,7 +47,7 @@ LAYOUT_THM2 = "thm2"
 _DELTA = 0.02  # L1 margin every sampling law keeps inside its input set
 _L_MAX = 32  # decoded-list size cap
 _MAX_CODEWORDS = 1 << 16  # codewords one list-code build may sample
-_GUARD_DENOMINATOR = 8  # the default thm1 guard type is p_x rounded to this denominator
+_GUARD_DENOMINATOR = 8  # the thm1 guard type is p_x rounded to this denominator
 
 
 class CodeConstructionError(RuntimeError):
@@ -398,14 +401,13 @@ class PhasePlan:
 
 
 def _per_window_counts(t: Distribution, slots: int, what: str) -> np.ndarray:
-    counts = t.probs * slots
-    rounded = np.round(counts).astype(int)
-    if np.max(np.abs(counts - rounded)) > 1e-9 or rounded.sum() != slots:
+    counts = _rounded_counts(t, slots)
+    if np.max(np.abs(t.probs * slots - counts)) > 1e-9:
         raise ValueError(
             f"{what} must scale to integer symbol counts over {slots} slots, "
-            f"got {counts}"
+            f"got {t.probs * slots}"
         )
-    return rounded
+    return counts
 
 
 def _type1_mask(plan: PhasePlan) -> np.ndarray:
@@ -492,7 +494,6 @@ class CodecParams:
     field_bits: int = 6
     key_type: Distribution | None = None  # defaults to p_x
     key_len: int | None = None  # default 2*w_x; thm2 rounds up to whole windows
-    guard_type: Distribution | None = None  # thm1; default p_x rounded to rationals
     alpha: float | None = None  # thm2
     lam_frac: float = 0.1  # thm2
     t1: Distribution | None = None  # thm2
@@ -752,17 +753,14 @@ def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
     """The layout's buffer: (phase-2 sequence, phase-3 skeleton with key
     slots as -1, key-carrying law), each law checked against its set."""
     if plan.layout == LAYOUT_THM1:
-        guard_target = params.guard_type
-        if guard_target is None:
-            guard_target = _round_to_denominator(params.p_x, min(_GUARD_DENOMINATOR, params.w_x))
-        guard = guard_word(guard_target, params.w_x)
-        if not delta_interior(guard.target_type, gamma, _DELTA):
+        counts = _rounded_counts(params.p_x, min(_GUARD_DENOMINATOR, params.w_x))
+        if not delta_interior(Distribution(counts / counts.sum()), gamma, _DELTA):
             raise ValueError("guard type is not in the delta-interior of the input set")
         key_type = params.key_type if params.key_type is not None else params.p_x
         if not delta_interior(key_type, gamma, _DELTA):
             raise ValueError("key-carrying law is not in the delta-interior of the input set")
         skeleton = np.full(plan.phase3_len, -1, dtype=np.int8)
-        return guard.symbols, skeleton, key_type
+        return guard_word(counts, params.w_x), skeleton, key_type
     _validate_interleaved_types(params, gamma)
     phase2_seq, skeleton = build_interleaved_region(plan, params.t1, params.t2)
     return phase2_seq, skeleton, params.t1

@@ -23,17 +23,6 @@ class InfeasibleSetError(ValueError):
     """The half-space intersection has no point on the simplex."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Symbols are 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-
-
 class Distribution:
     """Probability vector over a finite alphabet.
 
@@ -310,9 +299,6 @@ class WindowedAvcSpec:
     With w_x = w_s = n this reduces to the windowless constrained channel.
     """
 
-    x_alphabet: Alphabet
-    s_alphabet: Alphabet
-    y_alphabet: Alphabet
     channel: Channel
     gamma: ConstraintSet
     lam: ConstraintSet
@@ -321,16 +307,10 @@ class WindowedAvcSpec:
     n: int
 
     def __post_init__(self):
-        if self.channel.num_inputs != self.x_alphabet.size:
-            raise ValueError("channel input dimension does not match x alphabet")
-        if self.channel.num_states != self.s_alphabet.size:
-            raise ValueError("channel state dimension does not match s alphabet")
-        if self.channel.num_outputs != self.y_alphabet.size:
-            raise ValueError("channel output dimension does not match y alphabet")
-        if self.gamma.dim != self.x_alphabet.size:
-            raise ValueError("gamma dimension does not match x alphabet")
-        if self.lam.dim != self.s_alphabet.size:
-            raise ValueError("lambda dimension does not match s alphabet")
+        if self.gamma.dim != self.channel.num_inputs:
+            raise ValueError("gamma dimension does not match the channel's inputs")
+        if self.lam.dim != self.channel.num_states:
+            raise ValueError("lambda dimension does not match the channel's states")
         if not 1 <= self.w_x <= self.n:
             raise ValueError(f"w_x must satisfy 1 <= w_x <= n, got {self.w_x}")
         if not 1 <= self.w_s <= self.n:
@@ -344,9 +324,7 @@ class WindowedAvcSpec:
 
 def bitflip_spec(w: float, p: float, n: int, w_x: int, w_s: int) -> WindowedAvcSpec:
     """Binary XOR channel with weight caps w on inputs and p on states."""
-    b = Alphabet(2)
     return WindowedAvcSpec(
-        x_alphabet=b, s_alphabet=b, y_alphabet=b,
         channel=Channel.xor(),
         gamma=ConstraintSet.weight_cap(w),
         lam=ConstraintSet.weight_cap(p),

@@ -25,7 +25,6 @@ from . import jammers
 from .capacity import windowed_capacity_verdict
 from .codec import CodecParams, ThreePhaseCodec, build_three_phase_codec, make_phase_plan
 from .core import (
-    Alphabet,
     Channel,
     ConstraintSet,
     Distribution,
@@ -85,7 +84,7 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.error_criterion not in ("average", "max"):
             raise ConfigError(f"unknown error criterion {self.error_criterion!r}")
-        p_s, states = self.jammer.p_s, self.spec.s_alphabet.size
+        p_s, states = self.jammer.p_s, self.spec.lam.dim
         if p_s is not None and p_s.size != states:
             raise ConfigError(f"jammer.p_s has {p_s.size} entries but alphabets.s is {states}")
         if self.jammer.kind == "iid" and p_s is None:
@@ -236,9 +235,7 @@ def run_trials(
     if codec is None:
         codec, build_stats = build_codec_from_config(config)
     spec = config.spec
-    fallback = jammers.fallback_state_sequence(
-        spec.s_alphabet.size, codec.plan.total_length, spec.w_s, spec.lam
-    )
+    fallback = jammers.fallback_state_sequence(codec.plan.total_length, spec.w_s, spec.lam)
     draw_states = _make_state_generator(config, codec, fallback)
     notes = []
 
@@ -509,6 +506,8 @@ def _parse_spec(doc: dict, planned_n: int | None = None) -> WindowedAvcSpec:
     try:
         sizes = doc["alphabets"]
         nx, ns, ny = (_json_int(sizes[k], f"alphabets.{k}") for k in ("x", "s", "y"))
+        if min(nx, ns, ny) < 1:
+            raise ValueError(f"alphabet sizes must be >= 1, got {sizes}")
         channel = Channel(np.asarray(doc["channel"], dtype=float).reshape(nx, ns, ny))
         gamma = _parse_constraints(doc["gamma"], nx)
         lam = _parse_constraints(doc["lambda"], ns)
@@ -518,7 +517,6 @@ def _parse_spec(doc: dict, planned_n: int | None = None) -> WindowedAvcSpec:
         if n is None:
             n = planned_n if planned_n is not None else max(w_x, w_s)
         return WindowedAvcSpec(
-            x_alphabet=Alphabet(nx), s_alphabet=Alphabet(ns), y_alphabet=Alphabet(ny),
             channel=channel, gamma=gamma, lam=lam, w_x=w_x, w_s=w_s, n=_json_int(n, "n"),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -537,7 +535,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         code_doc = dict(doc["code"])
         code_doc.setdefault("layout", "thm1")
         code_doc.pop("w_x", None)
-        for key in ("p_x", "key_type", "guard_type", "t1", "t2"):
+        for key in ("p_x", "key_type", "t1", "t2"):
             if key in code_doc and code_doc[key] is not None:
                 code_doc[key] = _parse_distribution(code_doc[key])
         for key in ("n1", "message_bits", "field_bits", "key_len"):

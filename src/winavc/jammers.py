@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ConstraintSet, Distribution, inverse_cdf, inverse_cdf_indexed, sample_iid
 from .windows import (
-    _round_to_denominator,
+    _rounded_counts,
     guard_word,
     violation_flags,
     windows_valid,
@@ -181,22 +181,18 @@ def symmetrize_jammer_rows(
     return _first_admissible(draw, len(rngs), n, w_s, lam, rejection_cap)
 
 
-def fallback_state_sequence(
-    s_alphabet_size: int, n: int, w_s: int, lam: ConstraintSet
-) -> np.ndarray:
+def fallback_state_sequence(n: int, w_s: int, lam: ConstraintSet) -> np.ndarray:
     """Deterministic admissible state sequence (the jammer's forfeit move).
 
     Tries constant sequences first, then a fixed-type word whose type is the
     mean of the state set's vertices rounded to multiples of 1/w_s, so every
     length-w_s window has exactly that type.
     """
-    for sym in range(s_alphabet_size):
-        if lam.contains(Distribution.point_mass(sym, s_alphabet_size)):
+    for sym in range(lam.dim):
+        if lam.contains(Distribution.point_mass(sym, lam.dim)):
             return np.full(n, sym, dtype=np.int8)
     centre = np.mean([v.probs for v in lam.vertices()], axis=0)
-    word = guard_word(_round_to_denominator(Distribution(centre, atol=1e-9), w_s), w_s)
-    reps = -(-n // word.symbols.size)
-    seq = np.tile(word.symbols, reps)[:n]
+    seq = guard_word(_rounded_counts(Distribution(centre, atol=1e-9), w_s), n)
     if not windows_valid(seq, w_s, lam):
         raise JammerGenerationError(
             "no deterministic admissible fallback state sequence found"

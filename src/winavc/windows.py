@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -69,80 +67,35 @@ def verify_windows(
     return WindowReport(not violations, violations, n_starts)
 
 
-@dataclass(frozen=True)
-class GuardWord:
-    """Deterministic fixed-type buffer built from repetitions of a base block.
-
-    Any contiguous window of length L >= base_block_length has type within
-    base_block_length / L (total variation) of the target.
-    """
-
-    symbols: np.ndarray
-    base_block_length: int
-    target_type: Distribution
-
-    def __post_init__(self):
-        self.symbols.setflags(write=False)
-
-    def deviation_bound(self, window_len: int) -> float:
-        if window_len < self.base_block_length:
-            raise ValueError("bound only applies to windows of at least one block")
-        return self.base_block_length / window_len
-
-    def __len__(self) -> int:
-        return self.symbols.size
-
-
-def rationalize(target: Distribution, max_denominator: int) -> tuple[np.ndarray, int]:
-    """Represent target as integers a / b with a common denominator b.
-
-    Raises ValueError when no denominator up to max_denominator reproduces
-    every entry to within 1e-9.
-    """
-    fracs = [Fraction(float(p)).limit_denominator(max_denominator) for p in target.probs]
-    b = 1
-    for f in fracs:
-        b = b * f.denominator // math.gcd(b, f.denominator)
-        if b > max_denominator:
-            raise ValueError(
-                f"no common denominator <= {max_denominator} for {target.probs}"
-            )
-    a = np.array([round(float(p) * b) for p in target.probs], dtype=int)
-    if a.sum() != b or np.max(np.abs(a / b - target.probs)) > 1e-9:
-        raise ValueError(
-            f"target {target.probs} is not rational with denominator <= {max_denominator}"
-        )
-    return a, b
-
-
 def block_pattern(counts: np.ndarray) -> np.ndarray:
     """Canonical base block: counts[0] copies of 0, counts[1] of 1, ..."""
     return np.repeat(np.arange(counts.size), counts).astype(np.int8)
 
 
-def guard_word(target: Distribution, w_x: int) -> GuardWord:
-    """Build the deterministic guard word of length w_x with type ~ target.
+def guard_word(counts, length: int) -> np.ndarray:
+    """The deterministic int8 word of `length` symbols with type ~ counts / sum(counts).
 
-    The base block realizes target exactly as a/b with b <= w_x; it is
-    repeated ceil(w_x / b) times and truncated to w_x symbols.
+    The word is the base block block_pattern(counts // gcd(counts)), of b
+    symbols, repeated and truncated to length; a block longer than length is
+    refused.  Every contiguous window of length L >= b has type within b / L
+    (total variation) of the target.
     """
-    a, b = rationalize(target, w_x)
-    if b > w_x:
-        raise ValueError(f"base block length {b} exceeds guard length {w_x}")
-    base = block_pattern(a)
-    reps = -(-w_x // b)  # ceil
-    word = np.tile(base, reps)[:w_x]
-    return GuardWord(word, b, target)
+    counts = np.asarray(counts, dtype=int)
+    if counts.min() < 0 or counts.sum() < 1:
+        raise ValueError(f"symbol counts must be non-negative with a positive sum, got {counts}")
+    block = block_pattern(counts // np.gcd.reduce(counts))
+    if block.size > length:
+        raise ValueError(f"base block length {block.size} exceeds word length {length}")
+    return np.resize(block, length)
 
 
-def _round_to_denominator(p: Distribution, b: int) -> Distribution:
-    """Nearest distribution with entries k/b (largest-remainder rounding)."""
-    scaled = p.probs * b
-    base = np.floor(scaled).astype(int)
-    short = b - base.sum()
-    order = np.argsort(-(scaled - base))
-    base[order[:short]] += 1
-    return Distribution(base / b)
+def _rounded_counts(p: Distribution, total: int) -> np.ndarray:
+    """Symbol counts summing to total whose type is nearest p (largest-remainder rounding)."""
+    scaled = p.probs * total
+    counts = np.floor(scaled).astype(int)
+    short = total - counts.sum()
+    counts[np.argsort(-(scaled - counts))[:short]] += 1
+    return counts
 
 
 @dataclass(frozen=True)

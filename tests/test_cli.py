@@ -207,6 +207,7 @@ def test_simulate_seed_override(experiment_config, capsys):
     ({"delta": 0.02}, "delta"),
     ({"l_max": 32}, "l_max"),
     ({"guard_denominator": 8}, "guard_denominator"),
+    ({"guard_type": {"weight": 0.25}}, "guard_type"),
     ({"budget_extra": 0}, "budget_extra"),
     ({"max_messages": 16384}, "max_messages"),
     *[({"layout": "thm2", "alpha": 0.5, "t1": {"weight": 0.25}, "t2": {"weight": 0.125},
@@ -214,7 +215,7 @@ def test_simulate_seed_override(experiment_config, capsys):
 ], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len",
         "field-bits-0", "field-bits-9", "n1-fraction", "message-bits-fraction",
         "key-len-fraction", "field-bits-fraction", "removed-delta", "removed-l-max",
-        "removed-guard-denominator", "removed-budget-extra", "removed-max-messages",
+        "removed-guard-denominator", "removed-guard-type", "removed-budget-extra", "removed-max-messages",
         "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
@@ -243,6 +244,20 @@ def test_simulate_non_integer_key_exits_2(experiment_config, capsys, edit, named
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert f"{named} must be an integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sizes", [{"x": 2, "s": 2, "y": -1}, {"x": 2, "s": 0, "y": 2}],
+                         ids=["y-negative", "s-zero"])
+def test_capacity_alphabet_size_below_1_exits_2(bitflip_config, capsys, sizes):
+    # the channel table's shape comes from the sizes: y = -1 would let numpy infer it
+    doc = json.loads(Path(bitflip_config).read_text())
+    doc["alphabets"] = sizes
+    Path(bitflip_config).write_text(json.dumps(doc))
+    assert cli_main(["capacity", "--config", bitflip_config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "alphabet sizes must be >= 1" in captured.err
     assert captured.out == ""
 
 

@@ -112,7 +112,6 @@ class TestRunTrials:
             layout="thm1", n1=8, w_x=4, message_bits=2, field_bits=2,
             p_x=Distribution.bernoulli(0.25), key_len=4,
             key_type=Distribution.bernoulli(0.3),
-            guard_type=Distribution.bernoulli(0.25),
         )
         config = ExperimentConfig(
             spec=spec, code=code,

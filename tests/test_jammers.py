@@ -189,13 +189,13 @@ class TestObliviousContract:
 
 class TestFallback:
     def test_constant_sequence_when_admissible(self):
-        seq = fallback_state_sequence(2, 100, 16, ConstraintSet.weight_cap(0.2))
+        seq = fallback_state_sequence(100, 16, ConstraintSet.weight_cap(0.2))
         assert not seq.any()
 
     def test_interior_point_word_otherwise(self):
         # state set excludes all point masses: weight must sit in [0.25, 0.5]
         lam = ConstraintSet(2, [([0.0, 1.0], 0.5), ([0.0, -1.0], -0.25)])
-        seq = fallback_state_sequence(2, 96, 8, lam)
+        seq = fallback_state_sequence(96, 8, lam)
         assert verify_windows(seq, 8, lam).valid
         assert seq.dtype == np.int8
         assert hashlib.sha256(seq.tobytes()).hexdigest() == (
@@ -206,7 +206,7 @@ class TestFallback:
         # weight in [0.03, 0.05]: neither vertex is a multiple of 1/64, yet a
         # word with 3 ones in every 64 symbols is admissible
         lam = ConstraintSet(2, [([0.0, 1.0], 0.05), ([1.0, 0.0], 0.97)])
-        seq = fallback_state_sequence(2, 704, 64, lam)
+        seq = fallback_state_sequence(704, 64, lam)
         assert verify_windows(seq, 64, lam).valid
         assert seq.dtype == np.int8
         assert hashlib.sha256(seq.tobytes()).hexdigest() == (

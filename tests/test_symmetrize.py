@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from winavc.core import Channel, ConstraintSet, Distribution, InfeasibleSetError
 from winavc.lp import SimplexError
@@ -104,6 +105,49 @@ class TestEcnSymmetrizable:
         assert res.feasible
         assert res.residual <= 1e-9
         assert res.witness_matrix()[:, 2].max() <= 1e-9
+
+    def test_verdict_matches_min_state_cost(self):
+        # P is symmetrizable exactly when lambda_0(P) <= b, where lambda_0(P) is
+        # the least cost sum_x P(x) sum_s U(s|x) c(s) of a symmetrizing U
+        # (+inf when none exists), computed here by scipy's linprog.
+        verdicts = set()
+        for i in range(300):
+            rng = np.random.default_rng(i)
+            nx, ns, ny = rng.integers(2, 4, size=3)
+            table = rng.dirichlet(np.ones(ny), size=(nx, ns))
+            if i % 2:
+                table = rng.multinomial(10, table) / 10  # rows on 0.1: structural zeros
+            channel = Channel(table)
+            c = rng.uniform(-1.0, 1.0, ns)
+            b = float(c.min() + rng.random() * (c.max() - c.min()))
+            p_x = Distribution(rng.dirichlet(np.ones(nx)))
+
+            lam0 = _min_symmetrizing_cost(p_x.probs, table, c)
+            if abs(lam0 - b) < 1e-7:
+                continue
+            res = ecn_symmetrizable(p_x, channel, ConstraintSet(ns, [(c, b)]))
+            assert res.feasible == (lam0 <= b), (i, lam0, b)
+            verdicts.add(res.feasible)
+        assert verdicts == {True, False}
+
+
+def _min_symmetrizing_cost(p, w, c):
+    """min over maps U with sum_s U(s|x') W(y|x,s) = sum_s U(s|x) W(y|x',s) for
+    every ordered pair x != x' and y, of sum_x p(x) sum_s U(s|x) c(s)."""
+    nx, ns, ny = w.shape
+    sym = np.zeros((nx, nx, ny, nx, ns))  # rows (x, x', y) on u[x'', s]
+    for x in range(nx):
+        for xp in range(nx):
+            sym[x, xp, :, xp, :] += w[x].T
+            sym[x, xp, :, x, :] -= w[xp].T
+    a_eq = np.vstack([sym.reshape(-1, nx * ns), np.kron(np.eye(nx), np.ones(ns))])
+    b_eq = np.concatenate([np.zeros(nx * nx * ny), np.ones(nx)])
+    res = linprog(np.outer(p, c).ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    if res.status == 2:
+        return float("inf")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 class TestBitflipOracle:

@@ -105,53 +105,51 @@ class TestVerifyWindows:
 
 class TestGuardWord:
     def test_exact_example(self):
-        gw = guard_word(Distribution([0.75, 0.25]), 8)
-        assert gw.symbols.tolist() == [0, 0, 0, 1, 0, 0, 0, 1]
-        assert gw.base_block_length == 4
+        word = guard_word([6, 2], 8)  # reduced to the block [3, 1]
+        assert word.dtype == np.int8
+        assert word.tolist() == [0, 0, 0, 1, 0, 0, 0, 1]
 
     def test_point_mass(self):
-        gw = guard_word(Distribution([1.0, 0.0]), 12)
-        assert gw.symbols.tolist() == [0] * 12
+        assert guard_word([8, 0], 12).tolist() == [0] * 12
 
     def test_truncated_type(self):
-        gw = guard_word(Distribution([0.75, 0.25]), 5)
-        assert gw.symbols.tolist() == [0, 0, 0, 1, 0]
-        t = Distribution(np.bincount(gw.symbols, minlength=2) / gw.symbols.size)
+        word = guard_word([3, 1], 5)
+        assert word.tolist() == [0, 0, 0, 1, 0]
+        t = Distribution(np.bincount(word, minlength=2) / word.size)
         assert t.probs.tolist() == [0.8, 0.2]
         tv = 0.5 * np.abs(t.probs - np.array([0.75, 0.25])).sum()
         assert tv == pytest.approx(0.05)
-        assert tv <= gw.deviation_bound(5)
-
-    def test_irrational_target_rejected(self):
-        with pytest.raises(ValueError):
-            guard_word(Distribution([1 / np.pi, 1 - 1 / np.pi]), 16)
+        assert tv <= 4 / 5
 
     def test_block_longer_than_word_rejected(self):
         with pytest.raises(ValueError):
-            guard_word(Distribution([0.9, 0.1]), 5)  # needs b = 10 > 5
+            guard_word([9, 1], 5)  # needs b = 10 > 5
+
+    @pytest.mark.parametrize("counts", [[0, 0], [3, -1]])
+    def test_counts_without_a_block_rejected(self, counts):
+        with pytest.raises(ValueError, match="non-negative with a positive sum"):
+            guard_word(counts, 8)
 
     @pytest.mark.parametrize(
-        "target,w_x",
+        "counts,w_x",
         [
-            ([0.75, 0.25], 64),
-            ([0.5, 0.5], 37),
-            ([2 / 3, 1 / 6, 1 / 6], 48),
-            ([0.875, 0.125], 256),
+            ([3, 1], 64),
+            ([1, 1], 37),
+            ([4, 1, 1], 48),
+            ([7, 1], 256),
         ],
     )
-    def test_tv_bound_exhaustive(self, target, w_x):
+    def test_tv_bound_exhaustive(self, counts, w_x):
         # every contiguous window of length L >= b stays within b/L in TV
-        t = Distribution(target)
-        gw = guard_word(t, w_x)
-        b = gw.base_block_length
-        sym = gw.symbols
+        target = np.array(counts) / sum(counts)
+        b = sum(counts)
+        sym = guard_word(counts, w_x)
         for L in range(b, w_x + 1):
-            bound = gw.deviation_bound(L)
             for start in range(w_x - L + 1):
                 win = sym[start : start + L]
-                emp = np.bincount(win, minlength=t.size) / L
-                tv = 0.5 * np.abs(emp - t.probs).sum()
-                assert tv <= bound + 1e-12
+                emp = np.bincount(win, minlength=len(counts)) / L
+                tv = 0.5 * np.abs(emp - target).sum()
+                assert tv <= b / L + 1e-12
 
 
 class TestExpurgate:
