@@ -215,8 +215,8 @@ def test_simulate_seed_override(experiment_config, capsys):
 ], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len",
         "field-bits-0", "field-bits-9", "n1-fraction", "message-bits-fraction",
         "key-len-fraction", "field-bits-fraction", "removed-delta", "removed-l-max",
-        "removed-guard-denominator", "removed-guard-type", "removed-budget-extra", "removed-max-messages",
-        "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1"])
+        "removed-guard-denominator", "removed-guard-type", "removed-budget-extra",
+        "removed-max-messages", "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc["code"].update(code_edit)

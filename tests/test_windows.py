@@ -131,7 +131,7 @@ class TestGuardWord:
             guard_word(counts, 8)
 
     @pytest.mark.parametrize(
-        "counts,w_x",
+        "target,w_x",
         [
             ([3, 1], 64),
             ([1, 1], 37),
@@ -139,16 +139,16 @@ class TestGuardWord:
             ([7, 1], 256),
         ],
     )
-    def test_tv_bound_exhaustive(self, counts, w_x):
-        # every contiguous window of length L >= b stays within b/L in TV
-        target = np.array(counts) / sum(counts)
-        b = sum(counts)
-        sym = guard_word(counts, w_x)
+    def test_tv_bound_exhaustive(self, target, w_x):
+        # target is the type's reduced symbol counts; every contiguous window
+        # of length L >= b stays within b/L in TV
+        b = sum(target)
+        sym = guard_word(target, w_x)
         for L in range(b, w_x + 1):
             for start in range(w_x - L + 1):
                 win = sym[start : start + L]
-                emp = np.bincount(win, minlength=len(counts)) / L
-                tv = 0.5 * np.abs(emp - target).sum()
+                emp = np.bincount(win, minlength=len(target)) / L
+                tv = 0.5 * np.abs(emp - np.array(target) / b).sum()
                 assert tv <= b / L + 1e-12
 
 
