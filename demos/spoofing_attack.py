@@ -19,7 +19,7 @@ from winavc import (
 def experiment(w, p, jam_kind, **code_kw):
     spec = bitflip_spec(w, p, 640, 128, 128)
     code = CodecParams(
-        layout="thm1", n1=256, w_x=128, message_bits=4, field_bits=3,
+        layout="thm1", n1=256, message_bits=4, field_bits=3,
         key_len=128, **code_kw,
     )
     config = ExperimentConfig(

@@ -8,27 +8,25 @@ list entry whose hash checks out.
 import numpy as np
 
 from winavc import (
-    Channel,
     CodecParams,
-    ConstraintSet,
     Distribution,
+    bitflip_spec,
     build_three_phase_codec,
 )
 from winavc.core import channel_sample_rows
 from winavc.jammers import iid_jammer_rows
 
 rng = np.random.default_rng(7)
-gamma = ConstraintSet.weight_cap(0.3)
-lam = ConstraintSet.weight_cap(0.05)
-xor = Channel.xor()
-w_s = 64
+# XOR channel, input weight <= 0.3 and state weight <= 0.05 in every 64-window
+spec = bitflip_spec(0.3, 0.05, 704, 64, 64)
+lam, xor, w_s = spec.lam, spec.channel, spec.w_s
 
 params = CodecParams(
-    layout="thm1", n1=512, w_x=64, message_bits=6, field_bits=6,
+    layout="thm1", n1=512, message_bits=6, field_bits=6,
     p_x=Distribution.bernoulli(0.10), key_type=Distribution.bernoulli(0.12),
     key_len=128,
 )
-codec, build_stats = build_three_phase_codec(params, gamma, lam, xor, w_s, rng)
+codec, build_stats = build_three_phase_codec(params, spec, rng)
 
 plan = codec.plan
 print(f"segments: list codeword {plan.n1} | guard {plan.phase2_len} | "

@@ -1,10 +1,10 @@
 """Max-min mutual information solvers and capacity predicates.
 
 The saddle problem max_{P in gamma} min_{Q in lam} I(x;y) is concave in P
-(for each Q) and convex in Q (for each P).  `_max_min` solves it by
+(for each Q) and convex in Q (for each P).  `list_capacity` solves it by
 entropic mirror-prox on vertex weights and stops on a certified interval
-[lower, upper] around the max-min.  `list_capacity` is that solver on gamma;
-`oblivious_capacity` runs it on gamma cut down to its non-symmetrizable laws.
+[lower, upper] around the max-min; `oblivious_capacity` runs that solver on
+gamma cut down to its non-symmetrizable laws.
 `worst_case_mi` is the inner minimum over Q alone, by Frank-Wolfe.
 """
 
@@ -161,8 +161,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _max_min(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> CapacityResult:
-    """max_{P in gamma} min_{Q in lam} I by entropic mirror-prox on vertex weights.
+def list_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> CapacityResult:
+    """max_{P in gamma} min_{Q in lam} I(x;y) in bits per use, by entropic
+    mirror-prox on vertex weights.
 
     P = A alpha and Q = B beta, with the vertices of gamma and lam as the rows
     of A and B.  I is convex in Q and <grad_Q I, Q> = I, so at any pair
@@ -230,7 +231,7 @@ def _nonsymmetrizable_max_min(gamma, lam, channel, c, bound) -> CapacityResult:
     a_eq, b_eq = _symmetrization_equalities(channel)
     cuts, steps, upper = [], 0, np.inf
     for _ in range(_MAX_CUTS):
-        res = _max_min(ConstraintSet(gamma.dim, gamma.inequalities + cuts), lam, channel)
+        res = list_capacity(ConstraintSet(gamma.dim, gamma.inequalities + cuts), lam, channel)
         steps += res.solver_iterations
         upper = min(upper, res.upper)  # each region holds every law that complies
         sym = lp.solve_lp(np.kron(res.argmax_px.probs, c), a_eq=a_eq, b_eq=b_eq)
@@ -238,11 +239,6 @@ def _nonsymmetrizable_max_min(gamma, lam, channel, c, bound) -> CapacityResult:
             return replace(res, solver_iterations=steps, upper=upper)
         cuts.append((-(sym.x.reshape(channel.num_inputs, c.size) @ c), -bound))
     raise RuntimeError(f"the argmax is still symmetrizable after {_MAX_CUTS} cuts")
-
-
-def list_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> CapacityResult:
-    """max_{P in gamma} min_{Q in lam} I(x;y) in bits per use (see `_max_min`)."""
-    return _max_min(gamma, lam, channel)
 
 
 def oblivious_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) -> CapacityResult:

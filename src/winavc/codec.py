@@ -5,12 +5,14 @@ the message concatenated with its hash, a deterministic buffer region that
 keeps every sliding window feasible across segment boundaries, and a short
 key codeword from which the decoder recovers the hash keys and disambiguates
 the list.  Two buffer layouts are supported: a single fixed-type guard word
-("thm1"), and an interleaved region whose windows mix a type-1 and a type-2
-law in ratio alpha : 1-alpha ("thm2", for jammer windows shorter than
-encoder windows).  Both buffers are deterministic words built from integer
-symbol counts: the guard from p_x rounded to multiples of 1/min(8, w_x),
-the interleaved blocks from the exact counts alpha*w_x*t1 and
-(1-alpha)*w_x*t2 of each window.
+("thm1"), and an interleaved region whose windows hold w_s type-1 and
+w_x - w_s type-2 symbols ("thm2", for jammer windows shorter than encoder
+windows: the ratio alpha = w_s/w_x of the channel's windows).  Both buffers
+are deterministic words built from integer symbol counts: the guard from
+p_x rounded to multiples of 1/min(8, w_x), the interleaved blocks from the
+exact counts w_s*t1 and (w_x - w_s)*t2 of each window.  The code is built
+for one WindowedAvcSpec, which supplies the channel, both constraint sets
+and both window lengths.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .core import (
     Channel,
     ConstraintSet,
     Distribution,
+    WindowedAvcSpec,
     induced_channel,
     sample_iid,
 )
@@ -45,6 +48,7 @@ LAYOUT_THM1 = "thm1"
 LAYOUT_THM2 = "thm2"
 
 _DELTA = 0.02  # L1 margin every sampling law keeps inside its input set
+_LL_SLACK = 0.05  # bits per letter the likelihood floor sits below the worst admissible mean
 _L_MAX = 32  # decoded-list size cap
 _MAX_CODEWORDS = 1 << 16  # codewords one list-code build may sample
 _GUARD_DENOMINATOR = 8  # the thm1 guard type is p_x rounded to this denominator
@@ -165,31 +169,23 @@ def hamming_budget(seg_len: int, w_s: int, lam: ConstraintSet) -> JamBudget:
     return JamBudget(kind="hamming", radius=radius)
 
 
-def likelihood_budget(
-    p_x: Distribution,
-    channel: Channel,
-    lam: ConstraintSet,
-    *,
-    ref_q: Distribution | None = None,
-    slack: float = 0.05,
-) -> JamBudget:
+def likelihood_budget(p_x: Distribution, channel: Channel, lam: ConstraintSet) -> JamBudget:
     """Per-letter log-likelihood floor that admits every admissible jammer.
 
     Codewords are scored by the mean of ll(y|x) = log2 V_ref(y|x), where
-    V_ref averages the channel over a reference state law.  For the true
-    codeword the expectation of that score is linear in the jammer's state
-    law, so its minimum over the admissible set is exact; the floor is that
-    minimum less a concentration slack.
+    V_ref averages the channel over the reference state law
+    lam.feasible_point().  For the true codeword the expectation of that
+    score is linear in the jammer's state law, so its minimum over the
+    admissible set is exact; the floor is that minimum less a concentration
+    slack of _LL_SLACK bits.
     """
-    if ref_q is None:
-        ref_q = lam.feasible_point()
-    v = induced_channel(ref_q, channel)
+    v = induced_channel(lam.feasible_point(), channel)
     ll = np.log2(np.maximum(v, 1e-300))
     ll[v <= 0] = -300.0
     # d[s] = E[ll(y|x)] contribution of state s under the true input law
     d = np.einsum("x,xsy,xy->s", p_x.probs, channel.table, ll)
     worst, _ = lam.min_linear(d)
-    return JamBudget(kind="likelihood", ll_table=ll, ll_floor=worst - slack)
+    return JamBudget(kind="likelihood", ll_table=ll, ll_floor=worst - _LL_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -325,56 +321,51 @@ def list_decode_rows(y_rows, code: ListCode, budget: JamBudget) -> list[ListDeco
 
 def interleave_allocation(
     w_x: int,
-    alpha: float,
+    w_s: int,
     lam_frac: float,
     window_index: int = 0,
     phase: str = "II",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split one length-w_x window into type-1 and type-2 position sets.
+    """Split one length-w_x window into w_s type-1 and w_x - w_s type-2 positions.
 
-    Window i of the buffer phase starts with min(i*l, alpha*w_x) type-1
-    positions (l = lam_frac*alpha*w_x) and the matching block of type-2
-    positions, then fills sequentially: position j goes to type-2 exactly
-    when the fraction of earlier positions in type-2 is below 1-alpha.  The
-    key phase (and the last buffer window) is the plain block split.
-    Positions are 0-based; the final ratio is exactly alpha : 1-alpha.
+    Window i of the buffer phase starts with min(i*l, w_s) type-1 positions
+    (l = lam_frac*w_s) and the matching block of type-2 positions, then
+    fills sequentially: position j goes to type-2 exactly when the fraction
+    of earlier positions in type-2 is below 1 - w_s/w_x.  The key phase (and
+    the last buffer window) is the plain block split.  Positions are 0-based.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    a_wx = alpha * w_x
-    if abs(a_wx - round(a_wx)) > 1e-9:
-        raise ValueError(f"alpha * w_x = {a_wx} must be an integer")
-    a_wx = round(a_wx)
+    if not 1 <= w_s <= w_x:
+        raise ValueError(f"the interleaved layout needs 1 <= w_s <= w_x = {w_x}, got w_s = {w_s}")
     if lam_frac <= 0:  # checked for phase III too, so the planner's call refuses it
         raise ValueError(f"lam_frac must be positive, got {lam_frac}")
     if phase == "III":
-        return np.arange(a_wx), np.arange(a_wx, w_x)
+        return np.arange(w_s), np.arange(w_s, w_x)
     if phase != "II":
         raise ValueError(f"phase must be 'II' or 'III', got {phase!r}")
     if window_index < 0:
         raise ValueError("window_index must be >= 0")
-    l = lam_frac * a_wx
+    l = lam_frac * w_s
     if abs(l - round(l)) > 1e-9 or round(l) < 1:
-        raise ValueError(f"l = lam_frac*alpha*w_x = {l} must be an integer >= 1")
+        raise ValueError(f"l = lam_frac*w_s = {l} must be an integer >= 1")
     l = round(l)
 
-    li = min(window_index * l, a_wx)
-    ci = math.ceil((w_x - a_wx) * li / a_wx) if a_wx else 0
+    li = min(window_index * l, w_s)
+    ci = math.ceil((w_x - w_s) * li / w_s)
     in_s2 = np.zeros(w_x, dtype=bool)
     in_s2[li : li + ci] = True
     count2 = ci
     for j in range(li + ci, w_x):
-        # exact integer form of count2 / j < 1 - alpha; an empty prefix
+        # exact integer form of count2 / j < 1 - w_s/w_x; an empty prefix
         # counts as fraction 0, so the first position is type-2 when
-        # alpha < 1
-        if (count2 * w_x < (w_x - a_wx) * j) or (j == 0 and a_wx < w_x):
+        # w_s < w_x
+        if (count2 * w_x < (w_x - w_s) * j) or (j == 0 and w_s < w_x):
             in_s2[j] = True
             count2 += 1
     s1 = np.flatnonzero(~in_s2)
     s2 = np.flatnonzero(in_s2)
-    if s1.size != a_wx:
+    if s1.size != w_s:
         raise CodeConstructionError(
-            f"fill rule produced {s1.size} type-1 positions, expected {a_wx}"
+            f"fill rule produced {s1.size} type-1 positions, expected {w_s}"
         )
     return s1, s2
 
@@ -386,10 +377,10 @@ class PhasePlan:
     layout: str
     n1: int
     w_x: int
+    w_s: int
     phase2_len: int
     phase3_len: int
-    alpha: float | None = None
-    lam_frac: float | None = None
+    lam_frac: float | None = None  # thm2
 
     @property
     def total_length(self) -> int:
@@ -415,20 +406,17 @@ def _type1_mask(plan: PhasePlan) -> np.ndarray:
     n2 = plan.phase2_len // plan.w_x
     mask = np.zeros(((plan.phase2_len + plan.phase3_len) // plan.w_x, plan.w_x), dtype=bool)
     for i in range(n2):
-        mask[i, interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, i, "II")[0]] = True
-    mask[n2:, interleave_allocation(plan.w_x, plan.alpha, plan.lam_frac, 0, "III")[0]] = True
+        mask[i, interleave_allocation(plan.w_x, plan.w_s, plan.lam_frac, i, "II")[0]] = True
+    mask[n2:, interleave_allocation(plan.w_x, plan.w_s, plan.lam_frac, 0, "III")[0]] = True
     return mask.ravel()
 
 
 def build_interleaved_region(plan: PhasePlan, t1: Distribution, t2: Distribution):
     """Phase-II sequence and the phase-III skeleton (type-1 slots left as -1)."""
-    a_wx = round(plan.alpha * plan.w_x)
-    t1_counts = _per_window_counts(t1, a_wx, "alpha * t1")
-    t2_counts = _per_window_counts(t2, plan.w_x - a_wx, "(1-alpha) * t2")
-    t1_block = block_pattern(t1_counts)
-    t2_block = block_pattern(t2_counts)
+    t1_block = block_pattern(_per_window_counts(t1, plan.w_s, "w_s * t1"))
+    t2_block = block_pattern(_per_window_counts(t2, plan.w_x - plan.w_s, "(w_x - w_s) * t2"))
     mask = _type1_mask(plan)
-    # each window holds a_wx type-1 and w_x - a_wx type-2 positions, filled in order
+    # each window holds w_s type-1 and w_x - w_s type-2 positions, filled in order
     region = np.full(mask.size, -1, dtype=np.int8)
     region[~mask] = np.tile(t2_block, mask.size // plan.w_x)
     phase2 = region[: plan.phase2_len]
@@ -484,17 +472,19 @@ class KeyCode(ListCode):
 
 @dataclass(frozen=True)
 class CodecParams:
-    """Build-time knobs for the three-phase code."""
+    """Build-time knobs for the three-phase code.
+
+    The window lengths, and with them the thm2 ratio alpha = w_s/w_x, are
+    not knobs: they come from the WindowedAvcSpec the code is built for.
+    """
 
     layout: str
     n1: int
-    w_x: int
     message_bits: int
     p_x: Distribution
     field_bits: int = 6
     key_type: Distribution | None = None  # defaults to p_x
     key_len: int | None = None  # default 2*w_x; thm2 rounds up to whole windows
-    alpha: float | None = None  # thm2
     lam_frac: float = 0.1  # thm2
     t1: Distribution | None = None  # thm2
     t2: Distribution | None = None  # thm2
@@ -504,37 +494,38 @@ class CodecParams:
         _check_field_bits(self.field_bits)
 
 
-def make_phase_plan(params: CodecParams) -> PhasePlan:
-    """Segment lengths for params.layout; the key length defaults to 2*w_x.
+def make_phase_plan(params: CodecParams, w_x: int, w_s: int) -> PhasePlan:
+    """Segment lengths for params.layout at input windows w_x and state windows
+    w_s; the key length defaults to 2*w_x.
 
-    The interleaved layout rounds the key length up to whole windows of
-    alpha*w_x key slots each.
+    The interleaved layout needs w_s <= w_x and rounds the key length up to
+    whole windows of w_s key slots each.
     """
-    key_len = params.key_len if params.key_len is not None else 2 * params.w_x
+    key_len = params.key_len if params.key_len is not None else 2 * w_x
     if key_len < 1:
         raise ValueError("key code length must be >= 1")
     if params.layout == LAYOUT_THM1:
         return PhasePlan(
-            layout=LAYOUT_THM1, n1=params.n1, w_x=params.w_x,
-            phase2_len=params.w_x, phase3_len=key_len,
+            layout=LAYOUT_THM1, n1=params.n1, w_x=w_x, w_s=w_s,
+            phase2_len=w_x, phase3_len=key_len,
         )
     if params.layout != LAYOUT_THM2:
         raise ValueError(
             f"unknown layout {params.layout!r}; expected {LAYOUT_THM1!r} or {LAYOUT_THM2!r}"
         )
-    missing = [k for k in ("alpha", "t1", "t2") if getattr(params, k) is None]
+    missing = [k for k in ("t1", "t2") if getattr(params, k) is None]
     if missing:
         raise ValueError(
-            f"interleaved layout {LAYOUT_THM2!r} requires alpha, t1 and t2; "
+            f"interleaved layout {LAYOUT_THM2!r} requires t1 and t2; "
             f"missing {', '.join(missing)}"
         )
-    s1, _ = interleave_allocation(params.w_x, params.alpha, params.lam_frac, 0, "III")
+    interleave_allocation(w_x, w_s, params.lam_frac, 0, "III")  # refuses w_s > w_x, lam_frac <= 0
     n2_windows = 1 + math.ceil(1.0 / params.lam_frac)
-    n3_windows = math.ceil(key_len / s1.size)
+    n3_windows = math.ceil(key_len / w_s)
     return PhasePlan(
-        layout=LAYOUT_THM2, n1=params.n1, w_x=params.w_x,
-        phase2_len=n2_windows * params.w_x, phase3_len=n3_windows * params.w_x,
-        alpha=params.alpha, lam_frac=params.lam_frac,
+        layout=LAYOUT_THM2, n1=params.n1, w_x=w_x, w_s=w_s,
+        phase2_len=n2_windows * w_x, phase3_len=n3_windows * w_x,
+        lam_frac=params.lam_frac,
     )
 
 
@@ -655,32 +646,33 @@ class ThreePhaseCodec:
 
 def build_three_phase_codec(
     params: CodecParams,
-    gamma: ConstraintSet,
-    lam: ConstraintSet,
-    channel: Channel,
-    w_s: int,
+    spec: WindowedAvcSpec,
     rng: np.random.Generator,
 ) -> tuple[ThreePhaseCodec, dict]:
     """Construct all three segments; returns the codec and build statistics.
 
-    Phase-1 codewords are sampled per (message, hash value) pair; after
-    expurgation any message with an incomplete hash fiber is dropped so the
-    encoder can realize every key draw.  Each sampling law must sit strictly
-    inside its input set (delta-interior), otherwise a constant fraction of
-    windows would violate it and expurgation would gut the code.  The
-    key-carrying law must also be non-symmetrizable for (channel, lam), since
-    the keys are what rescue unique decoding;
+    The channel, the input set gamma, the state set lam and both window
+    lengths come from spec, so a thm2 code interleaves in the ratio
+    spec.alpha; the plan sets the transmission length and spec.n is not
+    read.  Phase-1 codewords are sampled per (message, hash value) pair;
+    after expurgation any message with an incomplete hash fiber is dropped
+    so the encoder can realize every key draw.  Each sampling law must sit
+    strictly inside its input set (delta-interior), otherwise a constant
+    fraction of windows would violate it and expurgation would gut the
+    code.  The key-carrying law must also be non-symmetrizable for
+    (channel, lam), since the keys are what rescue unique decoding;
     params.allow_symmetrizable_key_type lifts that check only to demonstrate
     the failure mode.
     """
+    gamma, lam, channel = spec.gamma, spec.lam, spec.channel
     hp = HashParams.for_message_bits(params.message_bits, params.field_bits)
     q = hp.field_order
     n_msg = 1 << params.message_bits
 
-    plan = make_phase_plan(params)
+    plan = make_phase_plan(params, spec.w_x, spec.w_s)
     if not delta_interior(params.p_x, gamma, _DELTA):
         raise ValueError("input law is not in the delta-interior of the input set")
-    phase2_seq, phase3_skeleton, key_t = _buffer_region(params, plan, gamma)
+    phase2_seq, phase3_skeleton, key_t = _buffer_region(params, plan, spec)
     if not params.allow_symmetrizable_key_type and ecn_symmetrizable(key_t, channel, lam).feasible:
         raise ValueError(
             "key-carrying law is symmetrizable for the state constraints; "
@@ -688,16 +680,16 @@ def build_three_phase_codec(
         )
     # The buffer region must be feasible on its own before anything random
     # is attached to it.
-    if plan.phase2_len >= params.w_x and not windows_valid(phase2_seq, params.w_x, gamma):
-        rep = verify_windows(phase2_seq, params.w_x, gamma)
+    if plan.phase2_len >= plan.w_x and not windows_valid(phase2_seq, plan.w_x, gamma):
+        rep = verify_windows(phase2_seq, plan.w_x, gamma)
         raise CodeConstructionError(
             f"deterministic buffer violates an input window at start "
             f"{rep.first_violation()}"
         )
 
     if channel.is_binary_additive():
-        budget1 = hamming_budget(plan.n1, w_s, lam)
-        budget3 = hamming_budget(plan.phase3_len, w_s, lam)
+        budget1 = hamming_budget(plan.n1, plan.w_s, lam)
+        budget3 = hamming_budget(plan.phase3_len, plan.w_s, lam)
     else:
         budget1 = likelihood_budget(params.p_x, channel, lam)
         budget3 = likelihood_budget(key_t, channel, lam)
@@ -706,7 +698,7 @@ def build_three_phase_codec(
     # hash fiber lost a codeword to expurgation are dropped.  Expurgation
     # trims the phase-2 context to the w_x - 1 symbols a window can reach.
     raw, p1_stats = _random_code(
-        np.full(plan.n1, -1, dtype=np.int8), n_msg * q, params.p_x, gamma, params.w_x, rng,
+        np.full(plan.n1, -1, dtype=np.int8), n_msg * q, params.p_x, gamma, plan.w_x, rng,
         suffix_context=phase2_seq,
     )
     msg_keep = np.bincount(raw.ids // q, minlength=n_msg) == q
@@ -719,7 +711,7 @@ def build_three_phase_codec(
     phase1 = ListCode(codewords=raw.codewords[row_keep], ids=raw.ids[row_keep])
 
     keys, key_stats = _random_code(
-        phase3_skeleton, q * q, key_t, gamma, params.w_x, rng, prefix_context=phase2_seq,
+        phase3_skeleton, q * q, key_t, gamma, plan.w_x, rng, prefix_context=phase2_seq,
     )
     key_code = KeyCode(codewords=keys.codewords, ids=keys.ids, field_bits=params.field_bits)
 
@@ -749,35 +741,35 @@ def build_three_phase_codec(
     return codec, build_stats
 
 
-def _buffer_region(params: CodecParams, plan: PhasePlan, gamma: ConstraintSet):
+def _buffer_region(params: CodecParams, plan: PhasePlan, spec: WindowedAvcSpec):
     """The layout's buffer: (phase-2 sequence, phase-3 skeleton with key
     slots as -1, key-carrying law), each law checked against its set."""
+    gamma = spec.gamma
     if plan.layout == LAYOUT_THM1:
-        counts = _rounded_counts(params.p_x, min(_GUARD_DENOMINATOR, params.w_x))
+        counts = _rounded_counts(params.p_x, min(_GUARD_DENOMINATOR, plan.w_x))
         if not delta_interior(Distribution(counts / counts.sum()), gamma, _DELTA):
             raise ValueError("guard type is not in the delta-interior of the input set")
         key_type = params.key_type if params.key_type is not None else params.p_x
         if not delta_interior(key_type, gamma, _DELTA):
             raise ValueError("key-carrying law is not in the delta-interior of the input set")
         skeleton = np.full(plan.phase3_len, -1, dtype=np.int8)
-        return guard_word(counts, params.w_x), skeleton, key_type
-    _validate_interleaved_types(params, gamma)
+        return guard_word(counts, plan.w_x), skeleton, key_type
+    _validate_interleaved_types(params, spec)
     phase2_seq, skeleton = build_interleaved_region(plan, params.t1, params.t2)
     return phase2_seq, skeleton, params.t1
 
 
-def _validate_interleaved_types(params: CodecParams, gamma: ConstraintSet):
-    enlarged = gamma_prime(gamma, params.alpha)
+def _validate_interleaved_types(params: CodecParams, spec: WindowedAvcSpec):
+    gamma, alpha = spec.gamma, spec.alpha
+    enlarged = gamma_prime(gamma, alpha)
     if not delta_interior(params.t1, enlarged, _DELTA):
         raise ValueError(
             "type-1 law is not in the delta-interior of the ratio-enlarged input set"
         )
-    mix = Distribution(
-        params.alpha * params.t1.probs + (1.0 - params.alpha) * params.t2.probs
-    )
+    mix = Distribution(alpha * params.t1.probs + (1.0 - alpha) * params.t2.probs)
     # Sliding windows deviate from the mix by at most lam_frac * alpha in TV,
     # an L1 radius of twice that.
-    dev = params.lam_frac * params.alpha
+    dev = params.lam_frac * alpha
     if not delta_interior(mix, gamma, 2 * dev):
         raise ValueError(
             "window-type margin too small: alpha*t1 + (1-alpha)*t2 must sit "

@@ -174,11 +174,12 @@ class ConstraintSet:
         if len(coeff_rows) == 0:
             pt = np.full(dim, 1.0 / dim)
         else:
-            pt = lp.feasible_point(a_ub=coeffs, b_ub=bounds, a_eq=np.ones((1, dim)), b_eq=[1.0])
-            if pt is None:
+            res = lp.solve_lp(np.zeros(dim), coeffs, bounds, np.ones((1, dim)), [1.0])
+            if not res.is_optimal:
                 raise InfeasibleSetError(
                     "constraint set has no feasible point on the simplex"
                 )
+            pt = res.x
         object.__setattr__(self, "_feasible", Distribution(np.clip(pt, 0, None), atol=1e-6))
         object.__setattr__(self, "_vertices", None)  # enumerated on first use
 

@@ -15,6 +15,7 @@ admissible fallback is played (an adversary cannot play outside the model).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -173,14 +174,7 @@ def _trial_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Gen
 
 def build_codec_from_config(config: ExperimentConfig) -> tuple[ThreePhaseCodec, dict]:
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0)))
-    return build_three_phase_codec(
-        config.code,
-        config.spec.gamma,
-        config.spec.lam,
-        config.spec.channel,
-        config.spec.w_s,
-        rng,
-    )
+    return build_three_phase_codec(config.code, config.spec, rng)
 
 
 def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec, fallback):
@@ -386,23 +380,51 @@ def sweep(grid: dict) -> list[dict]:
     w_x = _json_int(grid.get("w_x", 64), "w_x")
     message_bits = _json_int(grid.get("message_bits", 4), "message_bits")
     field_bits = _json_int(grid.get("field_bits", 4), "field_bits")
+    p_x_weight = grid.get("p_x_weight")
 
-    rows = []
-    cell_index = 0
-    for w in ws:
-        for p in ps:
-            for alpha in alphas:
-                for n in ns:
-                    for jam in jam_kinds:
-                        rows.append(
-                            _sweep_cell(
-                                w, p, alpha, n, jam, trials, seed, cell_index,
-                                w_x, message_bits, field_bits,
-                                grid.get("p_x_weight"),
-                            )
-                        )
-                        cell_index += 1
-    return rows
+    def cell(cell_index, w, p, alpha, n, jam_kind) -> dict:
+        row = {
+            "w": w, "p": p, "alpha": alpha, "n": n, "R": float("nan"),
+            "c_list": float("nan"), "verdict": "", "err_avg": float("nan"),
+            "err_max_est": float("nan"), "ci_lo": float("nan"),
+            "ci_hi": float("nan"), "status": "ok",
+        }
+        try:
+            w_s = round(alpha * w_x)
+            if abs(w_s - alpha * w_x) > 1e-9 or not 1 <= w_s <= w_x:
+                raise ConfigError(f"alpha={alpha} does not give an integer w_s <= w_x")
+            spec = bitflip_spec(w, p, n, w_x, w_s)
+            verdict = windowed_capacity_verdict(spec)
+            row["c_list"] = verdict.capacity.value
+            row["verdict"] = verdict.status
+            if trials > 0:
+                px = p_x_weight if p_x_weight is not None else round(w / 3, 3)
+                code = CodecParams(
+                    layout="thm1", n1=n, message_bits=message_bits,
+                    field_bits=field_bits, p_x=Distribution.bernoulli(px),
+                )
+                config = ExperimentConfig(
+                    spec=spec, code=code,
+                    jammer=JammerParams(kind=jam_kind),
+                    trials=trials,
+                    master_seed=int(
+                        np.random.SeedSequence((seed, cell_index)).generate_state(1)[0]
+                    ),
+                )
+                codec, build_stats = build_codec_from_config(config)
+                row["R"] = math.log2(codec.message_count) / codec.plan.n1
+                stats = run_trials(config, keep_records=False, codec=codec,
+                                   build_stats=build_stats)
+                row["err_avg"] = stats.err_avg
+                row["err_max_est"] = stats.err_max_est
+                row["ci_lo"] = stats.wilson_lo
+                row["ci_hi"] = stats.wilson_hi
+        except Exception as exc:  # per-cell failures land in the status column
+            row["status"] = f"error: {type(exc).__name__}: {exc}"
+        return row
+
+    cells = itertools.product(ws, ps, alphas, ns, jam_kinds)
+    return [cell(i, *axes) for i, axes in enumerate(cells)]
 
 
 def _sweep_axis(grid: dict, key: str, default: list) -> list:
@@ -410,51 +432,6 @@ def _sweep_axis(grid: dict, key: str, default: list) -> list:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"sweep axis {key!r} must be a list, got {values!r}")
     return list(values)
-
-
-def _sweep_cell(
-    w, p, alpha, n, jam_kind, trials, seed, cell_index,
-    w_x, message_bits, field_bits, p_x_weight,
-) -> dict:
-    row = {
-        "w": w, "p": p, "alpha": alpha, "n": n, "R": float("nan"),
-        "c_list": float("nan"), "verdict": "", "err_avg": float("nan"),
-        "err_max_est": float("nan"), "ci_lo": float("nan"),
-        "ci_hi": float("nan"), "status": "ok",
-    }
-    try:
-        w_s = round(alpha * w_x)
-        if abs(w_s - alpha * w_x) > 1e-9 or not 1 <= w_s <= w_x:
-            raise ConfigError(f"alpha={alpha} does not give an integer w_s <= w_x")
-        spec = bitflip_spec(w, p, n, w_x, w_s)
-        verdict = windowed_capacity_verdict(spec)
-        row["c_list"] = verdict.capacity.value
-        row["verdict"] = verdict.status
-        if trials > 0:
-            px = p_x_weight if p_x_weight is not None else round(w / 3, 3)
-            code = CodecParams(
-                layout="thm1", n1=n, w_x=w_x, message_bits=message_bits,
-                field_bits=field_bits, p_x=Distribution.bernoulli(px),
-            )
-            config = ExperimentConfig(
-                spec=spec, code=code,
-                jammer=JammerParams(kind=jam_kind),
-                trials=trials,
-                master_seed=int(
-                    np.random.SeedSequence((seed, cell_index)).generate_state(1)[0]
-                ),
-            )
-            codec, build_stats = build_codec_from_config(config)
-            row["R"] = math.log2(codec.message_count) / codec.plan.n1
-            stats = run_trials(config, keep_records=False, codec=codec,
-                               build_stats=build_stats)
-            row["err_avg"] = stats.err_avg
-            row["err_max_est"] = stats.err_max_est
-            row["ci_lo"] = stats.wilson_lo
-            row["ci_hi"] = stats.wilson_hi
-    except Exception as exc:  # per-cell failures land in the status column
-        row["status"] = f"error: {type(exc).__name__}: {exc}"
-    return row
 
 
 def format_csv(rows: list[dict], columns=SWEEP_COLUMNS) -> str:
@@ -527,21 +504,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON document layout.
 
     The channel keys are those of _parse_spec, with windows required; the
-    rest are code {...} (CodecParams fields but w_x), jammer {...}, trials,
-    seed, criterion.
+    rest are code {...} (the CodecParams fields), jammer {...}, trials,
+    seed, criterion.  The code is planned from windows.w_x and windows.w_s,
+    so a thm2 code interleaves in the ratio alpha = w_s/w_x.
     """
     try:
         wins = doc["windows"]
         code_doc = dict(doc["code"])
         code_doc.setdefault("layout", "thm1")
-        code_doc.pop("w_x", None)
         for key in ("p_x", "key_type", "t1", "t2"):
             if key in code_doc and code_doc[key] is not None:
                 code_doc[key] = _parse_distribution(code_doc[key])
         for key in ("n1", "message_bits", "field_bits", "key_len"):
             if code_doc.get(key) is not None:
                 code_doc[key] = _json_int(code_doc[key], f"code.{key}")
-        code = CodecParams(w_x=_json_int(wins["w_x"], "windows.w_x"), **code_doc)
+        code = CodecParams(**code_doc)
         jam_doc = dict(doc.get("jammer", {"kind": "none"}))
         if jam_doc.get("p_s") is not None:
             jam_doc["p_s"] = _parse_distribution(jam_doc["p_s"])
@@ -555,7 +532,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         # CodecParams rejects a field size outside 1..8 and planning an unknown
         # or incomplete layout here rather than at build time; without an
         # explicit n planning also sizes the instance.
-        planned = make_phase_plan(code).total_length
+        w_x, w_s = (_json_int(wins[k], f"windows.{k}") for k in ("w_x", "w_s"))
+        planned = make_phase_plan(code, w_x, w_s).total_length
         spec = _parse_spec(doc, planned)
         # w_x cannot exceed the plan, whose buffer alone is at least w_x long
         if spec.w_s > planned:

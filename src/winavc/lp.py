@@ -205,15 +205,3 @@ def _pivot(tableau, basis, row, col) -> None:
         if i != row and tableau[i, col] != 0.0:
             tableau[i] -= tableau[i, col] * tableau[row]
     basis[row] = col
-
-
-def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-    """Return any point of the polyhedron, or None if it is empty."""
-    if a_ub is not None:
-        n = np.atleast_2d(np.asarray(a_ub)).shape[1]
-    elif a_eq is not None:
-        n = np.atleast_2d(np.asarray(a_eq)).shape[1]
-    else:
-        raise ValueError("need at least one constraint block")
-    res = solve_lp(np.zeros(n), a_ub, b_ub, a_eq, b_eq)
-    return res.x if res.is_optimal else None

@@ -120,7 +120,7 @@ def _a5_config(jammer_kind: str) -> ExperimentConfig:
     requested_rate = 0.5 * c_list  # 2^(R*n) is far beyond desk scale; the
     # message space is capped and the realized rate recorded instead
     code = CodecParams(
-        layout="thm1", n1=512, w_x=64, message_bits=6, field_bits=6,
+        layout="thm1", n1=512, message_bits=6, field_bits=6,
         p_x=Distribution.bernoulli(0.10), key_type=Distribution.bernoulli(0.12),
         key_len=128,
     )
@@ -156,20 +156,20 @@ def test_a6_interleaved_layout_validity():
     lam_frac = 0.1
     total_words = 0
     for alpha, w_x, t1, t2, cap in A6_CASES:
-        gamma = ConstraintSet.weight_cap(cap)
-        lam = ConstraintSet.weight_cap(0.05)
+        w_s = round(alpha * w_x)
+        # the build reads gamma, lam and both windows from the spec, not its n
+        spec = bitflip_spec(cap, 0.05, w_x, w_x, w_s)
+        gamma = spec.gamma
         fractions_checked = 0
         for seed in range(10):
             rng = np.random.default_rng((alpha, w_x, seed).__hash__() & 0xFFFF)
             params = CodecParams(
-                layout="thm2", n1=8 * w_x, w_x=w_x, message_bits=3, field_bits=3,
-                p_x=Distribution.bernoulli(0.05), alpha=alpha, lam_frac=lam_frac,
+                layout="thm2", n1=8 * w_x, message_bits=3, field_bits=3,
+                p_x=Distribution.bernoulli(0.05), lam_frac=lam_frac,
                 t1=Distribution.bernoulli(t1), t2=Distribution.bernoulli(t2),
-                key_len=round(alpha * w_x),
+                key_len=w_s,
             )
-            codec, _ = build_three_phase_codec(
-                params, gamma, lam, XOR, round(alpha * w_x), rng
-            )
+            codec, _ = build_three_phase_codec(params, spec, rng)
             if seed == 0:
                 # exhaustive sliding-window type-1 fraction check
                 fr = type1_window_fractions(codec.plan)
@@ -192,7 +192,7 @@ def test_a6_interleaved_layout_validity():
 def _a7_config(jammer_kind: str) -> ExperimentConfig:
     spec = bitflip_spec(0.05, 0.1, 640, 128, 128)
     code = CodecParams(
-        layout="thm1", n1=256, w_x=128, message_bits=4, field_bits=3,
+        layout="thm1", n1=256, message_bits=4, field_bits=3,
         p_x=Distribution.bernoulli(0.02), key_type=Distribution.bernoulli(0.02),
         key_len=128, allow_symmetrizable_key_type=True,
     )

@@ -194,9 +194,8 @@ def test_simulate_seed_override(experiment_config, capsys):
 
 @pytest.mark.parametrize("code_edit, named", [
     ({"layout": "thm3"}, "thm3"),
-    ({"layout": "thm2", "t1": {"weight": 0.3}, "t2": {"weight": 0.1}}, "missing alpha"),
     ({"key_len": -5}, "key code length"),
-    ({"layout": "thm2", "alpha": 0.5, "t1": {"weight": 0.3}, "t2": {"weight": 0.1},
+    ({"layout": "thm2", "t1": {"weight": 0.3}, "t2": {"weight": 0.1},
       "key_len": -5}, "key code length"),
     ({"field_bits": 0}, "field_bits"),
     ({"field_bits": 9}, "field_bits"),
@@ -210,13 +209,16 @@ def test_simulate_seed_override(experiment_config, capsys):
     ({"guard_type": {"weight": 0.25}}, "guard_type"),
     ({"budget_extra": 0}, "budget_extra"),
     ({"max_messages": 16384}, "max_messages"),
-    *[({"layout": "thm2", "alpha": 0.5, "t1": {"weight": 0.25}, "t2": {"weight": 0.125},
+    ({"w_x": 32}, "w_x"),
+    ({"alpha": 0.5}, "alpha"),
+    *[({"layout": "thm2", "t1": {"weight": 0.25}, "t2": {"weight": 0.125},
         "lam_frac": lam_frac}, "lam_frac") for lam_frac in (0, -0.1, -1.0)],
-], ids=["unknown-layout", "thm2-no-alpha", "thm1-negative-key-len", "thm2-negative-key-len",
+], ids=["unknown-layout", "thm1-negative-key-len", "thm2-negative-key-len",
         "field-bits-0", "field-bits-9", "n1-fraction", "message-bits-fraction",
         "key-len-fraction", "field-bits-fraction", "removed-delta", "removed-l-max",
         "removed-guard-denominator", "removed-guard-type", "removed-budget-extra",
-        "removed-max-messages", "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1"])
+        "removed-max-messages", "removed-w-x", "removed-alpha",
+        "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc["code"].update(code_edit)

@@ -25,7 +25,7 @@ from winavc.codec import (
     poly_hash,
     type1_window_fractions,
 )
-from winavc.core import Channel, ConstraintSet, Distribution
+from winavc.core import Channel, ConstraintSet, Distribution, WindowedAvcSpec
 from winavc.windows import verify_windows
 
 XOR = Channel.xor()
@@ -54,11 +54,17 @@ def key_code(field_bits, law, length, gamma, w_x, rng):
 
 def thm1_params(**kw):
     base = dict(
-        layout="thm1", n1=256, w_x=32, message_bits=4, field_bits=4,
+        layout="thm1", n1=256, message_bits=4, field_bits=4,
         p_x=Distribution.bernoulli(0.1), key_len=64,
     )
     base.update(kw)
     return CodecParams(**base)
+
+
+def windowed(gamma, lam, w_x, w_s, channel=XOR):
+    """The channel a code is built for; the build does not read its blocklength n."""
+    return WindowedAvcSpec(channel=channel, gamma=gamma, lam=lam, w_x=w_x, w_s=w_s,
+                           n=max(w_x, w_s))
 
 
 class TestPolyHash:
@@ -176,13 +182,11 @@ class TestBuildListCode:
     def test_interior_violation_rejected(self):
         # the codec checks the input law's margin before it samples anything
         rng = np.random.default_rng(5)
-        params = thm1_params(n1=64, w_x=16, key_len=32, p_x=Distribution.bernoulli(0.4),
+        params = thm1_params(n1=64, key_len=32, p_x=Distribution.bernoulli(0.4),
                              key_type=Distribution.bernoulli(0.1))
+        spec = windowed(ConstraintSet.weight_cap(0.4), ConstraintSet.weight_cap(0.05), 16, 16)
         with pytest.raises(ValueError, match="input law"):
-            build_three_phase_codec(
-                params, ConstraintSet.weight_cap(0.4), ConstraintSet.weight_cap(0.05),
-                XOR, 16, rng,
-            )
+            build_three_phase_codec(params, spec, rng)
 
     def test_desk_scale_cap(self):
         rng = np.random.default_rng(6)
@@ -236,13 +240,13 @@ class TestListDecode:
         assert res.messages == ()
 
     def test_likelihood_budget_agrees_on_xor(self):
-        # likelihood scoring with a noisy reference orders by Hamming distance
+        # likelihood scoring with a noisy reference, the state set's feasible
+        # point Bern(0.2), orders by Hamming distance
         from winavc.codec import likelihood_budget
 
         code = self._small_code()
         budget = likelihood_budget(
             Distribution.bernoulli(0.3), XOR, ConstraintSet.weight_cap(0.2),
-            ref_q=Distribution.bernoulli(0.1), slack=0.3,
         )
         res, = list_decode_rows([[1, 1, 0, 0, 0, 0]], code, budget)
         assert res.messages and res.messages[0] == 1
@@ -302,51 +306,50 @@ class TestHammingScoring:
 
 class TestInterleaveAllocation:
     def test_worked_example_window1(self):
-        s1, s2 = interleave_allocation(16, 0.5, 0.25, 1, "II")
+        s1, s2 = interleave_allocation(16, 8, 0.25, 1, "II")
         assert s1[:2].tolist() == [0, 1]
         assert s2[:2].tolist() == [2, 3]
         assert len(s1) == len(s2) == 8
 
     def test_window0_pure_sequential(self):
-        s1, s2 = interleave_allocation(16, 0.5, 0.25, 0, "II")
+        s1, s2 = interleave_allocation(16, 8, 0.25, 0, "II")
         # empty prefix: first position goes to type 2
         assert s2[0] == 0
         assert len(s1) == len(s2) == 8
 
     def test_phase3_block_rule(self):
-        s1, s2 = interleave_allocation(16, 0.5, 0.25, 0, "III")
+        s1, s2 = interleave_allocation(16, 8, 0.25, 0, "III")
         assert s1.tolist() == list(range(8))
         assert s2.tolist() == list(range(8, 16))
 
     def test_last_phase2_window_equals_block_rule(self):
         # at i = ceil(1/lam) the prefix rule degenerates to the block split
-        s1, s2 = interleave_allocation(16, 0.5, 0.25, 4, "II")
-        b1, b2 = interleave_allocation(16, 0.5, 0.25, 0, "III")
+        s1, s2 = interleave_allocation(16, 8, 0.25, 4, "II")
+        b1, b2 = interleave_allocation(16, 8, 0.25, 0, "III")
         assert s1.tolist() == b1.tolist() and s2.tolist() == b2.tolist()
 
     def test_exact_ratio_various_alphas(self):
-        for w_x, alpha, lam_frac in [(40, 0.25, 0.1), (80, 0.5, 0.1), (16, 0.5, 0.25), (60, 1 / 3, 0.1)]:
+        for w_x, w_s, lam_frac in [(40, 10, 0.1), (80, 40, 0.1), (16, 8, 0.25), (60, 20, 0.1)]:
             for i in range(0, 12):
-                s1, s2 = interleave_allocation(w_x, alpha, lam_frac, i, "II")
-                assert len(s1) == round(alpha * w_x)
-                assert len(s2) == w_x - round(alpha * w_x)
+                s1, s2 = interleave_allocation(w_x, w_s, lam_frac, i, "II")
+                assert len(s1) == w_s
+                assert len(s2) == w_x - w_s
                 assert sorted(np.concatenate([s1, s2]).tolist()) == list(range(w_x))
 
     def test_incompatible_rationals_rejected(self):
         with pytest.raises(ValueError):
-            interleave_allocation(16, 0.3, 0.1, 0, "II")  # alpha*w_x = 4.8
-        with pytest.raises(ValueError):
-            interleave_allocation(16, 0.5, 0.01, 0, "II")  # l < 1
+            interleave_allocation(16, 8, 0.01, 0, "II")  # l < 1
 
     def test_sliding_fraction_bounds(self):
-        for alpha, w_x in [(0.5, 16), (0.25, 40), (0.5, 80)]:
+        for w_s, w_x in [(8, 16), (10, 40), (40, 80)]:
+            alpha = w_s / w_x
             lam_frac = 0.25 if w_x == 16 else 0.1
             plan = make_phase_plan(CodecParams(
-                layout="thm2", n1=32, w_x=w_x, message_bits=4,
-                p_x=Distribution.bernoulli(0.1), alpha=alpha, lam_frac=lam_frac,
+                layout="thm2", n1=32, message_bits=4,
+                p_x=Distribution.bernoulli(0.1), lam_frac=lam_frac,
                 t1=Distribution.bernoulli(0.3), t2=Distribution.bernoulli(0.1),
-                key_len=round(alpha * w_x),
-            ))
+                key_len=w_s,
+            ), w_x, w_s)
             fr = type1_window_fractions(plan)
             assert fr.min() >= alpha - 1e-12
             assert fr.max() <= alpha * (1 + lam_frac) + 1e-12
@@ -414,9 +417,9 @@ class TestKeyCode:
 
     def _build_with_weak_key_law(self, seed, **kw):
         # a weight-0.05 key law is symmetrizable against a 0.1 state cap
-        params = thm1_params(w_x=32, field_bits=3, key_type=Distribution.bernoulli(0.05), **kw)
+        params = thm1_params(field_bits=3, key_type=Distribution.bernoulli(0.05), **kw)
         return build_three_phase_codec(
-            params, ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.1), XOR, 32,
+            params, windowed(ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.1), 32, 32),
             np.random.default_rng(seed),
         )
 
@@ -434,9 +437,8 @@ class TestThreePhase:
         rng = np.random.default_rng(kw.pop("seed", 0))
         gamma = kw.pop("gamma", ConstraintSet.weight_cap(0.3))
         lam = kw.pop("lam", ConstraintSet.weight_cap(0.05))
-        w_s = kw.pop("w_s", 32)
-        params = thm1_params(**kw)
-        return build_three_phase_codec(params, gamma, lam, XOR, w_s, rng)
+        spec = windowed(gamma, lam, kw.pop("w_x", 32), kw.pop("w_s", 32))
+        return build_three_phase_codec(thm1_params(**kw), spec, rng)
 
     def test_length_bookkeeping(self):
         codec, _ = self._build()
@@ -501,12 +503,12 @@ class TestThreePhase:
         gamma = ConstraintSet.weight_cap(0.3)
         lam = ConstraintSet.weight_cap(0.05)
         params = CodecParams(
-            layout="thm2", n1=256, w_x=80, message_bits=4, field_bits=4,
-            p_x=Distribution.bernoulli(0.08), alpha=0.5, lam_frac=0.1,
+            layout="thm2", n1=256, message_bits=4, field_bits=4,
+            p_x=Distribution.bernoulli(0.08), lam_frac=0.1,
             t1=Distribution.bernoulli(0.3), t2=Distribution.bernoulli(0.1),
             key_len=40,
         )
-        codec, stats = build_three_phase_codec(params, gamma, lam, XOR, 40, rng)
+        codec, stats = build_three_phase_codec(params, windowed(gamma, lam, 80, 40), rng)
         fr = type1_window_fractions(codec.plan)
         assert fr.min() >= 0.5 - 1e-12
         assert fr.max() <= 0.55 + 1e-12
@@ -515,6 +517,24 @@ class TestThreePhase:
         assert verify_windows(x[0], 80, gamma).valid
         res, = codec.decode_rows(x)
         assert res.status == "unique"
+
+    def test_thm2_layout_follows_the_window_ratio(self):
+        # windows 80/20 give alpha = 1/4: each key-phase window opens with
+        # w_s = 20 key slots, and every input window holds 1/4 to 1/4(1+lam) type-1
+        lam_frac = 0.1
+        params = CodecParams(
+            layout="thm2", n1=160, message_bits=3, field_bits=3,
+            p_x=Distribution.bernoulli(0.05), lam_frac=lam_frac,
+            t1=Distribution.bernoulli(0.4), t2=Distribution.bernoulli(0.1), key_len=40,
+        )
+        spec = windowed(ConstraintSet.weight_cap(0.25), ConstraintSet.weight_cap(0.05), 80, 20)
+        codec, _ = build_three_phase_codec(params, spec, np.random.default_rng(21))
+        windows = (codec.phase3_skeleton < 0).reshape(-1, 80)
+        assert len(windows) == 2
+        assert all(np.flatnonzero(w).tolist() == list(range(20)) for w in windows)
+        fr = type1_window_fractions(codec.plan)
+        assert fr.min() >= 0.25 - 1e-12
+        assert fr.max() <= 0.25 * (1 + lam_frac) + 1e-12
 
     def test_noisy_channel_uses_likelihood_decoding(self):
         # intrinsic channel noise on top of the adversarial flip: the table
@@ -532,9 +552,9 @@ class TestThreePhase:
         rng = np.random.default_rng(17)
         gamma = ConstraintSet.weight_cap(0.3)
         lam = ConstraintSet.weight_cap(0.05)
-        params = thm1_params(n1=512, w_x=64, p_x=Distribution.bernoulli(0.1),
+        params = thm1_params(n1=512, p_x=Distribution.bernoulli(0.1),
                              key_type=Distribution.bernoulli(0.12), key_len=128)
-        codec, _ = build_three_phase_codec(params, gamma, lam, noisy, 64, rng)
+        codec, _ = build_three_phase_codec(params, windowed(gamma, lam, 64, 64, noisy), rng)
         assert codec.budget1.kind == "likelihood"
 
         from winavc.core import channel_sample_rows
@@ -557,13 +577,14 @@ class TestThreePhase:
     def test_thm2_requires_interleave_types(self):
         rng = np.random.default_rng(14)
         params = CodecParams(
-            layout="thm2", n1=128, w_x=40, message_bits=2, field_bits=2,
-            p_x=Distribution.bernoulli(0.05), alpha=0.5, lam_frac=0.1,
+            layout="thm2", n1=128, message_bits=2, field_bits=2,
+            p_x=Distribution.bernoulli(0.05), lam_frac=0.1,
         )
         with pytest.raises(ValueError):
             build_three_phase_codec(
-                params, ConstraintSet.weight_cap(0.3),
-                ConstraintSet.weight_cap(0.05), XOR, 20, rng,
+                params, windowed(ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05),
+                                 40, 20),
+                rng,
             )
 
 
@@ -582,13 +603,14 @@ class TestNoiselessRoundTrip:
         # matches the hash is rare enough that every drawn code decodes
         # uniquely; shorter, sparser codes with small hash fields need not
         # (n1=128, w_x=40, p_x weight 0.08, 3-bit field: ambiguous)
-        params = thm1_params(n1=n1, w_x=w_x, message_bits=message_bits,
+        params = thm1_params(n1=n1, message_bits=message_bits,
                              field_bits=field_bits, p_x=Distribution.bernoulli(weight),
                              key_len=None)
         try:
             codec, _ = build_three_phase_codec(
-                params, ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05),
-                XOR, w_x, np.random.default_rng(seed),
+                params, windowed(ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05),
+                                 w_x, w_x),
+                np.random.default_rng(seed),
             )
         except CodeConstructionError:
             assume(False)  # a draw whose expurgation emptied every hash fiber

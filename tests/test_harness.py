@@ -14,7 +14,14 @@ import pytest
 
 from winavc import gf2, harness
 from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash
-from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec, channel_sample_rows
+from winavc.core import (
+    Channel,
+    ConstraintSet,
+    Distribution,
+    WindowedAvcSpec,
+    bitflip_spec,
+    channel_sample_rows,
+)
 from winavc.capacity import bitflip_list_capacity
 from winavc.cli import EXIT_OK, cli_main
 from winavc.harness import (
@@ -35,7 +42,7 @@ from winavc.windows import windows_valid
 def small_config(jammer_kind="iid", trials=60, seed=1, criterion="average", **code_kw):
     spec = bitflip_spec(0.3, 0.05, 448, 64, 64)
     code = dict(
-        layout="thm1", n1=256, w_x=64, message_bits=4, field_bits=4,
+        layout="thm1", n1=256, message_bits=4, field_bits=4,
         p_x=Distribution.bernoulli(0.1), key_len=128,
     )
     code.update(code_kw)
@@ -97,8 +104,7 @@ class TestRunTrials:
         stats = run_trials(config)
         seen = {r.message_id for r in stats.records}
         codec, _ = build_three_phase_codec(
-            config.code, config.spec.gamma, config.spec.lam,
-            config.spec.channel, config.spec.w_s,
+            config.code, config.spec,
             np.random.default_rng(np.random.SeedSequence((config.master_seed, 0))),
         )
         assert len(seen) == codec.message_count
@@ -109,7 +115,7 @@ class TestRunTrials:
         # inside the Monte Carlo Wilson interval.
         spec = bitflip_spec(0.5, 0.25, 16, 4, 4)
         code = CodecParams(
-            layout="thm1", n1=8, w_x=4, message_bits=2, field_bits=2,
+            layout="thm1", n1=8, message_bits=2, field_bits=2,
             p_x=Distribution.bernoulli(0.25), key_len=4,
             key_type=Distribution.bernoulli(0.3),
         )
@@ -119,8 +125,7 @@ class TestRunTrials:
             trials=4000, master_seed=77,
         )
         codec, _ = build_three_phase_codec(
-            code, spec.gamma, spec.lam, spec.channel, spec.w_s,
-            np.random.default_rng(np.random.SeedSequence((77, 0))),
+            code, spec, np.random.default_rng(np.random.SeedSequence((77, 0))),
         )
 
         n = codec.plan.total_length
@@ -167,7 +172,7 @@ class TestRunTrials:
 
         spec = bitflip_spec(0.3, 0.05, 448, 64, 64)
         code = CodecParams(
-            layout="thm1", n1=256, w_x=64, message_bits=3, field_bits=3,
+            layout="thm1", n1=256, message_bits=3, field_bits=3,
             p_x=Distribution.bernoulli(0.1), key_len=128,
         )
         # a state law far outside its window budget always hits the cap
@@ -201,7 +206,7 @@ def experiment_variant(**changes) -> ExperimentConfig:
 def spoofing_regime_config(jammer_kind: str) -> ExperimentConfig:
     """demos/spoofing_attack.py's symmetrizable regime at 20 trials: codewords are admissible states."""
     code = CodecParams(
-        layout="thm1", n1=256, w_x=128, message_bits=4, field_bits=3, key_len=128,
+        layout="thm1", n1=256, message_bits=4, field_bits=3, key_len=128,
         p_x=Distribution.bernoulli(0.02), key_type=Distribution.bernoulli(0.02),
         allow_symmetrizable_key_type=True,
     )
@@ -250,14 +255,13 @@ class TestPinnedOutputs:
     def test_thm2_codec_build(self):
         # the interleaved-layout build of tests/test_codec.py, pinned segment by segment
         params = CodecParams(
-            layout="thm2", n1=256, w_x=80, message_bits=4, field_bits=4,
-            p_x=Distribution.bernoulli(0.08), alpha=0.5, lam_frac=0.1,
+            layout="thm2", n1=256, message_bits=4, field_bits=4,
+            p_x=Distribution.bernoulli(0.08), lam_frac=0.1,
             t1=Distribution.bernoulli(0.3), t2=Distribution.bernoulli(0.1),
             key_len=40,
         )
         codec, _ = build_three_phase_codec(
-            params, ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05),
-            Channel.xor(), 40, np.random.default_rng(13),
+            params, bitflip_spec(0.3, 0.05, 1216, 80, 40), np.random.default_rng(13),
         )
         r1, r2 = codec.draw_keys(np.random.default_rng(0))
         digests = {
@@ -292,13 +296,13 @@ class TestPinnedOutputs:
         noisy = Channel(table)
         lam = ConstraintSet.weight_cap(0.05)
         params = CodecParams(
-            layout="thm1", n1=512, w_x=64, message_bits=4, field_bits=4,
+            layout="thm1", n1=512, message_bits=4, field_bits=4,
             p_x=Distribution.bernoulli(0.1), key_type=Distribution.bernoulli(0.12),
             key_len=128,
         )
-        codec, _ = build_three_phase_codec(
-            params, ConstraintSet.weight_cap(0.3), lam, noisy, 64, np.random.default_rng(17),
-        )
+        spec = WindowedAvcSpec(channel=noisy, gamma=ConstraintSet.weight_cap(0.3), lam=lam,
+                               w_x=64, w_s=64, n=704)
+        codec, _ = build_three_phase_codec(params, spec, np.random.default_rng(17))
         assert codec.budget1.kind == codec.budget3.kind == "likelihood"
         draw = np.random.default_rng(18)
         decodes = []
@@ -400,7 +404,7 @@ def hopeless_iid_config(trials: int) -> ExperimentConfig:
     """An iid state law far outside its window budget: every trial hits the rejection cap."""
     spec = bitflip_spec(0.3, 0.05, 448, 64, 64)
     code = CodecParams(
-        layout="thm1", n1=256, w_x=64, message_bits=3, field_bits=3,
+        layout="thm1", n1=256, message_bits=3, field_bits=3,
         p_x=Distribution.bernoulli(0.1), key_len=128,
     )
     hopeless = JammerParams(kind="iid", p_s=Distribution.bernoulli(0.4), rejection_cap=16)
@@ -540,7 +544,7 @@ class TestConfigParsing:
         doc.update(windows={"w_x": 80, "w_s": 40}, jammer={"kind": "none"}, trials=10)
         doc["code"] = {
             "layout": "thm2", "n1": 256, "message_bits": 4, "field_bits": 4,
-            "p_x": {"weight": 0.08}, "alpha": 0.5, "lam_frac": 0.1,
+            "p_x": {"weight": 0.08}, "lam_frac": 0.1,
             "t1": {"weight": 0.3}, "t2": {"weight": 0.1}, "key_len": 40,
         }
         return doc
@@ -555,9 +559,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("layout, drop, n, named", [
         ("thm3", (), None, "'thm3'"),
         ("thm3", (), 1216, "'thm3'"),
-        ("thm2", ("alpha",), None, "missing alpha"),
         ("thm2", ("t1", "t2"), 1216, "missing t1, t2"),
-    ], ids=["unknown", "unknown-with-n", "thm2-no-alpha", "thm2-no-types-with-n"])
+    ], ids=["unknown", "unknown-with-n", "thm2-no-types-with-n"])
     def test_bad_layout_rejected_at_load(self, layout, drop, n, named):
         doc = self.thm2_doc()
         doc["code"]["layout"] = layout
@@ -566,6 +569,21 @@ class TestConfigParsing:
         if n is not None:
             doc["n"] = n
         with pytest.raises(ConfigError, match=named):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("w_x", 80), ("alpha", 0.5)],
+                             ids=["removed-w-x", "removed-alpha"])
+    def test_removed_code_key_rejected_at_load(self, key, value):
+        # the windows, and so alpha = w_s/w_x, come from windows alone
+        doc = self.thm2_doc()
+        doc["code"][key] = value
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            config_from_dict(doc)
+
+    def test_thm2_state_windows_longer_than_input_windows_rejected_at_load(self):
+        doc = self.thm2_doc()
+        doc["windows"] = {"w_x": 40, "w_s": 80}
+        with pytest.raises(ConfigError, match="w_s <= w_x"):
             config_from_dict(doc)
 
     @pytest.mark.parametrize("edit, named", [
@@ -595,7 +613,7 @@ class TestConfigParsing:
             ExperimentConfig(
                 spec=bitflip_spec(0.2, 0.1, 128, 32, 32),
                 code=CodecParams(
-                    layout="thm1", n1=64, w_x=32, message_bits=2, field_bits=2,
+                    layout="thm1", n1=64, message_bits=2, field_bits=2,
                     p_x=Distribution.bernoulli(0.05),
                 ),
                 jammer=JammerParams(kind="none"),

@@ -103,12 +103,3 @@ def test_lps_match_scipy_property(problem):
         assert ref.status == 0
         assert ours.is_optimal
         assert ours.value == pytest.approx(ref.fun, abs=1e-7)
-
-
-def test_feasible_point():
-    pt = lp.feasible_point(a_ub=[[0.0, 1.0]], b_ub=[0.25],
-                           a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    assert pt is not None
-    assert pt.sum() == pytest.approx(1.0)
-    assert pt[1] <= 0.25 + 1e-9
-    assert lp.feasible_point(a_ub=[[1.0, 1.0]], b_ub=[-1.0]) is None
