@@ -17,6 +17,7 @@ from . import lp
 TOLERANCE = 1e-9
 
 LOG_FLOOR = 1e-300  # guards log2 of structurally zero entries
+_SAMPLE_CHUNK = 1 << 16  # uniforms per pass of sample_iid: a 512 KB buffer
 
 
 class InfeasibleSetError(ValueError):
@@ -399,8 +400,21 @@ def channel_sample_rows(x_rows, s_rows, channel: Channel, rngs) -> np.ndarray:
 
 
 def sample_iid(p: Distribution, shape, rng: np.random.Generator) -> np.ndarray:
-    """int8 array of the given shape with i.i.d. p entries, one uniform per entry."""
-    return inverse_cdf(p.probs, rng.random(shape))
+    """int8 array of the given shape with i.i.d. p entries, one uniform per entry.
+
+    The uniforms are drawn _SAMPLE_CHUNK at a time into one reused buffer.
+    A Generator fills in C order, so the entries are those of one
+    rng.random(shape) call, without a float64 held per entry.
+    """
+    out = np.empty(shape, dtype=np.int8)
+    flat = out.reshape(-1)
+    cdf = _capped_cdf(p.probs)
+    buf = np.empty(min(flat.size, _SAMPLE_CHUNK))
+    for lo in range(0, flat.size, _SAMPLE_CHUNK):
+        u = buf[: flat.size - lo]
+        rng.random(out=u)
+        flat[lo:lo + u.size] = _cdf_symbols(cdf, u)
+    return out
 
 
 def inverse_cdf(probs, u) -> np.ndarray:

@@ -14,8 +14,11 @@ class _ConstantUniforms:
     def __init__(self, u: float):
         self.u = u
 
-    def random(self, shape):
-        return np.full(shape, self.u)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.u)
+        out[...] = self.u
+        return out
 
 
 @pytest.fixture(params=[0.0, float(np.nextafter(1.0, 0.0))], ids=["u-zero", "u-top"])
