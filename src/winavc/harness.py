@@ -503,10 +503,11 @@ def _parse_spec(doc: dict, planned_n: int | None = None) -> WindowedAvcSpec:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON document layout.
 
-    The channel keys are those of _parse_spec, with windows required; the
-    rest are code {...} (the CodecParams fields), jammer {...}, trials,
-    seed, criterion.  The code is planned from windows.w_x and windows.w_s,
-    so a thm2 code interleaves in the ratio alpha = w_s/w_x.
+    The channel keys are those of _parse_spec, with windows required and n,
+    if given, the planned transmission length; the rest are code {...} (the
+    CodecParams fields), jammer {...}, trials, seed, criterion.  The code
+    is planned from windows.w_x and windows.w_s, so a thm2 code interleaves
+    in the ratio alpha = w_s/w_x.
     """
     try:
         wins = doc["windows"]
@@ -539,6 +540,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if spec.w_s > planned:
             raise ConfigError(f"windows.w_s = {spec.w_s} is longer than the planned "
                               f"transmission of {planned} symbols")
+        # the trials send the planned transmission, so an n of another length means nothing
+        if spec.n != planned:
+            raise ConfigError(f"n = {spec.n} differs from the planned transmission of "
+                              f"{planned} symbols; leave n out of an experiment config")
         return ExperimentConfig(
             spec=spec, code=code, jammer=jammer,
             trials=trials, master_seed=seed, error_criterion=criterion,

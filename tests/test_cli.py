@@ -291,6 +291,20 @@ def test_simulate_bad_jammer_exits_2(experiment_config, capsys, edit, named):
     assert captured.out == ""
 
 
+def test_simulate_explicit_n_off_the_plan_exits_2(tmp_path, capsys):
+    # experiment.json plans a 704-symbol transmission; simulate never reads an n of its own
+    examples = Path(__file__).resolve().parents[1] / "examples_configs"
+    doc = json.loads((examples / "experiment.json").read_text())
+    doc["n"] = 100
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "n = 100" in captured.err and "704" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_nonsymmetrizable_symmetrize_jammer_exits_2(experiment_config, capsys, monkeypatch):
     # p_x has weight 0.1 against a state cap of 0.05: no symmetrizing map exists
     def build(*args, **kwargs):
