@@ -1,11 +1,11 @@
 """Monte Carlo simulation driver: experiment configs, trial loops, sweeps.
 
-Each trial owns its Generators, derived counter-mode from (master_seed,
-trial index, stream): stream 2 draws its message (not made under the max
-criterion, which sweeps messages instead), 3 its keys, 4 its jammer states
-and 5 its channel outputs.  Trials run in fixed blocks, one call per stage
-for the whole block, and every Generator draws exactly what it would in a
-trial run alone, so each trial is bit-reproducible on its own and the
+Each trial owns one Generator, derived counter-mode from (master_seed,
+trial index, 2), which draws in a fixed order: the message (not under the
+max criterion, which sweeps messages instead), the keys, the jammer's
+states, then the channel outputs.  Trials run in fixed blocks, one call per
+stage for the whole block, and every Generator draws exactly what it would
+in a trial run alone, so each trial is bit-reproducible on its own and the
 records do not depend on the block size or on which trials run before it.
 The jammer only ever receives public objects; a strategy that proposes an
 inadmissible state sequence forfeits the trial, and a deterministic
@@ -49,9 +49,10 @@ JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
 # Trials per block in run_trials.  On a 2-CPU Xeon, blocks of 8 to 16 trials
 # ran experiment.json within run-to-run noise of each other, about twice as
 # fast as one trial at a time; at 12 the largest temporaries of a block, the
-# i.i.d. jammer's uniforms and window counts, stay under 1 MB (tracemalloc
-# peak 0.94 MB).
+# i.i.d. jammer's states and window counts, stay under 1 MB (tracemalloc
+# peak 0.73 MB).
 _TRIAL_BLOCK = 12
+_TRIAL_STREAM = 2  # the last entry of a trial Generator's seed key
 
 
 class ConfigError(ValueError):
@@ -168,8 +169,12 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, f
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _trial_rng(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index, stream)))
+def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """The trial's one Generator.  The key keeps three entries: (master_seed, i)
+    would be the build's stream at trial 0 and the message pool's at trial 1."""
+    return np.random.default_rng(
+        np.random.SeedSequence((master_seed, trial_index, _TRIAL_STREAM))
+    )
 
 
 def build_codec_from_config(config: ExperimentConfig) -> tuple[ThreePhaseCodec, dict]:
@@ -253,18 +258,14 @@ def run_trials(
     additive = spec.channel.is_binary_additive()
 
     def trial_block(indices: range) -> list[TrialRecord]:
-        key_rngs, jam_rngs, chan_rngs = (
-            [_trial_rng(config.master_seed, i, stream) for i in indices]
-            for stream in (3, 4, 5)
-        )
+        rngs = [_trial_rng(config.master_seed, i) for i in indices]
         if message_pool is not None:
             m_pos = message_pool[np.asarray(indices) % message_pool.size]
         else:
-            m_pos = np.array([codec.draw_message(_trial_rng(config.master_seed, i, 2))
-                              for i in indices])
-        r1, r2 = np.array([codec.draw_keys(rng) for rng in key_rngs]).T
+            m_pos = np.array([codec.draw_message(rng) for rng in rngs])
+        r1, r2 = np.array([codec.draw_keys(rng) for rng in rngs]).T
         x = codec.encode_rows(m_pos, r1, r2)
-        jams = draw_states(jam_rngs)
+        jams = draw_states(rngs)
         # a refused draw forfeits, and a draw that hit the rejection cap is
         # counted against the failure budget, not fatal per trial
         forfeited = [jam is None or not jam.window_valid for jam in jams]
@@ -279,7 +280,7 @@ def run_trials(
                     f"trial {indices[over[0]]}: admissible corruption {corruption[over[0]]} "
                     f"exceeds the phase-1 decoding budget radius {codec.budget1.radius}"
                 )
-        y = channel_sample_rows(x, states, spec.channel, chan_rngs)
+        y = channel_sample_rows(x, states, spec.channel, rngs)
         records = []
         rows = zip(indices, m_pos, r1, r2, jams, forfeited, codec.decode_rows(y))
         for i, m, k1, k2, jam, forfeit, result in rows:

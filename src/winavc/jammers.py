@@ -13,6 +13,7 @@ codewords-as-states is exactly the attack's precondition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +58,75 @@ def iid_jammer_rows(
 
     Candidates are read off the generator's i.i.d. blocks of 8n states, each
     starting right after the previous one's first violating window; the
-    rejection count lets converse experiments bound the conditioning.
+    rejection count lets converse experiments bound the conditioning.  A
+    block is drawn sparsely, by _sparse_iid_sampler.
     """
-    uniforms = np.empty((len(rngs), _IID_BLOCK * n))
+    draw = _sparse_iid_sampler(p_s, _IID_BLOCK * n, len(rngs))
+    return _first_admissible(lambda live: draw([rngs[t] for t in live]),
+                             len(rngs), n, w_s, lam, rejection_cap)
 
-    def draw(live):
-        u = uniforms[: len(live)]
-        for row, t in zip(u, live):
-            rngs[t].random(out=row)
-        return inverse_cdf(p_s.probs, u)
 
-    return _first_admissible(draw, len(rngs), n, w_s, lam, rejection_cap)
+def _sparse_iid_sampler(p: Distribution, size: int, max_rows: int):
+    """draw(rngs) -> one row of size i.i.d. p symbols per generator, a (len(rngs),
+    size) int8 block reused by the next call; at most max_rows generators.
+
+    Only the symbols off the most probable one, b, are drawn.  They sit at
+    the successes of a Bernoulli(rho) process, rho = 1 - p(b), whose gaps
+    are i.i.d. Geometric(rho), drawn by inversion as 1 + floor(log(1 - u) /
+    log(1 - rho)) (Devroye, Non-Uniform Random Variate Generation, 1986,
+    X.2); each success takes its symbol from p conditioned on not being b,
+    by inverse CDF (no draw when that law is a point mass).  A row draws
+    its gap uniforms in chunks of rho * size plus four standard deviations
+    until a gap lands past the row, then one uniform per success: about
+    rho * size uniforms instead of size, none when rho = 0.
+    """
+    b = int(np.argmax(p.probs))
+    rest = p.probs.copy()
+    rest[b] = 0.0
+    rho = float(rest.sum())
+    block = np.empty((max_rows, size), dtype=np.int8)
+    if rho == 0.0:
+        block.fill(b)
+        return lambda rngs: block[: len(rngs)]
+    others = np.flatnonzero(rest)
+    conditional = rest / rho
+    mean = rho * size
+    chunk = int(mean + 4.0 * math.sqrt(mean)) + 1
+    scale = 1.0 / math.log1p(-rho)
+    uniforms = np.empty((max_rows, chunk))
+    starts = np.arange(max_rows)[:, None] * size - 1  # flat index of row r's position -1
+
+    def ends(u):
+        """Gap uniforms to running gap sums along the last axis, in place; a
+        success sits at its sum - 1.  Sums up to size are exact in float64,
+        and once one passes size every later one does."""
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        u *= scale
+        np.floor(u, out=u)
+        u += 1.0
+        return np.add.accumulate(u, axis=-1, out=u)
+
+    def draw(rngs) -> np.ndarray:
+        rows = block[: len(rngs)]
+        rows.fill(b)
+        u = uniforms[: len(rngs)]
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        ends(u)
+        rows.reshape(-1)[(u + starts[: len(rngs)])[u <= size].astype(np.intp)] = others[0]
+        for r, last in enumerate(u[:, -1].tolist()):
+            while last <= size:  # the chunk ended inside the row: draw the next
+                more = last + ends(rngs[r].random(chunk))
+                rows[r, (more[more <= size] - 1).astype(np.intp)] = others[0]
+                last = more[-1]
+        if others.size > 1:
+            for row, rng in zip(rows, rngs):
+                hits = np.flatnonzero(row != b)
+                row[hits] = inverse_cdf(conditional, rng.random(hits.size))
+        return rows
+
+    return draw
 
 
 def _first_admissible(draw, count: int, n: int, w_s: int, lam: ConstraintSet, rejection_cap: int):

@@ -435,6 +435,15 @@ class TestTrialBlocks:
         assert len(first) == config.trials
         assert all(records == first for records in runs.values())
 
+    def test_trial_generators_are_not_the_build_or_pool_streams(self):
+        # the build draws from (seed, 0) and the max criterion's message pool from
+        # (seed, 1); a trial keyed (seed, i) would replay them at trials 0 and 1
+        seed = 42
+        shared = [np.random.default_rng(np.random.SeedSequence((seed, k))).random(4).tolist()
+                  for k in (0, 1)]
+        for i in (0, 1):
+            assert harness._trial_rng(seed, i).random(4).tolist() not in shared
+
     @pytest.mark.parametrize("block", [1, 3, 11])
     def test_capped_trials_forfeit_alone_and_fail_the_run_at_its_end(self, block, monkeypatch):
         from winavc.jammers import JammerGenerationError

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.stats import chisquare
 
 from winavc.core import ConstraintSet, Distribution
 from winavc.jammers import (
+    _sparse_iid_sampler,
     estimate_rejection_rate,
     fallback_state_sequence,
     iid_jammer_rows,
@@ -96,6 +98,71 @@ class TestIidJammer:
             )
             rates.append(rate)
         assert all(a >= b - 0.05 for a, b in zip(rates, rates[1:]))
+
+
+class TestSparseDraw:
+    """The i.i.d. jammer's sparse block sampler draws i.i.d. symbols of its law.
+
+    Symbol counts over all rows are multinomial.  Cutting each row into
+    segments of SEGMENT symbols, the offset of a segment's first symbol off
+    the background (the law's most probable symbol) is Geometric(rho) from 0,
+    censored at SEGMENT, independently across segments, wherever the
+    sampler's gap chunks begin or end.
+    """
+
+    ROWS, SIZE, SEGMENT = 40, 8192, 64
+    LAWS = {
+        "rho-0.04": (Distribution.bernoulli(0.04), 0),
+        "rho-0.3": (Distribution.bernoulli(0.3), 0),
+        "bernoulli-0.7": (Distribution.bernoulli(0.7), 1),
+        "three-letters": (Distribution([0.2, 0.5, 0.3]), 1),
+    }
+
+    def rows(self, law, seed):
+        draw = _sparse_iid_sampler(law, self.SIZE, 8)
+        rng = np.random.default_rng(seed)
+        # 8 generators per call, as in a block of trials, then fresh ones
+        return np.vstack([draw([np.random.default_rng([seed, k, g]) for g in range(8)]).copy()
+                          for k in range(self.ROWS // 8)] + [draw([rng]).copy()])
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_symbol_counts(self, name):
+        law, _ = self.LAWS[name]
+        rows = self.rows(law, 50)
+        observed = np.bincount(rows.ravel(), minlength=law.size)
+        assert chisquare(observed, rows.size * law.probs).pvalue > 1e-3
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_gaps(self, name):
+        law, background = self.LAWS[name]
+        rho = 1 - law.probs[background]
+        segments = self.rows(law, 51).reshape(-1, self.SEGMENT) != background
+        # offset of each segment's first success, SEGMENT where it has none
+        first = np.where(segments.any(axis=1), segments.argmax(axis=1), self.SEGMENT)
+        observed = np.bincount(first, minlength=self.SEGMENT + 1)
+        probs = (1 - rho) ** np.arange(self.SEGMENT + 1) * rho
+        probs[-1] = (1 - rho) ** self.SEGMENT
+        # pool offsets expected fewer than 5 times into one tail cell
+        keep = np.flatnonzero(probs * first.size >= 5)
+        observed = np.append(observed[keep], first.size - observed[keep].sum())
+        expected = np.append(probs[keep], 1 - probs[keep].sum()) * first.size
+        if expected[-1] < 1e-9:
+            observed, expected = observed[:-1], expected[:-1]
+        assert chisquare(observed, expected).pvalue > 1e-3
+
+    def test_point_mass_draws_nothing(self):
+        rng = np.random.default_rng(52)
+        rows = _sparse_iid_sampler(Distribution.point_mass(2, 3), 100, 1)([rng])
+        assert rows.shape == (1, 100) and (rows == 2).all()
+        assert rng.random() == np.random.default_rng(52).random()
+
+    def test_constant_uniforms_give_evenly_spaced_successes(self, edge_rng):
+        # every gap is 1 + floor(log(1 - u) / log(1 - rho)): 1 at u = 0, so the
+        # row is all successes and takes 16 chunks of 66 gaps; 900 at the top u
+        rho, size = 0.04, 1000
+        gap = 1 + math.floor(math.log1p(-edge_rng.u) / math.log1p(-rho))
+        row, = _sparse_iid_sampler(Distribution.bernoulli(rho), size, 1)([edge_rng])
+        assert np.array_equal(np.flatnonzero(row), np.arange(gap - 1, size, gap))
 
 
 class TestSpoofJammer:
