@@ -23,10 +23,10 @@ STDOUT_DIGESTS = {
     "capacity_bitflip": "384ca316d5a21c7612d60a1997a5c59ead862894e0a356ef54ff647f8cb51d74",
     "guard_words_and_windows": "246675071b009e3b37852bbddf68709a92b2fe39c1b91c1df86fb0113fa4375e",
     "interleaved_layout": "a4e1ef8a7f6707b5fe6bb81c8fbe7387f51f73967c0c1092523134be23af990a",
-    "spoofing_attack": "aaf316cd59ea7cb12e57dd007cf2e6eb43f9b9c2591ca6bf178132de968e6d6e",
+    "spoofing_attack": "ff9bf428d1cbb1172676aeb8cf52c0d559637f40e47f814120777d90601122fd",
     "sweep_csv": "33da4f4c0beb2897a339b1619a03197740ba55507f815e0abc346a59807ab446",
     "symmetrizability_map": "60a8a80cf2ef0f34812acb30321b17d2b8c7a1d7a49aa3a572ce83d5c6c9cdaa",
-    "three_phase_roundtrip": "1ed83f8448e6d79318dc4de78877498331c05b698a7fc768cba8cf705ce7a0e4",
+    "three_phase_roundtrip": "fff80ffd8cff648f43c39ea8b9b29f17f44301b4787c3034bebe14f1b7340c16",
 }
 
 

@@ -325,7 +325,7 @@ class TestPinnedOutputs:
             "phase1": "8f57a97b7be4a1193f1df74370e4f96c53f3e090b86ac003e32f1dc83bc23405",
             "key_codewords": "eb08f7bc89db8566ea120abd0ce282d14dc81fbf10a0a21561f239f358bb4ef3",
             "key_ids": "69184f4dd1032774380db4693aebe4056c03d38c588a5af56fbb28cb6d33b29b",
-            "decodes": "4c5fe79243a63b769df1eee6a3ce1016c50320230475d3f052609f2622eb00b2",
+            "decodes": "cb5728e6fc79fc44481fe8611d345b9ee613eb9ff8769e8b3dd14b0f73a781cc",
         }
 
     def test_trial_outcomes(self):
@@ -335,7 +335,7 @@ class TestPinnedOutputs:
             "correct": 20, "list-failure": 0, "disambiguation-failure": 0,
             "ambiguity": 0, "wrong-message": 0,
         }
-        assert stats.jam_rejections_total == 4281
+        assert stats.jam_rejections_total == 4303
 
     def test_trial_records(self):
         # every field a decoding change could move, not only the outcome counts
@@ -347,20 +347,20 @@ class TestPinnedOutputs:
         ]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == (
-            "66e46afe0e40aefd4540fe66cbdae2375e650589da0632db06fe21edbdff4feb"
+            "624da4f2acc8df9ec5485ac411c4110f8600460a067a7e1da7d370c3e737fe57"
         )
 
     @pytest.mark.parametrize("make_config, digest", [
         (lambda: experiment_variant(jammer=JammerParams(kind="spoof")),
-         "392805ec2167dcb02777480069c82822d99abcd87af95482fd2511c051147a82"),
+         "5d32fc967e8fcb15e4d0b24a843400231814960d9fd7332ee44c6c54911ce77f"),
         (lambda: spoofing_regime_config("spoof"),
-         "e7cd22c17db2081a96fd31f2888064f232f2217a2795a975d1f9f5c19a30a70b"),
+         "dab4929cde1464233a917680336b43dd08495efbfcac43b8e2f4c629e764278e"),
         (lambda: spoofing_regime_config("symmetrize"),
-         "3902a6491ee0ab0cd3c030d6c4363a9ceefab945cd28067e011997472a909c88"),
+         "c80270e9cfc3720ef310896915e73f2a615633305059491f8ad8913f1ac65b07"),
         (lambda: experiment_variant(jammer=JammerParams(kind="none")),
-         "196facb618e5d13aeb414663e307367596c7c40001e2bd26af72511ff33514cf"),
+         "c6ee69d203b2011c491231351ae13a7f843fef62a840516a8b40588b69743a37"),
         (lambda: experiment_variant(error_criterion="max"),
-         "abb63b949d5045205dd4872a0031f14994e572800106b26be29fe5cb46c29809"),
+         "fc7c78e668e41dbd2588120adb4ad3541d8863d6dbff37f516375b1d943b16cc"),
     ], ids=["spoof-forfeits", "spoof-admissible", "symmetrize", "none", "max-criterion"])
     def test_other_jammer_records(self, make_config, digest):
         # the trial paths test_trial_records leaves out: every TrialRecord field
@@ -391,7 +391,7 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("argv, digest", [
         (["simulate", "--config", str(EXPERIMENT_JSON), "--format", "json"],
-         "bda772a82ba27212402cfe61c9acb9d069db4b7c82af554e0a2cfff6e4775935"),
+         "112e4a7ee0480ee592e5f55822a74abe2830b2fbfb5d90d6f263daffe26674ba"),
         (["sweep", "--config", str(GRID_JSON)],
          "3c462300f2009598c5310828188a4d2cb8e53da22239ced3369656abf418ec3b"),
     ], ids=["simulate-experiment-json", "sweep-grid"])
@@ -500,7 +500,7 @@ class TestSweep:
 class TestBudgetInvariant:
     """Admissible states never exceed the phase-1 radius; a run that does is refused."""
 
-    MESSAGE = "trial 0: admissible corruption 8 exceeds the phase-1 decoding budget radius 0"
+    MESSAGE = "trial 0: admissible corruption 6 exceeds the phase-1 decoding budget radius 0"
 
     def test_too_small_radius_raises(self):
         with pytest.raises(RuntimeError, match=self.MESSAGE):
