@@ -14,7 +14,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # SHA-256 of each demo's stdout, recorded before the unused knobs became
 # constants; a refactor or speed-up may not move them.  The roundtrip demo's
 # was re-recorded when the i.i.d. jammer began restarting each candidate
-# after its first violating window, which changes its seeded stream.  The
+# after its first violating window, which changes its seeded stream, and
+# with the spoofing demo's when the i.i.d. jammer began drawing its states
+# by geometric gaps and each trial began drawing from one Generator.  The
 # bit-flip capacity demo's was re-recorded when its last column became the
 # certified width upper - lower in place of the one-sided gap estimate, and
 # again when the saddle solver's two bounds began to differ by rounding

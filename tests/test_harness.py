@@ -234,10 +234,14 @@ class TestPinnedOutputs:
     knobs became constants, the likelihood-scored build and decodes before
     the two random codes shared one type and one scorer, the spoof,
     symmetrize, none and max-criterion records before trials ran in blocks;
-    none may move under a later refactor or speed-up.  The figures that follow the i.i.d.
-    jammer's stream (the trial rejections and records, the likelihood
-    decodes and the simulate stdout) were re-recorded when its rejection
-    loop began restarting each candidate after its first violating window.
+    none may move under a later refactor or speed-up.  The figures that
+    follow the i.i.d. jammer's stream (the trial rejections and records, the
+    likelihood decodes and the simulate stdout) were re-recorded when its
+    rejection loop began restarting each candidate after its first violating
+    window.  They were re-recorded again, with every other trial record (the
+    spoof, symmetrize, none and max-criterion runs), when the i.i.d. jammer
+    began drawing only its sparse states, by geometric gaps, and each trial
+    began drawing everything from one Generator; the codec builds held.
     """
 
     def test_codec_build(self):
