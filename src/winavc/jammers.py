@@ -73,9 +73,9 @@ def _sparse_iid_sampler(p: Distribution, size: int, max_rows: int):
     Only the symbols off the most probable one, b, are drawn.  They sit at
     the successes of a Bernoulli(rho) process, rho = 1 - p(b), whose gaps
     are i.i.d. Geometric(rho), drawn by inversion as 1 + floor(log(1 - u) /
-    log(1 - rho)) (Devroye, Non-Uniform Random Variate Generation, 1986,
-    X.2); each success takes its symbol from p conditioned on not being b,
-    by inverse CDF (no draw when that law is a point mass).  A row draws
+    log(1 - rho)) (Devroye, Non-Uniform Random Variate Generation, 1986);
+    each success takes its symbol from p conditioned on not being b, by
+    inverse CDF (no draw when that law is a point mass).  A row draws
     its gap uniforms in chunks of rho * size plus four standard deviations
     until a gap lands past the row, then one uniform per success: about
     rho * size uniforms instead of size, none when rho = 0.
