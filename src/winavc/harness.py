@@ -46,12 +46,13 @@ OUTCOMES = (
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
 _IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
 JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
-# Trials per block in run_trials.  On a 2-CPU Xeon, blocks of 8 to 16 trials
-# ran experiment.json within run-to-run noise of each other, about twice as
-# fast as one trial at a time; at 12 the largest temporaries of a block, the
-# i.i.d. jammer's states and window counts, stay under 1 MB (tracemalloc
-# peak 0.73 MB).
-_TRIAL_BLOCK = 12
+# Trials per block in run_trials.  Every round of the i.i.d. jammer's
+# rejection loop pays a fixed cost for the whole block, and a block runs as
+# many rounds as its slowest trial, so larger blocks share it among more
+# trials.  On a 2-CPU Xeon, 200 experiment.json trials ran at 0.273 ms per
+# trial in blocks of 12, 0.234 in 24, 0.224 in 32 and 0.220 in 48 (best of
+# 24 calls); at 32 a block's temporaries peak at 1.9 MB under tracemalloc.
+_TRIAL_BLOCK = 32
 _TRIAL_STREAM = 2  # the last entry of a trial Generator's seed key
 
 
