@@ -45,11 +45,7 @@ from .harness import (
     sweep,
     wilson_interval,
 )
-from .jammers import (
-    JamResult,
-    JammerGenerationError,
-    estimate_rejection_rate,
-)
+from .jammers import JamResult, JammerGenerationError
 from .symmetrize import (
     SymmetrizabilityResult,
     bitflip_symmetrizable,

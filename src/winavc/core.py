@@ -8,6 +8,7 @@ construction; sampling takes an explicit numpy Generator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,9 +392,7 @@ def channel_sample_rows(x_rows, s_rows, channel: Channel, rngs) -> np.ndarray:
             f"need equal (rows, n) inputs and states and one generator per row, got "
             f"{x.shape}, {s.shape} and {len(rngs)}"
         )
-    u = np.empty(x.shape)
-    for row, rng in zip(u, rngs):
-        row[:] = rng.random(x.shape[1])
+    u = _row_uniforms(np.empty(x.shape), rngs)
     nx, ns, ny = channel.table.shape
     pairs = np.ravel_multi_index((x, s), (nx, ns))  # refuses a symbol outside its alphabet
     return inverse_cdf_indexed(channel.table.reshape(nx * ns, ny), pairs, u)
@@ -428,6 +427,66 @@ def inverse_cdf(probs, u) -> np.ndarray:
     return _cdf_symbols(_capped_cdf(probs), u)
 
 
+def _sparse_iid_sampler(p: Distribution, size: int, max_rows: int):
+    """draw(rngs) -> one row of size i.i.d. p symbols per generator, a (len(rngs),
+    size) int8 block reused by the next call; at most max_rows generators.
+
+    Only the symbols off the most probable one, b, are drawn.  They sit at
+    the successes of a Bernoulli(rho) process, rho = 1 - p(b), whose gaps
+    are i.i.d. Geometric(rho), drawn by inversion as 1 + floor(log(1 - u) /
+    log(1 - rho)) (Devroye, Non-Uniform Random Variate Generation, 1986);
+    each success takes its symbol from p conditioned on not being b, by
+    inverse CDF (no draw when that law is a point mass).  A row draws
+    its gap uniforms in chunks of rho * size plus four standard deviations
+    until a gap lands past the row, then one uniform per success: about
+    rho * size uniforms instead of size, none when rho = 0.
+    """
+    b = int(np.argmax(p.probs))
+    rest = p.probs.copy()
+    rest[b] = 0.0
+    rho = float(rest.sum())
+    block = np.empty((max_rows, size), dtype=np.int8)
+    if rho == 0.0:
+        block.fill(b)
+        return lambda rngs: block[: len(rngs)]
+    others = np.flatnonzero(rest)
+    conditional = rest / rho
+    mean = rho * size
+    chunk = int(mean + 4.0 * math.sqrt(mean)) + 1
+    scale = 1.0 / math.log1p(-rho)
+    uniforms = np.empty((max_rows, chunk))
+    starts = np.arange(max_rows)[:, None] * size - 1  # flat index of row r's position -1
+
+    def ends(u):
+        """Gap uniforms to running gap sums along the last axis, in place; a
+        success sits at its sum - 1.  Sums up to size are exact in float64,
+        and once one passes size every later one does."""
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        u *= scale
+        np.floor(u, out=u)
+        u += 1.0
+        return np.add.accumulate(u, axis=-1, out=u)
+
+    def draw(rngs) -> np.ndarray:
+        rows = block[: len(rngs)]
+        rows.fill(b)
+        u = ends(_row_uniforms(uniforms[: len(rngs)], rngs))
+        rows.reshape(-1)[(u + starts[: len(rngs)])[u <= size].astype(np.intp)] = others[0]
+        for r, last in enumerate(u[:, -1].tolist()):
+            while last <= size:  # the chunk ended inside the row: draw the next
+                more = last + ends(rngs[r].random(chunk))
+                rows[r, (more[more <= size] - 1).astype(np.intp)] = others[0]
+                last = more[-1]
+        if others.size > 1:
+            for row, rng in zip(rows, rngs):
+                hits = np.flatnonzero(row != b)
+                row[hits] = inverse_cdf(conditional, rng.random(hits.size))
+        return rows
+
+    return draw
+
+
 def inverse_cdf_indexed(laws, index, u) -> np.ndarray:
     """inverse_cdf(laws[index], u) for a (count, k) table of laws.
 
@@ -436,6 +495,13 @@ def inverse_cdf_indexed(laws, index, u) -> np.ndarray:
     inverse_cdf, without a cumulative sum over every gathered row.
     """
     return _cdf_symbols(_capped_cdf(laws).take(index, axis=0), u)
+
+
+def _row_uniforms(out, rngs) -> np.ndarray:
+    """Fill row r of the 2-D out with uniforms from rngs[r], in place; returns out."""
+    for row, rng in zip(out, rngs):
+        rng.random(out=row)
+    return out
 
 
 def _capped_cdf(probs) -> np.ndarray:
