@@ -18,7 +18,7 @@ from . import lp
 TOLERANCE = 1e-9
 
 LOG_FLOOR = 1e-300  # guards log2 of structurally zero entries
-_SAMPLE_CHUNK = 1 << 16  # uniforms per pass of sample_iid: a 512 KB buffer
+_SAMPLE_CHUNK = 1 << 16  # symbols per sparse draw of sample_iid
 
 
 class InfeasibleSetError(ValueError):
@@ -399,20 +399,18 @@ def channel_sample_rows(x_rows, s_rows, channel: Channel, rngs) -> np.ndarray:
 
 
 def sample_iid(p: Distribution, shape, rng: np.random.Generator) -> np.ndarray:
-    """int8 array of the given shape with i.i.d. p entries, one uniform per entry.
+    """int8 array of the given shape with i.i.d. p entries.
 
-    The uniforms are drawn _SAMPLE_CHUNK at a time into one reused buffer.
-    A Generator fills in C order, so the entries are those of one
-    rng.random(shape) call, without a float64 held per entry.
+    The entries are filled in C order, _SAMPLE_CHUNK at a time, each piece
+    drawn from rng by _sparse_iid_sampler, so no buffer grows with the array.
     """
     out = np.empty(shape, dtype=np.int8)
     flat = out.reshape(-1)
-    cdf = _capped_cdf(p.probs)
-    buf = np.empty(min(flat.size, _SAMPLE_CHUNK))
     for lo in range(0, flat.size, _SAMPLE_CHUNK):
-        u = buf[: flat.size - lo]
-        rng.random(out=u)
-        flat[lo:lo + u.size] = _cdf_symbols(cdf, u)
+        piece = flat[lo:lo + _SAMPLE_CHUNK]
+        if lo == 0 or piece.size < _SAMPLE_CHUNK:  # the first piece, or a shorter last one
+            draw = _sparse_iid_sampler(p, piece.size, 1)
+        piece[:] = draw([rng])[0]
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
+from scipy.stats import chisquare
 
 from winavc import core
 from winavc.core import (
@@ -216,16 +217,28 @@ class TestSampleIid:
     # (1, 6, 3, 3)/13 has a cdf that ends at 1 - 2e-16
     @example(weights=[1, 6, 3, 3], shape=(64, 64), seed=0)
     @example(weights=[0, 0, 1, 6, 3, 3], shape=(0, 5), seed=1)
-    def test_matches_searchsorted_stream(self, weights, shape, seed):
-        # the (seed, trial, stream) contract: one uniform per entry, mapped
-        # by searchsorted over every cdf entry but the last
+    @example(weights=[0, 4, 0], shape=(3, 8), seed=2)
+    def test_int8_of_the_shape_on_the_support(self, weights, shape, seed):
         w = np.asarray(weights, dtype=float)
         p = Distribution(w / w.sum())
         got = sample_iid(p, shape, np.random.default_rng(seed))
-        u = np.random.default_rng(seed).random(shape)
-        want = np.searchsorted(np.cumsum(p.probs)[:-1], u, side="right").astype(np.int8)
-        assert got.dtype == np.int8 and got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert got.dtype == np.int8 and got.shape == tuple(shape)
+        assert (p.probs[got] > 0).all()
+
+    ROWS, COLS = 4096, 512  # a sweep cell's phase-1 codebook: 32 pieces of _SAMPLE_CHUNK
+
+    @pytest.mark.parametrize("probs", [[0.9, 0.1], [0.2, 0.5, 0.3]],
+                             ids=["bernoulli-0.1", "three-letters"])
+    def test_codebook_law(self, probs):
+        # symbol counts, and each column's symbol counts: a piece seam that
+        # biased the positions around it would show in its columns
+        p = Distribution(probs)
+        got = sample_iid(p, (self.ROWS, self.COLS), np.random.default_rng(60))
+        counts = np.stack([np.bincount(col, minlength=p.size) for col in got.T])
+        assert chisquare(counts.sum(axis=0), got.size * p.probs).pvalue > 1e-3
+        # each column's counts sum to ROWS: COLS * (size - 1) degrees of freedom
+        expected = np.broadcast_to(self.ROWS * p.probs, counts.shape)
+        assert chisquare(counts.ravel(), expected.ravel(), ddof=self.COLS - 1).pvalue > 1e-3
 
     # both cumulative sums end at 1 - 1e-16, below the largest uniform
     @pytest.mark.parametrize("probs", [[0.1] * 10, [0.1] * 10 + [0.0]],
