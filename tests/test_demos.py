@@ -25,10 +25,10 @@ STDOUT_DIGESTS = {
     "capacity_bitflip": "384ca316d5a21c7612d60a1997a5c59ead862894e0a356ef54ff647f8cb51d74",
     "guard_words_and_windows": "246675071b009e3b37852bbddf68709a92b2fe39c1b91c1df86fb0113fa4375e",
     "interleaved_layout": "a4e1ef8a7f6707b5fe6bb81c8fbe7387f51f73967c0c1092523134be23af990a",
-    "spoofing_attack": "ff9bf428d1cbb1172676aeb8cf52c0d559637f40e47f814120777d90601122fd",
-    "sweep_csv": "33da4f4c0beb2897a339b1619a03197740ba55507f815e0abc346a59807ab446",
+    "spoofing_attack": "df82b26fceb128470fc1c1b4ad3d3a218816743488af8360e768732d98ae7eb5",
+    "sweep_csv": "878b7c0e055fc6f4f133b3267a6581b0e16304870fb5ce143ac4e882c9aab238",
     "symmetrizability_map": "60a8a80cf2ef0f34812acb30321b17d2b8c7a1d7a49aa3a572ce83d5c6c9cdaa",
-    "three_phase_roundtrip": "fff80ffd8cff648f43c39ea8b9b29f17f44301b4787c3034bebe14f1b7340c16",
+    "three_phase_roundtrip": "f7faaec11869d75847850af6f3001fb237139cc8588c6b6426619908eca6f1fc",
 }
 
 

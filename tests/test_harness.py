@@ -247,13 +247,13 @@ class TestPinnedOutputs:
     def test_codec_build(self):
         codec, _ = build_codec_from_config(load_config(str(EXPERIMENT_JSON)))
         assert _digest(codec.message_ids) == (
-            "ea242f3fba1dff7e8ab93308e763f04326d6a2f6301bed4024ded7b2eaccd9d2"
+            "1a98595a5bb5ed965425dd80efde1849351043d2accc5d2e2890eb125adfba73"
         )
         assert _digest(codec.phase1_flat.codewords) == (
-            "652da3658a4f71eaddfa09009149d79266744ea20e2457a9c6d18f330ff983eb"
+            "aa97f14b95b32d1160bd9e004520048adf5a7cd99f7d262c9dbeb5ede5a80208"
         )
         assert _digest(codec.key_code.codewords) == (
-            "5b32844a843a625d04283185f2e835e985281c96780f5757301cc671d60f619f"
+            "660b73b35036922342b5c392272afd5b376c65253b0719b9d6c4c2254e4b0f7f"
         )
 
     def test_thm2_codec_build(self):
@@ -279,12 +279,12 @@ class TestPinnedOutputs:
         }
         assert digests == {
             "message_ids": "3275b8328bbe87edabce5d86b3d477076887fe3fdec4fbb812f40c0489753439",
-            "phase1": "e8c1632c3ff9b9acd6c1c13a3643c0efa718bf5594ff37764d6fe90192daaf48",
-            "key_codewords": "b92ef846e051ce9861c0d45b8ef8c71e73652f6f095a616327cb08f259c6e72b",
-            "key_ids": "5d600afa923e5283590a7abee5604ade97d0c9526cbfc12b5629f061946be7bd",
+            "phase1": "f9131461d04a35c2141bd663109148dbe5bfd4909b03c5a2b38af4f3fa4693f8",
+            "key_codewords": "9867eba5ca33630406c4217132f6596372279ac72e6a7de3a6155111eead0bc5",
+            "key_ids": "ae6ec34a71a4ad40c53b696e652b7eeb68ee3770e8cd7ab10e96bdc5c7aa382e",
             "phase2": "a601151925a76921836e4b338ab015cd676b48eaa932533fabaae1b5f8ac2569",
             "phase3_skeleton": "002a186bc0d71ee6fa56f71cf7b0e10ebdb02b0c7cd671442491e6844af876dc",
-            "encode": "3bee16a35d2c2a19642e0cf69ed8df5d4dba03a7fc1a6fffaed498df6c6b2581",
+            "encode": "1724c28c2dccfda837d13f0fe204c8561851fb84a332bd8d17d739a0e2bb28c4",
         }
 
     def test_likelihood_codec_build(self):
@@ -326,10 +326,10 @@ class TestPinnedOutputs:
         }
         assert digests == {
             "message_ids": "3275b8328bbe87edabce5d86b3d477076887fe3fdec4fbb812f40c0489753439",
-            "phase1": "8f57a97b7be4a1193f1df74370e4f96c53f3e090b86ac003e32f1dc83bc23405",
-            "key_codewords": "eb08f7bc89db8566ea120abd0ce282d14dc81fbf10a0a21561f239f358bb4ef3",
-            "key_ids": "69184f4dd1032774380db4693aebe4056c03d38c588a5af56fbb28cb6d33b29b",
-            "decodes": "cb5728e6fc79fc44481fe8611d345b9ee613eb9ff8769e8b3dd14b0f73a781cc",
+            "phase1": "4a3c63119c1fe266d06f5501c588b84f7474633e4f062c7074e010968f081173",
+            "key_codewords": "73ce7f94092fb7a1bcec46013a7e31803fb2157ca257a2b3f9aabcd09a0d1fd3",
+            "key_ids": "0aa9cc072f92588884806c73d457ac794834124c4d16f4754e2ad8919492bb66",
+            "decodes": "c913a5ce33eb15c6378c4478030fbf6d8616362ad5eb5e24498142cfdfea25a1",
         }
 
     def test_trial_outcomes(self):
@@ -351,20 +351,20 @@ class TestPinnedOutputs:
         ]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == (
-            "624da4f2acc8df9ec5485ac411c4110f8600460a067a7e1da7d370c3e737fe57"
+            "a48d4e3c565f50213098e43ef9707e07300e831110bd92cd5e509c8d405684ec"
         )
 
     @pytest.mark.parametrize("make_config, digest", [
         (lambda: experiment_variant(jammer=JammerParams(kind="spoof")),
-         "5d32fc967e8fcb15e4d0b24a843400231814960d9fd7332ee44c6c54911ce77f"),
+         "9ccf5a2ef826d5e0fd0e23301cdcee93a0c04ed13738521995fd06fc129f36f9"),
         (lambda: spoofing_regime_config("spoof"),
-         "dab4929cde1464233a917680336b43dd08495efbfcac43b8e2f4c629e764278e"),
+         "83c5433e483692333eb45a1d1e50a1669e6382de7c86ca3f32df8680afca5090"),
         (lambda: spoofing_regime_config("symmetrize"),
-         "c80270e9cfc3720ef310896915e73f2a615633305059491f8ad8913f1ac65b07"),
+         "6365fbe6384beb4d1fe7a137ef2ac6932bb6bb57d98adb35bb0ffe24feb41b93"),
         (lambda: experiment_variant(jammer=JammerParams(kind="none")),
-         "c6ee69d203b2011c491231351ae13a7f843fef62a840516a8b40588b69743a37"),
+         "7c0a4254d85d9b5449db0de8be63d1aef2d4ca0841a707bb15b70dfb949bd1ac"),
         (lambda: experiment_variant(error_criterion="max"),
-         "fc7c78e668e41dbd2588120adb4ad3541d8863d6dbff37f516375b1d943b16cc"),
+         "3ab30e86fb91e5fda7fcbe34acfa8f44e01a0d1ec5ce91a7de57adbc4e9fc71c"),
     ], ids=["spoof-forfeits", "spoof-admissible", "symmetrize", "none", "max-criterion"])
     def test_other_jammer_records(self, make_config, digest):
         # the trial paths test_trial_records leaves out: every TrialRecord field
