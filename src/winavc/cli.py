@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import (
+    _SADDLE_TOL,
     bitflip_list_capacity,
     list_capacity,
     oblivious_capacity,
@@ -93,7 +94,7 @@ def _cmd_capacity(args) -> int:
         "argmax_px": list(np.round(res.argmax_px.probs, 9)),
         "argmin_qs": list(np.round(res.argmin_qs.probs, 9)),
         "verdict": verdict.status,
-        "status": "ok",
+        "status": "ok" if res.upper - res.lower <= _SADDLE_TOL else "step-cap",
     }
     if args.with_oblivious:
         obl = oblivious_capacity(spec.gamma, spec.lam, spec.channel)

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from winavc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
@@ -56,6 +57,25 @@ def test_capacity_json_format(bitflip_config, capsys):
     assert doc["c_list"] == pytest.approx(0.3578, abs=1e-3)
     assert doc["lower"] <= doc["c_list"] <= doc["upper"]
     assert doc["verdict"] == "equals_Clist_thm1"
+
+
+def test_capacity_status_names_the_step_cap(tmp_path, capsys, monkeypatch):
+    # a seeded ternary channel: certified within the real cap, not within 3 steps
+    table = np.random.default_rng(0).dirichlet(np.ones(3), size=9)
+    doc = {"alphabets": {"x": 3, "s": 3, "y": 3}, "channel": table.tolist(),
+           "gamma": [{"coeffs": [0, 1, 1], "bound": 0.6}],
+           "lambda": [{"coeffs": [0, 1, 1], "bound": 0.3}]}
+    path = tmp_path / "ternary.json"
+    path.write_text(json.dumps(doc))
+    argv = ["capacity", "--config", str(path), "--format", "json"]
+    assert cli_main(argv) == EXIT_OK
+    done = json.loads(capsys.readouterr().out)
+    assert done["status"] == "ok" and done["upper"] - done["lower"] <= 1e-6
+    monkeypatch.setattr("winavc.capacity._SADDLE_MAX_ITER", 3)
+    assert cli_main(argv) == EXIT_OK
+    capped = json.loads(capsys.readouterr().out)
+    assert capped["status"] == "step-cap" and capped["upper"] - capped["lower"] > 1e-6
+    assert capped["lower"] <= done["c_list"] <= capped["upper"]
 
 
 @pytest.mark.parametrize("doc", [None, {"alphabets": 3}, [1, 2]],
