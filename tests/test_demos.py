@@ -16,11 +16,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # was re-recorded when the i.i.d. jammer began restarting each candidate
 # after its first violating window, which changes its seeded stream, and
 # with the spoofing demo's when the i.i.d. jammer began drawing its states
-# by geometric gaps and each trial began drawing from one Generator.  The
-# bit-flip capacity demo's was re-recorded when its last column became the
-# certified width upper - lower in place of the one-sided gap estimate, and
-# again when the saddle solver's two bounds began to differ by rounding
-# (about 3e-17) in 4 of its 12 rows.
+# by geometric gaps and each trial began drawing from one Generator.  Those
+# two and the sweep demo's were re-recorded when codebooks began drawing
+# through the same sparse kernel.  The bit-flip capacity demo's was
+# re-recorded when its last column became the certified width upper - lower
+# in place of the one-sided gap estimate, and again when the saddle solver's
+# two bounds began to differ by rounding (about 3e-17) in 4 of its 12 rows.
 STDOUT_DIGESTS = {
     "capacity_bitflip": "384ca316d5a21c7612d60a1997a5c59ead862894e0a356ef54ff647f8cb51d74",
     "guard_words_and_windows": "246675071b009e3b37852bbddf68709a92b2fe39c1b91c1df86fb0113fa4375e",

@@ -241,7 +241,10 @@ class TestPinnedOutputs:
     window.  They were re-recorded again, with every other trial record (the
     spoof, symmetrize, none and max-criterion runs), when the i.i.d. jammer
     began drawing only its sparse states, by geometric gaps, and each trial
-    began drawing everything from one Generator; the codec builds held.
+    began drawing everything from one Generator; the codec builds held.  The
+    codec builds, the likelihood decodes and every trial record were
+    re-recorded when codebooks began drawing through the same sparse kernel;
+    the trial outcomes and the CLI stdout held.
     """
 
     def test_codec_build(self):

@@ -101,7 +101,7 @@ class TestIidJammer:
 
 
 class TestSparseDraw:
-    """The i.i.d. jammer's sparse block sampler draws i.i.d. symbols of its law.
+    """The sparse i.i.d. sampler behind the jammer's blocks draws i.i.d. symbols of its law.
 
     Symbol counts over all rows are multinomial.  Cutting each row into
     segments of SEGMENT symbols, the offset of a segment's first symbol off
