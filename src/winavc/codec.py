@@ -256,12 +256,16 @@ def _random_code(
     *,
     prefix_context=None,
     suffix_context=None,
+    fiber: int = 1,
 ) -> tuple[ListCode, ExpurgationStats]:
     """Sample count i.i.d. law rows and expurgate them in their segment.
 
     Each row is written, in order, into the -1 entries (the slots) of the
     skeleton; the code length is the slot count.  Each filled segment is
-    window-checked between prefix_context and suffix_context.
+    window-checked between prefix_context and suffix_context.  Rows come in
+    hash fibers of `fiber` consecutive ids, one message's codewords, and a
+    fiber that lost a row to expurgation is dropped whole.  When no row is
+    dropped the code holds the sampled rows themselves, not a copy.
     """
     if count > _MAX_CODEWORDS:
         raise ValueError(
@@ -277,11 +281,22 @@ def _random_code(
     kept, stats = expurgate(
         segments, w_x, gamma, prefix_context=prefix_context, suffix_context=suffix_context
     )
-    if stats.kept_indices.size == 0:
+    ids = stats.kept_indices
+    if ids.size == 0:
         raise CodeConstructionError("expurgation removed every codeword")
-    if segments is not raw:
-        kept = raw[stats.kept_indices]  # the kept rows without the skeleton's fixed symbols
-    return ListCode(codewords=kept, ids=stats.kept_indices.astype(np.int64)), stats
+    if fiber > 1 and stats.removed:
+        complete = np.bincount(ids // fiber, minlength=count // fiber) == fiber
+        ids = ids[complete[ids // fiber]]
+        if ids.size == 0:
+            raise CodeConstructionError(
+                "no message kept a complete hash fiber after expurgation"
+            )
+    if segments is not raw or ids.size < kept.shape[0]:
+        # expurgate's rows carry the skeleton's symbols or a dropped fiber's
+        # rows: they are freed before the code's one copy of its rows
+        del kept, segments
+        kept = raw if ids.size == count else raw[ids]
+    return ListCode(codewords=kept, ids=ids.astype(np.int64)), stats
 
 
 def _pack_bits(rows: np.ndarray) -> np.ndarray:
@@ -697,18 +712,11 @@ def build_three_phase_codec(
     # Phase 1: one codeword per (message, hash value) pair; messages whose
     # hash fiber lost a codeword to expurgation are dropped.  Expurgation
     # trims the phase-2 context to the w_x - 1 symbols a window can reach.
-    raw, p1_stats = _random_code(
+    phase1, p1_stats = _random_code(
         np.full(plan.n1, -1, dtype=np.int8), n_msg * q, params.p_x, gamma, plan.w_x, rng,
-        suffix_context=phase2_seq,
+        suffix_context=phase2_seq, fiber=q,
     )
-    msg_keep = np.bincount(raw.ids // q, minlength=n_msg) == q
-    message_ids = np.flatnonzero(msg_keep)
-    if message_ids.size == 0:
-        raise CodeConstructionError(
-            "no message kept a complete hash fiber after expurgation"
-        )
-    row_keep = msg_keep[raw.ids // q]
-    phase1 = ListCode(codewords=raw.codewords[row_keep], ids=raw.ids[row_keep])
+    message_ids = phase1.ids[::q] // q  # each kept message holds q consecutive rows
 
     keys, key_stats = _random_code(
         phase3_skeleton, q * q, key_t, gamma, plan.w_x, rng, prefix_context=phase2_seq,

@@ -15,9 +15,11 @@ INCLUSIVE_RANGE = "inclusive-range"
 
 # expurgate checks codebooks in row blocks.  A block's boolean and uint8
 # window-count arrays take rows x n bytes each, a few alive at once; at 1024
-# rows and n of a few hundred they stay inside a 2 MiB L2 cache, and
-# expurgating 4096 x 512 and 4096 x 128 codebooks at w = 64 took about 25%
-# less time than with 2048-row blocks (Xeon, 2 MiB L2 per core).
+# rows and n of a few hundred they stay inside a 2 MiB L2 cache.  Timed in
+# the `sweep` command's cells, where each 4096 x 512 and 4096 x 128 codebook
+# expurgated at w = 64 is freshly sampled between other work, expurgation
+# took 4.3 ms per cell with 1024-row blocks, 5.0 ms with 512 and 6.1 ms with
+# 2048 (medians of three runs; Xeon, 2 MiB L2 per core).
 _CHUNK_ROWS = 1024
 
 
@@ -60,7 +62,7 @@ def verify_windows(
     if n_starts <= 0:
         return WindowReport(True, (), 0)
     starts = np.flatnonzero(violation_flags(arr, w, c)[:n_starts])
-    counts = np.column_stack([_window_counts(arr == s, w)[starts] for s in range(c.dim)])
+    counts = np.column_stack([_window_counts(arr, s, w)[starts] for s in range(c.dim)])
     violations = tuple(
         (int(t), Distribution(row / w)) for t, row in zip(starts, counts)
     )
@@ -124,42 +126,57 @@ def expurgate(
     When a context is supplied, windows straddling the codeword/context
     boundary are checked as well (suffix_context follows the codeword,
     prefix_context precedes it); windows lying entirely inside a context
-    are not attributed to the codeword.
+    are not attributed to the codeword.  When no codeword is dropped, kept is
+    the int8 codebook itself, not a copy: it may be the caller's own rows,
+    and they are read-only once wrapped in a ListCode.
     """
     mat = np.atleast_2d(np.asarray(codebook, dtype=np.int8))
     m, n = mat.shape
     if m == 0:
         raise ValueError("codebook must be non-empty")
-    pre = np.asarray(prefix_context, dtype=np.int8) if prefix_context is not None else None
-    suf = np.asarray(suffix_context, dtype=np.int8) if suffix_context is not None else None
-    if pre is not None and pre.size >= w_x:
-        pre = pre[-(w_x - 1):] if w_x > 1 else pre[:0]
-    if suf is not None and suf.size >= w_x:
-        suf = suf[: w_x - 1]
-
-    # Contexts are trimmed to w_x - 1 symbols above, so every window of the
-    # extended sequence overlaps the codeword itself.
-    pre_len = 0 if pre is None else pre.size
-    ext_len = pre_len + n + (0 if suf is None else suf.size)
+    # A window that overlaps the codeword reaches at most w_x - 1 symbols into
+    # a context, so each context is trimmed to those.
+    reach = w_x - 1
+    pre = np.asarray([] if prefix_context is None else prefix_context, dtype=np.int8)
+    pre = pre[pre.size - min(pre.size, reach):]
+    suf = np.asarray([] if suffix_context is None else suffix_context, dtype=np.int8)[:reach]
+    ext_len = pre.size + n + suf.size
     if ext_len < w_x:
         raise ValueError(f"window length {w_x} exceeds extended sequence length {ext_len}")
 
     keep = np.ones(m, dtype=bool)
     for lo in range(0, m, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, m)
-        chunk = mat[lo:hi]
-        parts = []
-        if pre is not None:
-            parts.append(np.broadcast_to(pre, (hi - lo, pre.size)))
-        parts.append(chunk)
-        if suf is not None:
-            parts.append(np.broadcast_to(suf, (hi - lo, suf.size)))
-        ext = np.concatenate(parts, axis=1)
-        keep[lo:hi] = ~_window_violations(ext, w_x, gamma).any(axis=1)
+        block = mat[lo:lo + _CHUNK_ROWS]
+        if n < w_x:
+            # a window can cover the whole codeword: check it between its contexts
+            bad = _violates_any(_between(pre, block, suf), w_x, gamma)
+        else:
+            # the windows inside the codeword on the block as it lies, and those
+            # reaching into a context on a seam of w_x - 1 codeword columns
+            bad = _violates_any(block, w_x, gamma)
+            if pre.size:
+                bad |= _violates_any(_between(pre, block[:, :reach], suf[:0]), w_x, gamma)
+            if suf.size:
+                bad |= _violates_any(_between(pre[:0], block[:, n - reach:], suf), w_x, gamma)
+        keep[lo:lo + block.shape[0]] = ~bad
 
     kept_idx = np.flatnonzero(keep)
     stats = ExpurgationStats(total=m, removed=int(m - kept_idx.size), kept_indices=kept_idx)
-    return mat[keep], stats
+    return (mat if stats.removed == 0 else mat[kept_idx]), stats
+
+
+def _between(pre: np.ndarray, block: np.ndarray, suf: np.ndarray) -> np.ndarray:
+    """The rows of block, each with the 1-D pre before it and suf after it."""
+    rows = block.shape[0]
+    return np.concatenate(
+        [np.broadcast_to(pre, (rows, pre.size)), block, np.broadcast_to(suf, (rows, suf.size))],
+        axis=1,
+    )
+
+
+def _violates_any(mat: np.ndarray, w: int, gamma: ConstraintSet) -> np.ndarray:
+    """Per row of mat: does any length-w window of it leave gamma?"""
+    return _window_violations(mat, w, gamma).any(axis=1)
 
 
 def windows_valid(seq, w: int, c: ConstraintSet) -> bool:
@@ -171,7 +188,7 @@ def windows_valid_rows(mat, w: int, c: ConstraintSet) -> np.ndarray:
     """Per-row window validity for a matrix of sequences."""
     arr = np.atleast_2d(np.asarray(mat, dtype=np.int8))
     _check_window(w, arr.shape[1])
-    return ~_window_violations(arr, w, c).any(axis=1)
+    return ~_violates_any(arr, w, c)
 
 
 def violation_flags(seq, w: int, c: ConstraintSet) -> np.ndarray:
@@ -191,27 +208,34 @@ def _check_window(w: int, n: int) -> None:
         raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w}")
 
 
-def _window_counts(ind: np.ndarray, w: int) -> np.ndarray:
-    """Counts of the True entries of the 1-D ind in each length-w window, one per start.
+def _window_counts(seq: np.ndarray, s: int, w: int) -> np.ndarray:
+    """Counts of symbol s in each length-w window of seq, read flat, one per start.
 
     Sums over windows of 1, 2, 4, ... entries come from doubling, and those
     of the bits set in w add up to w: about 2 log2(w) vector adds in the
-    narrowest integer type that holds w.
+    narrowest integer type that holds w.  The doubling sums overwrite one
+    scratch buffer, the indicator of s, in place, and the total is summed in
+    place: a call allocates at most three arrays whatever w is.
     """
-    if w < 1 << 8:
-        block = ind.view(np.uint8)
-    else:
-        block = ind.astype(np.uint16 if w < 1 << 16 else np.int64)
+    ind = (seq == s).reshape(-1)
+    block = ind.view(np.uint8) if w < 1 << 8 else ind.astype(np.uint16 if w < 1 << 16 else np.int64)
     starts = ind.size - w + 1
-    total, have, size = None, 0, 1
+    total, have, size, valid = None, 0, 1, ind.size
     while True:
-        # block[t] counts entries t..t+size-1, total[t] entries t..t+have-1
+        # block[t] counts entries t..t+size-1 (t < valid), total[t] entries t..t+have-1
+        last = 2 * size > w
         if w & size:
-            total = block[:starts] if total is None else total + block[have:have + starts]
+            part = block[have:have + starts]
+            if total is None:
+                total = part if last else part.copy()
+            else:
+                total += part
             have += size
-        if 2 * size > w:
+        if last:
             return total
-        block = block[:-size] + block[size:]
+        # in place: each sum reads only entries at or after the one it overwrites
+        np.add(block[: valid - size], block[size:valid], out=block[: valid - size])
+        valid -= size
         size *= 2
 
 
@@ -270,7 +294,7 @@ def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet) -> np.ndar
     rows, n = mat.shape
     if tests.always:
         return np.ones((rows, n - w + 1), dtype=bool)
-    counts = {s: _window_counts((mat == s).reshape(-1), w) for s in tests.symbols}
+    counts = {s: _window_counts(mat, s, w) for s in tests.symbols}
     flags = np.zeros(rows * n, dtype=bool)
     live = flags[: rows * n - w + 1]
     for s, k in tests.at_least:

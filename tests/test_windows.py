@@ -186,6 +186,16 @@ class TestExpurgate:
         for row in kept:
             assert verify_windows(row, 16, g).valid
 
+    def test_kept_rows_are_the_input_unless_one_is_dropped(self):
+        g = ConstraintSet.weight_cap(0.25)
+        words = np.zeros((3, 16), dtype=np.int8)
+        kept, _ = expurgate(words, 4, g)
+        assert np.shares_memory(kept, words)
+        words[1, :2] = 1
+        kept, stats = expurgate(words, 4, g)
+        assert stats.kept_indices.tolist() == [0, 2]
+        assert not np.shares_memory(kept, words)
+
     def test_suffix_straddle_detected(self):
         # codeword is fine alone; the straddle with the context violates
         g = ConstraintSet.weight_cap(0.25)
@@ -195,6 +205,9 @@ class TestExpurgate:
         suffix = np.array([1, 0, 0], dtype=np.int8)
         _, stats = expurgate(word, 4, g, suffix_context=suffix)
         assert stats.removed == 1
+        # a violating window past the 3 suffix symbols a straddle reaches is not the codeword's
+        far = np.array([0, 0, 0, 1, 1], dtype=np.int8)
+        assert expurgate(word, 4, g, suffix_context=far)[1].removed == 0
 
     def test_prefix_straddle_detected(self):
         g = ConstraintSet.weight_cap(0.25)
@@ -205,6 +218,8 @@ class TestExpurgate:
         assert stats.removed == 1
         _, stats2 = expurgate(word, 4, g)
         assert stats2.removed == 0
+        far = np.array([1, 1, 0, 0, 0], dtype=np.int8)
+        assert expurgate(word, 4, g, prefix_context=far)[1].removed == 0
 
     def test_matches_single_sequence_verifier(self):
         rng = np.random.default_rng(11)
@@ -269,9 +284,12 @@ class TestWindowKernelBruteForce:
         symbols = st.integers(0, cset.dim - 1)
         rows = data.draw(st.integers(1, 6), label="rows")
         n = data.draw(st.integers(1, 10), label="n")
-        w = data.draw(st.integers(1, n), label="w")
-        pre = data.draw(st.lists(symbols, min_size=1, max_size=8), label="prefix")
-        suf = data.draw(st.lists(symbols, min_size=1, max_size=8), label="suffix")
+        # each context may be absent, or longer than the w - 1 symbols it is trimmed to
+        contexts = st.none() | st.lists(symbols, max_size=12)
+        pre = data.draw(contexts, label="prefix")
+        suf = data.draw(contexts, label="suffix")
+        # a window may cover the whole codeword and both contexts
+        w = data.draw(st.integers(1, len(pre or []) + n + len(suf or [])), label="w")
         mat = np.array(data.draw(st.lists(
             symbols, min_size=rows * n, max_size=rows * n,
         ), label="symbols"), dtype=np.int8).reshape(rows, n)
@@ -279,8 +297,8 @@ class TestWindowKernelBruteForce:
         # that overlaps the codeword violates
         want = []
         for r, row in enumerate(mat.tolist()):
-            ext = pre + row + suf
-            lo, hi = len(pre), len(pre) + n
+            ext = (pre or []) + row + (suf or [])
+            lo, hi = len(pre or []), len(pre or []) + n
             bad = any(
                 _violates(ext[t:t + w], cset)
                 for t in range(len(ext) - w + 1) if t < hi and t + w > lo
@@ -289,8 +307,8 @@ class TestWindowKernelBruteForce:
                 want.append(r)
         kept, stats = expurgate(
             mat, w, cset,
-            suffix_context=np.array(suf, dtype=np.int8),
-            prefix_context=np.array(pre, dtype=np.int8),
+            suffix_context=None if suf is None else np.array(suf, dtype=np.int8),
+            prefix_context=None if pre is None else np.array(pre, dtype=np.int8),
         )
         assert stats.kept_indices.tolist() == want
         assert np.array_equal(kept, mat[want])
