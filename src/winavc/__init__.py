@@ -34,7 +34,6 @@ from .core import (
     binary_entropy,
     bitflip_spec,
     entropy,
-    mutual_information,
 )
 from .harness import (
     ExperimentConfig,
