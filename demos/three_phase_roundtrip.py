@@ -12,6 +12,7 @@ from winavc import (
     Distribution,
     bitflip_spec,
     build_three_phase_codec,
+    hamming_budget,
 )
 from winavc.core import channel_sample_rows
 from winavc.jammers import iid_jammer_rows
@@ -34,11 +35,14 @@ print(f"segments: list codeword {plan.n1} | guard {plan.phase2_len} | "
 print(f"messages kept: {codec.message_count} of {build_stats['messages_built']} "
       f"(phase-1 removal {build_stats['phase1_removed_fraction']:.2%})")
 print(f"key pairs kept: {codec.key_code.ids.size} of {build_stats['key_total']}")
+# the key code decodes to its nearest codeword and keeps no budget of its own;
+# this is the most corruption an admissible jammer can put on the key segment
+key_radius = hamming_budget(plan.phase3_len, w_s, lam).radius
 print(f"decoding budgets: phase-1 radius {codec.budget1.radius}, "
-      f"key radius {codec.budget3.radius}")
+      f"key radius {key_radius}")
 
 m = codec.draw_message(rng)
-r1, r2 = codec.draw_keys(rng)
+r1, r2 = codec.key_code.draw_keys(rng)
 x = codec.encode_rows([m], [r1], [r2])[0]
 print(f"\nsent message id {int(codec.message_ids[m])} with keys (r1, r2) = ({r1}, {r2})")
 

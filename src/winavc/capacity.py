@@ -24,6 +24,7 @@ from .core import (
     WindowedAvcSpec,
     binary_convolution,
     binary_entropy,
+    _log_ratio,
     _mi_from_induced,
 )
 from .symmetrize import (
@@ -100,14 +101,6 @@ def _golden_max(f, lo: float, hi: float, *, tol: float = 1e-9, max_iter: int = 2
     evals += 2
     x, fx = max(ends, key=lambda t: t[1])
     return x, fx, evals
-
-
-def _log_ratio(px: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """log2 V(y|x) / (PV)(y), shape (|X|, |Y|), 0 where V(y|x) = 0."""
-    py = px @ v
-    log_ratio = np.log2(np.maximum(v, LOG_FLOOR) / np.maximum(py, LOG_FLOOR)[None, :])
-    log_ratio[v <= 0] = 0.0
-    return log_ratio
 
 
 def _mi_grad_q(px: np.ndarray, q: np.ndarray, channel: Channel) -> np.ndarray:

@@ -35,6 +35,7 @@ from .harness import (
     _parse_spec,
     config_from_dict,
     format_csv,
+    read_json,
     run_trials,
     sweep,
 )
@@ -60,14 +61,6 @@ def _setup_logging() -> None:
     )
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
 def _emit(payload, args, columns=None) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -84,7 +77,7 @@ def _emit(payload, args, columns=None) -> None:
 
 
 def _cmd_capacity(args) -> int:
-    spec = _parse_spec(_load_json(args.config))
+    spec = _parse_spec(read_json(args.config))
     verdict = windowed_capacity_verdict(spec)
     res = verdict.capacity
     row = {
@@ -105,7 +98,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
-    spec = _parse_spec(_load_json(args.config))
+    spec = _parse_spec(read_json(args.config))
     if args.scan:
         witness = scan_nonsymmetrizable(spec.gamma, spec.channel, spec.lam)
         row = {
@@ -138,7 +131,7 @@ def _cmd_symmetrize(args) -> int:
 
 
 def _cmd_check_windows(args) -> int:
-    doc = _load_json(args.config)
+    doc = read_json(args.config)
     try:
         seq = doc["sequence"]
         w = _json_int(doc["window"], "window")
@@ -164,7 +157,7 @@ def _cmd_check_windows(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = config_from_dict(_load_json(args.config))
+    config = config_from_dict(read_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     stats = run_trials(config, keep_records=False)
@@ -185,7 +178,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grid = _load_json(args.config)
+    grid = read_json(args.config)
     if not isinstance(grid, dict):
         raise ConfigError(f"sweep grid must be a JSON object, got {type(grid).__name__}")
     if args.seed is not None:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import gf2
 from .core import (
+    LOG_FLOOR,
     Channel,
     ConstraintSet,
     Distribution,
@@ -36,11 +37,11 @@ from .symmetrize import ecn_symmetrizable, gamma_prime
 from .windows import (
     ExpurgationStats,
     _rounded_counts,
+    _window_counts,
     block_pattern,
     expurgate,
     guard_word,
     verify_windows,
-    windows_valid,
     windows_valid_rows,
 )
 
@@ -180,7 +181,7 @@ def likelihood_budget(p_x: Distribution, channel: Channel, lam: ConstraintSet) -
     slack of _LL_SLACK bits.
     """
     v = induced_channel(lam.feasible_point(), channel)
-    ll = np.log2(np.maximum(v, 1e-300))
+    ll = np.log2(np.maximum(v, LOG_FLOOR))
     ll[v <= 0] = -300.0
     # d[s] = E[ll(y|x)] contribution of state s under the true input law
     d = np.einsum("x,xsy,xy->s", p_x.probs, channel.table, ll)
@@ -441,9 +442,7 @@ def build_interleaved_region(plan: PhasePlan, t1: Distribution, t2: Distribution
 
 def type1_window_fractions(plan: PhasePlan) -> np.ndarray:
     """Sliding-window type-1 location fractions over phases II and III."""
-    c = np.concatenate([[0], np.cumsum(_type1_mask(plan))])
-    w = plan.w_x
-    return (c[w:] - c[:-w]) / w
+    return _window_counts(_type1_mask(plan), True, plan.w_x) / plan.w_x
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +474,9 @@ class KeyCode(ListCode):
         return divmod(int(self.ids[rng.integers(self.ids.size)]), self.q)
 
     def decode_rows(self, y_rows, budget: JamBudget) -> tuple[np.ndarray, np.ndarray]:
-        """Best key pair under the budget scoring for each row of a (rows, n) output
-        block, as arrays (r1, r2); ties go to the smallest key id, the first in ids."""
+        """Best key pair for each row of a (rows, n) output block, as arrays (r1, r2),
+        by the budget's scores alone (its threshold is not read); ties go to the
+        smallest key id, the first in ids."""
         scores, _ = self.score_rows(y_rows, budget)
         return np.divmod(self.ids[np.argmin(scores, axis=1)], self.q)
 
@@ -498,7 +498,7 @@ class CodecParams:
     message_bits: int
     p_x: Distribution
     field_bits: int = 6
-    key_type: Distribution | None = None  # defaults to p_x
+    key_type: Distribution | None = None  # thm1; defaults to p_x
     key_len: int | None = None  # default 2*w_x; thm2 rounds up to whole windows
     lam_frac: float = 0.1  # thm2
     t1: Distribution | None = None  # thm2
@@ -514,12 +514,16 @@ def make_phase_plan(params: CodecParams, w_x: int, w_s: int) -> PhasePlan:
     w_s; the key length defaults to 2*w_x.
 
     The interleaved layout needs w_s <= w_x and rounds the key length up to
-    whole windows of w_s key slots each.
+    whole windows of w_s key slots each.  A law the layout does not read is
+    refused: t1 and t2 under thm1, key_type under thm2.
     """
     key_len = params.key_len if params.key_len is not None else 2 * w_x
     if key_len < 1:
         raise ValueError("key code length must be >= 1")
     if params.layout == LAYOUT_THM1:
+        ignored = [k for k in ("t1", "t2") if getattr(params, k) is not None]
+        if ignored:
+            raise ValueError(f"layout {LAYOUT_THM1!r} does not read {' or '.join(ignored)}")
         return PhasePlan(
             layout=LAYOUT_THM1, n1=params.n1, w_x=w_x, w_s=w_s,
             phase2_len=w_x, phase3_len=key_len,
@@ -534,6 +538,8 @@ def make_phase_plan(params: CodecParams, w_x: int, w_s: int) -> PhasePlan:
             f"interleaved layout {LAYOUT_THM2!r} requires t1 and t2; "
             f"missing {', '.join(missing)}"
         )
+    if params.key_type is not None:
+        raise ValueError(f"layout {LAYOUT_THM2!r} does not read key_type; its keys ride on t1")
     interleave_allocation(w_x, w_s, params.lam_frac, 0, "III")  # refuses w_s > w_x, lam_frac <= 0
     n2_windows = 1 + math.ceil(1.0 / params.lam_frac)
     n3_windows = math.ceil(key_len / w_s)
@@ -564,8 +570,7 @@ class ThreePhaseCodec:
     phase2_seq: np.ndarray
     phase3_skeleton: np.ndarray  # key segment with its key slots left as -1
     key_code: KeyCode
-    budget1: JamBudget  # phase-1 list decoding
-    budget3: JamBudget  # key decoding
+    budget1: JamBudget  # phase-1 list decoding; key decoding reads only its scoring
 
     def __post_init__(self):
         self.message_ids.setflags(write=False)
@@ -589,9 +594,6 @@ class ThreePhaseCodec:
 
     def draw_message(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.message_count))
-
-    def draw_keys(self, rng: np.random.Generator) -> tuple[int, int]:
-        return self.key_code.draw_keys(rng)
 
     @property
     def key_slots(self) -> np.ndarray:
@@ -638,7 +640,7 @@ class ThreePhaseCodec:
                 f"output length {y.shape[-1]} != transmission length {self.plan.total_length}"
             )
         listings = list_decode_rows(y[:, : self.plan.n1], self.phase1_flat, self.budget1)
-        r1s, r2s = self.key_code.decode_rows(y[:, self.key_slots], self.budget3)
+        r1s, r2s = self.key_code.decode_rows(y[:, self.key_slots], self.budget1)
         return [
             self._filter(listing, int(r1), int(r2))
             for listing, r1, r2 in zip(listings, r1s, r2s)
@@ -695,19 +697,19 @@ def build_three_phase_codec(
         )
     # The buffer region must be feasible on its own before anything random
     # is attached to it.
-    if plan.phase2_len >= plan.w_x and not windows_valid(phase2_seq, plan.w_x, gamma):
-        rep = verify_windows(phase2_seq, plan.w_x, gamma)
+    rep = verify_windows(phase2_seq, plan.w_x, gamma)
+    if not rep.valid:
         raise CodeConstructionError(
             f"deterministic buffer violates an input window at start "
             f"{rep.first_violation()}"
         )
 
+    # budget1 also scores the key words, nearest first: a Hamming score reads
+    # no radius, and the likelihood table depends on lam and the channel only.
     if channel.is_binary_additive():
         budget1 = hamming_budget(plan.n1, plan.w_s, lam)
-        budget3 = hamming_budget(plan.phase3_len, plan.w_s, lam)
     else:
         budget1 = likelihood_budget(params.p_x, channel, lam)
-        budget3 = likelihood_budget(key_t, channel, lam)
 
     # Phase 1: one codeword per (message, hash value) pair; messages whose
     # hash fiber lost a codeword to expurgation are dropped.  Expurgation
@@ -733,7 +735,6 @@ def build_three_phase_codec(
         phase3_skeleton=phase3_skeleton,
         key_code=key_code,
         budget1=budget1,
-        budget3=budget3,
     )
     build_stats = {
         "hash_collision_bound": hp.collision_bound,

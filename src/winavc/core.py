@@ -371,11 +371,16 @@ def mutual_information(p_x: Distribution, q_s: Distribution, channel: Channel) -
 
 
 def _mi_from_induced(px: np.ndarray, v: np.ndarray) -> float:
-    py = px @ v
-    ratio = np.log2(np.maximum(v, LOG_FLOOR) / np.maximum(py, LOG_FLOOR)[None, :])
-    terms = px[:, None] * v * ratio
-    terms[v <= 0] = 0.0
+    terms = px[:, None] * v * _log_ratio(px, v)
     return max(float(terms.sum()), 0.0)
+
+
+def _log_ratio(px: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log2 V(y|x) / (PV)(y), shape (|X|, |Y|), 0 where V(y|x) = 0."""
+    py = px @ v
+    log_ratio = np.log2(np.maximum(v, LOG_FLOOR) / np.maximum(py, LOG_FLOOR)[None, :])
+    log_ratio[v <= 0] = 0.0
+    return log_ratio
 
 
 def channel_sample_rows(x_rows, s_rows, channel: Channel, rngs) -> np.ndarray:

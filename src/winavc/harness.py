@@ -35,13 +35,14 @@ from .core import (
 )
 from .symmetrize import ecn_symmetrizable
 
-OUTCOMES = (
-    "correct",
-    "list-failure",
-    "disambiguation-failure",
-    "ambiguity",
-    "wrong-message",
-)
+# decoder status -> trial outcome; a unique decode of another message is "wrong-message"
+_STATUS_OUTCOMES = {
+    "unique": "correct",
+    "empty-list": "list-failure",
+    "no-survivor": "disambiguation-failure",
+    "ambiguous": "ambiguity",
+}
+OUTCOMES = (*_STATUS_OUTCOMES.values(), "wrong-message")
 
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
 _IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
@@ -211,7 +212,7 @@ def _public_codeword_sampler(codec: ThreePhaseCodec):
     """Uniform draws over the public encoder's possible transmissions, one per generator."""
 
     def sample(rngs) -> np.ndarray:
-        draws = [(codec.draw_message(rng), *codec.draw_keys(rng)) for rng in rngs]
+        draws = [(codec.draw_message(rng), *codec.key_code.draw_keys(rng)) for rng in rngs]
         return codec.encode_rows(*np.array(draws).T, check_windows=False)
 
     return sample
@@ -264,7 +265,7 @@ def run_trials(
             m_pos = message_pool[np.asarray(indices) % message_pool.size]
         else:
             m_pos = np.array([codec.draw_message(rng) for rng in rngs])
-        r1, r2 = np.array([codec.draw_keys(rng) for rng in rngs]).T
+        r1, r2 = np.array([codec.key_code.draw_keys(rng) for rng in rngs]).T
         x = codec.encode_rows(m_pos, r1, r2)
         jams = draw_states(rngs)
         # a refused draw forfeits, and a draw that hit the rejection cap is
@@ -286,15 +287,8 @@ def run_trials(
         rows = zip(indices, m_pos, r1, r2, jams, forfeited, codec.decode_rows(y))
         for i, m, k1, k2, jam, forfeit, result in rows:
             sent_id = int(codec.message_ids[m])
-            if result.status == "empty-list":
-                outcome = "list-failure"
-            elif result.status == "no-survivor":
-                outcome = "disambiguation-failure"
-            elif result.status == "ambiguous":
-                outcome = "ambiguity"
-            elif result.message_id == sent_id:
-                outcome = "correct"
-            else:
+            outcome = _STATUS_OUTCOMES[result.status]
+            if outcome == "correct" and result.message_id != sent_id:
                 outcome = "wrong-message"
             records.append(TrialRecord(
                 index=i,
@@ -385,12 +379,8 @@ def sweep(grid: dict) -> list[dict]:
     p_x_weight = grid.get("p_x_weight")
 
     def cell(cell_index, w, p, alpha, n, jam_kind) -> dict:
-        row = {
-            "w": w, "p": p, "alpha": alpha, "n": n, "R": float("nan"),
-            "c_list": float("nan"), "verdict": "", "err_avg": float("nan"),
-            "err_max_est": float("nan"), "ci_lo": float("nan"),
-            "ci_hi": float("nan"), "status": "ok",
-        }
+        row = dict.fromkeys(SWEEP_COLUMNS, float("nan"))
+        row.update(w=w, p=p, alpha=alpha, n=n, verdict="", status="ok")
         try:
             w_s = round(alpha * w_x)
             if abs(w_s - alpha * w_x) > 1e-9 or not 1 <= w_s <= w_x:
@@ -522,6 +512,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             if code_doc.get(key) is not None:
                 code_doc[key] = _json_int(code_doc[key], f"code.{key}")
         code = CodecParams(**code_doc)
+        if code.layout == "thm1" and "lam_frac" in code_doc:
+            raise ConfigError("layout 'thm1' does not read lam_frac")
         jam_doc = dict(doc.get("jammer", {"kind": "none"}))
         if jam_doc.get("p_s") is not None:
             jam_doc["p_s"] = _parse_distribution(jam_doc["p_s"])
@@ -556,6 +548,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
+def read_json(path: str):
+    """The JSON document at path; an unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))

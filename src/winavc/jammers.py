@@ -25,10 +25,11 @@ from .core import (
     inverse_cdf_indexed,
 )
 from .windows import (
+    _check_window,
     _rounded_counts,
     guard_word,
+    verify_windows,
     violation_flags,
-    windows_valid,
     windows_valid_rows,
 )
 
@@ -67,15 +68,14 @@ def iid_jammer_rows(
     block is drawn sparsely, by core._sparse_iid_sampler.
     """
     draw = _sparse_iid_sampler(p_s, _IID_BLOCK * n, len(rngs))
-    return _first_admissible(lambda live: draw([rngs[t] for t in live]),
-                             len(rngs), n, w_s, lam, rejection_cap)
+    return _first_admissible(draw, rngs, n, w_s, lam, rejection_cap)
 
 
-def _first_admissible(draw, count: int, n: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
-    """For each of count draws, the first length-n candidate with every window admissible.
+def _first_admissible(draw, rngs, n: int, w_s: int, lam: ConstraintSet, rejection_cap: int):
+    """For each generator in rngs, the first length-n candidate with every window admissible.
 
-    draw(live) returns one block of states per draw index in live, a
-    (len(live), L) array; every round, each draw still looking reads the
+    draw(live) returns one block of states per generator in the list live, a
+    (len(live), L) array; every round, each generator still looking reads the
     next block.  A candidate starting at s is accepted when no violating
     window starts in s..s+n-w_s.  Otherwise it counts as one rejection and
     the next candidate starts at j + w_s, just past the first violating
@@ -84,14 +84,13 @@ def _first_admissible(draw, count: int, n: int, w_s: int, lam: ConstraintSet, re
     admissibility.  A block tail shorter than n is dropped.  A draw whose
     rejections reach rejection_cap stops with None.
     """
-    if not 1 <= w_s <= n:
-        raise ValueError(f"window length must satisfy 1 <= w <= {n}, got {w_s}")
-    results: list[JamResult | None] = [None] * count
-    rejections = [0] * count
+    _check_window(w_s, n)
+    results: list[JamResult | None] = [None] * len(rngs)
+    rejections = [0] * len(rngs)
     span = n - w_s + 1  # window starts one candidate reads
-    live = list(range(count))
+    live = list(range(len(rngs)))
     while live:
-        block = draw(live)
+        block = draw([rngs[t] for t in live])
         size = block.shape[1]
         # one byte per window start, 1 where the window violates lam; row r's from r * starts
         starts = size - w_s + 1
@@ -153,11 +152,10 @@ def symmetrize_jammer_rows(
     u_mat = np.vstack([row.probs for row in u])
 
     def draw(live):
-        live_rngs = [rngs[t] for t in live]
-        x = _codeword_rows(sample_rows, live_rngs, n)
-        return inverse_cdf_indexed(u_mat, x, _row_uniforms(np.empty(x.shape), live_rngs))
+        x = _codeword_rows(sample_rows, live, n)
+        return inverse_cdf_indexed(u_mat, x, _row_uniforms(np.empty(x.shape), live))
 
-    return _first_admissible(draw, len(rngs), n, w_s, lam, rejection_cap)
+    return _first_admissible(draw, rngs, n, w_s, lam, rejection_cap)
 
 
 def fallback_state_sequence(n: int, w_s: int, lam: ConstraintSet) -> np.ndarray:
@@ -172,7 +170,7 @@ def fallback_state_sequence(n: int, w_s: int, lam: ConstraintSet) -> np.ndarray:
             return np.full(n, sym, dtype=np.int8)
     centre = np.mean([v.probs for v in lam.vertices()], axis=0)
     seq = guard_word(_rounded_counts(Distribution(centre, atol=1e-9), w_s), n)
-    if not windows_valid(seq, w_s, lam):
+    if not verify_windows(seq, w_s, lam).valid:
         raise JammerGenerationError(
             "no deterministic admissible fallback state sequence found"
         )

@@ -182,11 +182,6 @@ def _violates_any(mat: np.ndarray, w: int, gamma: ConstraintSet) -> np.ndarray:
     return flags.any(axis=1) if flags.any() else np.zeros(flags.shape[0], dtype=bool)
 
 
-def windows_valid(seq, w: int, c: ConstraintSet) -> bool:
-    """Fast vectorized equivalent of verify_windows(...).valid (inclusive range)."""
-    return bool(windows_valid_rows(seq, w, c)[0])
-
-
 def windows_valid_rows(mat, w: int, c: ConstraintSet) -> np.ndarray:
     """Per-row window validity for a matrix of sequences."""
     arr = np.atleast_2d(np.asarray(mat, dtype=np.int8))

@@ -177,7 +177,7 @@ def test_a6_interleaved_layout_validity():
                 fractions_checked = fr.size
             for enc in range(25):
                 m = codec.draw_message(rng)
-                r1, r2 = codec.draw_keys(rng)
+                r1, r2 = codec.key_code.draw_keys(rng)
                 word, = codec.encode_rows([m], [r1], [r2])  # raises on any window violation
                 assert verify_windows(word, w_x, gamma).valid
                 total_words += 1

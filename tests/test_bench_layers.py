@@ -13,6 +13,7 @@ STALE = {
     "winavc.codec.list_decode",  # deleted; codec.list_decode_rows is the entry point
     "KeyCode.decode",  # deleted; KeyCode.decode_rows is the entry point
     "winavc.harness.block_channel_sample",  # deleted; the harness calls channel_sample_rows
+    "winavc.codec.windows_valid",  # deleted; callers read verify_windows(...).valid
 }
 
 

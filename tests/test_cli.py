@@ -233,12 +233,18 @@ def test_simulate_seed_override(experiment_config, capsys):
     ({"alpha": 0.5}, "alpha"),
     *[({"layout": "thm2", "t1": {"weight": 0.25}, "t2": {"weight": 0.125},
         "lam_frac": lam_frac}, "lam_frac") for lam_frac in (0, -0.1, -1.0)],
+    ({"t1": {"weight": 0.25}}, "does not read t1"),
+    ({"t2": {"weight": 0.125}}, "does not read t2"),
+    ({"lam_frac": 0.25}, "does not read lam_frac"),
+    ({"layout": "thm2", "t1": {"weight": 0.25}, "t2": {"weight": 0.125},
+      "lam_frac": 0.25, "key_type": {"weight": 0.12}}, "does not read key_type"),
 ], ids=["unknown-layout", "thm1-negative-key-len", "thm2-negative-key-len",
         "field-bits-0", "field-bits-9", "n1-fraction", "message-bits-fraction",
         "key-len-fraction", "field-bits-fraction", "removed-delta", "removed-l-max",
         "removed-guard-denominator", "removed-guard-type", "removed-budget-extra",
         "removed-max-messages", "removed-w-x", "removed-alpha",
-        "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1"])
+        "thm2-lam-frac-0", "thm2-lam-frac-negative", "thm2-lam-frac-minus-1",
+        "thm1-t1", "thm1-t2", "thm1-lam-frac", "thm2-key-type"])
 def test_simulate_bad_layout_exits_2(experiment_config, capsys, code_edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc["code"].update(code_edit)

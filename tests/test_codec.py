@@ -355,6 +355,20 @@ class TestInterleaveAllocation:
             assert fr.max() <= alpha * (1 + lam_frac) + 1e-12
 
 
+class TestPhasePlanKeys:
+    @pytest.mark.parametrize("layout, key", [("thm1", "t1"), ("thm1", "t2"), ("thm2", "key_type")],
+                             ids=["thm1-t1", "thm1-t2", "thm2-key-type"])
+    def test_law_the_layout_does_not_read_is_refused(self, layout, key):
+        laws = {"t1": Distribution.bernoulli(0.3), "t2": Distribution.bernoulli(0.1)}
+        if layout == "thm1":
+            laws = {key: laws[key]}
+        else:
+            laws[key] = Distribution.bernoulli(0.12)
+        params = thm1_params(layout=layout, lam_frac=0.25, **laws)
+        with pytest.raises(ValueError, match=f"layout '{layout}' does not read {key}"):
+            make_phase_plan(params, 16, 8)
+
+
 class TestKeyCode:
     def test_roundtrip_and_expurgation(self):
         rng = np.random.default_rng(8)
@@ -450,7 +464,7 @@ class TestThreePhase:
         rng = np.random.default_rng(5)
         budget = codec.budget1.radius
         for pos in range(codec.message_count):
-            r1, r2 = codec.draw_keys(rng)
+            r1, r2 = codec.key_code.draw_keys(rng)
             x = codec.encode_rows([pos], [r1], [r2])
             s = np.zeros_like(x)
             flips = rng.choice(codec.plan.n1, size=budget // 2, replace=False)
@@ -465,14 +479,14 @@ class TestThreePhase:
         g = ConstraintSet.weight_cap(0.3)
         for _ in range(100):
             pos = codec.draw_message(rng)
-            r1, r2 = codec.draw_keys(rng)
+            r1, r2 = codec.key_code.draw_keys(rng)
             x, = codec.encode_rows([pos], [r1], [r2])
             assert verify_windows(x, 32, g).valid
 
     def test_hash_filter_contract(self):
         # hand-built survivor filtering: exactly one list entry matches
         codec, _ = self._build(seed=4)
-        r1, r2 = codec.draw_keys(np.random.default_rng(8))
+        r1, r2 = codec.key_code.draw_keys(np.random.default_rng(8))
         res, = codec.decode_rows(codec.encode_rows([2], [r1], [r2]))
         assert res.status == "unique"
         assert res.keys == (r1, r2)
@@ -485,7 +499,7 @@ class TestThreePhase:
         hp = codec.hash_params
         rng = np.random.default_rng(9)
         for pos in range(codec.message_count):
-            r1, r2 = codec.draw_keys(rng)
+            r1, r2 = codec.key_code.draw_keys(rng)
             h = poly_hash(chunk_message(int(codec.message_ids[pos]), hp), r1, r2, hp)
             x, = codec.encode_rows([pos], [r1], [r2])
             assert np.array_equal(x[: codec.plan.n1], codec.phase1_flat.codewords[pos * codec.q + h])
@@ -512,7 +526,7 @@ class TestThreePhase:
         fr = type1_window_fractions(codec.plan)
         assert fr.min() >= 0.5 - 1e-12
         assert fr.max() <= 0.55 + 1e-12
-        r1, r2 = codec.draw_keys(np.random.default_rng(0))
+        r1, r2 = codec.key_code.draw_keys(np.random.default_rng(0))
         x = codec.encode_rows([0], [r1], [r2])
         assert verify_windows(x[0], 80, gamma).valid
         res, = codec.decode_rows(x)
@@ -565,7 +579,7 @@ class TestThreePhase:
         trials = 60
         for _ in range(trials):
             m = codec.draw_message(draw)
-            r1, r2 = codec.draw_keys(draw)
+            r1, r2 = codec.key_code.draw_keys(draw)
             x = codec.encode_rows([m], [r1], [r2])
             jam, = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam, [draw])
             y = channel_sample_rows(x, [jam.states], noisy, [draw])
@@ -616,7 +630,7 @@ class TestNoiselessRoundTrip:
             assume(False)  # a draw whose expurgation emptied every hash fiber
         draw = np.random.default_rng(seed + 1)
         for pos in range(codec.message_count):
-            r1, r2 = codec.draw_keys(draw)
+            r1, r2 = codec.key_code.draw_keys(draw)
             res, = codec.decode_rows(codec.encode_rows([pos], [r1], [r2]))
             assert (res.status, res.message_id, res.keys) == (
                 "unique", int(codec.message_ids[pos]), (r1, r2)

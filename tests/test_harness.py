@@ -36,7 +36,7 @@ from winavc.harness import (
     sweep,
     wilson_interval,
 )
-from winavc.windows import windows_valid
+from winavc.windows import windows_valid_rows
 
 
 def small_config(jammer_kind="iid", trials=60, seed=1, criterion="average", **code_kw):
@@ -109,6 +109,27 @@ class TestRunTrials:
         )
         assert len(seen) == codec.message_count
 
+    def test_max_criterion_over_a_fixed_subset_of_many_messages(self):
+        # 2^11 messages under a 1-bit hash keep 2,047: more than the pool cap of 1024
+        doc = json.loads(EXPERIMENT_JSON.read_text())
+        doc["code"].update(message_bits=11, field_bits=1)
+        doc.update(criterion="max", trials=1024 + 32)
+        config = config_from_dict(doc)
+        codec, build_stats = build_codec_from_config(config)
+        assert codec.message_count > harness.MAX_CRITERION_MESSAGE_CAP == 1024
+        runs = [run_trials(config, codec=codec, build_stats=build_stats) for _ in range(2)]
+        stats = runs[0]
+        assert stats.notes == [
+            f"max criterion over a fixed random subset of 1024 of {codec.message_count} messages"
+        ]
+        pool = np.random.default_rng(np.random.SeedSequence((config.master_seed, 1))).choice(
+            codec.message_count, size=1024, replace=False
+        )
+        sent = [r.message_id for r in stats.records]
+        assert sent == [int(codec.message_ids[pool[i % 1024]]) for i in range(config.trials)]
+        assert len(set(sent[:1024])) == 1024  # distinct positions
+        assert [r.message_id for r in runs[1].records] == sent
+
     def test_monte_carlo_matches_exact_enumeration(self):
         # Tiny deterministic instance: enumerate every admissible state
         # sequence and every key draw; the exact average error must fall
@@ -135,7 +156,7 @@ class TestRunTrials:
         total_mass = 0.0
         for bits in itertools.product((0, 1), repeat=n):
             s = np.array(bits, dtype=np.int8)
-            if windows_valid(s, spec.w_s, spec.lam):
+            if windows_valid_rows(s, spec.w_s, spec.lam)[0]:
                 w = p_flip ** s.sum() * (1 - p_flip) ** (n - s.sum())
                 seq_weight[bits] = w
                 total_mass += w
@@ -270,7 +291,7 @@ class TestPinnedOutputs:
         codec, _ = build_three_phase_codec(
             params, bitflip_spec(0.3, 0.05, 1216, 80, 40), np.random.default_rng(13),
         )
-        r1, r2 = codec.draw_keys(np.random.default_rng(0))
+        r1, r2 = codec.key_code.draw_keys(np.random.default_rng(0))
         digests = {
             "message_ids": _digest(codec.message_ids),
             "phase1": _digest(codec.phase1_flat.codewords),
@@ -310,12 +331,12 @@ class TestPinnedOutputs:
         spec = WindowedAvcSpec(channel=noisy, gamma=ConstraintSet.weight_cap(0.3), lam=lam,
                                w_x=64, w_s=64, n=704)
         codec, _ = build_three_phase_codec(params, spec, np.random.default_rng(17))
-        assert codec.budget1.kind == codec.budget3.kind == "likelihood"
+        assert codec.budget1.kind == "likelihood"
         draw = np.random.default_rng(18)
         decodes = []
         for _ in range(30):
             m = codec.draw_message(draw)
-            r1, r2 = codec.draw_keys(draw)
+            r1, r2 = codec.key_code.draw_keys(draw)
             x = codec.encode_rows([m], [r1], [r2])
             jam, = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam, [draw])
             res, = codec.decode_rows(channel_sample_rows(x, [jam.states], noisy, [draw]))
@@ -595,6 +616,14 @@ class TestConfigParsing:
         doc["code"][key] = value
         with pytest.raises(ConfigError, match=f"'{key}'"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("content", [None, "{\"alphabets\": "], ids=["missing", "malformed"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, content):
+        path = tmp_path / "experiment.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(path))
 
     def test_thm2_state_windows_longer_than_input_windows_rejected_at_load(self):
         doc = self.thm2_doc()

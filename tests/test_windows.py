@@ -18,7 +18,6 @@ from winavc.windows import (
     guard_word,
     verify_windows,
     violation_flags,
-    windows_valid,
     windows_valid_rows,
 )
 
@@ -100,7 +99,7 @@ class TestVerifyWindows:
             for s, d in rep.violations:
                 assert d == Distribution(np.bincount(seq[s : s + w], minlength=dim) / w)
             if mode == INCLUSIVE_RANGE:
-                assert windows_valid(seq, w, cset) == rep.valid
+                assert windows_valid_rows(seq, w, cset)[0] == rep.valid
 
 
 class TestGuardWord:
