@@ -8,6 +8,8 @@ sub-window of key material stays informative.  Each window holds w_s type-1
 and w_x - w_s type-2 symbols; the window lengths alone fix the layout.
 """
 
+import math
+
 import numpy as np
 
 from winavc import Distribution, interleave_allocation
@@ -20,10 +22,10 @@ print(f"w_x={w_x}, alpha={alpha}, lambda={lam_frac} "
       f"(l = {round(lam_frac * w_s)})\n")
 print("buffer windows ramp the type-1 block in, one l-step per window:")
 for i in range(5):
-    s1, _ = interleave_allocation(w_x, w_s, lam_frac, i, "II")
+    s1, _ = interleave_allocation(w_x, w_s, lam_frac, i)
     row = ["1" if j in set(s1.tolist()) else "." for j in range(w_x)]
     print(f"  window {i}: {''.join(row)}")
-s1, _ = interleave_allocation(w_x, w_s, lam_frac, 0, "III")
+s1, _ = interleave_allocation(w_x, w_s, lam_frac, math.ceil(1 / lam_frac))
 row = ["1" if j in set(s1.tolist()) else "." for j in range(w_x)]
 print(f"  key phase: {''.join(row)}  (block rule)")
 

@@ -42,7 +42,7 @@ from .harness import (
 from .jammers import JammerGenerationError
 from .lp import SimplexError
 from .symmetrize import bitflip_symmetrizable, ecn_symmetrizable, scan_nonsymmetrizable
-from .windows import verify_windows
+from .windows import INCLUSIVE_RANGE, verify_windows
 
 log = logging.getLogger("winavc")
 
@@ -137,7 +137,7 @@ def _cmd_check_windows(args) -> int:
         w = _json_int(doc["window"], "window")
         dim = _json_int(doc["dim"], "dim") if "dim" in doc else int(max(seq) + 1 if seq else 2)
         cset = _parse_constraints(doc["constraints"], dim)
-        mode = doc.get("mode", "inclusive-range")
+        mode = doc.get("mode", INCLUSIVE_RANGE)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad window-check config: {exc}") from exc
     report = verify_windows(seq, w, cset, mode)

@@ -53,6 +53,7 @@ _LL_SLACK = 0.05  # bits per letter the likelihood floor sits below the worst ad
 _L_MAX = 32  # decoded-list size cap
 _MAX_CODEWORDS = 1 << 16  # codewords one list-code build may sample
 _GUARD_DENOMINATOR = 8  # the thm1 guard type is p_x rounded to this denominator
+_LAM_FRAC = 0.1  # thm2 ramp step l = _LAM_FRAC*w_s unless the params set lam_frac
 
 
 class CodeConstructionError(RuntimeError):
@@ -74,12 +75,6 @@ class HashParams:
         _check_field_bits(self.field_bits)
         if self.chunk_count < 1:
             raise ValueError("chunk_count must be >= 1")
-
-    @classmethod
-    def for_message_bits(cls, message_bits: int, field_bits: int) -> "HashParams":
-        _check_field_bits(field_bits)  # before dividing by it
-        k = max(1, math.ceil(message_bits / field_bits))
-        return cls(field_bits=field_bits, chunk_count=k)
 
     @property
     def field_order(self) -> int:
@@ -182,7 +177,6 @@ def likelihood_budget(p_x: Distribution, channel: Channel, lam: ConstraintSet) -
     """
     v = induced_channel(lam.feasible_point(), channel)
     ll = np.log2(np.maximum(v, LOG_FLOOR))
-    ll[v <= 0] = -300.0
     # d[s] = E[ll(y|x)] contribution of state s under the true input law
     d = np.einsum("x,xsy,xy->s", p_x.probs, channel.table, ll)
     worst, _ = lam.min_linear(d)
@@ -340,24 +334,20 @@ def interleave_allocation(
     w_s: int,
     lam_frac: float,
     window_index: int = 0,
-    phase: str = "II",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split one length-w_x window into w_s type-1 and w_x - w_s type-2 positions.
 
     Window i of the buffer phase starts with min(i*l, w_s) type-1 positions
     (l = lam_frac*w_s) and the matching block of type-2 positions, then
     fills sequentially: position j goes to type-2 exactly when the fraction
-    of earlier positions in type-2 is below 1 - w_s/w_x.  The key phase (and
-    the last buffer window) is the plain block split.  Positions are 0-based.
+    of earlier positions in type-2 is below 1 - w_s/w_x.  From i*l >= w_s on,
+    so in the last buffer window i = ceil(1/lam_frac), this is the plain block
+    split that the key phase repeats.  Positions are 0-based.
     """
     if not 1 <= w_s <= w_x:
         raise ValueError(f"the interleaved layout needs 1 <= w_s <= w_x = {w_x}, got w_s = {w_s}")
-    if lam_frac <= 0:  # checked for phase III too, so the planner's call refuses it
+    if lam_frac <= 0:
         raise ValueError(f"lam_frac must be positive, got {lam_frac}")
-    if phase == "III":
-        return np.arange(w_s), np.arange(w_s, w_x)
-    if phase != "II":
-        raise ValueError(f"phase must be 'II' or 'III', got {phase!r}")
     if window_index < 0:
         raise ValueError("window_index must be >= 0")
     l = lam_frac * w_s
@@ -396,7 +386,7 @@ class PhasePlan:
     w_s: int
     phase2_len: int
     phase3_len: int
-    lam_frac: float | None = None  # thm2
+    lam_frac: float | None = None  # thm2, the buffer's ramp step as a fraction of w_s
 
     @property
     def total_length(self) -> int:
@@ -418,12 +408,13 @@ def _per_window_counts(t: Distribution, slots: int, what: str) -> np.ndarray:
 
 
 def _type1_mask(plan: PhasePlan) -> np.ndarray:
-    """Type-1 positions of phases II and III, one window of w_x at a time."""
+    """Type-1 positions of phases II and III, one window of w_x at a time: the key
+    windows repeat the last buffer window's block split."""
     n2 = plan.phase2_len // plan.w_x
     mask = np.zeros(((plan.phase2_len + plan.phase3_len) // plan.w_x, plan.w_x), dtype=bool)
     for i in range(n2):
-        mask[i, interleave_allocation(plan.w_x, plan.w_s, plan.lam_frac, i, "II")[0]] = True
-    mask[n2:, interleave_allocation(plan.w_x, plan.w_s, plan.lam_frac, 0, "III")[0]] = True
+        mask[i, interleave_allocation(plan.w_x, plan.w_s, plan.lam_frac, i)[0]] = True
+    mask[n2:] = mask[n2 - 1]
     return mask.ravel()
 
 
@@ -500,7 +491,7 @@ class CodecParams:
     field_bits: int = 6
     key_type: Distribution | None = None  # thm1; defaults to p_x
     key_len: int | None = None  # default 2*w_x; thm2 rounds up to whole windows
-    lam_frac: float = 0.1  # thm2
+    lam_frac: float | None = None  # thm2; the planner defaults it to _LAM_FRAC
     t1: Distribution | None = None  # thm2
     t2: Distribution | None = None  # thm2
     allow_symmetrizable_key_type: bool = False
@@ -514,14 +505,15 @@ def make_phase_plan(params: CodecParams, w_x: int, w_s: int) -> PhasePlan:
     w_s; the key length defaults to 2*w_x.
 
     The interleaved layout needs w_s <= w_x and rounds the key length up to
-    whole windows of w_s key slots each.  A law the layout does not read is
-    refused: t1 and t2 under thm1, key_type under thm2.
+    whole windows of w_s key slots each; its lam_frac defaults to _LAM_FRAC,
+    and lam_frac*w_s must be a positive integer.  A field the layout does not
+    read is refused: t1, t2 and lam_frac under thm1, key_type under thm2.
     """
     key_len = params.key_len if params.key_len is not None else 2 * w_x
     if key_len < 1:
         raise ValueError("key code length must be >= 1")
     if params.layout == LAYOUT_THM1:
-        ignored = [k for k in ("t1", "t2") if getattr(params, k) is not None]
+        ignored = [k for k in ("t1", "t2", "lam_frac") if getattr(params, k) is not None]
         if ignored:
             raise ValueError(f"layout {LAYOUT_THM1!r} does not read {' or '.join(ignored)}")
         return PhasePlan(
@@ -540,13 +532,14 @@ def make_phase_plan(params: CodecParams, w_x: int, w_s: int) -> PhasePlan:
         )
     if params.key_type is not None:
         raise ValueError(f"layout {LAYOUT_THM2!r} does not read key_type; its keys ride on t1")
-    interleave_allocation(w_x, w_s, params.lam_frac, 0, "III")  # refuses w_s > w_x, lam_frac <= 0
-    n2_windows = 1 + math.ceil(1.0 / params.lam_frac)
+    lam_frac = params.lam_frac if params.lam_frac is not None else _LAM_FRAC
+    interleave_allocation(w_x, w_s, lam_frac)  # refuses w_s > w_x and a bad ramp step l
+    n2_windows = 1 + math.ceil(1.0 / lam_frac)
     n3_windows = math.ceil(key_len / w_s)
     return PhasePlan(
         layout=LAYOUT_THM2, n1=params.n1, w_x=w_x, w_s=w_s,
         phase2_len=n2_windows * w_x, phase3_len=n3_windows * w_x,
-        lam_frac=params.lam_frac,
+        lam_frac=lam_frac,
     )
 
 
@@ -682,7 +675,7 @@ def build_three_phase_codec(
     the failure mode.
     """
     gamma, lam, channel = spec.gamma, spec.lam, spec.channel
-    hp = HashParams.for_message_bits(params.message_bits, params.field_bits)
+    hp = HashParams(params.field_bits, max(1, math.ceil(params.message_bits / params.field_bits)))
     q = hp.field_order
     n_msg = 1 << params.message_bits
 
@@ -763,12 +756,12 @@ def _buffer_region(params: CodecParams, plan: PhasePlan, spec: WindowedAvcSpec):
             raise ValueError("key-carrying law is not in the delta-interior of the input set")
         skeleton = np.full(plan.phase3_len, -1, dtype=np.int8)
         return guard_word(counts, plan.w_x), skeleton, key_type
-    _validate_interleaved_types(params, spec)
+    _validate_interleaved_types(params, plan, spec)
     phase2_seq, skeleton = build_interleaved_region(plan, params.t1, params.t2)
     return phase2_seq, skeleton, params.t1
 
 
-def _validate_interleaved_types(params: CodecParams, spec: WindowedAvcSpec):
+def _validate_interleaved_types(params: CodecParams, plan: PhasePlan, spec: WindowedAvcSpec):
     gamma, alpha = spec.gamma, spec.alpha
     enlarged = gamma_prime(gamma, alpha)
     if not delta_interior(params.t1, enlarged, _DELTA):
@@ -778,7 +771,7 @@ def _validate_interleaved_types(params: CodecParams, spec: WindowedAvcSpec):
     mix = Distribution(alpha * params.t1.probs + (1.0 - alpha) * params.t2.probs)
     # Sliding windows deviate from the mix by at most lam_frac * alpha in TV,
     # an L1 radius of twice that.
-    dev = params.lam_frac * alpha
+    dev = plan.lam_frac * alpha
     if not delta_interior(mix, gamma, 2 * dev):
         raise ValueError(
             "window-type margin too small: alpha*t1 + (1-alpha)*t2 must sit "

@@ -72,12 +72,6 @@ class Distribution:
     def __setattr__(self, name, value):
         raise AttributeError("Distribution is immutable")
 
-    def __len__(self) -> int:
-        return self.probs.size
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.probs[k])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Distribution) and np.array_equal(self.probs, other.probs)
 
@@ -205,12 +199,6 @@ class ConstraintSet:
 
     def feasible_point(self) -> Distribution:
         return self._feasible
-
-    def slack(self, p: Distribution) -> float:
-        """Signed margin: min over inequalities of bound - <c, p> (+inf if none)."""
-        if p.size != self.dim:
-            raise ValueError(f"distribution size {p.size} does not match dim {self.dim}")
-        return float(np.min(self.bounds - self.coeffs @ p.probs, initial=np.inf))
 
     def contains(self, p: Distribution, tol: float = TOLERANCE) -> bool:
         return bool(np.all(self.bounds - self.coeffs @ p.probs >= -tol * self._scale))

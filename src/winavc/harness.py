@@ -257,8 +257,6 @@ def run_trials(
     else:
         message_pool = None
 
-    additive = spec.channel.is_binary_additive()
-
     def trial_block(indices: range) -> list[TrialRecord]:
         rngs = [_trial_rng(config.master_seed, i) for i in indices]
         if message_pool is not None:
@@ -272,7 +270,7 @@ def run_trials(
         # counted against the failure budget, not fatal per trial
         forfeited = [jam is None or not jam.window_valid for jam in jams]
         states = np.array([fallback if f else jam.states for f, jam in zip(forfeited, jams)])
-        if additive:
+        if codec.budget1.kind == "hamming":
             # admissible states can never exceed the decoder's budget ball,
             # so the true codeword always enters the pre-truncation list
             corruption = np.count_nonzero(states[:, : codec.plan.n1], axis=1)
@@ -512,8 +510,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             if code_doc.get(key) is not None:
                 code_doc[key] = _json_int(code_doc[key], f"code.{key}")
         code = CodecParams(**code_doc)
-        if code.layout == "thm1" and "lam_frac" in code_doc:
-            raise ConfigError("layout 'thm1' does not read lam_frac")
         jam_doc = dict(doc.get("jammer", {"kind": "none"}))
         if jam_doc.get("p_s") is not None:
             jam_doc["p_s"] = _parse_distribution(jam_doc["p_s"])

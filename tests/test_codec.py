@@ -1,5 +1,8 @@
 """Hashing, list codes, interleaved layout, and the three-phase round trip."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +23,7 @@ from winavc.codec import (
     delta_interior,
     hamming_budget,
     interleave_allocation,
+    likelihood_budget,
     list_decode_rows,
     make_phase_plan,
     poly_hash,
@@ -129,8 +133,6 @@ class TestPolyHash:
             with pytest.raises(ValueError, match="field_bits"):
                 HashParams(field_bits=fb, chunk_count=1)
             with pytest.raises(ValueError, match="field_bits"):
-                HashParams.for_message_bits(6, fb)
-            with pytest.raises(ValueError, match="field_bits"):
                 thm1_params(field_bits=fb)
         with pytest.raises(ValueError, match="chunks"):
             poly_hash([1, 2, 3], 0, 1, HashParams(field_bits=3, chunk_count=2))
@@ -147,6 +149,16 @@ class TestJamBudget:
     def test_zero_budget(self):
         lam = ConstraintSet(2, [([0.0, 1.0], 0.0)])
         assert hamming_budget(256, 64, lam).radius == 0
+
+    def test_impossible_transition_scores_no_higher_than_an_unlikely_one(self):
+        # input 0 never reaches output 1; input 1 reaches output 0 with
+        # probability 1e-310, below LOG_FLOOR; the state does not matter
+        row0, row1 = [1.0, 0.0], [1e-310, 1.0]
+        channel = Channel([[row0, row0], [row1, row1]])
+        budget = likelihood_budget(
+            Distribution.bernoulli(0.3), channel, ConstraintSet.weight_cap(0.2),
+        )
+        assert budget.ll_table[0, 1] <= budget.ll_table[1, 0]
 
 
 class TestBuildListCode:
@@ -242,8 +254,6 @@ class TestListDecode:
     def test_likelihood_budget_agrees_on_xor(self):
         # likelihood scoring with a noisy reference, the state set's feasible
         # point Bern(0.2), orders by Hamming distance
-        from winavc.codec import likelihood_budget
-
         code = self._small_code()
         budget = likelihood_budget(
             Distribution.bernoulli(0.3), XOR, ConstraintSet.weight_cap(0.2),
@@ -306,39 +316,38 @@ class TestHammingScoring:
 
 class TestInterleaveAllocation:
     def test_worked_example_window1(self):
-        s1, s2 = interleave_allocation(16, 8, 0.25, 1, "II")
+        s1, s2 = interleave_allocation(16, 8, 0.25, 1)
         assert s1[:2].tolist() == [0, 1]
         assert s2[:2].tolist() == [2, 3]
         assert len(s1) == len(s2) == 8
 
     def test_window0_pure_sequential(self):
-        s1, s2 = interleave_allocation(16, 8, 0.25, 0, "II")
+        s1, s2 = interleave_allocation(16, 8, 0.25, 0)
         # empty prefix: first position goes to type 2
         assert s2[0] == 0
         assert len(s1) == len(s2) == 8
 
-    def test_phase3_block_rule(self):
-        s1, s2 = interleave_allocation(16, 8, 0.25, 0, "III")
-        assert s1.tolist() == list(range(8))
-        assert s2.tolist() == list(range(8, 16))
-
-    def test_last_phase2_window_equals_block_rule(self):
-        # at i = ceil(1/lam) the prefix rule degenerates to the block split
-        s1, s2 = interleave_allocation(16, 8, 0.25, 4, "II")
-        b1, b2 = interleave_allocation(16, 8, 0.25, 0, "III")
-        assert s1.tolist() == b1.tolist() and s2.tolist() == b2.tolist()
+    def test_windows_past_the_ramp_are_the_block_split(self):
+        # from the last buffer window i = ceil(1/lam) on, i*l >= w_s and the
+        # prefix rule degenerates to the block split the key phase repeats
+        for w_x, w_s, lam_frac in [(16, 8, 0.25), (40, 10, 0.1), (60, 20, 0.15), (80, 80, 0.5)]:
+            last = math.ceil(1 / lam_frac)
+            for i in range(last, last + 3):
+                s1, s2 = interleave_allocation(w_x, w_s, lam_frac, i)
+                assert s1.tolist() == list(range(w_s))
+                assert s2.tolist() == list(range(w_s, w_x))
 
     def test_exact_ratio_various_alphas(self):
         for w_x, w_s, lam_frac in [(40, 10, 0.1), (80, 40, 0.1), (16, 8, 0.25), (60, 20, 0.1)]:
             for i in range(0, 12):
-                s1, s2 = interleave_allocation(w_x, w_s, lam_frac, i, "II")
+                s1, s2 = interleave_allocation(w_x, w_s, lam_frac, i)
                 assert len(s1) == w_s
                 assert len(s2) == w_x - w_s
                 assert sorted(np.concatenate([s1, s2]).tolist()) == list(range(w_x))
 
     def test_incompatible_rationals_rejected(self):
         with pytest.raises(ValueError):
-            interleave_allocation(16, 8, 0.01, 0, "II")  # l < 1
+            interleave_allocation(16, 8, 0.01, 0)  # l < 1
 
     def test_sliding_fraction_bounds(self):
         for w_s, w_x in [(8, 16), (10, 40), (40, 80)]:
@@ -356,17 +365,33 @@ class TestInterleaveAllocation:
 
 
 class TestPhasePlanKeys:
-    @pytest.mark.parametrize("layout, key", [("thm1", "t1"), ("thm1", "t2"), ("thm2", "key_type")],
-                             ids=["thm1-t1", "thm1-t2", "thm2-key-type"])
+    @pytest.mark.parametrize("layout, key", [("thm1", "t1"), ("thm1", "t2"), ("thm1", "lam_frac"),
+                                             ("thm2", "key_type")],
+                             ids=["thm1-t1", "thm1-t2", "thm1-lam-frac", "thm2-key-type"])
     def test_law_the_layout_does_not_read_is_refused(self, layout, key):
-        laws = {"t1": Distribution.bernoulli(0.3), "t2": Distribution.bernoulli(0.1)}
+        laws = {"t1": Distribution.bernoulli(0.3), "t2": Distribution.bernoulli(0.1),
+                "lam_frac": 0.25}
         if layout == "thm1":
             laws = {key: laws[key]}
         else:
             laws[key] = Distribution.bernoulli(0.12)
-        params = thm1_params(layout=layout, lam_frac=0.25, **laws)
+        params = thm1_params(layout=layout, **laws)
         with pytest.raises(ValueError, match=f"layout '{layout}' does not read {key}"):
             make_phase_plan(params, 16, 8)
+
+    def test_thm1_lam_frac_refused_at_build(self):
+        params = thm1_params(n1=384, message_bits=4, lam_frac=0.3)
+        spec = windowed(ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05), 64, 64)
+        with pytest.raises(ValueError, match="does not read lam_frac"):
+            build_three_phase_codec(params, spec, np.random.default_rng(0))
+
+    def test_thm2_lam_frac_defaults_in_the_planner(self):
+        params = thm1_params(layout="thm2", t1=Distribution.bernoulli(0.3),
+                             t2=Distribution.bernoulli(0.1))
+        assert params.lam_frac is None
+        plan = make_phase_plan(params, 80, 40)
+        assert plan.lam_frac == 0.1
+        assert plan == make_phase_plan(dataclasses.replace(params, lam_frac=0.1), 80, 40)
 
 
 class TestKeyCode:
@@ -503,6 +528,17 @@ class TestThreePhase:
             h = poly_hash(chunk_message(int(codec.message_ids[pos]), hp), r1, r2, hp)
             x, = codec.encode_rows([pos], [r1], [r2])
             assert np.array_equal(x[: codec.plan.n1], codec.phase1_flat.codewords[pos * codec.q + h])
+
+    def test_encode_refuses_a_window_the_buffer_breaks(self):
+        # an all-ones buffer pushes the windows that reach it over gamma's cap
+        codec, _ = self._build(seed=4)
+        broken = dataclasses.replace(codec, phase2_seq=np.ones_like(codec.phase2_seq))
+        r1, r2 = codec.key_code.draw_keys(np.random.default_rng(8))
+        x, = broken.encode_rows([0], [r1], [r2], check_windows=False)
+        ones = np.convolve(x, np.ones(32, dtype=int), mode="valid")
+        first = int(np.flatnonzero(ones > 0.3 * 32)[0])
+        with pytest.raises(CodeConstructionError, match=f"input window at start {first}$"):
+            broken.encode_rows([0], [r1], [r2])
 
     def test_encode_refuses_keys_outside_the_field(self):
         # r2 = q would index another message's hash; (0, q) aliases key id (1, 0)

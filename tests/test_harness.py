@@ -608,6 +608,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=named):
             config_from_dict(doc)
 
+    def test_thm2_ramp_step_off_the_integers_rejected_at_load(self):
+        # l = lam_frac*w_s = 0.13*40 = 5.2 symbols cannot start a buffer window
+        doc = self.thm2_doc()
+        doc["code"]["lam_frac"] = 0.13
+        with pytest.raises(ConfigError, match="must be an integer >= 1"):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("key, value", [("w_x", 80), ("alpha", 0.5)],
                              ids=["removed-w-x", "removed-alpha"])
     def test_removed_code_key_rejected_at_load(self, key, value):

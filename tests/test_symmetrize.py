@@ -262,7 +262,7 @@ class TestScan:
             assert not ecn_symmetrizable(witness, channel, lam).feasible
         # grid_points admits points up to an absolute 1e-9 outside gamma, which
         # for tiny coefficients is far outside it; only points inside count
-        inside = [p for p in gamma.grid_points(11) if gamma.slack(p) >= 0.0]
+        inside = [p for p in gamma.grid_points(11) if gamma.contains(p, tol=0.0)]
         if any(not ecn_symmetrizable(p, channel, lam).feasible for p in inside):
             assert witness is not None
 
