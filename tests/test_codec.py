@@ -379,12 +379,6 @@ class TestPhasePlanKeys:
         with pytest.raises(ValueError, match=f"layout '{layout}' does not read {key}"):
             make_phase_plan(params, 16, 8)
 
-    def test_thm1_lam_frac_refused_at_build(self):
-        params = thm1_params(n1=384, message_bits=4, lam_frac=0.3)
-        spec = windowed(ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.05), 64, 64)
-        with pytest.raises(ValueError, match="does not read lam_frac"):
-            build_three_phase_codec(params, spec, np.random.default_rng(0))
-
     def test_thm2_lam_frac_defaults_in_the_planner(self):
         params = thm1_params(layout="thm2", t1=Distribution.bernoulli(0.3),
                              t2=Distribution.bernoulli(0.1))
