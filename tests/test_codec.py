@@ -18,6 +18,7 @@ from winavc.codec import (
     KeyCode,
     ListCode,
     _random_code,
+    build_interleaved_region,
     build_three_phase_codec,
     chunk_message,
     delta_interior,
@@ -327,7 +328,21 @@ class TestInterleaveAllocation:
         assert s2[0] == 0
         assert len(s1) == len(s2) == 8
 
-    def test_windows_past_the_ramp_are_the_block_split(self):
+    def test_phase3_block_rule(self):
+        # the key windows' type-1 slots, left as -1 in the skeleton, are the
+        # block split
+        t1, t2 = Distribution.bernoulli(0.25), Distribution.bernoulli(0.125)
+        plan = make_phase_plan(CodecParams(
+            layout="thm2", n1=32, message_bits=4, p_x=Distribution.bernoulli(0.1),
+            lam_frac=0.25, t1=t1, t2=t2, key_len=24,
+        ), 16, 8)
+        _, skeleton = build_interleaved_region(plan, t1, t2)
+        assert skeleton.shape == (3 * 16,)
+        for window in skeleton.reshape(3, 16):
+            assert np.flatnonzero(window == -1).tolist() == list(range(8))
+            assert np.all(window[8:] >= 0)
+
+    def test_last_phase2_window_equals_block_rule(self):
         # from the last buffer window i = ceil(1/lam) on, i*l >= w_s and the
         # prefix rule degenerates to the block split the key phase repeats
         for w_x, w_s, lam_frac in [(16, 8, 0.25), (40, 10, 0.1), (60, 20, 0.15), (80, 80, 0.5)]:
