@@ -47,7 +47,6 @@ from .harness import (
 from .jammers import JamResult, JammerGenerationError
 from .symmetrize import (
     SymmetrizabilityResult,
-    bitflip_symmetrizable,
     ecn_symmetrizable,
     gamma_prime,
     scan_nonsymmetrizable,

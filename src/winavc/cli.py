@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: capacity, symmetrize, check-windows, simulate, sweep, selftest.
+Subcommands: capacity, symmetrize, check-windows, simulate, sweep.
 Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime/solver error.
 The AVC_LOG environment variable sets log verbosity (DEBUG/INFO/WARNING); the
 only record logged so far is the traceback of an unexpected failure.
@@ -18,15 +18,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .capacity import (
-    _SADDLE_TOL,
-    bitflip_list_capacity,
-    list_capacity,
-    oblivious_capacity,
-    windowed_capacity_verdict,
-)
-from .codec import CodeConstructionError, HashParams, poly_hash
-from .core import Channel, ConstraintSet, Distribution
+from .capacity import _SADDLE_TOL, oblivious_capacity, windowed_capacity_verdict
+from .codec import CodeConstructionError
+from .core import Distribution
 from .harness import (
     SWEEP_COLUMNS,
     ConfigError,
@@ -41,7 +35,7 @@ from .harness import (
 )
 from .jammers import JammerGenerationError
 from .lp import SimplexError
-from .symmetrize import bitflip_symmetrizable, ecn_symmetrizable, scan_nonsymmetrizable
+from .symmetrize import ecn_symmetrizable, scan_nonsymmetrizable
 from .windows import INCLUSIVE_RANGE, verify_windows
 
 log = logging.getLogger("winavc")
@@ -188,62 +182,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    failures = []
-
-    def check(name: str, ok: bool) -> None:
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-
-    xor = Channel.xor()
-    val = list_capacity(
-        ConstraintSet.weight_cap(0.2), ConstraintSet.weight_cap(0.1), xor
-    ).value
-    check("capacity closed form (w=0.2, p=0.1)",
-          abs(val - bitflip_list_capacity(0.2, 0.1)) < 1e-3)
-
-    ok = scan_ok = True
-    for w, p in ((0.1, 0.2), (0.3, 0.1), (0.2, 0.2)):
-        lam = ConstraintSet.weight_cap(p)
-        lp_ans = ecn_symmetrizable(Distribution.bernoulli(w), xor, lam).feasible
-        ok &= lp_ans == bitflip_symmetrizable(w, p)
-        witness = scan_nonsymmetrizable(ConstraintSet.weight_cap(w), xor, lam)
-        scan_ok &= (witness is not None) == (w > p)
-    check("symmetrizability oracle (3 points)", ok)
-    check("non-symmetrizability scan vs w > p (3 points)", scan_ok)
-
-    rng = np.random.default_rng(0)
-    ok = True
-    for _ in range(200):
-        n = int(rng.integers(4, 33))
-        w = int(rng.integers(1, n + 1))
-        seq = rng.integers(0, 2, size=n)
-        cap = float(rng.uniform(0.2, 0.9))
-        cset = ConstraintSet.weight_cap(cap)
-        got = verify_windows(seq, w, cset).valid
-        want = all(
-            seq[i : i + w].mean() <= cap + 1e-9 for i in range(n - w + 1)
-        )
-        ok &= got == want
-    check("window verifier vs brute force (200 random cases)", ok)
-
-    hp = HashParams(field_bits=4, chunk_count=2)
-    ok = True
-    for d1 in range(1, 16):
-        roots = sum(
-            1 for r2 in range(16)
-            if poly_hash([d1, 3], 0, r2, hp) == poly_hash([0, 3], 0, r2, hp)
-        )
-        ok &= roots <= hp.chunk_count
-    check("hash degree bound (GF(16), K=2)", ok)
-
-    if failures:
-        print(f"{len(failures)} self-test(s) failed", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="winavc",
@@ -253,9 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"winavc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -285,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    common(p, needs_config=False)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

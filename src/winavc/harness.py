@@ -18,7 +18,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .core import (
     ConstraintSet,
     Distribution,
     WindowedAvcSpec,
-    bitflip_spec,
     channel_sample_rows,
 )
 from .symmetrize import ecn_symmetrizable
@@ -363,6 +362,9 @@ def sweep(grid: dict) -> list[dict]:
     capacity-only), seed.  Cell seeds derive from (seed, cell index).  An
     axis that is not a list, or a fractional n or integer key, raises
     ConfigError; a failing cell keeps its exception and message in status.
+
+    Each cell is an experiment document loaded by config_from_dict, so its
+    verdict sees the planned transmission length while the n column stays n1.
     """
     ws = _sweep_axis(grid, "w", [0.2])
     ps = _sweep_axis(grid, "p", [0.1])
@@ -383,23 +385,25 @@ def sweep(grid: dict) -> list[dict]:
             w_s = round(alpha * w_x)
             if abs(w_s - alpha * w_x) > 1e-9 or not 1 <= w_s <= w_x:
                 raise ConfigError(f"alpha={alpha} does not give an integer w_s <= w_x")
-            spec = bitflip_spec(w, p, n, w_x, w_s)
-            verdict = windowed_capacity_verdict(spec)
+            px = p_x_weight if p_x_weight is not None else round(w / 3, 3)
+            # parsed once, without a jammer: every ConstraintSet costs one LP
+            config = config_from_dict({
+                "alphabets": {"x": 2, "s": 2, "y": 2},
+                "channel": [[1, 0], [0, 1], [0, 1], [1, 0]],
+                "gamma": [{"coeffs": [0, 1], "bound": w}],
+                "lambda": [{"coeffs": [0, 1], "bound": p}],
+                "windows": {"w_x": w_x, "w_s": w_s},
+                "code": {"n1": n, "message_bits": message_bits,
+                         "field_bits": field_bits, "p_x": {"weight": px}},
+            })
+            verdict = windowed_capacity_verdict(config.spec)
             row["c_list"] = verdict.capacity.value
             row["verdict"] = verdict.status
             if trials > 0:
-                px = p_x_weight if p_x_weight is not None else round(w / 3, 3)
-                code = CodecParams(
-                    layout="thm1", n1=n, message_bits=message_bits,
-                    field_bits=field_bits, p_x=Distribution.bernoulli(px),
-                )
-                config = ExperimentConfig(
-                    spec=spec, code=code,
-                    jammer=JammerParams(kind=jam_kind),
-                    trials=trials,
-                    master_seed=int(
-                        np.random.SeedSequence((seed, cell_index)).generate_state(1)[0]
-                    ),
+                seed_state = np.random.SeedSequence((seed, cell_index)).generate_state(1)
+                config = replace(
+                    config, jammer=JammerParams(kind=jam_kind),
+                    trials=trials, master_seed=int(seed_state[0]),
                 )
                 codec, build_stats = build_codec_from_config(config)
                 row["R"] = math.log2(codec.message_count) / codec.plan.n1

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import bitflip_symmetrizable
 
 from winavc.capacity import (
     VERDICT_THM2,
@@ -21,7 +22,7 @@ from winavc.capacity import (
 from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash, type1_window_fractions
 from winavc.core import Channel, ConstraintSet, Distribution, bitflip_spec, sample_iid
 from winavc.harness import ExperimentConfig, JammerParams, run_trials, wilson_interval
-from winavc.symmetrize import bitflip_symmetrizable, ecn_symmetrizable, gamma_prime
+from winavc.symmetrize import ecn_symmetrizable, gamma_prime
 from winavc.windows import verify_windows, windows_valid_rows
 
 XOR = Channel.xor()

@@ -452,12 +452,6 @@ def test_sweep_non_object_grid_exits_2(tmp_path, capsys, seed_args):
     assert captured.out == ""
 
 
-def test_selftest_passes(capsys):
-    assert cli_main(["selftest"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
-
-
 def test_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

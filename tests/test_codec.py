@@ -129,6 +129,23 @@ class TestPolyHash:
         assert grid.shape == (40, 32)
         assert grid[7, 9] == poly_hash(chunks[7], 0, 9, hp)
 
+    @pytest.mark.parametrize("field_bits", [3, 4])
+    @pytest.mark.parametrize("chunk_count", [2, 3])
+    def test_distinct_messages_agree_on_at_most_chunk_count_keys(self, field_bits, chunk_count):
+        # at r1 = 0 two hashes differ by a nonzero polynomial in r2 of degree
+        # <= K with no constant term, which has at most K roots in GF(q)
+        hp = HashParams(field_bits=field_bits, chunk_count=chunk_count)
+        q = hp.field_order
+        messages = chunk_message(np.arange(q**chunk_count), hp)
+        hashes = poly_hash(messages[:, None, :], 0, np.arange(q), hp)  # (messages, r2)
+        if len(messages) <= 512:
+            a, b = np.triu_indices(len(messages), k=1)  # every distinct pair
+        else:
+            a, b = np.random.default_rng(7).integers(0, len(messages), size=(2, 20_000))
+            a, b = a[a != b], b[a != b]
+        agreements = np.count_nonzero(hashes[a] == hashes[b], axis=1)
+        assert agreements.max() <= chunk_count
+
     def test_field_bits_outside_one_to_eight_rejected(self):
         for fb in (0, 9):
             with pytest.raises(ValueError, match="field_bits"):

@@ -524,6 +524,38 @@ class TestSweep:
         assert header.startswith("w,p,alpha,n,R,c_list,verdict")
         assert "0.357751" in line
 
+    def test_phase_one_shorter_than_the_window_runs(self):
+        # the spec's n is the planned 32 + 3*64 symbols, not n1 = 32
+        rows = sweep({"w": [0.3], "p": [0.05], "n": [32], "w_x": 64, "trials": 0})
+        assert rows[0]["status"] == "ok"
+
+    def test_verdict_sees_the_planned_length(self, monkeypatch):
+        lengths = []
+        verdict = harness.windowed_capacity_verdict
+
+        def recording(spec):
+            lengths.append(spec.n)
+            return verdict(spec)
+
+        monkeypatch.setattr(harness, "windowed_capacity_verdict", recording)
+        rows = sweep({"w": [0.2], "p": [0.1], "n": [256], "trials": 0})
+        assert rows[0]["n"] == 256
+        assert lengths == [448]
+
+    def test_capacity_only_cell_builds_no_code(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a capacity-only cell built a code")
+
+        monkeypatch.setattr(harness, "build_codec_from_config", refuse)
+        rows = sweep({"w": [0.2], "p": [0.1], "trials": 0})
+        assert rows[0]["status"] == "ok"
+
+    def test_unsymmetrizable_cell_keeps_its_verdict(self):
+        rows = sweep({"w": [0.3], "p": [0.05], "jammer": ["symmetrize"], "trials": 2})
+        assert rows[0]["status"].startswith("error: ConfigError: symmetrize jammer")
+        assert rows[0]["c_list"] == pytest.approx(bitflip_list_capacity(0.3, 0.05), abs=1e-3)
+        assert rows[0]["verdict"] == "equals_Clist_thm1"
+
 
 class TestBudgetInvariant:
     """Admissible states never exceed the phase-1 radius; a run that does is refused."""

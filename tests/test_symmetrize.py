@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import bitflip_symmetrizable
 from scipy.optimize import linprog
 
 from winavc.core import Channel, ConstraintSet, Distribution, InfeasibleSetError
 from winavc.lp import SimplexError
 from winavc.symmetrize import (
-    bitflip_symmetrizable,
     ecn_symmetrizable,
     gamma_prime,
     scan_nonsymmetrizable,
