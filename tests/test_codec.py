@@ -1,6 +1,9 @@
 """Hashing, list codes, interleaved layout, and the three-phase round trip."""
 
 import dataclasses
+import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
@@ -64,6 +67,15 @@ def thm1_params(**kw):
     )
     base.update(kw)
     return CodecParams(**base)
+
+
+def noisy_xor(eps):
+    """XOR of input and state, then an independent flip with probability eps."""
+    table = np.empty((2, 2, 2))
+    for x, s in itertools.product(range(2), repeat=2):
+        table[x, s, x ^ s] = 1 - eps
+        table[x, s, 1 - (x ^ s)] = eps
+    return Channel(table)
 
 
 def windowed(gamma, lam, w_x, w_s, channel=XOR):
@@ -330,6 +342,52 @@ class TestHammingScoring:
         keys = KeyCode(codewords=words.copy(), ids=np.arange(3), field_bits=2)
         with pytest.raises(ValueError, match="binary"):
             keys.decode_rows(y[None], budget)
+
+
+class TestBlockDecoding:
+    """A block decodes as its rows do one at a time, and its results are pinned.
+
+    Each block mixes clean transmissions, phase-1 flips, another row's keys and
+    an all-ones phase 1, so its rows end unique, ambiguous, without a survivor,
+    with an empty list, and with lists past _L_MAX.
+    """
+
+    @staticmethod
+    def _block(codec, rng, rows=40):
+        n1 = codec.plan.n1
+        m = rng.integers(codec.message_count, size=rows)
+        r1, r2 = np.array([codec.key_code.draw_keys(rng) for _ in range(rows)]).T
+        x = codec.encode_rows(m, r1, r2)
+        y = x.copy()
+        kind = np.arange(rows) % 4
+        flips = (rng.random((rows, n1)) < 0.04).astype(np.int8)
+        y[kind == 1, :n1] ^= flips[kind == 1]
+        y[kind == 2, n1:] = np.roll(x[:, n1:], 1, axis=0)[kind == 2]
+        y[kind == 3, :n1] = 1
+        return y
+
+    @pytest.mark.parametrize("channel, weight, digest", [
+        (XOR, 0.06, "96aa4982bfd5e0cecb0998968308720f3e836928c418ca7023fdb04fa884cee4"),
+        (noisy_xor(0.03), 0.1, "3547c65be92f7f7d72a03c19be6491d4219c088251e5bd0bd6c060ba367b63de"),
+    ], ids=["hamming", "likelihood"])
+    def test_block_decodes_as_its_rows(self, channel, weight, digest):
+        params = thm1_params(n1=128, field_bits=3, p_x=Distribution.bernoulli(weight),
+                             key_type=Distribution.bernoulli(0.2), key_len=None)
+        spec = windowed(ConstraintSet.weight_cap(0.3), ConstraintSet.weight_cap(0.1), 32, 32,
+                        channel)
+        codec, _ = build_three_phase_codec(params, spec, np.random.default_rng(3))
+        assert codec.budget1.kind == ("hamming" if channel is XOR else "likelihood")
+        y = self._block(codec, np.random.default_rng(4))
+        results = codec.decode_rows(y)
+        assert {r.status for r in results} == {"unique", "ambiguous", "no-survivor", "empty-list"}
+        assert {r.overflow for r in results} == {False, True}
+        assert results == [codec.decode_rows(row[None])[0] for row in y]
+        phase1 = y[:, : codec.plan.n1]
+        assert list_decode_rows(phase1, codec.phase1_flat, codec.budget1) == [
+            list_decode_rows(row[None], codec.phase1_flat, codec.budget1)[0] for row in phase1
+        ]
+        fields = [dataclasses.astuple(r) for r in results]
+        assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == digest
 
 
 class TestInterleaveAllocation:
