@@ -49,9 +49,9 @@ JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
 # Trials per block in run_trials.  Every round of the i.i.d. jammer's
 # rejection loop pays a fixed cost for the whole block, and a block runs as
 # many rounds as its slowest trial, so larger blocks share it among more
-# trials.  On a 2-CPU Xeon, 200 experiment.json trials ran at 0.273 ms per
-# trial in blocks of 12, 0.234 in 24, 0.224 in 32 and 0.220 in 48 (best of
-# 24 calls); at 32 a block's temporaries peak at 1.9 MB under tracemalloc.
+# trials.  On a 2-CPU Xeon, 200 experiment.json trials ran at 0.267 ms per
+# trial in blocks of 12, 0.238 in 24, 0.220 in 32 and 0.223 in 48 (best of
+# 24 calls); at 32 a block's temporaries peak at 1.8 MB under tracemalloc.
 _TRIAL_BLOCK = 32
 _TRIAL_STREAM = 2  # the last entry of a trial Generator's seed key
 

@@ -116,7 +116,7 @@ def solve_lp(
     art_cost = np.zeros(n + n_slack + m)
     art_cost[n + n_slack :] = 1.0
     status = _run_simplex(tableau, basis, art_cost)
-    if status == UNBOUNDED:  # pragma: no cover - phase 1 objective is bounded below
+    if status == UNBOUNDED:  # phase 1 is bounded below: only roundoff in a pivot gets here
         raise SimplexError("phase-1 objective reported unbounded")
     phase1_value = float(art_cost[basis] @ tableau[:, -1])
     if phase1_value > max(_TOL, _TOL * max(1.0, np.abs(b).max())):

@@ -290,19 +290,31 @@ def _window_violations(mat: np.ndarray, w: int, gamma: ConstraintSet) -> np.ndar
     """
     tests = _window_tests(gamma, w)
     rows, n = mat.shape
-    if tests.always:
-        return np.ones((rows, n - w + 1), dtype=bool)
+    if tests.always or not tests.symbols:
+        return np.full((rows, n - w + 1), tests.always)
     counts = {s: _window_counts(mat, s, w) for s in tests.symbols}
-    flags = np.zeros(rows * n, dtype=bool)
-    live = flags[: rows * n - w + 1]
+    flags = np.empty(rows * n, dtype=bool)
+    live = flags[: rows * n - w + 1]  # the rest would be windows past the last row
+    # the first test writes the flags, the others are OR-ed in through one scratch array
+    comparisons = _comparisons(tests, counts)
+    compare, values, bound = next(comparisons)
+    compare(values, bound, out=live)
+    scratch = None
+    for compare, values, bound in comparisons:
+        scratch = compare(values, bound, out=scratch)
+        live |= scratch
+    return flags.reshape(rows, n)[:, : n - w + 1]
+
+
+def _comparisons(tests: _WindowTests, counts: dict):
+    """(ufunc, window values, bound) per test: a window violates it where the ufunc holds."""
     for s, k in tests.at_least:
-        live |= counts[s] >= k
+        yield np.greater_equal, counts[s], k
     for s, k in tests.at_most:
-        live |= counts[s] <= k
+        yield np.less_equal, counts[s], k
     for terms, threshold in tests.sums:
         (s, c), *rest = terms
         dots = c * counts[s]
         for s, c in rest:
             dots += c * counts[s]
-        live |= dots > threshold
-    return flags.reshape(rows, n)[:, : n - w + 1]
+        yield np.greater, dots, threshold

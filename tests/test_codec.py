@@ -296,16 +296,34 @@ class TestHammingScoring:
     @given(data=st.data())
     def test_packed_scores_match_symbol_compare(self, data):
         # lengths 1-200 cross the 8-bit byte and 64-bit word boundaries; each of
-        # several outputs is scored on its own
-        rows = data.draw(st.integers(1, 40), label="rows")
-        n = data.draw(st.integers(1, 200), label="n")
+        # several outputs is scored on its own, in full and within a radius.  An
+        # all-zero code within reach of every output prunes nothing; a code whose
+        # other words differ from the output in each of its first 64 symbols
+        # keeps only the sent word, the output with some later symbols flipped,
+        # after the first packed word, and the scan finishes that pair alone.
+        kind = data.draw(st.sampled_from(["random", "all-zero", "far"]), label="kind")
+        far = kind == "far"
+        rows = data.draw(st.integers(29 if far else 1, 40), label="rows")
+        n = data.draw(st.integers(65 if far else 1, 200), label="n")
+        outputs = 1 if far else data.draw(st.integers(1, 4), label="outputs")
+        ys = data.draw(binary_rows(outputs, n), label="ys")
         words = data.draw(binary_rows(rows, n), label="codewords")
-        ys = data.draw(binary_rows(data.draw(st.integers(1, 4), label="outputs"), n), label="ys")
-        radius = data.draw(st.integers(0, n), label="radius")
-        scores, ok = list_code(words).score_rows(ys, JamBudget("hamming", radius))
+        low = 0
+        if kind == "all-zero":
+            words[:] = 0
+            low = int(ys.sum(axis=1).max())
+        elif far:
+            words[:, :64] = 1 - ys[0, :64]
+            words[0] = ys[0]
+            words[0, 64 : 64 + data.draw(st.integers(0, n - 64), label="flips")] ^= 1
+        radius = data.draw(st.integers(low, 63 if far else n), label="radius")
+        code = list_code(words)
         want = np.count_nonzero(words[None, :, :] != ys[:, None, :], axis=2)
-        assert np.array_equal(scores, want)
+        budget = JamBudget("hamming", radius)
+        assert np.array_equal(code._scores(ys, budget), want)
+        scores, ok = code.score_rows(ys, budget)
         assert np.array_equal(ok, want <= radius)
+        assert np.array_equal(scores[ok], want[ok])
 
     @given(data=st.data())
     def test_key_decode_breaks_ties_by_key_id(self, data):
@@ -674,13 +692,7 @@ class TestThreePhase:
         # intrinsic channel noise on top of the adversarial flip: the table
         # is no longer additive, so both decoding stages score by worst-case
         # admissible log-likelihood
-        eps = 0.03
-        table = np.empty((2, 2, 2))
-        for x in range(2):
-            for s in range(2):
-                table[x, s, x ^ s] = 1 - eps
-                table[x, s, 1 - (x ^ s)] = eps
-        noisy = Channel(table)
+        noisy = noisy_xor(0.03)
         assert not noisy.is_binary_additive()
 
         rng = np.random.default_rng(17)

@@ -28,6 +28,14 @@ def test_unbounded_detected():
     assert res.status == lp.UNBOUNDED
 
 
+def test_phase_one_reported_unbounded_raises(monkeypatch):
+    # phase 1 minimises a sum of non-negative artificials, so an "unbounded"
+    # report there comes from roundoff and must not pass for an answer
+    monkeypatch.setattr(lp, "_run_simplex", lambda *args, **kwargs: lp.UNBOUNDED)
+    with pytest.raises(lp.SimplexError, match="phase-1 objective reported unbounded"):
+        lp.solve_lp([1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+
+
 def test_equality_constraints():
     # minimize x1 on the simplex with x1 >= 0.3 via -x1 <= -0.3
     res = lp.solve_lp(
