@@ -53,13 +53,16 @@ class CapacityResult:
     and I(P, argmin_qs) <= `upper` for every P.  `solver_iterations` counts
     mirror-prox steps; a width above 1e-6 means the step cap was hit."""
 
-    value: float
     argmax_px: Distribution | None
     argmin_qs: Distribution | None
     solver_iterations: int
     lower: float
     upper: float
     all_symmetrizable_evidence: bool = False
+
+    @property
+    def value(self) -> float:
+        return self.lower
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,6 @@ def list_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channel) ->
     if lower - upper > 1e-12:  # at a vertex saddle the two differ by rounding alone
         raise RuntimeError(f"certified bounds crossed: lower {lower} > upper {upper}")
     return CapacityResult(
-        value=lower,
         argmax_px=Distribution(np.clip(p_low, 0, None), atol=1e-6),
         argmin_qs=Distribution(np.clip(q_up, 0, None), atol=1e-6),
         solver_iterations=steps,
@@ -251,7 +253,7 @@ def oblivious_capacity(gamma: ConstraintSet, lam: ConstraintSet, channel: Channe
         for c, bound, p in _relaxed_witnesses(gamma, channel, lam) if p is not None
     ]
     if not results:
-        return CapacityResult(0.0, None, None, 0, 0.0, float("nan"), all_symmetrizable_evidence=True)
+        return CapacityResult(None, None, 0, 0.0, float("nan"), all_symmetrizable_evidence=True)
     return replace(max(results, key=lambda r: r.value), upper=max(r.upper for r in results))
 
 

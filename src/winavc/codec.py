@@ -153,21 +153,17 @@ class JamBudget:
     ll_floor: float = -np.inf
 
 
-def max_window_corruption(w_s: int, lam: ConstraintSet) -> int:
-    """Largest number of non-zero state symbols an admissible window allows."""
-    weight = np.ones(lam.dim)
-    weight[0] = 0.0
-    hi, _ = lam.max_linear(weight)
-    return int(math.floor(hi * w_s + 1e-9))
-
-
 def hamming_budget(seg_len: int, w_s: int, lam: ConstraintSet) -> JamBudget:
     """Max total corruption inside any seg_len stretch of an admissible state.
 
-    Every disjoint state window carries at most k non-zero symbols, so a
-    segment of length L admits at most floor(L/w_s)*k + min(k, L mod w_s).
+    Every disjoint state window carries at most k non-zero symbols, the most
+    an admissible window allows, so a segment of length L admits at most
+    floor(L/w_s)*k + min(k, L mod w_s).
     """
-    k = max_window_corruption(w_s, lam)
+    weight = np.ones(lam.dim)
+    weight[0] = 0.0
+    hi, _ = lam.max_linear(weight)
+    k = int(math.floor(hi * w_s + 1e-9))
     radius = (seg_len // w_s) * k + min(k, seg_len % w_s)
     return JamBudget(kind="hamming", radius=radius)
 
@@ -256,22 +252,6 @@ class ListCode:
                 break
         return scores
 
-    def score_rows(self, y_rows, budget: JamBudget) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, admissible mask) of every codeword against each row of a (rows, n)
-        output block, two (rows, codewords) arrays; lower scores are better, and a
-        score is exact where the mask holds."""
-        if budget.kind == "hamming":
-            scores = self._scores(y_rows, budget, budget.radius)
-            return scores, scores <= budget.radius
-        scores = self._scores(y_rows, budget)
-        return scores, scores <= -budget.ll_floor
-
-
-@dataclass(frozen=True)
-class ListDecodeResult:
-    messages: tuple[int, ...]
-    overflow: bool
-
 
 def delta_interior(p: Distribution, cset: ConstraintSet, delta: float) -> bool:
     """Sufficient check that the L1 ball of radius delta around p is in cset."""
@@ -355,9 +335,16 @@ def _ranked_lists(y_rows, code: ListCode, budget: JamBudget):
 
     rows and positions hold each row's list in row order, best score first
     and ties by position, truncated to _L_MAX; sizes and overflow are per
-    row.  The admissible pairs of the whole block are ranked by one lexsort.
+    row.  A pair is admissible when its score is within the Hamming radius or
+    at most minus the likelihood floor; the admissible pairs of the whole
+    block are ranked by one lexsort.
     """
-    scores, ok = code.score_rows(y_rows, budget)
+    if budget.kind == "hamming":
+        scores = code._scores(y_rows, budget, budget.radius)
+        ok = scores <= budget.radius
+    else:
+        scores = code._scores(y_rows, budget)
+        ok = scores <= -budget.ll_floor
     size = scores.shape[1]
     found = ok.sum(axis=1, dtype=np.int32)
     if found.max(initial=0) > _L_MAX:
@@ -376,15 +363,6 @@ def _ranked_lists(y_rows, code: ListCode, budget: JamBudget):
     kept = np.bincount(rows, minlength=found.size)
     listed = np.arange(rows.size) - (np.cumsum(kept) - kept)[rows] < _L_MAX
     return rows[listed], pos[listed], np.minimum(found, _L_MAX), found > _L_MAX
-
-
-def list_decode_rows(y_rows, code: ListCode, budget: JamBudget) -> list[ListDecodeResult]:
-    """Positions of all codewords within the jamming budget for each row of a (rows, n)
-    output block, best score first and ties by position, truncated to _L_MAX with
-    the overflow flagged; the block is scored and ranked in one pass."""
-    _, pos, sizes, overflow = _ranked_lists(y_rows, code, budget)
-    lists = np.split(pos, np.cumsum(sizes)[:-1])
-    return [ListDecodeResult(tuple(p.tolist()), o) for p, o in zip(lists, overflow.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +597,6 @@ class ThreePhaseCodec:
     plan: PhasePlan
     hash_params: HashParams
     gamma: ConstraintSet
-    message_ids: np.ndarray  # surviving original message ids
     phase1_flat: ListCode  # (M_surv * q, n1), message-major
     phase2_seq: np.ndarray
     phase3_skeleton: np.ndarray  # key segment with its key slots left as -1
@@ -627,9 +604,15 @@ class ThreePhaseCodec:
     budget1: JamBudget  # phase-1 list decoding; key decoding reads only its scoring
 
     def __post_init__(self):
-        self.message_ids.setflags(write=False)
         self.phase2_seq.setflags(write=False)
         self.phase3_skeleton.setflags(write=False)
+
+    @cached_property
+    def message_ids(self) -> np.ndarray:
+        """Surviving original message ids: each kept message holds q consecutive rows."""
+        ids = self.phase1_flat.ids[:: self.q] // self.q
+        ids.setflags(write=False)
+        return ids
 
     @property
     def message_count(self) -> int:
@@ -654,7 +637,7 @@ class ThreePhaseCodec:
         """Positions of the key codeword in the transmission."""
         return self.plan.phase3_start + np.flatnonzero(self.phase3_skeleton < 0)
 
-    def encode_rows(self, message_pos, r1, r2, *, check_windows: bool = True) -> np.ndarray:
+    def encode_rows(self, message_pos, r1, r2) -> np.ndarray:
         """Full codewords for equal-length arrays of message positions and keys: one
         (rows, n) block, each row the transmission of its message under its keys."""
         pos, r1, r2 = (np.asarray(v) for v in (message_pos, r1, r2))
@@ -675,14 +658,13 @@ class ThreePhaseCodec:
         full[:, plan.n1 : plan.phase3_start] = self.phase2_seq
         full[:, plan.phase3_start :] = self.phase3_skeleton
         full[:, self.key_slots] = self.key_code.encode_rows(r1, r2)
-        if check_windows:
-            valid = windows_valid_rows(full, plan.w_x, self.gamma)
-            if not valid.all():
-                report = verify_windows(full[np.argmin(valid)], plan.w_x, self.gamma)
-                raise CodeConstructionError(
-                    f"assembled codeword violates an input window at start "
-                    f"{report.first_violation()}"
-                )
+        valid = windows_valid_rows(full, plan.w_x, self.gamma)
+        if not valid.all():
+            report = verify_windows(full[np.argmin(valid)], plan.w_x, self.gamma)
+            raise CodeConstructionError(
+                f"assembled codeword violates an input window at start "
+                f"{report.first_violation()}"
+            )
         return full
 
     def decode_rows(self, y_rows) -> list[DecodeResult]:
@@ -775,7 +757,6 @@ def build_three_phase_codec(
         np.full(plan.n1, -1, dtype=np.int8), n_msg * q, params.p_x, gamma, plan.w_x, rng,
         suffix_context=phase2_seq, fiber=q,
     )
-    message_ids = phase1.ids[::q] // q  # each kept message holds q consecutive rows
 
     keys, key_stats = _random_code(
         phase3_skeleton, q * q, key_t, gamma, plan.w_x, rng, prefix_context=phase2_seq,
@@ -786,7 +767,6 @@ def build_three_phase_codec(
         plan=plan,
         hash_params=hp,
         gamma=gamma,
-        message_ids=message_ids,
         phase1_flat=phase1,
         phase2_seq=phase2_seq,
         phase3_skeleton=phase3_skeleton,
@@ -799,7 +779,7 @@ def build_three_phase_codec(
         "phase1_removed": int(p1_stats.removed),
         "phase1_removed_fraction": p1_stats.removed_fraction,
         "messages_built": int(n_msg),
-        "messages_kept": int(message_ids.size),
+        "messages_kept": codec.message_count,
         "key_total": int(key_stats.total),
         "key_removed": int(key_stats.removed),
         "key_removed_fraction": key_stats.removed_fraction,

@@ -59,10 +59,6 @@ class Distribution:
         return cls(p)
 
     @classmethod
-    def uniform(cls, size: int) -> "Distribution":
-        return cls(np.full(size, 1.0 / size))
-
-    @classmethod
     def bernoulli(cls, weight: float) -> "Distribution":
         """Binary distribution with P(1) = weight."""
         if not 0.0 <= weight <= 1.0:
@@ -350,15 +346,8 @@ def induced_channel(q_s: Distribution, channel: Channel) -> np.ndarray:
     return np.einsum("s,xsy->xy", q_s.probs, channel.table)
 
 
-def mutual_information(p_x: Distribution, q_s: Distribution, channel: Channel) -> float:
-    """I(x; y) in bits under the product law P_x Q_s W(y|x,s)."""
-    if p_x.size != channel.num_inputs:
-        raise ValueError("input distribution does not match channel")
-    v = induced_channel(q_s, channel)
-    return _mi_from_induced(p_x.probs, v)
-
-
 def _mi_from_induced(px: np.ndarray, v: np.ndarray) -> float:
+    """I(x; y) in bits for the input law px through the induced channel v."""
     terms = px[:, None] * v * _log_ratio(px, v)
     return max(float(terms.sum()), 0.0)
 

@@ -103,6 +103,11 @@ class ExperimentConfig:
                     "bound on state 1; set jammer.p_s"
                 )
             _default_iid_law(self.spec.lam)  # solved here, once per state set
+        if self.jammer.kind == "spoof" and self.spec.channel.num_inputs > states:
+            raise ConfigError(
+                f"a spoof jammer sends codewords as states, but alphabets.x = "
+                f"{self.spec.channel.num_inputs} is larger than alphabets.s = {states}"
+            )
         if self.jammer.kind == "symmetrize":
             _symmetrizing_map(self)
 
@@ -212,7 +217,7 @@ def _public_codeword_sampler(codec: ThreePhaseCodec):
 
     def sample(rngs) -> np.ndarray:
         draws = [(codec.draw_message(rng), *codec.key_code.draw_keys(rng)) for rng in rngs]
-        return codec.encode_rows(*np.array(draws).T, check_windows=False)
+        return codec.encode_rows(*np.array(draws).T)
 
     return sample
 

@@ -1,4 +1,6 @@
-"""Closed-form oracles that the tests check the solvers against."""
+"""Closed-form oracles and reference computations that the tests check the solvers against."""
+
+from winavc.core import Channel, Distribution, _mi_from_induced, induced_channel
 
 
 def bitflip_symmetrizable(w: float, p: float) -> bool:
@@ -10,3 +12,10 @@ def bitflip_symmetrizable(w: float, p: float) -> bool:
     if not (0.0 <= w < 0.5 and 0.0 <= p < 0.5):
         raise ValueError(f"weights must lie in [0, 0.5), got w={w}, p={p}")
     return w <= p
+
+
+def mutual_information(p_x: Distribution, q_s: Distribution, channel: Channel) -> float:
+    """I(x; y) in bits under the product law P_x Q_s W(y|x,s)."""
+    if p_x.size != channel.num_inputs:
+        raise ValueError("input distribution does not match channel")
+    return _mi_from_induced(p_x.probs, induced_channel(q_s, channel))

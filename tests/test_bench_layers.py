@@ -10,7 +10,7 @@ STALE = {
     "winavc.jammers.iid_jammer",  # deleted; jammers.iid_jammer_rows is the entry point
     "ThreePhaseCodec.encode",  # deleted; ThreePhaseCodec.encode_rows is the entry point
     "ThreePhaseCodec.decode",  # deleted; ThreePhaseCodec.decode_rows is the entry point
-    "winavc.codec.list_decode",  # deleted; codec.list_decode_rows is the entry point
+    "winavc.codec.list_decode",  # deleted; ThreePhaseCodec.decode_rows calls codec._ranked_lists
     "KeyCode.decode",  # deleted; KeyCode.decode_rows is the entry point
     "winavc.harness.block_channel_sample",  # deleted; the harness calls channel_sample_rows
     "winavc.codec.windows_valid",  # deleted; callers read verify_windows(...).valid

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mutual_information
 
 from winavc import capacity
 from winavc.capacity import (
@@ -24,7 +25,6 @@ from winavc.core import (
     Distribution,
     binary_entropy,
     bitflip_spec,
-    mutual_information,
 )
 
 XOR = Channel.xor()

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -305,7 +308,14 @@ def test_simulate_rejection_cap_below_1_exits_2(experiment_config, capsys, cap):
 @pytest.mark.parametrize("edit, named", [
     ({"jammer": {"kind": "iid", "p_s": [0.9, 0.05, 0.05]}, "trials": 3}, "jammer.p_s"),
     ({"windows": {"w_x": 64, "w_s": 1024}, "n": 2048}, "windows.w_s = 1024"),
-], ids=["p-s-size", "w-s-longer-than-transmission"])
+    # y = x + s mod 3 on binary states: a codeword symbol 2 names no state
+    ({"alphabets": {"x": 3, "s": 2, "y": 3},
+      "channel": [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0]],
+      "gamma": [{"coeffs": [0, 1, 1], "bound": 0.3}],
+      "code": {"layout": "thm1", "n1": 256, "message_bits": 3, "field_bits": 3,
+               "p_x": [0.9, 0, 0.1], "key_len": 64},
+      "jammer": {"kind": "spoof"}}, "alphabets.x = 3 is larger than alphabets.s = 2"),
+], ids=["p-s-size", "w-s-longer-than-transmission", "spoof-with-more-inputs-than-states"])
 def test_simulate_bad_jammer_exits_2(experiment_config, capsys, edit, named):
     doc = json.loads(Path(experiment_config).read_text())
     doc.update(edit)
@@ -462,3 +472,12 @@ def test_config_missing_fields_exits_2(tmp_path):
     cfg = tmp_path / "partial.json"
     cfg.write_text(json.dumps({"alphabets": {"x": 2, "s": 2, "y": 2}}))
     assert cli_main(["capacity", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_module_entry_point_prints_the_version():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "winavc", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "winavc 0.1.0\n"

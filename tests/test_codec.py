@@ -21,6 +21,7 @@ from winavc.codec import (
     KeyCode,
     ListCode,
     _random_code,
+    _ranked_lists,
     build_interleaved_region,
     build_three_phase_codec,
     chunk_message,
@@ -28,7 +29,6 @@ from winavc.codec import (
     hamming_budget,
     interleave_allocation,
     likelihood_budget,
-    list_decode_rows,
     make_phase_plan,
     poly_hash,
     type1_window_fractions,
@@ -51,6 +51,11 @@ def free_skeleton(length):
 def list_code(words):
     """A code of the given rows, each its own id."""
     return ListCode(codewords=words, ids=np.arange(len(words)))
+
+
+def ranked(y_rows, code, budget):
+    """_ranked_lists's (rows, positions, sizes, overflow) as lists."""
+    return tuple(a.tolist() for a in _ranked_lists(y_rows, code, budget))
 
 
 def key_code(field_bits, law, length, gamma, w_x, rng):
@@ -249,37 +254,33 @@ class TestListDecode:
 
     def test_exact_match_zero_budget(self):
         code = self._small_code()
-        res, = list_decode_rows([[1, 1, 1, 0, 0, 0]], code, JamBudget("hamming", 0))
-        assert res.messages == (1,)
+        assert ranked([[1, 1, 1, 0, 0, 0]], code, JamBudget("hamming", 0)) == (
+            [0], [1], [1], [False])
 
     def test_within_radius(self):
         code = self._small_code()
-        res, = list_decode_rows([[1, 1, 0, 0, 0, 0]], code, JamBudget("hamming", 1))
-        assert res.messages == (1,)
+        assert ranked([[1, 1, 0, 0, 0, 0]], code, JamBudget("hamming", 1)) == (
+            [0], [1], [1], [False])
 
     def test_tie_breaks_by_index(self):
         code = self._small_code()
-        # equidistant from codewords 1 and 2
-        res, = list_decode_rows([[1, 1, 1, 1, 1, 1]], code, JamBudget("hamming", 3))
-        assert res.messages == (1, 2) or res.messages == (0, 1, 2)
-        assert res.messages[0] == min(res.messages)
+        # equidistant from codewords 1 and 2, and 6 from codeword 0
+        assert ranked([[1, 1, 1, 1, 1, 1]], code, JamBudget("hamming", 3)) == (
+            [0, 0], [1, 2], [2], [False])
 
     def test_truncation_flagged(self):
         # the list is capped at 32 entries
         budget = JamBudget("hamming", 4)
-        full, = list_decode_rows([[0, 0, 0, 0]], list_code(np.zeros((32, 4), dtype=np.int8)),
-                                 budget)
-        assert not full.overflow
-        assert full.messages == tuple(range(32))
-        res, = list_decode_rows([[0, 0, 0, 0]], list_code(np.zeros((40, 4), dtype=np.int8)),
-                                budget)
-        assert res.overflow
-        assert res.messages == tuple(range(32))
+        zeros = [[0, 0, 0, 0]]
+        assert ranked(zeros, list_code(np.zeros((32, 4), dtype=np.int8)), budget) == (
+            [0] * 32, list(range(32)), [32], [False])
+        assert ranked(zeros, list_code(np.zeros((40, 4), dtype=np.int8)), budget) == (
+            [0] * 32, list(range(32)), [32], [True])
 
     def test_empty_list(self):
         code = self._small_code()
-        res, = list_decode_rows([[1, 0, 1, 0, 1, 0]], code, JamBudget("hamming", 1))
-        assert res.messages == ()
+        assert ranked([[1, 0, 1, 0, 1, 0]], code, JamBudget("hamming", 1)) == (
+            [], [], [0], [False])
 
     def test_likelihood_budget_agrees_on_xor(self):
         # likelihood scoring with a noisy reference, the state set's feasible
@@ -288,8 +289,8 @@ class TestListDecode:
         budget = likelihood_budget(
             Distribution.bernoulli(0.3), XOR, ConstraintSet.weight_cap(0.2),
         )
-        res, = list_decode_rows([[1, 1, 0, 0, 0, 0]], code, budget)
-        assert res.messages and res.messages[0] == 1
+        _, positions, sizes, _ = ranked([[1, 1, 0, 0, 0, 0]], code, budget)
+        assert sizes[0] and positions[0] == 1
 
 
 class TestHammingScoring:
@@ -321,7 +322,8 @@ class TestHammingScoring:
         want = np.count_nonzero(words[None, :, :] != ys[:, None, :], axis=2)
         budget = JamBudget("hamming", radius)
         assert np.array_equal(code._scores(ys, budget), want)
-        scores, ok = code.score_rows(ys, budget)
+        scores = code._scores(ys, budget, radius)
+        ok = scores <= radius
         assert np.array_equal(ok, want <= radius)
         assert np.array_equal(scores[ok], want[ok])
 
@@ -356,7 +358,7 @@ class TestHammingScoring:
         y[7] = bad_y
         budget = JamBudget("hamming", 10)
         with pytest.raises(ValueError, match="binary"):
-            list_decode_rows(y[None], list_code(words), budget)
+            _ranked_lists(y[None], list_code(words), budget)
         keys = KeyCode(codewords=words.copy(), ids=np.arange(3), field_bits=2)
         with pytest.raises(ValueError, match="binary"):
             keys.decode_rows(y[None], budget)
@@ -400,10 +402,14 @@ class TestBlockDecoding:
         assert {r.status for r in results} == {"unique", "ambiguous", "no-survivor", "empty-list"}
         assert {r.overflow for r in results} == {False, True}
         assert results == [codec.decode_rows(row[None])[0] for row in y]
+        # the block's lists are its rows' own lists, one after another
         phase1 = y[:, : codec.plan.n1]
-        assert list_decode_rows(phase1, codec.phase1_flat, codec.budget1) == [
-            list_decode_rows(row[None], codec.phase1_flat, codec.budget1)[0] for row in phase1
-        ]
+        alone = [ranked(row[None], codec.phase1_flat, codec.budget1) for row in phase1]
+        rows, positions, sizes, overflow = ranked(phase1, codec.phase1_flat, codec.budget1)
+        assert rows == [i for i, a in enumerate(alone) for _ in a[0]]
+        assert positions == [p for a in alone for p in a[1]]
+        assert sizes == [a[2][0] for a in alone]
+        assert overflow == [a[3][0] for a in alone]
         fields = [dataclasses.astuple(r) for r in results]
         assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == digest
 
@@ -636,7 +642,8 @@ class TestThreePhase:
         codec, _ = self._build(seed=4)
         broken = dataclasses.replace(codec, phase2_seq=np.ones_like(codec.phase2_seq))
         r1, r2 = codec.key_code.draw_keys(np.random.default_rng(8))
-        x, = broken.encode_rows([0], [r1], [r2], check_windows=False)
+        x, = codec.encode_rows([0], [r1], [r2])
+        x[codec.plan.n1 : codec.plan.phase3_start] = 1
         ones = np.convolve(x, np.ones(32, dtype=int), mode="valid")
         first = int(np.flatnonzero(ones > 0.3 * 32)[0])
         with pytest.raises(CodeConstructionError, match=f"input window at start {first}$"):

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from winavc import gf2, harness
-from winavc.codec import CodecParams, HashParams, build_three_phase_codec, poly_hash
+from winavc.codec import (
+    CodecParams,
+    CodeConstructionError,
+    HashParams,
+    build_three_phase_codec,
+    poly_hash,
+)
 from winavc.core import (
     Channel,
     ConstraintSet,
@@ -187,6 +193,14 @@ class TestRunTrials:
         # codeword windows carry weight ~0.1 >> state cap 0.05
         assert stats.jam_forfeits == 30
         assert stats.err_avg == 0.0
+
+    def test_public_codeword_sampler_runs_the_window_check(self):
+        # an all-ones buffer pushes the windows that reach it over gamma's cap
+        codec, _ = build_codec_from_config(small_config(jammer_kind="spoof"))
+        broken = dataclasses.replace(codec, phase2_seq=np.ones_like(codec.phase2_seq))
+        sample_rows = harness._public_codeword_sampler(broken)
+        with pytest.raises(CodeConstructionError, match="violates an input window"):
+            sample_rows([np.random.default_rng(i) for i in range(3)])
 
     def test_generation_failures_counted_within_budget(self):
         from winavc.jammers import JammerGenerationError
@@ -678,8 +692,15 @@ class TestConfigParsing:
           "lambda": [{"coeffs": [0, 1, 1], "bound": 0.05}]}, "needs binary states"),
         ({"jammer": {"kind": "iid", "p_s": [0.9, 0.05, 0.05]}}, "jammer.p_s has 3 entries"),
         ({"jammer": {"kind": "symmetrize"}}, "the input law is not symmetrizable"),
+        # y = x + s mod 3 on binary states: a spoof jammer's codeword symbol 2 names no state
+        ({"alphabets": {"x": 3, "s": 2, "y": 3},
+          "channel": [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0]],
+          "gamma": [{"coeffs": [0, 1, 1], "bound": 0.3}],
+          "code": {"layout": "thm1", "n1": 256, "message_bits": 3, "field_bits": 3,
+                   "p_x": [0.9, 0.05, 0.05], "key_len": 64},
+          "jammer": {"kind": "spoof"}}, "alphabets.x = 3 is larger than alphabets.s = 2"),
     ], ids=["unknown-kind", "custom-kind", "iid-without-p-s-on-ternary-states", "p-s-size",
-            "nonsymmetrizable-symmetrize"])
+            "nonsymmetrizable-symmetrize", "spoof-with-more-inputs-than-states"])
     def test_bad_jammer_rejected_at_load(self, edit, named):
         doc = self.doc()
         doc.update(edit)

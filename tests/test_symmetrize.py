@@ -270,7 +270,7 @@ class TestScan:
         # W(y|x, s) = V(y|x) with distinct rows: no map symmetrizes it
         rows = np.array([[0.9, 0.1], [0.2, 0.8]])
         channel = Channel(np.repeat(rows[:, None, :], 2, axis=1))
-        assert not ecn_symmetrizable(Distribution.uniform(2), channel,
+        assert not ecn_symmetrizable(Distribution([0.5, 0.5]), channel,
                                      ConstraintSet.weight_cap(0.5)).feasible
         gamma = ConstraintSet.weight_cap(0.3)
         witness = scan_nonsymmetrizable(gamma, channel, ConstraintSet.weight_cap(0.5))
