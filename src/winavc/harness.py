@@ -3,10 +3,13 @@
 Each trial owns one Generator, derived counter-mode from (master_seed,
 trial index, 2), which draws in a fixed order: the message (not under the
 max criterion, which sweeps messages instead), the keys, the jammer's
-states, then the channel outputs.  Trials run in fixed blocks, one call per
-stage for the whole block, and every Generator draws exactly what it would
-in a trial run alone, so each trial is bit-reproducible on its own and the
-records do not depend on the block size or on which trials run before it.
+states, then the channel outputs.  A run draws every trial's message and
+keys first, then jams all its trials in one call, whose rejection loop
+keeps a pool of _TRIAL_BLOCK trials live, and then encodes, samples the
+channel and decodes in fixed blocks of _TRIAL_BLOCK trials, one call per
+stage and block.  Every Generator draws exactly what it would in a trial
+run alone, so each trial is bit-reproducible on its own and the records do
+not depend on the block size or on which trials run before it.
 The jammer only ever receives public objects; a strategy that proposes an
 inadmissible state sequence forfeits the trial, and a deterministic
 admissible fallback is played (an adversary cannot play outside the model).
@@ -46,12 +49,13 @@ OUTCOMES = (*_STATUS_OUTCOMES.values(), "wrong-message")
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
 _IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
 JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
-# Trials per block in run_trials.  Every round of the i.i.d. jammer's
-# rejection loop pays a fixed cost for the whole block, and a block runs as
-# many rounds as its slowest trial, so larger blocks share it among more
-# trials.  On a 2-CPU Xeon, 200 experiment.json trials ran at 0.267 ms per
-# trial in blocks of 12, 0.238 in 24, 0.220 in 32 and 0.223 in 48 (best of
-# 24 calls); at 32 a block's temporaries peak at 1.8 MB under tracemalloc.
+# Trials per block in run_trials, and the width of the jammer's rejection
+# pool.  Every round of the rejection loop pays a fixed cost for the whole
+# pool, so a wider pool shares it among more trials, while the encoding,
+# channel and decoding temporaries grow with the block.  On a 2-CPU Xeon,
+# 200 experiment.json trials ran at 0.187 ms per trial at 12, 0.171 at 24,
+# 0.170 at 32 and 0.165 at 48 (best of 24 calls); a run's allocations peak
+# under tracemalloc at 1.62 MiB at 24, 2.04 at 32 and 2.87 at 48.
 _TRIAL_BLOCK = 32
 _TRIAL_STREAM = 2  # the last entry of a trial Generator's seed key
 
@@ -199,16 +203,18 @@ def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec, fall
     if jp.kind == "iid":
         p_s = jp.p_s if jp.p_s is not None else _default_iid_law(spec.lam)
         return lambda rngs: jammers.iid_jammer_rows(
-            p_s, n, spec.w_s, spec.lam, rngs, jp.rejection_cap
+            p_s, n, spec.w_s, spec.lam, rngs, jp.rejection_cap, _TRIAL_BLOCK
         )
     sample_rows = _public_codeword_sampler(codec)
     if jp.kind == "spoof":
-        return lambda rngs: jammers.spoof_jammer_rows(sample_rows, n, spec.w_s, spec.lam, rngs)
+        return lambda rngs: jammers.spoof_jammer_rows(
+            sample_rows, n, spec.w_s, spec.lam, rngs, _TRIAL_BLOCK
+        )
     # symmetrize: the symmetrizing map is derived from the public input law;
     # the dominant surviving phase-1 law is approximated by its sampler law.
     u = _symmetrizing_map(config)
     return lambda rngs: jammers.symmetrize_jammer_rows(
-        sample_rows, u, n, spec.w_s, spec.lam, rngs, jp.rejection_cap
+        sample_rows, u, n, spec.w_s, spec.lam, rngs, jp.rejection_cap, _TRIAL_BLOCK
     )
 
 
@@ -231,11 +237,14 @@ def run_trials(
 ) -> RunStats:
     """Build the code once, then simulate trials; deterministic per seed.
 
-    Trials run _TRIAL_BLOCK at a time: each stage (encoding, jamming, the
-    channel and decoding) handles a whole block in one call.  Under the max
-    criterion, messages are swept round-robin (exhaustively when the
-    surviving message count is at most 2^10, else over a fixed seed-derived
-    subset) so that per-message error estimates are balanced.
+    Every trial's message and keys are drawn first, then one jammer call
+    draws the states of all trials, keeping _TRIAL_BLOCK of them in its
+    rejection loop at once.  Encoding, the budget check, the channel and
+    decoding then run _TRIAL_BLOCK trials at a time, one call per stage and
+    block, which bounds their temporaries.  Under the max criterion,
+    messages are swept round-robin (exhaustively when the surviving message
+    count is at most 2^10, else over a fixed seed-derived subset) so that
+    per-message error estimates are balanced.
     """
     if codec is None:
         codec, build_stats = build_codec_from_config(config)
@@ -244,6 +253,7 @@ def run_trials(
     draw_states = _make_state_generator(config, codec, fallback)
     notes = []
 
+    rngs = [_trial_rng(config.master_seed, i) for i in range(config.trials)]
     if config.error_criterion == "max":
         if codec.message_count <= MAX_CRITERION_MESSAGE_CAP:
             message_pool = np.arange(codec.message_count)
@@ -258,22 +268,19 @@ def run_trials(
                 f"max criterion over a fixed random subset of "
                 f"{MAX_CRITERION_MESSAGE_CAP} of {codec.message_count} messages"
             )
+        m_pos = message_pool[np.arange(config.trials) % message_pool.size]
     else:
-        message_pool = None
+        m_pos = np.array([codec.draw_message(rng) for rng in rngs])
+    r1, r2 = np.array([codec.key_code.draw_keys(rng) for rng in rngs]).T
+    jams = draw_states(rngs)
+    # a refused draw forfeits, and a draw that hit the rejection cap is
+    # counted against the failure budget, not fatal per trial
+    forfeited = [jam is None or not jam.window_valid for jam in jams]
 
-    def trial_block(indices: range) -> list[TrialRecord]:
-        rngs = [_trial_rng(config.master_seed, i) for i in indices]
-        if message_pool is not None:
-            m_pos = message_pool[np.asarray(indices) % message_pool.size]
-        else:
-            m_pos = np.array([codec.draw_message(rng) for rng in rngs])
-        r1, r2 = np.array([codec.key_code.draw_keys(rng) for rng in rngs]).T
-        x = codec.encode_rows(m_pos, r1, r2)
-        jams = draw_states(rngs)
-        # a refused draw forfeits, and a draw that hit the rejection cap is
-        # counted against the failure budget, not fatal per trial
-        forfeited = [jam is None or not jam.window_valid for jam in jams]
-        states = np.array([fallback if f else jam.states for f, jam in zip(forfeited, jams)])
+    def trial_block(lo: int, hi: int) -> list[TrialRecord]:
+        x = codec.encode_rows(m_pos[lo:hi], r1[lo:hi], r2[lo:hi])
+        states = np.array([fallback if f else jam.states
+                           for f, jam in zip(forfeited[lo:hi], jams[lo:hi])])
         if codec.budget1.kind == "hamming":
             # admissible states can never exceed the decoder's budget ball,
             # so the true codeword always enters the pre-truncation list
@@ -281,12 +288,13 @@ def run_trials(
             over = np.flatnonzero(corruption > codec.budget1.radius)
             if over.size:
                 raise RuntimeError(
-                    f"trial {indices[over[0]]}: admissible corruption {corruption[over[0]]} "
+                    f"trial {lo + over[0]}: admissible corruption {corruption[over[0]]} "
                     f"exceeds the phase-1 decoding budget radius {codec.budget1.radius}"
                 )
-        y = channel_sample_rows(x, states, spec.channel, rngs)
+        y = channel_sample_rows(x, states, spec.channel, rngs[lo:hi])
         records = []
-        rows = zip(indices, m_pos, r1, r2, jams, forfeited, codec.decode_rows(y))
+        rows = zip(range(lo, hi), m_pos[lo:hi], r1[lo:hi], r2[lo:hi], jams[lo:hi],
+                   forfeited[lo:hi], codec.decode_rows(y))
         for i, m, k1, k2, jam, forfeit, result in rows:
             sent_id = int(codec.message_ids[m])
             outcome = _STATUS_OUTCOMES[result.status]
@@ -306,7 +314,7 @@ def run_trials(
 
     records = []
     for lo in range(0, config.trials, _TRIAL_BLOCK):
-        records += trial_block(range(lo, min(lo + _TRIAL_BLOCK, config.trials)))
+        records += trial_block(lo, min(lo + _TRIAL_BLOCK, config.trials))
 
     counts = {k: 0 for k in OUTCOMES}
     per_message: dict[int, list[int]] = {}

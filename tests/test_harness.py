@@ -454,7 +454,8 @@ def hopeless_iid_config(trials: int) -> ExperimentConfig:
 
 
 class TestTrialBlocks:
-    """run_trials' records do not depend on how many trials run as one block."""
+    """run_trials' records do not depend on how many trials run as one block,
+    which is also the width of the jammer's rejection pool."""
 
     @pytest.mark.parametrize("make_config", [
         lambda: small_config(trials=20),
@@ -485,6 +486,26 @@ class TestTrialBlocks:
                   for k in (0, 1)]
         for i in (0, 1):
             assert harness._trial_rng(seed, i).random(4).tolist() not in shared
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_capped_trials_leave_the_rejection_pool(self, width, monkeypatch, jam_rounds):
+        # each trial leaves the pool once it hits the cap and the next trial takes
+        # its slot the round after, so a round holds width rows while as many are
+        # unfinished
+        monkeypatch.setattr(harness, "_TRIAL_BLOCK", width)
+        stats = run_trials(hopeless_iid_config(8))
+        assert all(r.jam_generation_failed for r in stats.records)
+        spans = jam_rounds.spans().values()
+        assert len(spans) == 8
+        for k, rows in enumerate(jam_rounds.rounds):
+            assert len(rows) == min(width, sum(last >= k for _, last in spans))
+
+    def test_a_run_jams_in_one_pool(self, jam_rounds):
+        # experiment.json's 100 trials at its seed took 98 rounds when each block
+        # of 32 trials jammed on its own; one pool for the run takes 50
+        config = dataclasses.replace(load_config(str(EXPERIMENT_JSON)), trials=100)
+        run_trials(config, keep_records=False)
+        assert len(jam_rounds.rounds) <= 50
 
     @pytest.mark.parametrize("block", [1, 3, 11])
     def test_capped_trials_forfeit_alone_and_fail_the_run_at_its_end(self, block, monkeypatch):

@@ -281,7 +281,8 @@ class TestFallback:
 
 
 class TestRows:
-    """A block of 8 draws gives each generator what its own block of one gives."""
+    """A block of draws gives each generator what its own block of one gives,
+    whatever the width of the rejection pool."""
 
     LAM = ConstraintSet.weight_cap(0.1)
     BOOK = (np.random.default_rng(34).random((16, 64)) < 0.06).astype(np.int8)
@@ -321,6 +322,37 @@ class TestRows:
         want = self._compare(lambda rngs: spoof_jammer_rows(uniform_rows(self.BOOK), 64, 16, lam,
                                                             rngs))
         assert {w[1] for w in want} == {True, False}
+
+    def _pool(self, jam, jam_rounds, width=3, seeds=range(20)):
+        """jam(rngs, width) on 20 generators at once: each gets what it gets jammed
+        alone and is left where the lone run leaves it, and the rejection pool
+        holds width rows each round while generators wait, fewer only after."""
+        pooled = [np.random.default_rng(s) for s in seeds]
+        got = [self._row(r) for r in jam(pooled, width)]
+        rounds, spans = list(jam_rounds.rounds), jam_rounds.spans()
+        alone = [np.random.default_rng(s) for s in seeds]
+        assert got == [self._row(jam([rng], width)[0]) for rng in alone]
+        assert [rng.random() for rng in pooled] == [rng.random() for rng in alone]
+        assert list(spans) == [id(rng) for rng in pooled]  # entry in the order of rngs
+        last_entry = max(first for first, _ in spans.values())
+        assert all(len(rows) == width for rows in rounds[:last_entry + 1])
+        assert all(len(rows) <= width for rows in rounds)
+        # whether each draw left the pool, accepted or capped, while others waited
+        return [(g, spans[id(rng)][1] < last_entry) for g, rng in zip(got, pooled)]
+
+    def test_iid_pool(self, jam_rounds):
+        law = Distribution.bernoulli(0.1)
+        got = self._pool(lambda rngs, width: iid_jammer_rows(law, 64, 16, self.LAM, rngs, 40,
+                                                             width), jam_rounds)
+        # a capped draw and an accepted one each gave up their slot to a waiting draw
+        assert {g is None for g, early in got if early} == {True, False}
+
+    def test_symmetrize_pool(self, jam_rounds):
+        u = (Distribution.bernoulli(0.05), Distribution.bernoulli(0.6))
+        sample_rows = jam_rounds.wrap(uniform_rows(self.BOOK))
+        got = self._pool(lambda rngs, width: symmetrize_jammer_rows(
+            sample_rows, u, 64, 16, self.LAM, rngs, 8, width), jam_rounds)
+        assert {g is None for g, early in got if early} == {True, False}
 
 
 class TestPinnedStreams:
