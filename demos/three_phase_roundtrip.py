@@ -46,11 +46,12 @@ r1, r2 = codec.key_code.draw_keys(rng)
 x = codec.encode_rows([m], [r1], [r2])[0]
 print(f"\nsent message id {int(codec.message_ids[m])} with keys (r1, r2) = ({r1}, {r2})")
 
-jam = iid_jammer_rows(Distribution.bernoulli(0.04), plan.total_length, w_s, lam, [rng])[0]
-print(f"jammer: i.i.d. Bern(0.04), accepted after {jam.rejections} rejected draws, "
-      f"{int(jam.states.sum())} flips")
+states, rejections, _ = iid_jammer_rows(Distribution.bernoulli(0.04), plan.total_length, w_s,
+                                        lam, [rng])
+print(f"jammer: i.i.d. Bern(0.04), accepted after {rejections[0]} rejected draws, "
+      f"{int(states.sum())} flips")
 
-y = channel_sample_rows([x], [jam.states], xor, [rng])
+y = channel_sample_rows([x], states, xor, [rng])
 res = codec.decode_rows(y)[0]
 print(f"\ndecode: status={res.status}, message id {res.message_id}, "
       f"keys {res.keys}, list size {res.list_size}")

@@ -44,7 +44,7 @@ from .harness import (
     sweep,
     wilson_interval,
 )
-from .jammers import JamResult, JammerGenerationError
+from .jammers import JammerGenerationError
 from .symmetrize import (
     SymmetrizabilityResult,
     ecn_symmetrizable,

@@ -4,12 +4,11 @@ Each trial owns one Generator, derived counter-mode from (master_seed,
 trial index, 2), which draws in a fixed order: the message (not under the
 max criterion, which sweeps messages instead), the keys, the jammer's
 states, then the channel outputs.  A run draws every trial's message and
-keys first, then jams all its trials in one call, whose rejection loop
-keeps a pool of _TRIAL_BLOCK trials live, and then encodes, samples the
-channel and decodes in fixed blocks of _TRIAL_BLOCK trials, one call per
-stage and block.  Every Generator draws exactly what it would in a trial
-run alone, so each trial is bit-reproducible on its own and the records do
-not depend on the block size or on which trials run before it.
+keys first, then jams a chunk of trials in one call, and then encodes,
+samples the channel and decodes in fixed blocks, one call per stage and
+block.  Every Generator draws exactly what it would in a trial run alone,
+so each trial is bit-reproducible on its own and the records do not
+depend on the block, pool or chunk size or on which trials run before it.
 The jammer only ever receives public objects; a strategy that proposes an
 inadmissible state sequence forfeits the trial, and a deterministic
 admissible fallback is played (an adversary cannot play outside the model).
@@ -37,26 +36,21 @@ from .core import (
 )
 from .symmetrize import ecn_symmetrizable
 
-# decoder status -> trial outcome; a unique decode of another message is "wrong-message"
-_STATUS_OUTCOMES = {
-    "unique": "correct",
-    "empty-list": "list-failure",
-    "no-survivor": "disambiguation-failure",
-    "ambiguous": "ambiguity",
-}
-OUTCOMES = (*_STATUS_OUTCOMES.values(), "wrong-message")
+# decoder status k -> trial outcome OUTCOMES[k]; a unique decode of another
+# message is the last outcome, "wrong-message"
+_STATUSES = ("unique", "empty-list", "no-survivor", "ambiguous")
+OUTCOMES = ("correct", "list-failure", "disambiguation-failure", "ambiguity", "wrong-message")
 
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
 _IID_MARGIN = 0.2  # the default iid jammer law backs off the state cap by this fraction
 JAMMER_KINDS = ("iid", "spoof", "symmetrize", "none")
-# Trials per block in run_trials, and the width of the jammer's rejection
-# pool.  Every round of the rejection loop pays a fixed cost for the whole
-# pool, so a wider pool shares it among more trials, while the encoding,
-# channel and decoding temporaries grow with the block.  On a 2-CPU Xeon,
-# 200 experiment.json trials ran at 0.187 ms per trial at 12, 0.171 at 24,
-# 0.170 at 32 and 0.165 at 48 (best of 24 calls); a run's allocations peak
-# under tracemalloc at 1.62 MiB at 24, 2.04 at 32 and 2.87 at 48.
+# Trials per block in run_trials' encoding, budget check, channel and
+# decoding: a wider block shares each call's fixed cost among more trials,
+# while the temporaries grow with it (measured with jammers._POOL_WIDTH).
 _TRIAL_BLOCK = 32
+# Trials per chunk, 32 pool widths: a run holds one chunk's Generators and
+# states at a time, and each chunk's rejection pool waits for one tail.
+_TRIAL_CHUNK = 1024
 _TRIAL_STREAM = 2  # the last entry of a trial Generator's seed key
 
 
@@ -193,29 +187,26 @@ def build_codec_from_config(config: ExperimentConfig) -> tuple[ThreePhaseCodec, 
 
 
 def _make_state_generator(config: ExperimentConfig, codec: ThreePhaseCodec, fallback):
-    """Returns draw(rngs) -> one JamResult per generator, None where a draw hit the
-    rejection cap ("none" plays fallback).  Sees only public code structure."""
+    """Returns draw(rngs) -> (states, rejections, admissible), one row per
+    generator ("none" plays fallback).  Sees only public code structure."""
     spec = config.spec
     jp = config.jammer
     n = codec.plan.total_length
     if jp.kind == "none":
-        return lambda rngs: [jammers.JamResult(fallback, True, 0)] * len(rngs)
+        return lambda rngs: (np.tile(fallback, (len(rngs), 1)),
+                             np.zeros(len(rngs), dtype=np.int64), np.ones(len(rngs), dtype=bool))
     if jp.kind == "iid":
         p_s = jp.p_s if jp.p_s is not None else _default_iid_law(spec.lam)
-        return lambda rngs: jammers.iid_jammer_rows(
-            p_s, n, spec.w_s, spec.lam, rngs, jp.rejection_cap, _TRIAL_BLOCK
-        )
+        return lambda rngs: jammers.iid_jammer_rows(p_s, n, spec.w_s, spec.lam, rngs,
+                                                    jp.rejection_cap)
     sample_rows = _public_codeword_sampler(codec)
     if jp.kind == "spoof":
-        return lambda rngs: jammers.spoof_jammer_rows(
-            sample_rows, n, spec.w_s, spec.lam, rngs, _TRIAL_BLOCK
-        )
+        return lambda rngs: jammers.spoof_jammer_rows(sample_rows, n, spec.w_s, spec.lam, rngs)
     # symmetrize: the symmetrizing map is derived from the public input law;
     # the dominant surviving phase-1 law is approximated by its sampler law.
     u = _symmetrizing_map(config)
-    return lambda rngs: jammers.symmetrize_jammer_rows(
-        sample_rows, u, n, spec.w_s, spec.lam, rngs, jp.rejection_cap, _TRIAL_BLOCK
-    )
+    return lambda rngs: jammers.symmetrize_jammer_rows(sample_rows, u, n, spec.w_s, spec.lam,
+                                                       rngs, jp.rejection_cap)
 
 
 def _public_codeword_sampler(codec: ThreePhaseCodec):
@@ -228,6 +219,13 @@ def _public_codeword_sampler(codec: ThreePhaseCodec):
     return sample
 
 
+def _outcome(result, sent_id: int) -> int:
+    """Index in OUTCOMES of a trial that sent sent_id and decoded to result."""
+    if result.status == "unique" and result.message_id != sent_id:
+        return len(OUTCOMES) - 1  # wrong-message
+    return _STATUSES.index(result.status)
+
+
 def run_trials(
     config: ExperimentConfig,
     *,
@@ -237,30 +235,29 @@ def run_trials(
 ) -> RunStats:
     """Build the code once, then simulate trials; deterministic per seed.
 
-    Every trial's message and keys are drawn first, then one jammer call
-    draws the states of all trials, keeping _TRIAL_BLOCK of them in its
-    rejection loop at once.  Encoding, the budget check, the channel and
-    decoding then run _TRIAL_BLOCK trials at a time, one call per stage and
-    block, which bounds their temporaries.  Under the max criterion,
-    messages are swept round-robin (exhaustively when the surviving message
-    count is at most 2^10, else over a fixed seed-derived subset) so that
-    per-message error estimates are balanced.
+    Trials run _TRIAL_CHUNK at a time: every trial's message and keys are
+    drawn first, then one jammer call draws the chunk's states, and
+    encoding, the budget check, the channel and decoding run _TRIAL_BLOCK
+    trials at a time.  The tally is kept in arrays, and TrialRecords are
+    built only under keep_records.  Under the max criterion, messages are
+    swept round-robin (exhaustively when the surviving message count is at
+    most 2^10, else over a fixed seed-derived subset) so that per-message
+    error estimates are balanced.
     """
     if codec is None:
         codec, build_stats = build_codec_from_config(config)
     spec = config.spec
+    cap = config.jammer.rejection_cap
     fallback = jammers.fallback_state_sequence(codec.plan.total_length, spec.w_s, spec.lam)
     draw_states = _make_state_generator(config, codec, fallback)
     notes = []
 
-    rngs = [_trial_rng(config.master_seed, i) for i in range(config.trials)]
+    message_pool = None
     if config.error_criterion == "max":
         if codec.message_count <= MAX_CRITERION_MESSAGE_CAP:
             message_pool = np.arange(codec.message_count)
         else:
-            pool_rng = np.random.default_rng(
-                np.random.SeedSequence((config.master_seed, 1))
-            )
+            pool_rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 1)))
             message_pool = pool_rng.choice(
                 codec.message_count, size=MAX_CRITERION_MESSAGE_CAP, replace=False
             )
@@ -268,66 +265,57 @@ def run_trials(
                 f"max criterion over a fixed random subset of "
                 f"{MAX_CRITERION_MESSAGE_CAP} of {codec.message_count} messages"
             )
-        m_pos = message_pool[np.arange(config.trials) % message_pool.size]
-    else:
-        m_pos = np.array([codec.draw_message(rng) for rng in rngs])
-    r1, r2 = np.array([codec.key_code.draw_keys(rng) for rng in rngs]).T
-    jams = draw_states(rngs)
-    # a refused draw forfeits, and a draw that hit the rejection cap is
-    # counted against the failure budget, not fatal per trial
-    forfeited = [jam is None or not jam.window_valid for jam in jams]
 
-    def trial_block(lo: int, hi: int) -> list[TrialRecord]:
-        x = codec.encode_rows(m_pos[lo:hi], r1[lo:hi], r2[lo:hi])
-        states = np.array([fallback if f else jam.states
-                           for f, jam in zip(forfeited[lo:hi], jams[lo:hi])])
-        if codec.budget1.kind == "hamming":
-            # admissible states can never exceed the decoder's budget ball,
-            # so the true codeword always enters the pre-truncation list
-            corruption = np.count_nonzero(states[:, : codec.plan.n1], axis=1)
-            over = np.flatnonzero(corruption > codec.budget1.radius)
-            if over.size:
-                raise RuntimeError(
-                    f"trial {lo + over[0]}: admissible corruption {corruption[over[0]]} "
-                    f"exceeds the phase-1 decoding budget radius {codec.budget1.radius}"
-                )
-        y = channel_sample_rows(x, states, spec.channel, rngs[lo:hi])
-        records = []
-        rows = zip(range(lo, hi), m_pos[lo:hi], r1[lo:hi], r2[lo:hi], jams[lo:hi],
-                   forfeited[lo:hi], codec.decode_rows(y))
-        for i, m, k1, k2, jam, forfeit, result in rows:
-            sent_id = int(codec.message_ids[m])
-            outcome = _STATUS_OUTCOMES[result.status]
-            if outcome == "correct" and result.message_id != sent_id:
-                outcome = "wrong-message"
-            records.append(TrialRecord(
-                index=i,
-                message_id=sent_id,
-                keys=(int(k1), int(k2)),
-                jam_rejections=config.jammer.rejection_cap if jam is None else jam.rejections,
-                jam_forfeited=forfeit,
-                jam_generation_failed=jam is None,
-                list_size=result.list_size,
-                outcome=outcome,
-            ))
-        return records
-
+    counts = np.zeros(len(OUTCOMES), dtype=np.int64)
+    sent = np.zeros(codec.message_count, dtype=np.int64)  # trials per message position
+    missed = np.zeros(codec.message_count, dtype=np.int64)  # errors per message position
+    forfeits = rejections = generation_failures = 0
     records = []
-    for lo in range(0, config.trials, _TRIAL_BLOCK):
-        records += trial_block(lo, min(lo + _TRIAL_BLOCK, config.trials))
+    for lo in range(0, config.trials, _TRIAL_CHUNK):
+        trials = np.arange(lo, min(lo + _TRIAL_CHUNK, config.trials))
+        rngs = [_trial_rng(config.master_seed, i) for i in trials.tolist()]
+        if message_pool is None:
+            m_pos = np.array([codec.draw_message(rng) for rng in rngs])
+        else:
+            m_pos = message_pool[trials % message_pool.size]
+        r1, r2 = np.array([codec.key_code.draw_keys(rng) for rng in rngs]).T
+        states, jam_rejections, admissible = draw_states(rngs)
+        states[~admissible] = fallback  # forfeits; a capped draw also counts as a failure
+        outcome = np.empty(trials.size, dtype=np.int64)  # index into OUTCOMES
+        list_size = np.empty(trials.size, dtype=np.int64)
+        for b in range(0, trials.size, _TRIAL_BLOCK):
+            block = slice(b, b + _TRIAL_BLOCK)
+            x = codec.encode_rows(m_pos[block], r1[block], r2[block])
+            if codec.budget1.kind == "hamming":
+                # admissible states can never exceed the decoder's budget ball,
+                # so the true codeword always enters the pre-truncation list
+                corruption = np.count_nonzero(states[block, : codec.plan.n1], axis=1)
+                over = np.flatnonzero(corruption > codec.budget1.radius)
+                if over.size:
+                    raise RuntimeError(
+                        f"trial {trials[b + over[0]]}: admissible corruption "
+                        f"{corruption[over[0]]} exceeds the phase-1 decoding budget "
+                        f"radius {codec.budget1.radius}"
+                    )
+            y = channel_sample_rows(x, states[block], spec.channel, rngs[block])
+            results = codec.decode_rows(y)
+            outcome[block] = [_outcome(r, sent_id) for r, sent_id
+                              in zip(results, codec.message_ids[m_pos[block]].tolist())]
+            list_size[block] = [r.list_size for r in results]
 
-    counts = {k: 0 for k in OUTCOMES}
-    per_message: dict[int, list[int]] = {}
-    forfeits = 0
-    rejections = 0
-    generation_failures = 0
-    for rec in records:
-        counts[rec.outcome] += 1
-        err, tot = per_message.get(rec.message_id, (0, 0))
-        per_message[rec.message_id] = (err + (rec.outcome != "correct"), tot + 1)
-        forfeits += rec.jam_forfeited
-        rejections += rec.jam_rejections
-        generation_failures += rec.jam_generation_failed
+        failed = jam_rejections >= cap
+        counts += np.bincount(outcome, minlength=len(OUTCOMES))
+        sent += np.bincount(m_pos, minlength=codec.message_count)
+        missed += np.bincount(m_pos[outcome != 0], minlength=codec.message_count)
+        forfeits += int(np.count_nonzero(~admissible))
+        rejections += int(jam_rejections.sum())
+        generation_failures += int(np.count_nonzero(failed))
+        if keep_records:
+            rows = zip(trials.tolist(), codec.message_ids[m_pos].tolist(), r1.tolist(),
+                       r2.tolist(), jam_rejections.tolist(), admissible.tolist(),
+                       failed.tolist(), list_size.tolist(), outcome.tolist())
+            records += [TrialRecord(i, m, (k1, k2), rej, not ok, fail, size, OUTCOMES[o])
+                        for i, m, k1, k2, rej, ok, fail, size, o in rows]
     failure_budget = max(10, config.trials // 10)
     if generation_failures > failure_budget:
         raise jammers.JammerGenerationError(
@@ -336,15 +324,15 @@ def run_trials(
             "with its window constraints"
         )
 
-    errors = config.trials - counts["correct"]
-    err_avg = errors / config.trials
-    err_max = max(e / t for e, t in per_message.values())
+    per_message = {int(codec.message_ids[k]): (int(missed[k]), int(sent[k]))
+                   for k in np.flatnonzero(sent)}
+    errors = config.trials - int(counts[0])
     lo, hi = wilson_interval(errors, config.trials)
     return RunStats(
         trials=config.trials,
-        outcome_counts=counts,
-        err_avg=err_avg,
-        err_max_est=err_max,
+        outcome_counts=dict(zip(OUTCOMES, counts.tolist())),
+        err_avg=errors / config.trials,
+        err_max_est=max(e / t for e, t in per_message.values()),
         wilson_lo=lo,
         wilson_hi=hi,
         per_message=per_message,
@@ -353,7 +341,7 @@ def run_trials(
         jam_generation_failures=generation_failures,
         build_stats=build_stats or {},
         notes=notes,
-        records=records if keep_records else [],
+        records=records,
     )
 
 

@@ -558,8 +558,8 @@ class TestKeyCode:
         for _ in range(trials):
             r1, r2 = code.draw_keys(draw)
             word = code.encode_rows([r1], [r2])
-            jam, = iid_jammer_rows(Distribution.bernoulli(0.04), 128, 64, lam, [draw])
-            hits += np.array_equal(code.decode_rows(word ^ jam.states, budget), ([r1], [r2]))
+            states, _, _ = iid_jammer_rows(Distribution.bernoulli(0.04), 128, 64, lam, [draw])
+            hits += np.array_equal(code.decode_rows(word ^ states, budget), ([r1], [r2]))
         assert hits / trials >= 0.99
 
     def _build_with_weak_key_law(self, seed, **kw):
@@ -720,8 +720,9 @@ class TestThreePhase:
             m = codec.draw_message(draw)
             r1, r2 = codec.key_code.draw_keys(draw)
             x = codec.encode_rows([m], [r1], [r2])
-            jam, = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam, [draw])
-            y = channel_sample_rows(x, [jam.states], noisy, [draw])
+            states, _, _ = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam,
+                                           [draw])
+            y = channel_sample_rows(x, states, noisy, [draw])
             res, = codec.decode_rows(y)
             ok += (res.status == "unique"
                    and res.message_id == int(codec.message_ids[m]))

@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from winavc import gf2, harness
+from winavc import gf2, harness, jammers
 from winavc.codec import (
     CodecParams,
     CodeConstructionError,
@@ -352,8 +353,9 @@ class TestPinnedOutputs:
             m = codec.draw_message(draw)
             r1, r2 = codec.key_code.draw_keys(draw)
             x = codec.encode_rows([m], [r1], [r2])
-            jam, = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam, [draw])
-            res, = codec.decode_rows(channel_sample_rows(x, [jam.states], noisy, [draw]))
+            states, _, _ = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam,
+                                           [draw])
+            res, = codec.decode_rows(channel_sample_rows(x, states, noisy, [draw]))
             decodes.append([res.status, res.message_id, list(res.keys), res.list_size])
         digests = {
             "message_ids": _digest(codec.message_ids),
@@ -453,9 +455,27 @@ def hopeless_iid_config(trials: int) -> ExperimentConfig:
     return ExperimentConfig(spec=spec, code=code, jammer=hopeless, trials=trials, master_seed=1)
 
 
+def tally_of(records) -> dict:
+    """A run's tally recomputed from its records, one trial at a time."""
+    counts = dict.fromkeys(harness.OUTCOMES, 0)
+    per_message = {}
+    for rec in records:
+        counts[rec.outcome] += 1
+        errors, total = per_message.get(rec.message_id, (0, 0))
+        per_message[rec.message_id] = (errors + (rec.outcome != "correct"), total + 1)
+    return {
+        "outcome_counts": counts,
+        "per_message": per_message,
+        "jam_forfeits": sum(r.jam_forfeited for r in records),
+        "jam_rejections_total": sum(r.jam_rejections for r in records),
+        "jam_generation_failures": sum(r.jam_generation_failed for r in records),
+    }
+
+
 class TestTrialBlocks:
     """run_trials' records do not depend on how many trials run as one block,
-    which is also the width of the jammer's rejection pool."""
+    on the width of the jammer's rejection pool or on how many trials run as
+    one chunk."""
 
     @pytest.mark.parametrize("make_config", [
         lambda: small_config(trials=20),
@@ -470,13 +490,21 @@ class TestTrialBlocks:
     def test_records_do_not_depend_on_block_size(self, make_config, monkeypatch):
         config = make_config()
         codec, build_stats = build_codec_from_config(config)
-        runs = {}
-        for block in (1, 3, harness._TRIAL_BLOCK, config.trials):
+        stats = run_trials(config, codec=codec, build_stats=build_stats)
+        want = stats.records
+        assert len(want) == config.trials
+        # the array tally agrees with the records, trial by trial
+        tally = tally_of(want)
+        assert {key: getattr(stats, key) for key in tally} == tally
+        # (trial block, pool width, chunk): each varied with the others held
+        # apart from it, chunks that split blocks and pools, and all at once
+        for block, width, chunk in [(1, 1, 1), (3, 32, 1024), (32, 3, 1024), (32, 32, 7),
+                                    (3, 7, 5), (7, 3, 11), (config.trials,) * 3]:
             monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
-            runs[block] = run_trials(config, codec=codec, build_stats=build_stats).records
-        first = runs[1]
-        assert len(first) == config.trials
-        assert all(records == first for records in runs.values())
+            monkeypatch.setattr(jammers, "_POOL_WIDTH", width)
+            monkeypatch.setattr(harness, "_TRIAL_CHUNK", chunk)
+            got = run_trials(config, codec=codec, build_stats=build_stats).records
+            assert got == want, (block, width, chunk)
 
     def test_trial_generators_are_not_the_build_or_pool_streams(self):
         # the build draws from (seed, 0) and the max criterion's message pool from
@@ -492,7 +520,7 @@ class TestTrialBlocks:
         # each trial leaves the pool once it hits the cap and the next trial takes
         # its slot the round after, so a round holds width rows while as many are
         # unfinished
-        monkeypatch.setattr(harness, "_TRIAL_BLOCK", width)
+        monkeypatch.setattr(jammers, "_POOL_WIDTH", width)
         stats = run_trials(hopeless_iid_config(8))
         assert all(r.jam_generation_failed for r in stats.records)
         spans = jam_rounds.spans().values()
@@ -518,6 +546,38 @@ class TestTrialBlocks:
         # every trial still runs: the budget is checked once the run is done
         with pytest.raises(JammerGenerationError, match="11 trials exceeded"):
             run_trials(hopeless_iid_config(11))
+
+
+class TestRunFootprint:
+    """A run without records holds one chunk of trials at a time."""
+
+    def test_no_records_are_built_unless_kept(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TrialRecord was built under keep_records=False")
+
+        config = small_config(trials=40)
+        want = run_trials(config).outcome_counts
+        monkeypatch.setattr(harness, "TrialRecord", refuse)
+        stats = run_trials(config, keep_records=False)
+        assert stats.records == [] and stats.outcome_counts == want
+
+    def test_peak_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        # 10x the trials in chunks of 64: the peak stays that of one chunk (it
+        # grew about 3.4x when a run held every trial's Generator and record)
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", 64)
+        config = small_config(jammer_kind="none")
+        codec, build_stats = build_codec_from_config(config)
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.start()
+            try:
+                stats = run_trials(dataclasses.replace(config, trials=trials), keep_records=False,
+                                   codec=codec, build_stats=build_stats)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert stats.outcome_counts["correct"] == trials
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestSweep:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from winavc import jammers
 from winavc.core import ConstraintSet, Distribution, _sparse_iid_sampler, sample_iid
 from winavc.jammers import (
     fallback_state_sequence,
@@ -40,22 +41,30 @@ def fixed_rows(word):
     return lambda rngs: np.stack([word] * len(rngs))
 
 
+def draw_rows(result) -> list:
+    """A jammer's (states, rejections, admissible) as one [states, admissible,
+    rejections] list of plain Python values per draw."""
+    states, rejections, admissible = result
+    return [list(row) for row in zip(states.tolist(), admissible.tolist(), rejections.tolist())]
+
+
 class TestIidJammer:
     def test_point_mass_never_rejects(self):
         lam = ConstraintSet.weight_cap(0.2)
-        res, = iid_jammer_rows(
+        states, rejections, admissible = iid_jammer_rows(
             Distribution.point_mass(0, 2), 128, 16, lam, [np.random.default_rng(0)]
         )
-        assert not res.states.any()
-        assert res.rejections == 0
+        assert states.shape == (1, 128) and not states.any()
+        assert rejections.tolist() == [0] and admissible.tolist() == [True]
 
     def test_output_always_admissible(self):
         rng = np.random.default_rng(1)
         lam = ConstraintSet.weight_cap(0.1)
         for _ in range(20):
-            res, = iid_jammer_rows(Distribution.bernoulli(0.05), 256, 64, lam, [rng])
-            assert res.window_valid
-            assert verify_windows(res.states, 64, lam).valid
+            (states,), _, (admissible,) = iid_jammer_rows(Distribution.bernoulli(0.05), 256, 64,
+                                                          lam, [rng])
+            assert admissible
+            assert verify_windows(states, 64, lam).valid
 
     def test_comfortable_margin_accepts_quickly(self):
         # Margin controls the first-try acceptance rate: Bern(0.02) under
@@ -65,16 +74,16 @@ class TestIidJammer:
         rng = np.random.default_rng(2)
         lam = ConstraintSet.weight_cap(0.1)
         first_try = sum(
-            iid_jammer_rows(Distribution.bernoulli(0.02), 256, 64, lam, [rng])[0].rejections == 0
+            iid_jammer_rows(Distribution.bernoulli(0.02), 256, 64, lam, [rng])[1][0] == 0
             for _ in range(200)
         )
         assert first_try / 200 > 0.95
-        results = [
-            iid_jammer_rows(Distribution.bernoulli(0.05), 256, 64, lam, [rng])[0]
+        rejections = np.concatenate([
+            iid_jammer_rows(Distribution.bernoulli(0.05), 256, 64, lam, [rng])[1]
             for _ in range(200)
-        ]
-        assert sum(r.rejections == 0 for r in results) / 200 > 0.4
-        assert np.mean([r.rejections for r in results]) < 2.0
+        ])
+        assert np.count_nonzero(rejections == 0) / 200 > 0.4
+        assert rejections.mean() < 2.0
 
     def test_boundary_law_rejects_often(self):
         # law exactly at the cap with a small window: high rejection rate
@@ -84,12 +93,12 @@ class TestIidJammer:
         )
         assert rate > 0.5
 
-    def test_cap_exceeded_gives_none(self):
+    def test_cap_exceeded_reads_the_cap(self):
         rng = np.random.default_rng(4)
-        assert iid_jammer_rows(
+        assert draw_rows(iid_jammer_rows(
             Distribution.bernoulli(0.45), 256, 16,
             ConstraintSet.weight_cap(0.1), [rng], rejection_cap=50,
-        ) == [None]
+        )) == [[[0] * 256, False, 50]]
 
     def test_rejection_rate_decreases_with_window_length(self):
         rng = np.random.default_rng(5)
@@ -168,29 +177,30 @@ class TestSpoofJammer:
     def test_valid_when_codebook_obeys_state_budget(self):
         rng = np.random.default_rng(6)
         codebook = (rng.random((16, 128)) < 0.05).astype(np.int8)
-        res, = spoof_jammer_rows(uniform_rows(codebook), 128, 32, ConstraintSet.weight_cap(0.2),
-                                 [rng])
-        assert res.window_valid
-        assert any((res.states == row).all() for row in codebook)
+        (states,), rejections, (admissible,) = spoof_jammer_rows(
+            uniform_rows(codebook), 128, 32, ConstraintSet.weight_cap(0.2), [rng])
+        assert admissible and rejections.tolist() == [0]
+        assert any((states == row).all() for row in codebook)
 
     def test_invalid_status_reported_not_raised(self):
         rng = np.random.default_rng(7)
         codebook = (rng.random((8, 128)) < 0.3).astype(np.int8)
-        res, = spoof_jammer_rows(uniform_rows(codebook), 128, 32, ConstraintSet.weight_cap(0.05),
-                                 [rng])
-        assert not res.window_valid
+        _, _, admissible = spoof_jammer_rows(uniform_rows(codebook), 128, 32,
+                                             ConstraintSet.weight_cap(0.05), [rng])
+        assert admissible.tolist() == [False]
 
     def test_single_codeword_deterministic(self):
         word = np.zeros((1, 64), dtype=np.int8)
-        res, = spoof_jammer_rows(uniform_rows(word), 64, 16, ConstraintSet.weight_cap(0.2),
-                                 [np.random.default_rng(8)])
-        assert (res.states == 0).all()
+        states, _, _ = spoof_jammer_rows(uniform_rows(word), 64, 16, ConstraintSet.weight_cap(0.2),
+                                         [np.random.default_rng(8)])
+        assert (states == 0).all()
 
     def test_sampler_callable_supported(self):
         rng = np.random.default_rng(9)
         fixed = (rng.random(64) < 0.05).astype(np.int8)
-        res, = spoof_jammer_rows(fixed_rows(fixed), 64, 16, ConstraintSet.weight_cap(0.2), [rng])
-        assert (res.states == fixed).all()
+        states, _, _ = spoof_jammer_rows(fixed_rows(fixed), 64, 16, ConstraintSet.weight_cap(0.2),
+                                         [rng])
+        assert (states == fixed).all()
 
 
 class TestSymmetrizeJammer:
@@ -198,10 +208,10 @@ class TestSymmetrizeJammer:
         rng = np.random.default_rng(10)
         codebook = (rng.random((4, 96)) < 0.05).astype(np.int8)
         ident = (Distribution.point_mass(0, 2), Distribution.point_mass(1, 2))
-        res, = symmetrize_jammer_rows(
+        (states,), _, _ = symmetrize_jammer_rows(
             uniform_rows(codebook), ident, 96, 32, ConstraintSet.weight_cap(0.2), [rng]
         )
-        assert any((res.states == row).all() for row in codebook)
+        assert any((states == row).all() for row in codebook)
 
     def test_witness_driven_states_admissible(self):
         rng = np.random.default_rng(11)
@@ -209,26 +219,27 @@ class TestSymmetrizeJammer:
         lam = ConstraintSet.weight_cap(0.2)
         wit = ecn_symmetrizable(Distribution.bernoulli(0.05), Channel.xor(), lam)
         assert wit.feasible
-        res, = symmetrize_jammer_rows(uniform_rows(codebook), wit.witness, 128, 32, lam, [rng])
-        assert res.window_valid
-        assert verify_windows(res.states, 32, lam).valid
+        (states,), _, (admissible,) = symmetrize_jammer_rows(uniform_rows(codebook), wit.witness,
+                                                             128, 32, lam, [rng])
+        assert admissible
+        assert verify_windows(states, 32, lam).valid
 
     def test_point_mass_rows_give_constant_state(self):
         rng = np.random.default_rng(12)
         codebook = (rng.random((4, 64)) < 0.05).astype(np.int8)
         zero_map = (Distribution.point_mass(0, 2), Distribution.point_mass(0, 2))
-        res, = symmetrize_jammer_rows(
+        states, _, _ = symmetrize_jammer_rows(
             uniform_rows(codebook), zero_map, 64, 16, ConstraintSet.weight_cap(0.2), [rng]
         )
-        assert not res.states.any()
+        assert not states.any()
 
     def test_point_mass_on_state_1_at_edge_uniforms(self, edge_rng):
         to_one = (Distribution.point_mass(1, 2), Distribution.point_mass(1, 2))
-        res, = symmetrize_jammer_rows(
+        states, _, _ = symmetrize_jammer_rows(
             fixed_rows(np.zeros(32, dtype=np.int8)), to_one, 32, 8,
             ConstraintSet.weight_cap(1.0), [edge_rng],
         )
-        assert res.states.tolist() == [1] * 32
+        assert states.tolist() == [[1] * 32]
 
 
 class TestWindowLongerThanSequence:
@@ -282,21 +293,25 @@ class TestFallback:
 
 class TestRows:
     """A block of draws gives each generator what its own block of one gives,
-    whatever the width of the rejection pool."""
+    whatever the width of the rejection pool; a capped draw reads
+    rejections == cap and admissible == False."""
 
     LAM = ConstraintSet.weight_cap(0.1)
     BOOK = (np.random.default_rng(34).random((16, 64)) < 0.06).astype(np.int8)
 
-    @staticmethod
-    def _row(res):
-        return None if res is None else (res.states.tolist(), res.window_valid, res.rejections)
-
     def _compare(self, jam, seeds=range(8)):
-        """jam(rngs) -> one result per generator, run on the seeds at once and one at a time."""
-        block = [self._row(r) for r in jam([np.random.default_rng(s) for s in seeds])]
-        ones = [self._row(jam([np.random.default_rng(s)])[0]) for s in seeds]
+        """jam(rngs) -> one row per generator, run on the seeds at once and one at a time."""
+        block = draw_rows(jam([np.random.default_rng(s) for s in seeds]))
+        ones = [draw_rows(jam([np.random.default_rng(s)]))[0] for s in seeds]
         assert block == ones
         return ones
+
+    @staticmethod
+    def _check_capped(rows, cap):
+        """Some rows finished and some hit the cap; those read the cap and are not
+        admissible, the others read fewer rejections."""
+        assert {admissible for _, admissible, _ in rows} == {True, False}
+        assert all((rejections == cap) != admissible for _, admissible, rejections in rows)
 
     def test_iid(self):
         # a cap of 40 stops about a quarter of the draws, each after several blocks: of
@@ -306,32 +321,36 @@ class TestRows:
         def jam(rngs):
             return iid_jammer_rows(law, 64, 16, self.LAM, rngs, 40)
 
-        capped = [s for s in range(64) if jam([np.random.default_rng(s)])[0] is None]
+        capped = [s for s in range(64) if not jam([np.random.default_rng(s)])[2][0]]
         finished = [s for s in range(64) if s not in capped]
         want = self._compare(jam, sorted(capped[:4] + finished[:4]))
-        assert want.count(None) == 4
+        assert [admissible for _, admissible, _ in want].count(False) == 4
+        self._check_capped(want, 40)
 
     def test_symmetrize(self):
         u = (Distribution.bernoulli(0.05), Distribution.bernoulli(0.6))
         want = self._compare(lambda rngs: symmetrize_jammer_rows(
             uniform_rows(self.BOOK), u, 64, 16, self.LAM, rngs, 8))
-        assert None in want and any(w is not None for w in want)
+        self._check_capped(want, 8)
 
     def test_spoof(self):
         lam = ConstraintSet.weight_cap(0.08)
         want = self._compare(lambda rngs: spoof_jammer_rows(uniform_rows(self.BOOK), 64, 16, lam,
                                                             rngs))
         assert {w[1] for w in want} == {True, False}
+        assert {w[2] for w in want} == {0}
 
-    def _pool(self, jam, jam_rounds, width=3, seeds=range(20)):
-        """jam(rngs, width) on 20 generators at once: each gets what it gets jammed
-        alone and is left where the lone run leaves it, and the rejection pool
-        holds width rows each round while generators wait, fewer only after."""
+    def _pool(self, jam, jam_rounds, monkeypatch, width=3, seeds=range(20)):
+        """jam(rngs) on 20 generators at once in a pool of width: each gets what it
+        gets jammed alone and is left where the lone run leaves it, and the
+        rejection pool holds width rows each round while generators wait, fewer
+        only after."""
+        monkeypatch.setattr(jammers, "_POOL_WIDTH", width)
         pooled = [np.random.default_rng(s) for s in seeds]
-        got = [self._row(r) for r in jam(pooled, width)]
+        got = draw_rows(jam(pooled))
         rounds, spans = list(jam_rounds.rounds), jam_rounds.spans()
         alone = [np.random.default_rng(s) for s in seeds]
-        assert got == [self._row(jam([rng], width)[0]) for rng in alone]
+        assert got == [draw_rows(jam([rng]))[0] for rng in alone]
         assert [rng.random() for rng in pooled] == [rng.random() for rng in alone]
         assert list(spans) == [id(rng) for rng in pooled]  # entry in the order of rngs
         last_entry = max(first for first, _ in spans.values())
@@ -340,19 +359,19 @@ class TestRows:
         # whether each draw left the pool, accepted or capped, while others waited
         return [(g, spans[id(rng)][1] < last_entry) for g, rng in zip(got, pooled)]
 
-    def test_iid_pool(self, jam_rounds):
+    def test_iid_pool(self, jam_rounds, monkeypatch):
         law = Distribution.bernoulli(0.1)
-        got = self._pool(lambda rngs, width: iid_jammer_rows(law, 64, 16, self.LAM, rngs, 40,
-                                                             width), jam_rounds)
+        got = self._pool(lambda rngs: iid_jammer_rows(law, 64, 16, self.LAM, rngs, 40),
+                         jam_rounds, monkeypatch)
         # a capped draw and an accepted one each gave up their slot to a waiting draw
-        assert {g is None for g, early in got if early} == {True, False}
+        assert {g[1] for g, early in got if early} == {True, False}
 
-    def test_symmetrize_pool(self, jam_rounds):
+    def test_symmetrize_pool(self, jam_rounds, monkeypatch):
         u = (Distribution.bernoulli(0.05), Distribution.bernoulli(0.6))
         sample_rows = jam_rounds.wrap(uniform_rows(self.BOOK))
-        got = self._pool(lambda rngs, width: symmetrize_jammer_rows(
-            sample_rows, u, 64, 16, self.LAM, rngs, 8, width), jam_rounds)
-        assert {g is None for g, early in got if early} == {True, False}
+        got = self._pool(lambda rngs: symmetrize_jammer_rows(
+            sample_rows, u, 64, 16, self.LAM, rngs, 8), jam_rounds, monkeypatch)
+        assert {g[1] for g, early in got if early} == {True, False}
 
 
 class TestPinnedStreams:
@@ -368,7 +387,7 @@ class TestPinnedStreams:
 
     @staticmethod
     def _digest(results) -> str:
-        rows = [[r.states.tolist(), r.window_valid, r.rejections] for r in results]
+        rows = [row for result in results for row in draw_rows(result)]
         return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
     @pytest.mark.parametrize("u, digest", [
@@ -380,7 +399,7 @@ class TestPinnedStreams:
     def test_symmetrize_jammer(self, u, digest):
         rng = np.random.default_rng(32)
         results = [
-            symmetrize_jammer_rows(uniform_rows(self.BOOK), u, 48, 12, self.LAM, [rng])[0]
+            symmetrize_jammer_rows(uniform_rows(self.BOOK), u, 48, 12, self.LAM, [rng])
             for _ in range(20)
         ]
         assert self._digest(results) == digest
@@ -388,7 +407,7 @@ class TestPinnedStreams:
     def test_spoof_jammer(self):
         rng = np.random.default_rng(33)
         results = [
-            spoof_jammer_rows(uniform_rows(self.BOOK), 48, 12, self.LAM, [rng])[0]
+            spoof_jammer_rows(uniform_rows(self.BOOK), 48, 12, self.LAM, [rng])
             for _ in range(20)
         ]
         assert self._digest(results) == (
@@ -412,15 +431,17 @@ class TestExactConditioning:
     ADMISSIBLE = np.lib.stride_tricks.sliding_window_view(SEQS, 3, axis=1).sum(-1).max(1) <= 1
 
     def check_law(self, results, probs):
-        """probs: the candidate law over SEQS, before conditioning."""
+        """results: one jammer result per draw; probs: the candidate law over SEQS,
+        before conditioning."""
         a = probs[self.ADMISSIBLE].sum()
+        states, rejections, admissible = map(np.concatenate, zip(*results))
+        assert admissible.all()
         # SEQS lists the words in binary counting order, first symbol most significant
-        rows = np.array([r.states for r in results]).astype(int) @ (1 << np.arange(self.N)[::-1])
+        rows = states.astype(int) @ (1 << np.arange(self.N)[::-1])
         observed = np.bincount(rows, minlength=self.SEQS.shape[0])
         assert not observed[~self.ADMISSIBLE].any()
         expected = self.DRAWS * probs[self.ADMISSIBLE] / a
         assert chisquare(observed[self.ADMISSIBLE], expected).pvalue > 1e-3
-        rejections = np.array([r.rejections for r in results])
         spread = np.sqrt(1 - a) / a / np.sqrt(self.DRAWS)  # sd of the mean of a geometric
         assert abs(rejections.mean() - (1 - a) / a) < 4 * spread
 
@@ -430,7 +451,7 @@ class TestExactConditioning:
         probs = p**weights * (1 - p) ** (self.N - weights)
         rng = np.random.default_rng(40)
         results = [
-            iid_jammer_rows(Distribution.bernoulli(p), self.N, self.W_S, self.LAM, [rng])[0]
+            iid_jammer_rows(Distribution.bernoulli(p), self.N, self.W_S, self.LAM, [rng])
             for _ in range(self.DRAWS)
         ]
         self.check_law(results, probs)
@@ -445,7 +466,7 @@ class TestExactConditioning:
         )
         rng = np.random.default_rng(41)
         results = [
-            symmetrize_jammer_rows(uniform_rows(book), u, self.N, self.W_S, self.LAM, [rng])[0]
+            symmetrize_jammer_rows(uniform_rows(book), u, self.N, self.W_S, self.LAM, [rng])
             for _ in range(self.DRAWS)
         ]
         self.check_law(results, probs)
@@ -461,9 +482,11 @@ class TestExactConditioning:
     def test_accepted_states_pass_verify_windows(self, n, data, cap, margin, seed):
         w_s = data.draw(st.integers(1, n), label="w_s")
         lam = ConstraintSet.weight_cap(cap)
-        res, = iid_jammer_rows(Distribution.bernoulli(cap * margin), n, w_s, lam,
-                               [np.random.default_rng(seed)], rejection_cap=2000)
-        if res is None:
-            return  # no acceptance within the cap: nothing to check
-        assert res.states.shape == (n,)
-        assert verify_windows(res.states, w_s, lam).valid
+        states, (rejections,), (admissible,) = iid_jammer_rows(
+            Distribution.bernoulli(cap * margin), n, w_s, lam, [np.random.default_rng(seed)],
+            rejection_cap=2000)
+        assert states.shape == (1, n)
+        if not admissible:
+            assert rejections == 2000  # no acceptance within the cap: nothing more to check
+            return
+        assert verify_windows(states[0], w_s, lam).valid
