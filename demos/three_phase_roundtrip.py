@@ -14,6 +14,7 @@ from winavc import (
     build_three_phase_codec,
     hamming_budget,
 )
+from winavc.codec import STATUSES
 from winavc.core import channel_sample_rows
 from winavc.jammers import iid_jammer_rows
 
@@ -52,10 +53,10 @@ print(f"jammer: i.i.d. Bern(0.04), accepted after {rejections[0]} rejected draws
       f"{int(states.sum())} flips")
 
 y = channel_sample_rows([x], states, xor, [rng])
-res = codec.decode_rows(y)[0]
-print(f"\ndecode: status={res.status}, message id {res.message_id}, "
-      f"keys {res.keys}, list size {res.list_size}")
-assert res.message_id == int(codec.message_ids[m])
+res = codec.decode_rows(y)  # arrays over the block's one row
+print(f"\ndecode: status={STATUSES[res.status[0]]}, message id {res.survivor_ids[0]}, "
+      f"keys ({res.r1[0]}, {res.r2[0]}), list size {res.list_size[0]}")
+assert res.position[0] == m
 
 # Push the jammer to his absolute window budget: 3 flips per disjoint
 # 64-window, everywhere.  Decoding still succeeds: that is the point of
@@ -63,7 +64,7 @@ assert res.message_id == int(codec.message_ids[m])
 s = np.zeros(plan.total_length, dtype=np.int8)
 for base in range(0, plan.total_length - w_s + 1, w_s):
     s[base + rng.choice(w_s, size=3, replace=False)] = 1
-res = codec.decode_rows([x ^ s])[0]
+res = codec.decode_rows([x ^ s])
 print(f"\nunder maximal admissible jamming ({int(s.sum())} flips): "
-      f"status={res.status}, message id {res.message_id}")
-assert res.message_id == int(codec.message_ids[m])
+      f"status={STATUSES[res.status[0]]}, message id {res.survivor_ids[0]}")
+assert res.position[0] == m

@@ -12,7 +12,6 @@ from .capacity import (
 )
 from .codec import (
     CodecParams,
-    DecodeResult,
     HashParams,
     JamBudget,
     KeyCode,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .windows import (
 
 LAYOUT_THM1 = "thm1"
 LAYOUT_THM2 = "thm2"
+# a decoded row's status: one survivor, an empty list, a list without survivors, several
+STATUSES = ("unique", "empty-list", "no-survivor", "ambiguous")
 
 _DELTA = 0.02  # L1 margin every sampling law keeps inside its input set
 _LL_SLACK = 0.05  # bits per letter the likelihood floor sits below the worst admissible mean
@@ -582,14 +585,17 @@ def make_phase_plan(params: CodecParams, w_x: int, w_s: int) -> PhasePlan:
     )
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    message_id: int | None
-    status: str  # "unique" | "empty-list" | "no-survivor" | "ambiguous"
-    list_size: int
-    overflow: bool
-    keys: tuple[int, int]
-    survivors: tuple[int, ...]
+class BlockDecode(NamedTuple):
+    """A decoded (rows, n) block as arrays: one entry per row, survivors one per pair."""
+
+    status: np.ndarray  # index into STATUSES
+    position: np.ndarray  # the first survivor's message position, -1 without one
+    list_size: np.ndarray
+    overflow: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    survivor_rows: np.ndarray  # survivors in row order, ascending ids within a row
+    survivor_ids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -667,7 +673,7 @@ class ThreePhaseCodec:
             )
         return full
 
-    def decode_rows(self, y_rows) -> list[DecodeResult]:
+    def decode_rows(self, y_rows) -> BlockDecode:
         """List-decode the first segment, recover the keys and filter the list by hash,
         for each row of a (rows, n) output block; each stage handles the whole block
         in one pass."""
@@ -682,22 +688,16 @@ class ThreePhaseCodec:
         # keep the listed messages whose hash under their row's keys matches their codeword's
         pos, h = np.divmod(flat, self.q)
         match = h == r1[rows] ^ self._hash_table[pos, r2[rows]]
-        rows, pos = rows[match], pos[match]
-        order = np.lexsort((pos, rows))
-        survivors = np.split(self.message_ids[pos[order]],
-                             np.cumsum(np.bincount(rows, minlength=y.shape[0]))[:-1])
-        results = []
-        for ids, size, over, keys in zip(survivors, sizes.tolist(), overflow.tolist(),
-                                         zip(r1.tolist(), r2.tolist())):
-            ids = tuple(ids.tolist())
-            if not size:
-                status = "empty-list"
-            elif not ids:
-                status = "no-survivor"
-            else:
-                status = "unique" if len(ids) == 1 else "ambiguous"
-            results.append(DecodeResult(ids[0] if ids else None, status, size, over, keys, ids))
-        return results
+        order = np.lexsort((pos[match], rows[match]))
+        rows, pos = rows[match][order], pos[match][order]
+        count = np.bincount(rows, minlength=y.shape[0])
+        position = np.full(count.size, -1)
+        listed, first = np.unique(rows, return_index=True)
+        position[listed] = pos[first]
+        # indices into STATUSES: empty-list, no-survivor, unique, else ambiguous
+        status = np.select([sizes == 0, count == 0, count == 1], [1, 2, 0], 3)
+        return BlockDecode(status, position, sizes, overflow, r1, r2, rows,
+                           self.message_ids[pos])
 
 
 def build_three_phase_codec(

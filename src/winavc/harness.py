@@ -36,9 +36,8 @@ from .core import (
 )
 from .symmetrize import ecn_symmetrizable
 
-# decoder status k -> trial outcome OUTCOMES[k]; a unique decode of another
-# message is the last outcome, "wrong-message"
-_STATUSES = ("unique", "empty-list", "no-survivor", "ambiguous")
+# decoder status k (codec.STATUSES[k]) -> trial outcome OUTCOMES[k]; a unique
+# decode of another message is the last outcome, "wrong-message"
 OUTCOMES = ("correct", "list-failure", "disambiguation-failure", "ambiguity", "wrong-message")
 
 MAX_CRITERION_MESSAGE_CAP = 1 << 10
@@ -219,13 +218,6 @@ def _public_codeword_sampler(codec: ThreePhaseCodec):
     return sample
 
 
-def _outcome(result, sent_id: int) -> int:
-    """Index in OUTCOMES of a trial that sent sent_id and decoded to result."""
-    if result.status == "unique" and result.message_id != sent_id:
-        return len(OUTCOMES) - 1  # wrong-message
-    return _STATUSES.index(result.status)
-
-
 def run_trials(
     config: ExperimentConfig,
     *,
@@ -238,11 +230,13 @@ def run_trials(
     Trials run _TRIAL_CHUNK at a time: every trial's message and keys are
     drawn first, then one jammer call draws the chunk's states, and
     encoding, the budget check, the channel and decoding run _TRIAL_BLOCK
-    trials at a time.  The tally is kept in arrays, and TrialRecords are
-    built only under keep_records.  Under the max criterion, messages are
-    swept round-robin (exhaustively when the surviving message count is at
-    most 2^10, else over a fixed seed-derived subset) so that per-message
-    error estimates are balanced.
+    trials at a time.  The run raises JammerGenerationError once its capped
+    jammer draws pass the failure budget, max(10, trials // 10), checked
+    after each chunk's jammer call.  The tally is kept in arrays, and
+    TrialRecords are built only under keep_records.  Under the max
+    criterion, messages are swept round-robin (exhaustively when the
+    surviving message count is at most 2^10, else over a fixed seed-derived
+    subset) so that per-message error estimates are balanced.
     """
     if codec is None:
         codec, build_stats = build_codec_from_config(config)
@@ -270,6 +264,7 @@ def run_trials(
     sent = np.zeros(codec.message_count, dtype=np.int64)  # trials per message position
     missed = np.zeros(codec.message_count, dtype=np.int64)  # errors per message position
     forfeits = rejections = generation_failures = 0
+    failure_budget = max(10, config.trials // 10)
     records = []
     for lo in range(0, config.trials, _TRIAL_CHUNK):
         trials = np.arange(lo, min(lo + _TRIAL_CHUNK, config.trials))
@@ -280,6 +275,14 @@ def run_trials(
             m_pos = message_pool[trials % message_pool.size]
         r1, r2 = np.array([codec.key_code.draw_keys(rng) for rng in rngs]).T
         states, jam_rejections, admissible = draw_states(rngs)
+        failed = jam_rejections >= cap
+        generation_failures += int(np.count_nonzero(failed))
+        if generation_failures > failure_budget:
+            raise jammers.JammerGenerationError(
+                f"{generation_failures} trials exceeded the rejection cap "
+                f"(budget {failure_budget}); the jammer law is incompatible "
+                "with its window constraints"
+            )
         states[~admissible] = fallback  # forfeits; a capped draw also counts as a failure
         outcome = np.empty(trials.size, dtype=np.int64)  # index into OUTCOMES
         list_size = np.empty(trials.size, dtype=np.int64)
@@ -298,31 +301,22 @@ def run_trials(
                         f"radius {codec.budget1.radius}"
                     )
             y = channel_sample_rows(x, states[block], spec.channel, rngs[block])
-            results = codec.decode_rows(y)
-            outcome[block] = [_outcome(r, sent_id) for r, sent_id
-                              in zip(results, codec.message_ids[m_pos[block]].tolist())]
-            list_size[block] = [r.list_size for r in results]
+            decoded = codec.decode_rows(y)
+            wrong = (decoded.status == 0) & (decoded.position != m_pos[block])
+            outcome[block] = np.where(wrong, len(OUTCOMES) - 1, decoded.status)
+            list_size[block] = decoded.list_size
 
-        failed = jam_rejections >= cap
         counts += np.bincount(outcome, minlength=len(OUTCOMES))
         sent += np.bincount(m_pos, minlength=codec.message_count)
         missed += np.bincount(m_pos[outcome != 0], minlength=codec.message_count)
         forfeits += int(np.count_nonzero(~admissible))
         rejections += int(jam_rejections.sum())
-        generation_failures += int(np.count_nonzero(failed))
         if keep_records:
             rows = zip(trials.tolist(), codec.message_ids[m_pos].tolist(), r1.tolist(),
                        r2.tolist(), jam_rejections.tolist(), admissible.tolist(),
                        failed.tolist(), list_size.tolist(), outcome.tolist())
             records += [TrialRecord(i, m, (k1, k2), rej, not ok, fail, size, OUTCOMES[o])
                         for i, m, k1, k2, rej, ok, fail, size, o in rows]
-    failure_budget = max(10, config.trials // 10)
-    if generation_failures > failure_budget:
-        raise jammers.JammerGenerationError(
-            f"{generation_failures} trials exceeded the rejection cap "
-            f"(budget {failure_budget}); the jammer law is incompatible "
-            "with its window constraints"
-        )
 
     per_message = {int(codec.message_ids[k]): (int(missed[k]), int(sent[k]))
                    for k in np.flatnonzero(sent)}

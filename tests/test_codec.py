@@ -14,6 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from winavc import gf2
 from winavc.codec import (
+    STATUSES,
+    BlockDecode,
     CodecParams,
     CodeConstructionError,
     HashParams,
@@ -56,6 +58,19 @@ def list_code(words):
 def ranked(y_rows, code, budget):
     """_ranked_lists's (rows, positions, sizes, overflow) as lists."""
     return tuple(a.tolist() for a in _ranked_lists(y_rows, code, budget))
+
+
+def decoded_rows(codec, y_rows) -> list:
+    """Each row's decode rebuilt from the block's arrays: [message id or None, status,
+    list size, overflow, [r1, r2], survivor ids]."""
+    d = codec.decode_rows(y_rows)
+    survivors = [[] for _ in d.status]
+    for row, message_id in zip(d.survivor_rows.tolist(), d.survivor_ids.tolist()):
+        survivors[row].append(message_id)
+    fields = zip(d.position.tolist(), d.status.tolist(), d.list_size.tolist(),
+                 d.overflow.tolist(), d.r1.tolist(), d.r2.tolist(), survivors)
+    return [[int(codec.message_ids[pos]) if pos >= 0 else None, STATUSES[status], size, over,
+             [r1, r2], ids] for pos, status, size, over, r1, r2, ids in fields]
 
 
 def key_code(field_bits, law, length, gamma, w_x, rng):
@@ -398,10 +413,19 @@ class TestBlockDecoding:
         codec, _ = build_three_phase_codec(params, spec, np.random.default_rng(3))
         assert codec.budget1.kind == ("hamming" if channel is XOR else "likelihood")
         y = self._block(codec, np.random.default_rng(4))
-        results = codec.decode_rows(y)
-        assert {r.status for r in results} == {"unique", "ambiguous", "no-survivor", "empty-list"}
-        assert {r.overflow for r in results} == {False, True}
-        assert results == [codec.decode_rows(row[None])[0] for row in y]
+        fields = decoded_rows(codec, y)
+        assert {f[1] for f in fields} == {"unique", "ambiguous", "no-survivor", "empty-list"}
+        assert {f[3] for f in fields} == {False, True}
+        # the first survivor's position names the first survivor id
+        assert all(f[0] == (f[5][0] if f[5] else None) for f in fields)
+        # the block's arrays are its rows' own, decoded alone, one after another
+        block = codec.decode_rows(y)
+        alone = [codec.decode_rows(row[None]) for row in y]
+        for name in BlockDecode._fields:
+            want = [getattr(a, name) for a in alone]
+            if name == "survivor_rows":
+                want = [np.full(rows.size, i) for i, rows in enumerate(want)]
+            assert np.array_equal(getattr(block, name), np.concatenate(want)), name
         # the block's lists are its rows' own lists, one after another
         phase1 = y[:, : codec.plan.n1]
         alone = [ranked(row[None], codec.phase1_flat, codec.budget1) for row in phase1]
@@ -410,7 +434,6 @@ class TestBlockDecoding:
         assert positions == [p for a in alone for p in a[1]]
         assert sizes == [a[2][0] for a in alone]
         assert overflow == [a[3][0] for a in alone]
-        fields = [dataclasses.astuple(r) for r in results]
         assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == digest
 
 
@@ -602,9 +625,9 @@ class TestThreePhase:
             s = np.zeros_like(x)
             flips = rng.choice(codec.plan.n1, size=budget // 2, replace=False)
             s[0, flips] = 1
-            res, = codec.decode_rows(x ^ s)
-            assert res.status == "unique"
-            assert res.message_id == int(codec.message_ids[pos])
+            res = codec.decode_rows(x ^ s)
+            assert STATUSES[res.status[0]] == "unique"
+            assert res.position[0] == pos
 
     def test_every_encode_passes_window_check(self):
         codec, _ = self._build(seed=3)
@@ -620,11 +643,12 @@ class TestThreePhase:
         # hand-built survivor filtering: exactly one list entry matches
         codec, _ = self._build(seed=4)
         r1, r2 = codec.key_code.draw_keys(np.random.default_rng(8))
-        res, = codec.decode_rows(codec.encode_rows([2], [r1], [r2]))
-        assert res.status == "unique"
-        assert res.keys == (r1, r2)
-        assert res.message_id == int(codec.message_ids[2])
-        assert res.survivors == (int(codec.message_ids[2]),)
+        res = codec.decode_rows(codec.encode_rows([2], [r1], [r2]))
+        assert STATUSES[res.status[0]] == "unique"
+        assert (res.r1.tolist(), res.r2.tolist()) == ([r1], [r2])
+        assert res.position.tolist() == [2]
+        assert res.survivor_rows.tolist() == [0]
+        assert res.survivor_ids.tolist() == [int(codec.message_ids[2])]
 
     def test_encode_uses_the_message_hash(self):
         # the cached hash table against poly_hash of each message, one at a time
@@ -674,8 +698,7 @@ class TestThreePhase:
         r1, r2 = codec.key_code.draw_keys(np.random.default_rng(0))
         x = codec.encode_rows([0], [r1], [r2])
         assert verify_windows(x[0], 80, gamma).valid
-        res, = codec.decode_rows(x)
-        assert res.status == "unique"
+        assert STATUSES[codec.decode_rows(x).status[0]] == "unique"
 
     def test_thm2_layout_follows_the_window_ratio(self):
         # windows 80/20 give alpha = 1/4: each key-phase window opens with
@@ -723,9 +746,8 @@ class TestThreePhase:
             states, _, _ = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam,
                                            [draw])
             y = channel_sample_rows(x, states, noisy, [draw])
-            res, = codec.decode_rows(y)
-            ok += (res.status == "unique"
-                   and res.message_id == int(codec.message_ids[m]))
+            res = codec.decode_rows(y)
+            ok += STATUSES[res.status[0]] == "unique" and res.position[0] == m
         assert ok / trials >= 0.9
 
     def test_thm2_requires_interleave_types(self):
@@ -771,9 +793,9 @@ class TestNoiselessRoundTrip:
         draw = np.random.default_rng(seed + 1)
         for pos in range(codec.message_count):
             r1, r2 = codec.key_code.draw_keys(draw)
-            res, = codec.decode_rows(codec.encode_rows([pos], [r1], [r2]))
-            assert (res.status, res.message_id, res.keys) == (
-                "unique", int(codec.message_ids[pos]), (r1, r2)
+            res = codec.decode_rows(codec.encode_rows([pos], [r1], [r2]))
+            assert (STATUSES[res.status[0]], res.position[0], res.r1[0], res.r2[0]) == (
+                "unique", pos, r1, r2
             )
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from winavc import gf2, harness, jammers
 from winavc.codec import (
+    STATUSES,
     CodecParams,
     CodeConstructionError,
     HashParams,
@@ -176,12 +177,10 @@ class TestRunTrials:
             for kid in codec.key_code.ids:
                 r1, r2 = int(kid) // codec.q, int(kid) % codec.q
                 x = codec.encode_rows([pos], [r1], [r2])
-                for res, w in zip(codec.decode_rows(x ^ seqs), seq_weight.values()):
-                    wrong = not (
-                        res.status == "unique"
-                        and res.message_id == int(codec.message_ids[pos])
-                    )
-                    exact_err += wrong * w / (total_mass * m_count * k_count)
+                res = codec.decode_rows(x ^ seqs)
+                wrong = (res.status != STATUSES.index("unique")) | (res.position != pos)
+                for bad, w in zip(wrong.tolist(), seq_weight.values()):
+                    exact_err += bad * w / (total_mass * m_count * k_count)
 
         stats = run_trials(config, keep_records=False)
         assert stats.wilson_lo - 1e-9 <= exact_err <= stats.wilson_hi + 1e-9
@@ -355,8 +354,10 @@ class TestPinnedOutputs:
             x = codec.encode_rows([m], [r1], [r2])
             states, _, _ = iid_jammer_rows(Distribution.bernoulli(0.04), x.shape[1], 64, lam,
                                            [draw])
-            res, = codec.decode_rows(channel_sample_rows(x, states, noisy, [draw]))
-            decodes.append([res.status, res.message_id, list(res.keys), res.list_size])
+            res = codec.decode_rows(channel_sample_rows(x, states, noisy, [draw]))
+            pos = int(res.position[0])
+            decodes.append([STATUSES[res.status[0]], int(codec.message_ids[pos]) if pos >= 0
+                            else None, [int(res.r1[0]), int(res.r2[0])], int(res.list_size[0])])
         digests = {
             "message_ids": _digest(codec.message_ids),
             "phase1": _digest(codec.phase1_flat.codewords),
@@ -543,9 +544,19 @@ class TestTrialBlocks:
         stats = run_trials(hopeless_iid_config(8))
         assert [r.jam_generation_failed for r in stats.records] == [True] * 8
         assert all(r.jam_forfeited and r.jam_rejections == 16 for r in stats.records)
-        # every trial still runs: the budget is checked once the run is done
+        # 11 failures pass the budget of 10, all within the run's one chunk
         with pytest.raises(JammerGenerationError, match="11 trials exceeded"):
             run_trials(hopeless_iid_config(11))
+
+    def test_a_run_stops_at_its_failure_budget(self, monkeypatch, jam_rounds):
+        # 200 trials in chunks of 8 have a budget of 20 failures, which the third
+        # chunk passes: at most one jammer call may follow it
+        from winavc.jammers import JammerGenerationError
+
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", 8)
+        with pytest.raises(JammerGenerationError, match=r"24 trials exceeded .*budget 20"):
+            run_trials(hopeless_iid_config(200))
+        assert len(jam_rounds.spans()) <= 4 * 8
 
 
 class TestRunFootprint:

@@ -312,6 +312,29 @@ class TestWindowKernelBruteForce:
         assert stats.kept_indices.tolist() == want
         assert np.array_equal(kept, mat[want])
 
+    @pytest.mark.parametrize("side", ["prefix", "suffix"])
+    @pytest.mark.parametrize("n", [8, 16, 17], ids=["w", "2w", "2w+1"])
+    def test_expurgate_on_either_side_of_the_join_length(self, n, side):
+        # w = 8: a codeword of at most 2w symbols is checked joined to its
+        # context, a longer one as it lies plus a seam
+        w, rng = 8, np.random.default_rng(n)
+        cset = ConstraintSet.weight_cap(0.375)
+        mat = (rng.random((300, n)) < 0.25).astype(np.int8)
+        context = [0, 1, 1, 0, 0, 0, 1, 0, 1, 1]
+        pre, suf = (context, []) if side == "prefix" else ([], context)
+        want = []
+        for r, row in enumerate(mat.tolist()):
+            ext = pre + row + suf
+            starts = range(max(0, len(pre) - w + 1), len(pre) + n)
+            if not any(_violates(ext[t:t + w], cset) for t in starts if t + w <= len(ext)):
+                want.append(r)
+        context = np.array(context, dtype=np.int8)
+        kept, stats = expurgate(mat, w, cset, **{f"{side}_context": context})
+        assert stats.kept_indices.tolist() == want
+        assert np.array_equal(kept, mat[want])
+        # the context drops rows that are valid alone
+        assert expurgate(mat, w, cset)[1].removed < stats.removed < mat.shape[0]
+
 
 def cumsum_window_violations(mat, w, gamma):
     """The earlier int32 cumsum kernel, kept as the reference for the flags."""
